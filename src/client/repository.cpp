@@ -49,26 +49,29 @@ void InfoRepository::record_publication(
   if (perf.has_sample) {
     core::PerfHistory& h = history(perf.replica);
     const std::uint64_t pre_version = h.version();
-    const auto evicted_ts = h.service.push(perf.ts);
-    const auto evicted_tq = h.queueing.push(perf.tq);
-    std::optional<sim::Duration> tb;
-    std::optional<sim::Duration> evicted_tb;
+    core::ResponseState::Delta delta;
+    delta.ts = perf.ts;
+    delta.evicted_ts = h.service.push(perf.ts);
+    delta.tq = perf.tq;
+    delta.evicted_tq = h.queueing.push(perf.tq);
     if (perf.deferred) {
-      tb = perf.tb;
-      evicted_tb = h.lazy_wait.push(perf.tb);
+      delta.tb = perf.tb;
+      delta.evicted_tb = h.lazy_wait.push(perf.tb);
     }
     if (cache_enabled_) {
-      // Fold the push into the memoized integer state in place — the next
-      // query then rematerializes the pmfs without a convolution. An entry
-      // that was already stale (or never built) just stays version-behind
-      // and rebuilds on its next query. Orphans (non-candidates) carry no
-      // memo: nothing queries them.
+      // Queue the push for the memoized integer state; the next query folds
+      // the queue (or rebuilds, whichever costs less), so publications that
+      // pile up between reads are paid for once. An entry that was already
+      // stale (or never built) just stays version-behind and rebuilds on
+      // its next query — as does one whose queue already spans a whole
+      // window, where a rebuild is never dearer. Orphans (non-candidates)
+      // carry no memo: nothing queries them.
       Slot* slot = find_slot(perf.replica);
       if (slot != nullptr && slot->estimate.valid &&
           slot->estimate.history_version == pre_version &&
-          slot->estimate.state.built()) {
-        slot->estimate.state.apply_publication(perf.ts, evicted_ts, perf.tq,
-                                               evicted_tq, tb, evicted_tb);
+          slot->estimate.state.built() &&
+          slot->estimate.pending.size() < window_size_) {
+        slot->estimate.pending.push_back(delta);
         slot->estimate.history_version = h.version();
         slot->estimate.dirty = true;
         ++cache_stats_.incremental_updates;
@@ -254,11 +257,30 @@ void InfoRepository::estimate_cdfs(
   CachedEstimate& e = slot.estimate;
   const std::uint64_t version = h.version();
 
+  if (e.valid && e.history_version == version && !e.pending.empty()) {
+    // Publications queued since the last query: fold them in order, unless
+    // folding them one by one costs more than rebuilding from the windows
+    // (the queue then stays set and takes the rebuild below). Both routes
+    // give the identical integer state.
+    if (e.pending.size() * e.state.fold_cost() <= e.state.rebuild_cost()) {
+      for (const core::ResponseState::Delta& delta : e.pending) {
+        e.state.apply_publication(delta);
+      }
+      e.pending.clear();
+      ++cache_stats_.queue_folds;
+    } else {
+      ++cache_stats_.queue_rebuilds;
+    }
+  }
+
   bool rebuilt = false;
-  if (!e.valid || e.history_version != version) {
-    // The entry is missing or fell behind without a delta being applied
-    // (first sight of this replica, or the state predates the memo entry):
-    // rebuild the integer counts from the windows by convolution.
+  if (!e.valid || e.history_version != version || !e.pending.empty()) {
+    // The entry is missing, fell behind without its deltas being queued
+    // (first sight of this replica, a state that predates the memo entry,
+    // or a queue that reached a window's length), or its queue is dearer
+    // to fold than a rebuild: rebuild the integer counts from the windows
+    // by convolution.
+    e.pending.clear();
     e.state.rebuild(h, model_.resolution());
     e.history_version = version;
     e.valid = true;

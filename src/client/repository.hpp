@@ -14,11 +14,12 @@
 // (see DESIGN.md "Information repository caching").
 //
 // Each memo entry additionally owns the replica's integer-count convolution
-// state (core::ResponseState), kept current *incrementally*: a window push
-// subtracts the evicted sample's cross terms and adds the new sample's in
-// O(window + span) integer additions, so even a mutated replica pays no
-// convolution on the next read — only a cheap rematerialization of its
-// pmfs (see DESIGN.md "Selection at scale").
+// state (core::ResponseState), kept current *incrementally* and on demand:
+// window pushes are queued as they arrive and the next read folds them —
+// each subtracting the evicted sample's cross terms and adding the new
+// sample's in O(window + span) integer additions — or, when the queue
+// would cost more than that, rebuilds the state from the windows (see
+// DESIGN.md "Information repository caching" and "Selection at scale").
 //
 // Storage is *slot-indexed*: the role map's candidates (primaries then
 // secondaries, the exact order candidates() emits) live in a flat vector,
@@ -52,15 +53,22 @@ struct RepositoryCacheStats {
   /// Deadline, fallback, and history version all matched: the candidate's
   /// CDFs were served without touching a pmf.
   std::uint64_t hits = 0;
-  /// History version changed with no delta applied (entry missing or
-  /// stale): the integer state was rebuilt by convolution.
+  /// History version changed with no delta queued (entry missing or
+  /// stale), or the queue was dearer to fold: the integer state was
+  /// rebuilt by convolution.
   std::uint64_t rebuilds = 0;
   /// Pmfs were current but the deadline differed: CDFs re-evaluated from
   /// the cached pmfs (an O(1) prefix-sum probe, no convolution).
   std::uint64_t cdf_refreshes = 0;
-  /// A window push or gateway update was folded into the entry's integer
-  /// state in place (O(window + span) additions, no convolution).
+  /// A window push was queued for the entry's integer state, or a gateway
+  /// update marked its pmfs stale (no convolution either way).
   std::uint64_t incremental_updates = 0;
+  /// A query folded its entry's queued pushes into the integer state in
+  /// place (O(window + span) additions per push, no convolution).
+  std::uint64_t queue_folds = 0;
+  /// A query found its entry's queued pushes dearer to fold than a rebuild
+  /// and rebuilt instead (also counted in `rebuilds`).
+  std::uint64_t queue_rebuilds = 0;
   /// Pmfs/CDFs rematerialized from an incrementally maintained state —
   /// the post-mutation read that a rebuild used to pay convolutions for.
   std::uint64_t incremental_refreshes = 0;
@@ -163,9 +171,11 @@ class InfoRepository {
   /// Memoized per-replica Eq. 5/6 artifacts. `history_version` and
   /// `fallback_lazy_wait` key the pmfs; `deadline` additionally keys the
   /// CDF values evaluated from them. `state` holds the integer convolution
-  /// counts; record_publication()/record_reply() keep it current in place
-  /// (setting `dirty` so the next query rematerializes the pmfs without
-  /// convolving), and `history_version` tracks how far it has been synced.
+  /// counts; record_publication() queues its window pushes in `pending`
+  /// and the next query folds them (or rebuilds, whichever is cheaper);
+  /// record_reply() only marks the pmfs stale. `dirty` makes the next
+  /// query rematerialize, and `history_version` is the version that
+  /// `state` plus `pending` reflects.
   struct CachedEstimate {
     bool valid = false;
     /// The pmfs/CDFs lag the (current) integer state and need
@@ -176,6 +186,9 @@ class InfoRepository {
     std::uint64_t history_version = 0;
     std::optional<sim::Duration> fallback_lazy_wait;
     core::ResponseState state;
+    /// Window pushes not yet folded into `state`, oldest first; never
+    /// longer than the window.
+    std::vector<core::ResponseState::Delta> pending;
     core::Pmf immediate;
     core::Pmf deferred;
     sim::Duration deadline = sim::Duration::zero();

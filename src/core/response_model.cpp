@@ -129,12 +129,20 @@ void ResponseState::build_d() const {
   Pmf::count_convolution();
 }
 
-void ResponseState::apply_publication(
-    sim::Duration ts, const std::optional<sim::Duration>& evicted_ts,
-    sim::Duration tq, const std::optional<sim::Duration>& evicted_tq,
-    const std::optional<sim::Duration>& tb,
-    const std::optional<sim::Duration>& evicted_tb) {
+std::size_t ResponseState::fold_cost() const {
+  const std::size_t delta_c = s_.bins.size() + w_.bins.size();
+  return delta_c + (d_built_ ? delta_c * u_.bins.size() + c_.c.size() : 0);
+}
+
+std::size_t ResponseState::rebuild_cost() const {
+  const auto samples = static_cast<std::size_t>(s_.n + w_.n + u_.n);
+  return samples + s_.bins.size() * w_.bins.size() +
+         (d_built_ ? c_.c.size() * u_.bins.size() : 0);
+}
+
+void ResponseState::apply_publication(const Delta& delta) {
   AQUEDUCT_CHECK(built_);
+  const auto& [ts, evicted_ts, tq, evicted_tq, tb, evicted_tb] = delta;
   const std::int64_t a = bucket_index(ts, resolution_);
   const std::int64_t b = bucket_index(tq, resolution_);
 

@@ -82,6 +82,10 @@ struct PerfHistory {
 ///     the evicted sample's cross terms, add the new one's — in
 ///     O(window + span) integer additions with no convolution at all.
 ///
+/// fold_cost() and rebuild_cost() price the two routes from the state's
+/// current sizes, so a caller holding several queued deltas can take the
+/// cheaper one.
+///
 /// Because the integer arithmetic is exact, an incrementally maintained
 /// state is *identical* (not approximately equal) to a rebuilt one, and the
 /// float pmfs materialized from it — mass[k] = count[k] * (1/n), the same
@@ -95,6 +99,18 @@ struct PerfHistory {
 /// gateway-only update never touches the integer arrays.
 class ResponseState {
  public:
+  /// One publication's window pushes, each paired with the value its
+  /// window evicted (nullopt while the window was still filling). `tb` is
+  /// set only when the publication carried a deferred sample.
+  struct Delta {
+    sim::Duration ts{0};
+    std::optional<sim::Duration> evicted_ts;
+    sim::Duration tq{0};
+    std::optional<sim::Duration> evicted_tq;
+    std::optional<sim::Duration> tb;
+    std::optional<sim::Duration> evicted_tb;
+  };
+
   ResponseState() = default;
 
   /// True once rebuild() has run with a non-empty service window.
@@ -105,17 +121,20 @@ class ResponseState {
   /// The deferred product D is dropped and rebuilt on next demand.
   void rebuild(const PerfHistory& history, sim::Duration resolution);
 
-  /// Applies one performance publication as a delta: `ts`/`tq` (and `tb`
-  /// when the publication carried a deferred sample) are the pushed values,
-  /// each paired with the value its window evicted (nullopt while the
-  /// window was still filling). Requires built(); the caller must keep the
-  /// pushes it forwards here in lockstep with the underlying PerfHistory.
-  void apply_publication(sim::Duration ts,
-                         const std::optional<sim::Duration>& evicted_ts,
-                         sim::Duration tq,
-                         const std::optional<sim::Duration>& evicted_tq,
-                         const std::optional<sim::Duration>& tb,
-                         const std::optional<sim::Duration>& evicted_tb);
+  /// Applies one performance publication as a delta. Requires built();
+  /// the caller must forward the pushes here in the order they hit the
+  /// underlying PerfHistory.
+  void apply_publication(const Delta& delta);
+
+  /// Integer operations apply_publication() costs for one delta at the
+  /// current sizes: the new sample's cross terms against the other window,
+  /// |S| + |W| = |dC|, plus |dC|·|U| + |C| once D is built.
+  std::size_t fold_cost() const;
+
+  /// Integer operations rebuild() costs, plus building D again when it is
+  /// built now: re-bucketing every window sample, |S|·|W| for C, and
+  /// |C|·|U| for D.
+  std::size_t rebuild_cost() const;
 
   /// Materializes the Eq. 5 pmf: C scaled to probabilities, tail-truncated
   /// at `epsilon` (see Pmf::truncate_tail), shifted by the exact gateway

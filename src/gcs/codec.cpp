@@ -66,9 +66,9 @@ net::MessagePtr decode_heartbeat(Reader& r) {
   m->group = decode_group(r);
   m->view = r.u64();
   m->my_mcast_seq = r.u64();
-  m->my_p2p_seq = net::decode_node_u64_map(r);
-  m->mcast_acks = net::decode_node_u64_map(r);
-  m->p2p_acks = net::decode_node_u64_map(r);
+  m->my_p2p_seq = net::decode_node_u64_pairs(r);
+  m->mcast_acks = net::decode_node_u64_pairs(r);
+  m->p2p_acks = net::decode_node_u64_pairs(r);
   return m;
 }
 

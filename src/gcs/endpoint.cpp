@@ -9,18 +9,26 @@ namespace aqueduct::gcs {
 
 namespace {
 
-/// Every gcs wire message carries its GroupId; extract it for demux.
-GroupId group_of(const net::MessagePtr& msg) {
-  if (auto m = net::message_cast<DataMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<HeartbeatMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<NackMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<JoinMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<LeaveMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<SuspectMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<ProposeMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<FlushMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<InstallMsg>(msg)) return m->group;
-  return GroupId{};
+template <typename T>
+GroupId group_field(const net::Message& msg) {
+  return static_cast<const T&>(msg).group;
+}
+
+/// Every gcs wire message carries its GroupId; extract it for demux. The
+/// stable wire id names the concrete type, so no downcast is tried.
+GroupId group_of(const net::Message& msg) {
+  switch (msg.wire_type()) {
+    case kWireData: return group_field<DataMsg>(msg);
+    case kWireHeartbeat: return group_field<HeartbeatMsg>(msg);
+    case kWireNack: return group_field<NackMsg>(msg);
+    case kWireJoin: return group_field<JoinMsg>(msg);
+    case kWireLeave: return group_field<LeaveMsg>(msg);
+    case kWireSuspect: return group_field<SuspectMsg>(msg);
+    case kWirePropose: return group_field<ProposeMsg>(msg);
+    case kWireFlush: return group_field<FlushMsg>(msg);
+    case kWireInstall: return group_field<InstallMsg>(msg);
+    default: return GroupId{};
+  }
 }
 
 }  // namespace
@@ -72,7 +80,7 @@ net::NodeId Endpoint::reincarnate() {
 
 void Endpoint::on_message(net::NodeId from, net::MessagePtr msg) {
   if (crashed_) return;
-  const GroupId group = group_of(msg);
+  const GroupId group = group_of(*msg);
   AQUEDUCT_CHECK_MSG(group.valid(), "non-gcs message on gcs endpoint");
   auto it = members_.find(group);
   if (it == members_.end()) return;  // no member for this group (e.g. left)

@@ -66,6 +66,7 @@ void Member::join() {
 
 void Member::bootstrap_singleton() {
   view_ = View{group_, 1, {self_}};
+  acks_.set_view(view_.members, self_);
   joined_ = true;
   last_proposal_seen_ = 1;
   last_heard_[self_] = exec_.now();
@@ -197,29 +198,41 @@ void Member::send_to_set(const std::vector<net::NodeId>& dests,
 // Receive path
 // ---------------------------------------------------------------------------
 
+// Receive dispatch switches on the stable wire id: each gcs id belongs to
+// exactly one concrete type, so the static casts below are exact.
 void Member::handle(net::NodeId from, const net::MessagePtr& msg) {
   if (stopped_) return;
   last_heard_[from] = exec_.now();
-  if (auto data = net::message_cast<DataMsg>(msg)) {
-    handle_data(from, data);
-  } else if (auto hb = net::message_cast<HeartbeatMsg>(msg)) {
-    handle_heartbeat(from, *hb);
-  } else if (auto nack = net::message_cast<NackMsg>(msg)) {
-    handle_nack(from, *nack);
-  } else if (net::message_cast<JoinMsg>(msg)) {
-    handle_join(from);
-  } else if (net::message_cast<LeaveMsg>(msg)) {
-    handle_leave(from);
-  } else if (auto sus = net::message_cast<SuspectMsg>(msg)) {
-    handle_suspect(from, *sus);
-  } else if (auto prop = net::message_cast<ProposeMsg>(msg)) {
-    handle_propose(from, *prop);
-  } else if (auto flush = net::message_cast<FlushMsg>(msg)) {
-    handle_flush(from, flush);
-  } else if (auto install = net::message_cast<InstallMsg>(msg)) {
-    handle_install(install);
-  } else {
-    AQUEDUCT_CHECK_MSG(false, "unknown gcs message " << msg->type_name());
+  switch (msg->wire_type()) {
+    case kWireData:
+      handle_data(from, std::static_pointer_cast<const DataMsg>(msg));
+      break;
+    case kWireHeartbeat:
+      handle_heartbeat(from, static_cast<const HeartbeatMsg&>(*msg));
+      break;
+    case kWireNack:
+      handle_nack(from, static_cast<const NackMsg&>(*msg));
+      break;
+    case kWireJoin:
+      handle_join(from);
+      break;
+    case kWireLeave:
+      handle_leave(from);
+      break;
+    case kWireSuspect:
+      handle_suspect(from, static_cast<const SuspectMsg&>(*msg));
+      break;
+    case kWirePropose:
+      handle_propose(from, static_cast<const ProposeMsg&>(*msg));
+      break;
+    case kWireFlush:
+      handle_flush(from, std::static_pointer_cast<const FlushMsg>(msg));
+      break;
+    case kWireInstall:
+      handle_install(std::static_pointer_cast<const InstallMsg>(msg));
+      break;
+    default:
+      AQUEDUCT_CHECK_MSG(false, "unknown gcs message " << msg->type_name());
   }
 }
 
@@ -229,20 +242,25 @@ void Member::handle_data(net::NodeId /*from*/,
 }
 
 bool Member::dispatch_control(net::NodeId from, const net::MessagePtr& payload) {
-  if (auto prop = net::message_cast<ProposeMsg>(payload)) {
-    handle_propose(from, *prop);
-  } else if (auto flush = net::message_cast<FlushMsg>(payload)) {
-    handle_flush(from, flush);
-  } else if (auto install = net::message_cast<InstallMsg>(payload)) {
-    handle_install(install);
-  } else if (auto sus = net::message_cast<SuspectMsg>(payload)) {
-    handle_suspect(from, *sus);
-  } else if (net::message_cast<LeaveMsg>(payload)) {
-    handle_leave(from);
-  } else {
-    return false;  // application payload
+  switch (payload->wire_type()) {
+    case kWirePropose:
+      handle_propose(from, static_cast<const ProposeMsg&>(*payload));
+      return true;
+    case kWireFlush:
+      handle_flush(from, std::static_pointer_cast<const FlushMsg>(payload));
+      return true;
+    case kWireInstall:
+      handle_install(std::static_pointer_cast<const InstallMsg>(payload));
+      return true;
+    case kWireSuspect:
+      handle_suspect(from, static_cast<const SuspectMsg&>(*payload));
+      return true;
+    case kWireLeave:
+      handle_leave(from);
+      return true;
+    default:
+      return false;  // application payload
   }
-  return true;
 }
 
 void Member::accept(net::NodeId sender, const DataMsgPtr& msg) {
@@ -278,7 +296,7 @@ void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
     if (is_mcast) {
       // Retain a copy for the flush protocol until the message is stable.
       chan.retained.emplace(msg->seq, msg);
-      ack_matrix_[self_][sender] = chan.delivered;
+      acks_.set_cell(self_, sender, chan.delivered);
     }
     if (dispatch_control(sender, msg->payload)) {
       if (stopped_) return;
@@ -348,26 +366,50 @@ void Member::send_heartbeat() {
   hb->group = group_;
   hb->view = view_.id;
   hb->my_mcast_seq = mcast_send_seq_;
-  for (const auto& [dest, seq] : p2p_send_seq_) hb->my_p2p_seq[dest] = seq;
-  for (const auto& [sender, chan] : mcast_in_) hb->mcast_acks[sender] = chan.delivered;
-  hb->mcast_acks[self_] =
-      mcast_in_.contains(self_) ? mcast_in_[self_].delivered : 0;
-  for (const auto& [sender, chan] : p2p_in_) hb->p2p_acks[sender] = chan.delivered;
+  // The maps iterate in NodeId order, so the vectors come out sorted.
+  hb->my_p2p_seq.assign(p2p_send_seq_.begin(), p2p_send_seq_.end());
+  // Every mcast channel's ack, plus our own stream's (0 before we deliver
+  // our first multicast).
+  hb->mcast_acks.reserve(mcast_in_.size() + 1);
+  bool self_listed = false;
+  for (const auto& [sender, chan] : mcast_in_) {
+    if (!self_listed && self_ <= sender) {
+      if (self_ != sender) hb->mcast_acks.emplace_back(self_, 0);
+      self_listed = true;
+    }
+    hb->mcast_acks.emplace_back(sender, chan.delivered);
+  }
+  if (!self_listed) hb->mcast_acks.emplace_back(self_, 0);
+  hb->p2p_acks.reserve(p2p_in_.size());
+  for (const auto& [sender, chan] : p2p_in_) {
+    hb->p2p_acks.emplace_back(sender, chan.delivered);
+  }
   for (const net::NodeId dest : view_.members) {
     if (dest != self_) send_(dest, hb);
   }
 }
 
+namespace {
+
+/// Drops the copies with seq <= `up_to` — a prefix of the seq-keyed map.
+void erase_up_to(std::map<std::uint64_t, DataMsgPtr>& copies,
+                 std::uint64_t up_to) {
+  if (!copies.empty() && copies.begin()->first <= up_to) {
+    copies.erase(copies.begin(), copies.upper_bound(up_to));
+  }
+}
+
+}  // namespace
+
 void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
   // Stability bookkeeping.
-  ack_matrix_[from] = msg.mcast_acks;
+  acks_.set_row(from, msg.mcast_acks);
   collect_stability();
 
   // Garbage-collect the p2p send buffer towards `from`.
-  if (auto ack = msg.p2p_acks.find(self_); ack != msg.p2p_acks.end()) {
+  if (const std::uint64_t* ack = net::find_node(msg.p2p_acks, self_)) {
     if (auto chan = sent_p2p_.find(from); chan != sent_p2p_.end()) {
-      std::erase_if(chan->second,
-                    [&](const auto& kv) { return kv.first <= ack->second; });
+      erase_up_to(chan->second, *ack);
     }
   }
 
@@ -381,10 +423,10 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
     }
   }
   // Same for the from->me p2p channel.
-  if (auto sent = msg.my_p2p_seq.find(self_); sent != msg.my_p2p_seq.end()) {
+  if (const std::uint64_t* sent = net::find_node(msg.my_p2p_seq, self_)) {
     InChannel& chan = p2p_in_[from];
-    if (sent->second > chan.delivered) {
-      schedule_nack_check(from, /*is_mcast=*/false, sent->second);
+    if (*sent > chan.delivered) {
+      schedule_nack_check(from, /*is_mcast=*/false, *sent);
     }
   }
 }
@@ -393,28 +435,13 @@ void Member::collect_stability() {
   if (!joined_) return;
   // A multicast (sender, seq) is stable once every current-view member has
   // delivered it; stable copies can be dropped from retained logs and from
-  // the sender's own buffer.
-  auto stable_for = [&](net::NodeId sender) {
-    std::uint64_t stable = UINT64_MAX;
-    for (const net::NodeId m : view_.members) {
-      auto row = ack_matrix_.find(m);
-      if (row == ack_matrix_.end()) return std::uint64_t{0};
-      auto cell = row->second.find(sender);
-      stable = std::min(stable, cell == row->second.end() ? 0 : cell->second);
-    }
-    return stable == UINT64_MAX ? 0 : stable;
-  };
+  // the sender's own buffer. The per-sender minima are maintained by acks_,
+  // so this is one lookup and one front-of-buffer compare per sender; only
+  // a buffer whose oldest copy became stable is trimmed.
   for (auto& [sender, chan] : mcast_in_) {
-    if (chan.retained.empty()) continue;
-    const std::uint64_t stable = stable_for(sender);
-    std::erase_if(chan.retained,
-                  [&](const auto& kv) { return kv.first <= stable; });
+    if (!chan.retained.empty()) erase_up_to(chan.retained, acks_.stable(sender));
   }
-  if (!sent_mcast_.empty()) {
-    const std::uint64_t stable = stable_for(self_);
-    std::erase_if(sent_mcast_,
-                  [&](const auto& kv) { return kv.first <= stable; });
-  }
+  if (!sent_mcast_.empty()) erase_up_to(sent_mcast_, acks_.stable(self_));
 }
 
 void Member::fd_tick() {
@@ -447,6 +474,13 @@ net::NodeId Member::acting_coordinator() const {
     if (!suspects_.contains(m)) return m;
   }
   return self_;
+}
+
+Member::BufferSizes Member::buffer_sizes() const {
+  BufferSizes sizes;
+  for (const auto& [sender, chan] : mcast_in_) sizes.retained += chan.retained.size();
+  sizes.sent = sent_mcast_.size();
+  return sizes;
 }
 
 // ---------------------------------------------------------------------------
@@ -640,7 +674,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
       chan.delivered = std::max(chan.delivered, target);
       std::erase_if(chan.buffered,
                     [&](const auto& kv) { return kv.first <= chan.delivered; });
-      ack_matrix_[self_][sender] = chan.delivered;
+      acks_.set_cell(self_, sender, chan.delivered);
     }
     // Messages multicast in the *new* view can race ahead of this install;
     // drain anything that became contiguous once the baseline was set.
@@ -672,7 +706,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
         ++stats_.flush_gaps;
         metrics_.flush_gaps.inc();
         cit->second.delivered += 1;
-        ack_matrix_[self_][sender] = cit->second.delivered;
+        acks_.set_cell(self_, sender, cit->second.delivered);
         deliver_ready(sender, /*is_mcast=*/true);
         if (stopped_) return;
       }
@@ -709,9 +743,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
                 [&](net::NodeId n) { return view_.contains(n); });
   std::erase_if(pending_leavers_,
                 [&](net::NodeId n) { return !view_.contains(n); });
-  std::erase_if(ack_matrix_, [&](const auto& kv) {
-    return kv.first != self_ && !view_.contains(kv.first);
-  });
+  acks_.set_view(view_.members, self_);
   std::erase_if(sent_p2p_,
                 [&](const auto& kv) { return !view_.contains(kv.first); });
   // Garbage-collect per-sender state of departed members. NodeIds are

@@ -31,6 +31,7 @@
 #include "gcs/config.hpp"
 #include "gcs/directory.hpp"
 #include "gcs/messages.hpp"
+#include "gcs/stability.hpp"
 #include "gcs/types.hpp"
 #include "net/message.hpp"
 #include "net/node.hpp"
@@ -124,6 +125,15 @@ class Member {
   const MemberStats& stats() const { return stats_; }
   const Config& config() const { return config_; }
 
+  /// Unstable multicast copies this member still holds: delivered messages
+  /// retained for the flush protocol (all senders), and its own multicasts
+  /// not yet stable. Both shrink as stability garbage collection runs.
+  struct BufferSizes {
+    std::size_t retained = 0;
+    std::size_t sent = 0;
+  };
+  BufferSizes buffer_sizes() const;
+
  private:
   // ---- receive-side channel state, one per (sender, stream) ----
   struct InChannel {
@@ -212,8 +222,9 @@ class Member {
   std::map<net::NodeId, InChannel> mcast_in_;
   std::map<net::NodeId, InChannel> p2p_in_;
 
-  // stability: member -> (sender -> cumulative mcast ack)
-  std::map<net::NodeId, std::map<net::NodeId, std::uint64_t>> ack_matrix_;
+  // stability: every member's cumulative mcast acks, with per-sender
+  // minima over the current view kept incrementally
+  AckMatrix acks_;
 
   // failure detection
   std::map<net::NodeId, sim::TimePoint> last_heard_;

@@ -58,7 +58,8 @@ struct DataMsg final : net::Message {
 
 using DataMsgPtr = std::shared_ptr<const DataMsg>;
 
-/// Periodic per-group heartbeat.
+/// Periodic per-group heartbeat. Its per-node fields are NodeId-sorted flat
+/// vectors, encoded exactly like the std::maps of the other messages.
 struct HeartbeatMsg final : net::Message {
   GroupId group;
   ViewId view = 0;
@@ -66,13 +67,13 @@ struct HeartbeatMsg final : net::Message {
   /// detection at receivers).
   std::uint64_t my_mcast_seq = 0;
   /// Sender's p2p stream high-water mark per destination.
-  std::map<net::NodeId, std::uint64_t> my_p2p_seq;
+  net::NodeU64Pairs my_p2p_seq;
   /// Cumulative contiguous-delivery acknowledgements: for each sender in
   /// the group, the highest mcast seq this member has delivered.
-  std::map<net::NodeId, std::uint64_t> mcast_acks;
+  net::NodeU64Pairs mcast_acks;
   /// For each sender, the highest p2p seq (on the sender->me channel) this
   /// member has delivered.
-  std::map<net::NodeId, std::uint64_t> p2p_acks;
+  net::NodeU64Pairs p2p_acks;
 
   std::string type_name() const override { return "gcs.heartbeat"; }
   net::WireTypeId wire_type() const override { return kWireHeartbeat; }

@@ -10,18 +10,31 @@ void Message::encode(Writer&) const {
   throw CodecError("message type '" + type_name() + "' is not codec-enabled");
 }
 
-std::size_t Message::wire_size() const {
-  if (wire_type() == 0) return 64;  // nominal size for non-wire types
+namespace {
+
+std::uint32_t frame_size(const Message& msg) {
+  if (msg.wire_type() == 0) return 64;  // nominal size for non-wire types
   try {
     Writer w;
-    encode_frame(*this, w);
-    return w.size();
+    encode_frame(msg, w);
+    return static_cast<std::uint32_t>(w.size());
   } catch (const CodecError&) {
     // A codec-enabled envelope carrying a non-encodable payload (tests
     // wrap ad-hoc local messages in gcs frames): fall back to the nominal
     // estimate rather than poison bandwidth accounting.
     return 64;
   }
+}
+
+}  // namespace
+
+std::size_t Message::wire_size() const {
+  std::uint32_t bytes = wire_size_memo_.bytes.load(std::memory_order_relaxed);
+  if (bytes == 0) {
+    bytes = frame_size(*this);
+    wire_size_memo_.bytes.store(bytes, std::memory_order_relaxed);
+  }
+  return bytes;
 }
 
 CodecRegistry& CodecRegistry::global() {

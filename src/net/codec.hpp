@@ -20,6 +20,7 @@
 // reproduces `bytes` exactly (tests/codec_test.cpp enforces it per type).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -234,8 +235,14 @@ inline std::vector<NodeId> decode_node_vector(Reader& r) {
   return v;
 }
 
-inline void encode_node_u64_map(Writer& w,
-                                const std::map<NodeId, std::uint64_t>& m) {
+/// NodeId-sorted (node, value) pairs, unique by node: the flat form of a
+/// std::map<NodeId, std::uint64_t>, with the same wire encoding.
+using NodeU64Pairs = std::vector<std::pair<NodeId, std::uint64_t>>;
+
+/// Writes a count and then the (node, value) pairs in iteration order —
+/// ascending by node for both a std::map and a NodeU64Pairs.
+template <typename Pairs>
+void encode_node_u64_map(Writer& w, const Pairs& m) {
   w.u32(static_cast<std::uint32_t>(m.size()));
   for (const auto& [node, seq] : m) {
     w.node(node);
@@ -251,6 +258,36 @@ inline std::map<NodeId, std::uint64_t> decode_node_u64_map(Reader& r) {
     m[node] = r.u64();
   }
   return m;
+}
+
+/// decode_node_u64_map() into the flat form. A well-formed encoder writes
+/// the pairs sorted and unique; other input is normalized exactly as the
+/// map decoder would (sorted by node, last value wins).
+inline NodeU64Pairs decode_node_u64_pairs(Reader& r) {
+  const std::uint32_t n = r.u32();
+  NodeU64Pairs v;
+  v.reserve(std::min<std::size_t>(n, r.remaining() / 12 + 1));
+  bool sorted = true;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const NodeId node = r.node();
+    const std::uint64_t value = r.u64();
+    sorted = sorted && (v.empty() || v.back().first < node);
+    v.emplace_back(node, value);
+  }
+  if (!sorted) {
+    std::map<NodeId, std::uint64_t> m;
+    for (const auto& [node, value] : v) m[node] = value;
+    v.assign(m.begin(), m.end());
+  }
+  return v;
+}
+
+/// Value of `node` in sorted pairs, or nullptr.
+inline const std::uint64_t* find_node(const NodeU64Pairs& v, NodeId node) {
+  auto it = std::lower_bound(
+      v.begin(), v.end(), node,
+      [](const auto& pair, NodeId n) { return pair.first < n; });
+  return it != v.end() && it->first == node ? &it->second : nullptr;
 }
 
 inline void encode_optional_str(Writer& w, const std::optional<std::string>& s) {

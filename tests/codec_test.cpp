@@ -358,6 +358,71 @@ TEST_F(CodecTest, WireSizeIsTheEncodedFrameSize) {
   }
 }
 
+TEST_F(CodecTest, MemoizedWireSizeMatchesEveryRegisteredType) {
+  // wire_size() encodes once and then answers from its memo: both calls
+  // must be the real frame length, for every registered type.
+  for (const auto& m : exemplars()) {
+    SCOPED_TRACE(m->type_name());
+    const std::size_t frame = net::encode_frame(*m).size();
+    EXPECT_EQ(m->wire_size(), frame);
+    EXPECT_EQ(m->wire_size(), frame);
+  }
+}
+
+TEST_F(CodecTest, WireSizeFallbacksSurviveTheMemo) {
+  struct PlainMsg final : net::Message {
+    std::string type_name() const override { return "test.plain"; }
+  };
+  // A type outside the codec.
+  const auto plain = std::make_shared<PlainMsg>();
+  EXPECT_EQ(plain->wire_size(), 64u);
+  EXPECT_EQ(plain->wire_size(), 64u);
+  // A gcs envelope whose payload cannot be encoded.
+  auto data = std::make_shared<gcs::DataMsg>();
+  data->group = gcs::GroupId{3};
+  data->sender = net::NodeId{1};
+  data->seq = 1;
+  data->payload = plain;
+  EXPECT_THROW(net::encode_frame(*data), net::CodecError);
+  EXPECT_EQ(data->wire_size(), 64u);
+  EXPECT_EQ(data->wire_size(), 64u);
+}
+
+TEST_F(CodecTest, CopiedMessageDoesNotInheritTheWireSizeMemo) {
+  gcs::HeartbeatMsg original;
+  original.group = gcs::GroupId{2};
+  const std::size_t before = original.wire_size();
+  gcs::HeartbeatMsg copy = original;  // may be mutated before it is sent
+  copy.mcast_acks = {{net::NodeId{1}, 5}, {net::NodeId{2}, 6}};
+  EXPECT_EQ(copy.wire_size(), net::encode_frame(copy).size());
+  EXPECT_EQ(copy.wire_size(), before + 2 * (4 + 8));
+  EXPECT_EQ(original.wire_size(), before);
+}
+
+TEST_F(CodecTest, FlatNodeValuePairsDecodeLikeTheMap) {
+  // Out-of-order and duplicate entries are normalized exactly as the map
+  // decoder does: sorted by node, the last value winning.
+  net::Writer w;
+  w.u32(4);
+  for (const auto& [node, value] :
+       {std::pair{5u, 50ull}, std::pair{2u, 20ull}, std::pair{5u, 51ull},
+        std::pair{3u, 30ull}}) {
+    w.node(net::NodeId{node});
+    w.u64(value);
+  }
+  net::Reader as_map(w.bytes());
+  net::Reader as_pairs(w.bytes());
+  const auto map = net::decode_node_u64_map(as_map);
+  const net::NodeU64Pairs pairs = net::decode_node_u64_pairs(as_pairs);
+  EXPECT_EQ(pairs, net::NodeU64Pairs(map.begin(), map.end()));
+  EXPECT_EQ(pairs, (net::NodeU64Pairs{{net::NodeId{2}, 20},
+                                      {net::NodeId{3}, 30},
+                                      {net::NodeId{5}, 51}}));
+  ASSERT_NE(net::find_node(pairs, net::NodeId{3}), nullptr);
+  EXPECT_EQ(*net::find_node(pairs, net::NodeId{3}), 30u);
+  EXPECT_EQ(net::find_node(pairs, net::NodeId{4}), nullptr);
+}
+
 TEST_F(CodecTest, EveryTruncationThrows) {
   for (const auto& m : exemplars()) {
     SCOPED_TRACE(m->type_name());

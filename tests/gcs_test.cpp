@@ -1,13 +1,17 @@
 // Group-communication substrate: reliable FIFO multicast, views, p2p.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gcs/endpoint.hpp"
+#include "gcs/stability.hpp"
 #include "net/loopback.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct::gcs {
@@ -239,10 +243,194 @@ TEST(GcsStability, SentBuffersGarbageCollected) {
   // Several heartbeat rounds: acks propagate, stability prunes buffers.
   f.settle(seconds(5));
   EXPECT_EQ(f.member(0).stats().mcasts_sent, 100u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(f.member(i).buffer_sizes().retained, 0u) << "member " << i;
+    EXPECT_EQ(f.member(i).buffer_sizes().sent, 0u) << "member " << i;
+  }
   // All members delivered everything; further multicasts still work.
   f.member(0).multicast(text("after-gc"));
   f.settle();
   EXPECT_EQ(f.from_sender(2, f.member(0).self()).back(), "after-gc");
+}
+
+void expect_no_unstable_copies(Fixture& f, std::size_t members) {
+  for (std::size_t i = 0; i < members; ++i) {
+    EXPECT_EQ(f.member(i).buffer_sizes().retained, 0u) << "member " << i;
+    EXPECT_EQ(f.member(i).buffer_sizes().sent, 0u) << "member " << i;
+  }
+}
+
+TEST(GcsStability, CopiesFreedOnlyAfterTheLastViewMemberAcks) {
+  Fixture f(3);
+  f.join_all();
+  // Member 2 keeps delivering, but its heartbeats (its acks) are lost for
+  // less than the suspect timeout.
+  const net::NodeId lagging = f.member(2).self();
+  f.network.set_outbound_loss(lagging, 1.0);
+  for (int i = 0; i < 5; ++i) f.member(0).multicast(text("u" + std::to_string(i)));
+  f.settle(milliseconds(900));
+  EXPECT_EQ(f.from_sender(2, f.member(0).self()).size(), 5u);
+  EXPECT_EQ(f.member(0).buffer_sizes().sent, 5u);
+  EXPECT_EQ(f.member(1).buffer_sizes().retained, 5u);
+
+  f.network.set_outbound_loss(lagging, 0.0);
+  f.settle(milliseconds(600));
+  EXPECT_EQ(f.member(0).view().size(), 3u) << "nobody may have been suspected";
+  expect_no_unstable_copies(f, 3);
+}
+
+TEST(GcsStability, MemberWithoutAHeartbeatRowPinsStabilityAtZero) {
+  Fixture f(4);
+  for (std::size_t i = 0; i < 3; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle();
+  // The joiner's heartbeats never reach member 1, so member 1 holds no ack
+  // row for it at all — while members 0 and 2 do.
+  const net::NodeId joiner = f.endpoints[3]->id();
+  f.network.set_link_loss(joiner, f.member(1).self(), 1.0);
+  f.member(3).join();
+  f.settle(milliseconds(100));
+  ASSERT_EQ(f.member(1).view().size(), 4u);
+
+  for (int i = 0; i < 4; ++i) f.member(1).multicast(text("p" + std::to_string(i)));
+  for (int i = 0; i < 2; ++i) f.member(0).multicast(text("q" + std::to_string(i)));
+  f.settle(milliseconds(700));
+  EXPECT_EQ(f.from_sender(3, f.member(1).self()).size(), 4u);
+  EXPECT_EQ(f.member(1).buffer_sizes().sent, 4u);
+  EXPECT_EQ(f.member(1).buffer_sizes().retained, 6u);
+  EXPECT_EQ(f.member(0).buffer_sizes().sent, 0u);
+
+  f.network.clear_link_loss(joiner, f.member(1).self());
+  f.settle(milliseconds(600));
+  EXPECT_EQ(f.member(1).view().size(), 4u) << "nobody may have been suspected";
+  expect_no_unstable_copies(f, 4);
+}
+
+TEST(GcsStability, RemovedMemberStopsPinningStabilityAfterTheViewChange) {
+  Fixture f(4);
+  f.join_all();
+  f.endpoints[3]->crash();
+  for (int i = 0; i < 3; ++i) f.member(0).multicast(text("c" + std::to_string(i)));
+  f.settle(milliseconds(800));
+  // Still in the view and never acking: the crashed member pins the copies.
+  ASSERT_EQ(f.member(0).view().size(), 4u);
+  EXPECT_EQ(f.member(0).buffer_sizes().sent, 3u);
+
+  f.settle(seconds(3));
+  ASSERT_EQ(f.member(0).view().size(), 3u);
+  f.settle(seconds(1));
+  expect_no_unstable_copies(f, 3);
+}
+
+TEST(GcsStability, JoinerBaselineFromTheInstallCutCountsAsItsAck) {
+  Fixture f(3);
+  for (std::size_t i = 0; i < 2; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle();
+  // Multicast just before a join: the copies are still unstable when the
+  // new view installs, and the joiner starts at the cut without ever
+  // delivering them. Only its baseline ack can make them stable.
+  for (int i = 0; i < 5; ++i) f.member(0).multicast(text("j" + std::to_string(i)));
+  f.member(2).join();
+  f.settle(milliseconds(30));
+  ASSERT_EQ(f.member(2).view().size(), 3u);
+  EXPECT_EQ(f.member(0).buffer_sizes().sent, 5u);
+
+  f.settle(seconds(1));
+  EXPECT_TRUE(f.from_sender(2, f.member(0).self()).empty());
+  expect_no_unstable_copies(f, 3);
+}
+
+// --- AckMatrix against a from-scratch reference -----------------------------
+
+/// The stability rule evaluated from scratch over map rows: 0 if the view is
+/// empty or a view member has no row; else the minimum over the view's rows,
+/// a missing cell counting as 0.
+std::uint64_t reference_stable(
+    const std::map<net::NodeId, std::map<net::NodeId, std::uint64_t>>& rows,
+    const std::vector<net::NodeId>& view, net::NodeId sender) {
+  std::uint64_t stable = UINT64_MAX;
+  for (const net::NodeId m : view) {
+    auto row = rows.find(m);
+    if (row == rows.end()) return 0;
+    auto cell = row->second.find(sender);
+    stable = std::min(stable, cell == row->second.end() ? 0 : cell->second);
+  }
+  return stable == UINT64_MAX ? 0 : stable;
+}
+
+TEST(GcsAckMatrix, EmptyRowsAndMissingCells) {
+  AckMatrix acks;
+  const net::NodeId a{1}, b{2}, c{3};
+  EXPECT_EQ(acks.stable(a), 0u) << "no view yet";
+  acks.set_view({a, b}, a);
+  acks.set_row(a, {{a, 4}, {b, 7}});
+  EXPECT_EQ(acks.stable(a), 0u) << "b has no row";
+  acks.set_row(b, {{a, 3}});
+  EXPECT_EQ(acks.stable(a), 3u);
+  EXPECT_EQ(acks.stable(b), 0u) << "b's row has no cell for b";
+  acks.set_cell(b, b, 9);
+  EXPECT_EQ(acks.stable(b), 7u);
+  // A row of a node outside the view is kept and counts once it joins.
+  acks.set_row(c, {{a, 1}, {b, 8}});
+  EXPECT_EQ(acks.stable(b), 7u);
+  acks.set_view({a, b, c}, a);
+  EXPECT_EQ(acks.stable(a), 1u);
+  // Dropping c: its row goes with it.
+  acks.set_view({a, b}, a);
+  acks.set_view({a, b, c}, a);
+  EXPECT_EQ(acks.stable(a), 0u) << "c's row was dropped";
+}
+
+TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    const net::NodeId self{1};
+    const auto node = [&] {
+      return net::NodeId{static_cast<std::uint32_t>(1 + rng.uniform_int(8))};
+    };
+    AckMatrix acks;
+    std::map<net::NodeId, std::map<net::NodeId, std::uint64_t>> rows;
+    std::vector<net::NodeId> view;
+    for (int step = 0; step < 2000; ++step) {
+      const double dice = rng.uniform();
+      if (dice < 0.05) {
+        view.clear();
+        for (std::uint32_t n = 1; n <= 8; ++n) {
+          if (n == 1 || rng.bernoulli(0.6)) view.push_back(net::NodeId{n});
+        }
+        std::erase_if(rows, [&](const auto& kv) {
+          return kv.first != self &&
+                 std::find(view.begin(), view.end(), kv.first) == view.end();
+        });
+        acks.set_view(view, self);
+      } else if (dice < 0.5) {
+        const net::NodeId member = node();
+        std::map<net::NodeId, std::uint64_t> row;
+        for (std::uint32_t n = 1; n <= 8; ++n) {
+          if (rng.bernoulli(0.8)) row[net::NodeId{n}] = rng.uniform_int(6);
+        }
+        rows[member] = row;
+        acks.set_row(member, AckMatrix::Row(row.begin(), row.end()));
+      } else {
+        const net::NodeId member = rng.bernoulli(0.5) ? self : node();
+        const net::NodeId sender = node();
+        const std::uint64_t ack = rng.uniform_int(6);
+        rows[member][sender] = ack;
+        acks.set_cell(member, sender, ack);
+      }
+      for (std::uint32_t n = 1; n <= 9; ++n) {
+        ASSERT_EQ(acks.stable(net::NodeId{n}),
+                  reference_stable(rows, view, net::NodeId{n}))
+            << "step " << step << " sender " << n;
+      }
+    }
+  }
 }
 
 TEST(GcsLeave, GracefulLeaveShrinksView) {

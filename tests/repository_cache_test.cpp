@@ -257,5 +257,73 @@ TEST_P(CacheCoherenceProperty, MatchesFreshModelUnderRandomWorkload) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheCoherenceProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+// --- property: publications queued between reads fold on demand ------------
+
+/// Bursts of 0..3x window publications per replica between reads: short
+/// queues fold in place, long ones rebuild (by the cost rule, or because
+/// the queue reached a window's length) — and every CDF stays bitwise equal
+/// to the memo-disabled control.
+TEST(RepositoryCache, QueuedPublicationsFoldOrRebuildBitIdentically) {
+  RepositoryCacheStats totals;
+  for (const std::size_t window : {std::size_t{10}, std::size_t{20}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(testing::Message() << "window " << window << " seed " << seed);
+      sim::Rng rng(seed);
+      InfoRepository repo(window, milliseconds(1));
+      InfoRepository control(window, milliseconds(1));
+      control.set_cache_enabled(false);
+      const std::size_t np = 2, ns = 3;
+      repo.record_group_info(roles(np, ns));
+      control.record_group_info(roles(np, ns));
+      replication::PerfPublication lazy;
+      lazy.replica = net::NodeId{2};
+      lazy.lazy = replication::LazyInfo{
+          .n_u = 3, .t_u = seconds(1), .n_l = 1, .t_l = seconds(1),
+          .period = seconds(4)};
+      repo.record_publication(lazy, sim::kEpoch);
+      control.record_publication(lazy, sim::kEpoch);
+
+      sim::TimePoint now = sim::kEpoch;
+      for (int read = 0; read < 12; ++read) {
+        for (std::uint32_t id = 2; id < 2 + np + ns; ++id) {
+          const std::size_t burst = rng.uniform_int(3 * window + 1);
+          for (std::size_t k = 0; k < burst; ++k) {
+            const bool deferred = rng.bernoulli(0.5);
+            const auto p = sample(
+                id, 30 + static_cast<int>(rng.uniform_int(200)),
+                static_cast<int>(rng.uniform_int(400)),
+                deferred ? 100 + static_cast<int>(rng.uniform_int(900)) : 0,
+                deferred);
+            repo.record_publication(p, now);
+            control.record_publication(p, now);
+          }
+          if (rng.bernoulli(0.3)) {
+            const auto tg = milliseconds(1 + static_cast<int>(rng.uniform_int(10)));
+            repo.record_reply(net::NodeId{id}, tg, now);
+            control.record_reply(net::NodeId{id}, tg, now);
+          }
+        }
+        now += seconds(1);
+        const auto spec = qos(100 + 50 * static_cast<int>(rng.uniform_int(8)));
+        const auto cached = repo.candidates(spec, now);
+        const auto uncached = control.candidates(spec, now);
+        ASSERT_EQ(cached.size(), uncached.size());
+        for (std::size_t i = 0; i < cached.size(); ++i) {
+          EXPECT_EQ(cached[i].immediate_cdf, uncached[i].immediate_cdf);
+          EXPECT_EQ(cached[i].deferred_cdf, uncached[i].deferred_cdf);
+        }
+      }
+      totals.queue_folds += repo.cache_stats().queue_folds;
+      totals.queue_rebuilds += repo.cache_stats().queue_rebuilds;
+      totals.rebuilds += repo.cache_stats().rebuilds;
+    }
+  }
+  // Both branches of the cost rule fired, and so did the window cap (a
+  // rebuild with no queue left to weigh).
+  EXPECT_GT(totals.queue_folds, 0u);
+  EXPECT_GT(totals.queue_rebuilds, 0u);
+  EXPECT_GT(totals.rebuilds, totals.queue_rebuilds);
+}
+
 }  // namespace
 }  // namespace aqueduct::client
