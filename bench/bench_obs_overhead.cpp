@@ -26,12 +26,14 @@
 // reported but never gated (machine-dependent).
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "harness/scenario.hpp"
+#include "obs/json.hpp"
 #include "obs/sinks.hpp"
 
 using namespace aqueduct;

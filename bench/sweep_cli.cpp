@@ -1,5 +1,6 @@
-// sweep_cli: run a named bench plan over a seed range on the parallel
-// sweep engine.
+// sweep_cli: the one experiment driver. Runs a named plan (see --list) over
+// a seed range on the parallel sweep engine, prints one table per config
+// point, and exits non-zero when the plan's check fails.
 //
 //   sweep_cli --plan recovery --seeds 32 --threads 8
 //
@@ -10,10 +11,13 @@
 // compares the bytes, and writes BENCH_sweep.json with the measured
 // speedup. Progress is reported through obs gauges (--metrics-out dumps
 // them) and a live line on stderr.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
+#include "harness/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "runner/plans.hpp"
@@ -102,19 +106,70 @@ CliOptions parse(int argc, char** argv) {
   return opt;
 }
 
-/// Plan-specific pass/fail over the pooled counters, mirroring the exit
-/// gates the serial benches enforced (recovery must recover every seed,
-/// chaos must see zero invariant violations, nothing may throw).
-bool gates_pass(const runner::Plan& plan, const runner::SweepResult& result) {
-  if (!result.all_ok()) return false;
-  if (plan.name == "recovery") {
-    return result.pooled_counter_or_zero("recovered") == result.rows.size() &&
-           result.pooled_counter_or_zero("gsn_conflicts") == 0;
+std::string fmt(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+/// One table per config point, pooled over that point's seeds: each
+/// declared binomial with its 95% Wilson interval, the mean of each value
+/// and sample set (plus the sample quantiles), and the sum of each
+/// counter. Printed only; the sweep JSON carries the per-seed rows.
+void print_point_tables(const runner::Plan& plan,
+                        const runner::SweepSpec& spec,
+                        const runner::SweepResult& result) {
+  for (std::size_t p = 0; p < plan.points.size(); ++p) {
+    const runner::SweepResult point = runner::point_result(spec, result, p);
+    std::cout << "\n" << plan.points[p] << " (" << point.rows.size()
+              << " seed" << (point.rows.size() == 1 ? "" : "s") << ")\n";
+    harness::Table table({"metric", "pooled"});
+    for (const auto& b : point.binomials) {
+      table.add_row({b.label, fmt(b.ci.point) + " [" + fmt(b.ci.lower) +
+                                  ", " + fmt(b.ci.upper) + "] (" +
+                                  std::to_string(b.failures) + "/" +
+                                  std::to_string(b.trials) + ")"});
+    }
+    std::vector<std::pair<std::string, std::pair<double, std::size_t>>> sums;
+    for (const runner::SeedRecord& row : point.rows) {
+      if (!row.ok) {
+        table.add_row({"FAILED", row.error});
+        continue;
+      }
+      for (const auto& [name, v] : row.values) {
+        auto it = std::find_if(sums.begin(), sums.end(),
+                               [&](const auto& s) { return s.first == name; });
+        if (it == sums.end()) it = sums.insert(sums.end(), {name, {0.0, 0}});
+        it->second.first += v;
+        it->second.second += 1;
+      }
+    }
+    for (const auto& [name, sum] : sums) {
+      table.add_row({name, fmt(sum.first / static_cast<double>(sum.second))});
+    }
+    for (const auto& s : point.samples) {
+      std::string cell = "mean " + fmt(s.mean);
+      for (std::size_t q = 0; q < s.quantiles.size(); ++q) {
+        cell += ", p" + fmt(spec.percentiles[q] * 100.0) + " " +
+                fmt(s.quantiles[q]);
+      }
+      table.add_row({s.name, cell + " (n=" + std::to_string(s.count) + ")"});
+    }
+    for (const auto& [name, v] : point.pooled_counters) {
+      table.add_row({name, std::to_string(v)});
+    }
+    table.print();
   }
-  if (plan.name == "chaos" || plan.name == "chaos_recovery") {
-    return result.pooled_counter_or_zero("violations") == 0;
-  }
-  return true;
+}
+
+/// Prints the plan's gate verdict; true when it passes.
+bool check_passes(const runner::Plan& plan, const runner::SweepSpec& spec,
+                  const runner::SweepResult& result) {
+  const std::string failure = plan.check(spec, result);
+  if (failure.empty()) return true;
+  std::cerr << "sweep_cli: plan " << plan.name << " failed its check: "
+            << failure << "\n";
+  return false;
 }
 
 runner::SweepResult run_with_progress(const runner::SweepSpec& spec,
@@ -195,7 +250,10 @@ int self_bench(const CliOptions& opt, const runner::Plan& plan) {
     std::ofstream os(opt.metrics_out);
     if (os) metrics.write_json(os);
   }
-  return identical && gates_pass(plan, r1) && gates_pass(plan, rn) ? 0 : 1;
+  return identical && check_passes(plan, oracle, r1) &&
+                 check_passes(plan, wide, rn)
+             ? 0
+             : 1;
 }
 
 }  // namespace
@@ -240,14 +298,7 @@ int main(int argc, char** argv) {
             << result.wall_seconds << "s";
   if (result.failed > 0) std::cout << "; " << result.failed << " FAILED";
   std::cout << "\n";
-  for (const auto& b : result.binomials) {
-    std::cout << "  " << b.label << ": " << b.ci.point << " [" << b.ci.lower
-              << ", " << b.ci.upper << "] (" << b.failures << "/" << b.trials
-              << ")\n";
-  }
-  for (const auto& [name, v] : result.pooled_counters) {
-    std::cout << "  " << name << ": " << v << "\n";
-  }
+  print_point_tables(*plan, spec, result);
 
   if (opt.json) {
     const std::string path =
@@ -264,5 +315,5 @@ int main(int argc, char** argv) {
     std::ofstream os(opt.metrics_out);
     if (os) metrics.write_json(os);
   }
-  return gates_pass(*plan, result) ? 0 : 1;
+  return check_passes(*plan, spec, result) ? 0 : 1;
 }

@@ -2,15 +2,28 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <iomanip>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <sstream>
 
+#include "client/fifo_handler.hpp"
+#include "client/handler.hpp"
+#include "core/staleness.hpp"
 #include "fault/schedule.hpp"
+#include "gcs/endpoint.hpp"
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
+#include "net/loopback.hpp"
 #include "obs/sinks.hpp"
+#include "obs/trace.hpp"
+#include "replication/fifo.hpp"
 #include "replication/objects.hpp"
+#include "replication/replica.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace aqueduct::runner {
 
@@ -827,136 +840,725 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
   return rec;
 }
 
-std::vector<Plan> build_plans() {
-  std::vector<Plan> all;
+// ------------------------------------------- standard-workload experiments
 
-  {
-    Plan p;
-    p.name = "recovery";
-    p.description =
-        "primary crash at t=8s, restart at t=14s: time-to-rejoin, "
-        "time-to-first-selection, outage vs steady timing failures";
-    p.default_requests = 300;
-    p.points = {"crash_restart_primary"};
-    p.binomials = {
-        {"outage_timing_failure", "outage_failures", "outage_reads"},
-        {"steady_timing_failure", "steady_failures", "steady_reads"},
-    };
-    p.run = run_recovery;
-    all.push_back(std::move(p));
+std::vector<double> to_ms(const std::vector<double>& seconds) {
+  std::vector<double> ms;
+  ms.reserve(seconds.size());
+  for (const double s : seconds) ms.push_back(s * 1000.0);
+  return ms;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0.0
+                  : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// The paper's standard two-client workload (Section 6.1 setup, Section 7
+/// QoS): client 1 holds a=4, d=200 ms, Pc=0.1; client 2, the measured
+/// client, a=2, d=140 ms, Pc=0.9; 1000 ms request delay; LUI 4 s.
+harness::ScenarioConfig standard_config(std::uint64_t seed,
+                                        std::size_t requests) {
+  harness::ScenarioConfig config;
+  config.seed = seed;
+  config.lazy_update_interval = seconds(4);
+  for (int c = 0; c < 2; ++c) {
+    config.clients.push_back(harness::ClientSpec{
+        .qos = {.staleness_threshold = c == 0 ? 4u : 2u,
+                .deadline = milliseconds(c == 0 ? 200 : 140),
+                .min_probability = c == 0 ? 0.1 : 0.9},
+        .request_delay = milliseconds(1000),
+        .num_requests = requests,
+    });
   }
-  {
-    Plan p;
-    p.name = "failure_injection";
-    p.description =
-        "adaptivity under replica crashes: baseline, primary, two "
-        "secondaries, sequencer, crash+recovery";
-    p.default_requests = 400;
-    p.points = {"baseline", "primary_crash", "two_secondary_crashes",
-                "sequencer_crash", "primary_crash_recovery"};
-    p.binomials = {
-        {"timing_failure", "timing_failures", "reads_completed"},
-    };
-    p.run = run_failure_injection;
-    all.push_back(std::move(p));
+  return config;
+}
+
+/// Timing failures and deferrals of the measured client, pooled per point.
+const std::vector<BinomialSpec> kClientBinomials = {
+    {"timing_failure", "timing_failures", "reads_completed"},
+    {"deferred", "deferred_replies", "reads_completed"},
+};
+
+/// The measured client's selection width, kClientBinomials tallies and
+/// read latency.
+void report_client(const harness::ClientResult& client, SeedRecord& rec) {
+  const auto& stats = client.stats;
+  rec.value("avg_replicas_selected", stats.avg_replicas_selected());
+  rec.counter("reads_completed", stats.reads_completed);
+  rec.counter("timing_failures", stats.timing_failures);
+  rec.counter("deferred_replies", stats.deferred_replies);
+  rec.counter("staleness_violations", stats.staleness_violations);
+  rec.sample("read_ms", to_ms(client.read_response_times));
+}
+
+/// Runs `config` and reports the measured client (client 2).
+SeedRecord run_standard(harness::ScenarioConfig config) {
+  harness::Scenario scenario(std::move(config));
+  auto results = scenario.run();
+  SeedRecord rec;
+  report_client(results[1], rec);
+  return rec;
+}
+
+/// Section 7 ablation: the lazy-update interval trades secondary
+/// staleness (deferrals, wider selections) against update traffic.
+constexpr double kAblationLuiSec[] = {1, 2, 4, 8};
+
+SeedRecord run_ablation_lui(const Unit& unit, std::size_t requests) {
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  config.lazy_update_interval = sim::from_sec(kAblationLuiSec[unit.point]);
+  return run_standard(std::move(config));
+}
+
+/// Section 7 ablation: the request delay sets the update rate λ_u and the
+/// replica load.
+constexpr int kAblationDelayMs[] = {250, 500, 1000, 2000};
+
+SeedRecord run_ablation_request_delay(const Unit& unit,
+                                      std::size_t requests) {
+  const int delay = kAblationDelayMs[unit.point];
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  for (auto& client : config.clients) {
+    client.request_delay = milliseconds(delay);
   }
-  {
-    Plan p;
-    p.name = "fig4_adaptivity";
-    p.description =
-        "Figure 4 grid: 4 (Pc, LUI) configs x 8 deadlines, client 2 measured";
-    p.default_requests = 1000;
-    for (const int d : fig4_deadlines_ms()) {
-      for (const Fig4Config& c : fig4_configs()) {
-        p.points.push_back("d=" + std::to_string(d) + "ms " + c.label());
-      }
+  SeedRecord rec = run_standard(std::move(config));
+  // Each client issues one update per write+read pair (~110 ms replies).
+  rec.value("est_lambda_u_per_s", 2.0 / (2.0 * (delay / 1000.0 + 0.11)));
+  return rec;
+}
+
+/// Section 5 baselines: Algorithm 1, its two design rules ablated, and the
+/// select-all / select-one / fixed-k strategies it is motivated against.
+harness::SelectorFactory baseline_selector(std::size_t point) {
+  switch (point) {
+    case 0:
+      return [] { return std::make_unique<core::ProbabilisticSelector>(); };
+    case 1:
+      return [] {
+        return std::make_unique<core::ProbabilisticSelector>(
+            core::ProbabilisticOptions{.tolerate_one_failure = false});
+      };
+    case 2:
+      return [] {
+        return std::make_unique<core::ProbabilisticSelector>(
+            core::ProbabilisticOptions{.sort_by_ert = false});
+      };
+    case 3:
+      return [] { return std::make_unique<core::SelectAllSelector>(); };
+    case 4:
+      return [] {
+        return std::make_unique<core::SelectOneSelector>(
+            core::SelectOneSelector::Policy::kRandom);
+      };
+    case 5:
+      return [] {
+        return std::make_unique<core::SelectOneSelector>(
+            core::SelectOneSelector::Policy::kLeastRecentlyUsed);
+      };
+    default:
+      return [] { return std::make_unique<core::FixedKSelector>(3); };
+  }
+}
+
+/// Replica read services per completed read, over every client: the load
+/// a selection strategy puts on the pool.
+double replica_reads_per_read(harness::Scenario& scenario,
+                              const std::vector<harness::ClientResult>& run) {
+  std::uint64_t served = 0, reads = 0;
+  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
+    served += scenario.replica(i).stats().reads_served;
+  }
+  for (const auto& client : run) reads += client.stats.reads_completed;
+  return ratio(served, reads);
+}
+
+SeedRecord run_baselines(const Unit& unit, std::size_t requests) {
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  for (auto& client : config.clients) {
+    client.selector = baseline_selector(unit.point);
+  }
+  harness::Scenario scenario(std::move(config));
+  auto results = scenario.run();
+  SeedRecord rec;
+  report_client(results[1], rec);
+  rec.value("replica_msgs_per_read", replica_reads_per_read(scenario, results));
+  return rec;
+}
+
+/// Section 3: the primary/secondary split of a 10-replica pool, from
+/// write-all (10/0) to a minimal primary group feeding a lazy tier (2/8).
+constexpr std::size_t kGroupPrimaries[] = {10, 8, 6, 4, 2};
+
+SeedRecord run_group_sizing(const Unit& unit, std::size_t requests) {
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  config.num_primaries = kGroupPrimaries[unit.point];
+  config.num_secondaries = 10 - config.num_primaries;
+  harness::Scenario scenario(std::move(config));
+  auto results = scenario.run();
+
+  // Every primary (and the sequencer) services every update.
+  std::uint64_t update_services = 0;
+  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
+    update_services += scenario.replica(i).stats().updates_committed;
+  }
+  SeedRecord rec;
+  report_client(results[1], rec);
+  rec.value("avg_update_ms",
+            sim::to_ms(results[1].stats.avg_update_response_time()));
+  rec.value("update_services_per_update",
+            ratio(update_services, results[0].stats.updates_completed +
+                                       results[1].stats.updates_completed));
+  return rec;
+}
+
+/// The paper's mixed 300 MHz-1 GHz testbed: per-replica service-speed
+/// factors (sequencer, 4 primaries, 6 secondaries) of increasing skew.
+const std::vector<std::vector<double>> kHeterogeneousPools = {
+    {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+    {1, 1.8, 1.25, 0.8, 0.55, 1.8, 1.25, 1.0, 0.8, 0.65, 0.55},
+    {1, 1.8, 1.8, 1.8, 1.8, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6},
+    {1, 0.6, 0.6, 0.6, 0.6, 1.8, 1.8, 1.8, 1.8, 1.8, 1.8},
+};
+
+SeedRecord run_heterogeneous(const Unit& unit, std::size_t requests) {
+  const std::vector<double>& speeds = kHeterogeneousPools[unit.point];
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  config.speed_factors = speeds;
+  harness::Scenario scenario(std::move(config));
+  auto results = scenario.run();
+
+  // Read work that landed on the slowest (first-listed) non-sequencer.
+  const std::size_t slowest = static_cast<std::size_t>(
+      std::min_element(speeds.begin() + 1, speeds.end()) - speeds.begin());
+  std::uint64_t total_reads = 0;
+  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
+    total_reads += scenario.replica(i).stats().reads_served;
+  }
+  SeedRecord rec;
+  report_client(results[1], rec);
+  rec.value("slowest_replica_share_pct",
+            100.0 * ratio(scenario.replica(slowest).stats().reads_served,
+                          total_reads));
+  return rec;
+}
+
+/// Open-loop Poisson arrivals at a rising offered load, past the pool's
+/// saturation point.
+constexpr int kOpenLoopGapMs[] = {2000, 1000, 500, 250, 125};
+
+SeedRecord run_open_loop(const Unit& unit, std::size_t requests) {
+  const int gap_ms = kOpenLoopGapMs[unit.point];
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  config.lazy_update_interval = seconds(2);
+  for (auto& client : config.clients) {
+    client.qos.deadline = milliseconds(200);
+    client.request_delay = milliseconds(gap_ms);
+    client.arrival = harness::Arrival::kOpenPoisson;
+  }
+  SeedRecord rec = run_standard(std::move(config));
+  rec.value("offered_req_per_s", 2.0 * 1000.0 / gap_ms);
+  return rec;
+}
+
+/// Message and byte cost by message type for the standard workload.
+SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
+  harness::Scenario scenario(standard_config(unit.seed, requests));
+  struct CostSink final : obs::TraceSink {
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_type;
+    void on_message(const obs::MessageEvent& event) override {
+      auto& [messages, bytes] = by_type[event.type_name];
+      ++messages;
+      bytes += event.wire_size;
     }
-    p.binomials = {
-        {"timing_failure", "timing_failures", "reads_completed"},
+  } sink;
+  scenario.transport().tracing().add(&sink);
+  auto results = scenario.run();
+  scenario.transport().tracing().remove(&sink);
+
+  std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
+      by_type(sink.by_type.begin(), sink.by_type.end());
+  std::stable_sort(by_type.begin(), by_type.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.first > b.second.first;
+                   });
+  std::uint64_t messages = 0, bytes = 0;
+  for (const auto& [type, cost] : by_type) {
+    messages += cost.first;
+    bytes += cost.second;
+  }
+  const std::uint64_t reads =
+      results[0].stats.reads_completed + results[1].stats.reads_completed;
+  const std::uint64_t updates =
+      results[0].stats.updates_completed + results[1].stats.updates_completed;
+  SeedRecord rec;
+  rec.value("msgs_per_request", ratio(messages, reads + updates));
+  for (const auto& [type, cost] : by_type) {
+    rec.value("share_of_msgs_pct." + type, 100.0 * ratio(cost.first, messages));
+  }
+  rec.counter("messages", messages);
+  rec.counter("bytes", bytes);
+  rec.counter("reads", reads);
+  rec.counter("updates", updates);
+  for (const auto& [type, cost] : by_type) {
+    rec.counter("messages." + type, cost.first);
+    rec.counter("bytes." + type, cost.second);
+  }
+  return rec;
+}
+
+// --------------------------------------------------- ordering handlers
+
+/// Section 4 / Fig. 2: the sequential (TOTAL) handler against the FIFO
+/// handler on the same bare pool (3 primaries incl. the sequencer, 4
+/// secondaries), alternating write/read with a 200 ms think time.
+constexpr std::size_t kOrderingPrimaries = 3;
+constexpr std::size_t kOrderingSecondaries = 4;
+
+/// Simulator, LAN and one endpoint per replica. Declaration order gives
+/// correct teardown: endpoints detach from the network before either dies.
+/// Replicas and clients hold the simulator, so callers declare them after
+/// the testbed.
+struct Testbed {
+  std::unique_ptr<sim::Simulator> sim;
+  std::unique_ptr<net::LoopbackTransport> lan;
+  gcs::Directory directory;
+  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
+};
+
+template <typename MakeReplica>
+void boot_testbed(Testbed& t, std::uint64_t seed, MakeReplica make) {
+  t.sim = std::make_unique<sim::Simulator>(seed);
+  t.lan = std::make_unique<net::LoopbackTransport>(
+      *t.sim, std::make_unique<sim::NormalDuration>(
+                  std::chrono::microseconds(500),
+                  std::chrono::microseconds(200)));
+  for (std::size_t i = 0; i < kOrderingPrimaries + kOrderingSecondaries; ++i) {
+    auto endpoint =
+        std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
+    make(*t.sim, *endpoint, i < kOrderingPrimaries, i);
+    t.endpoints.push_back(std::move(endpoint));
+  }
+}
+
+/// Drives `requests` alternating put/get calls through `client` and
+/// reports the reads. `Update(put, done)` and `Read(done_with_outcome)`
+/// adapt the two handler APIs.
+template <typename Client, typename Update, typename Read>
+SeedRecord drive_ordering(Testbed& t, Client& client, std::size_t requests,
+                          Update update, Read read) {
+  sim::Simulator& sim = *t.sim;
+  client.start();
+  sim.run_for(seconds(1));
+  std::vector<double> read_ms;
+  std::uint64_t failures = 0;
+  std::size_t issued = 0;
+  std::function<void()> next = [&] {
+    if (issued >= requests) return;
+    const std::size_t n = issued++;
+    const auto again = [&] { sim.after(milliseconds(200), next); };
+    if (n % 2 == 0) {
+      auto put = std::make_shared<replication::KvPut>();
+      put->key = "k";
+      put->value = std::to_string(n);
+      update(put, again);
+    } else {
+      read([&, again](sim::Duration response_time, bool timing_failure) {
+        read_ms.push_back(sim::to_ms(response_time));
+        if (timing_failure) ++failures;
+        again();
+      });
+    }
+  };
+  next();
+  sim.run_for(seconds(static_cast<std::int64_t>(2 * requests)));
+  SeedRecord rec;
+  rec.value("avg_replicas_selected", client.stats().avg_replicas_selected());
+  rec.counter("reads", read_ms.size());
+  rec.counter("timing_failures", failures);
+  rec.sample("read_ms", std::move(read_ms));
+  return rec;
+}
+
+core::QoSSpec ordering_qos() {
+  return {.staleness_threshold = 2,
+          .deadline = milliseconds(140),
+          .min_probability = 0.9};
+}
+
+SeedRecord run_ordering_sequential(std::uint64_t seed, std::size_t requests) {
+  Testbed t;
+  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
+  boot_testbed(t, seed, [&](sim::Simulator& s, gcs::Endpoint& ep,
+                            bool primary, std::size_t i) {
+    replication::ReplicaConfig config;
+    config.service_time =
+        std::make_shared<sim::NormalDuration>(milliseconds(100),
+                                              milliseconds(50));
+    config.lazy_update_interval = seconds(2);
+    replicas.push_back(std::make_unique<replication::ReplicaServer>(
+        s, ep, replication::ServiceGroups::for_service(1), primary,
+        std::make_unique<replication::KeyValueStore>(), std::move(config)));
+    s.after(i * milliseconds(10), [r = replicas.back().get()] { r->start(); });
+  });
+  auto client_ep = std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
+  client::ClientHandler client(*t.sim, *client_ep,
+                               replication::ServiceGroups::for_service(1), {});
+  return drive_ordering(
+      t, client, requests,
+      [&](auto put, auto done) {
+        client.update(put, [done](const client::UpdateOutcome&) { done(); });
+      },
+      [&](auto done) {
+        client.read(std::make_shared<replication::KvGet>(), ordering_qos(),
+                    [done](const client::ReadOutcome& o) {
+                      done(o.response_time, o.timing_failure);
+                    });
+      });
+}
+
+SeedRecord run_ordering_fifo(std::uint64_t seed, std::size_t requests,
+                             bool read_your_writes) {
+  Testbed t;
+  std::vector<std::unique_ptr<replication::FifoReplicaServer>> replicas;
+  boot_testbed(t, seed, [&](sim::Simulator& s, gcs::Endpoint& ep,
+                            bool primary, std::size_t i) {
+    replication::FifoReplicaConfig config;
+    config.service_time =
+        std::make_shared<sim::NormalDuration>(milliseconds(100),
+                                              milliseconds(50));
+    config.lazy_update_interval = seconds(2);
+    replicas.push_back(std::make_unique<replication::FifoReplicaServer>(
+        s, ep, replication::ServiceGroups::for_service(2), primary,
+        std::make_unique<replication::KeyValueStore>(), std::move(config)));
+    s.after(i * milliseconds(10), [r = replicas.back().get()] { r->start(); });
+  });
+  auto client_ep = std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
+  client::FifoClientHandler client(*t.sim, *client_ep,
+                                   replication::ServiceGroups::for_service(2));
+  return drive_ordering(
+      t, client, requests,
+      [&](auto put, auto done) {
+        client.update(put, [done](sim::Duration) { done(); });
+      },
+      [&](auto done) {
+        client.read(std::make_shared<replication::KvGet>(), ordering_qos(),
+                    read_your_writes,
+                    [done](const client::FifoReadOutcome& o) {
+                      done(o.response_time, o.timing_failure);
+                    });
+      });
+}
+
+SeedRecord run_ordering_handlers(const Unit& unit, std::size_t requests) {
+  if (unit.point == 0) return run_ordering_sequential(unit.seed, requests);
+  return run_ordering_fifo(unit.seed, requests, unit.point == 1);
+}
+
+// ------------------------------------------------------- staleness model
+
+/// Eq. 4 validation by Monte Carlo: the empirical P(N(t_l) <= a) of an
+/// arrival process (Poisson, or bursty on/off) against the Poisson model
+/// the paper uses and the empirical resampling model. `requests` is the
+/// Monte-Carlo window count per point.
+constexpr double kStalenessRate = 1.0;  // updates per second
+constexpr core::Staleness kStalenessThreshold = 2;
+constexpr double kStalenessWindowsSec[] = {0.5, 1.0, 2.0, 3.0, 4.0, 6.0};
+
+/// Inter-arrival gap of a bursty process: 1 in 4 gaps is a long silence,
+/// the rest are in-burst, keeping the long-run rate near `rate_per_s`.
+sim::Duration bursty_gap(sim::Rng& rng, double rate_per_s) {
+  const double mean_s = 1.0 / rate_per_s;
+  if (rng.bernoulli(0.25)) {
+    return sim::from_sec(rng.exponential(1.0 / (3.0 * mean_s)));
+  }
+  return sim::from_sec(rng.exponential(1.0 / (0.33 * mean_s)));
+}
+
+sim::Duration arrival_gap(sim::Rng& rng, bool bursty) {
+  return bursty ? bursty_gap(rng, kStalenessRate)
+                : sim::from_sec(rng.exponential(kStalenessRate));
+}
+
+SeedRecord run_staleness_model(const Unit& unit, std::size_t windows) {
+  constexpr std::size_t kWindows = std::size(kStalenessWindowsSec);
+  const bool bursty = unit.point >= kWindows;
+  const sim::Duration t_l =
+      sim::from_sec(kStalenessWindowsSec[unit.point % kWindows]);
+
+  // Ground truth: count the arrivals inside `windows` fresh intervals.
+  sim::Rng rng(unit.seed);
+  std::size_t within = 0;
+  for (std::size_t w = 0; w < windows; ++w) {
+    sim::Duration elapsed = sim::Duration::zero();
+    core::Staleness count = 0;
+    while (count <= kStalenessThreshold) {
+      elapsed += arrival_gap(rng, bursty);
+      if (elapsed > t_l) break;
+      ++count;
+    }
+    if (count <= kStalenessThreshold) ++within;
+  }
+  // The empirical model resamples 200 observed gaps of the same process
+  // (what a monitoring window would hold).
+  sim::Rng gap_rng(unit.seed + 17);
+  std::vector<sim::Duration> gaps;
+  for (int i = 0; i < 200; ++i) gaps.push_back(arrival_gap(gap_rng, bursty));
+  const double truth = ratio(within, windows);
+  const double poisson = core::PoissonStalenessModel(kStalenessRate)
+                             .staleness_factor(kStalenessThreshold, t_l);
+  // One model answers the windows in ascending order and its resampling
+  // RNG carries over between queries, so the earlier windows are asked
+  // first.
+  const core::EmpiricalStalenessModel model(gaps, unit.seed + 29, 4000);
+  double empirical = 0.0;
+  for (std::size_t w = 0; w <= unit.point % kWindows; ++w) {
+    empirical = model.staleness_factor(
+        kStalenessThreshold, sim::from_sec(kStalenessWindowsSec[w]));
+  }
+
+  SeedRecord rec;
+  rec.value("ground_truth", truth);
+  rec.value("poisson_model", poisson);
+  rec.value("poisson_abs_err", std::abs(poisson - truth));
+  rec.value("empirical_model", empirical);
+  rec.value("empirical_abs_err", std::abs(empirical - truth));
+  return rec;
+}
+
+// ------------------------------------------------------------- exit gates
+
+/// The gate every plan shares: no unit threw, no invariant broke.
+std::string common_failure(const SweepResult& result) {
+  if (!result.all_ok()) {
+    return std::to_string(result.failed) + " unit(s) threw";
+  }
+  if (const std::uint64_t v = result.pooled_counter_or_zero("violations")) {
+    return std::to_string(v) + " invariant violation(s)";
+  }
+  return {};
+}
+
+std::string no_gsn_conflicts(const SweepSpec&, const SweepResult& result) {
+  const std::uint64_t conflicts = result.pooled_counter_or_zero("gsn_conflicts");
+  return conflicts == 0 ? ""
+                        : std::to_string(conflicts) + " GSN conflict(s)";
+}
+
+std::string recovery_check(const SweepSpec& spec, const SweepResult& result) {
+  const std::uint64_t recovered = result.pooled_counter_or_zero("recovered");
+  if (recovered != result.rows.size()) {
+    return "recovered in " + std::to_string(recovered) + "/" +
+           std::to_string(result.rows.size()) + " units";
+  }
+  return no_gsn_conflicts(spec, result);
+}
+
+/// The chaos layer must actually have fired.
+std::string gray_failure_check(const SweepSpec&, const SweepResult& result) {
+  std::uint64_t injected = 0;
+  for (const char* c : {"messages_duplicated", "messages_reordered",
+                        "messages_delayed", "messages_dropped_loss"}) {
+    injected += result.pooled_counter_or_zero(c);
+  }
+  return injected > 0 ? "" : "no faults injected";
+}
+
+/// Every shard loses and restarts its rack slot at the correlated_rack
+/// point, so that point must show restarts.
+constexpr std::size_t kCorrelatedRackPoint = 2;
+
+std::string hot_shard_check(const SweepSpec& spec, const SweepResult& result) {
+  return point_result(spec, result, kCorrelatedRackPoint)
+                     .pooled_counter_or_zero("reborn") > 0
+             ? ""
+             : "no replica restarts at the correlated_rack point";
+}
+
+std::vector<std::string> staleness_points() {
+  std::vector<std::string> points;
+  for (const char* process : {"poisson", "bursty"}) {
+    for (const double t_l : kStalenessWindowsSec) {
+      points.push_back(std::string(process) + " t_l=" +
+                       harness::Table::num(t_l, 1) + "s");
+    }
+  }
+  return points;
+}
+
+std::vector<Plan> build_plans() {
+  std::vector<std::string> fig4_points;
+  for (const int d : fig4_deadlines_ms()) {
+    for (const Fig4Config& c : fig4_configs()) {
+      fig4_points.push_back("d=" + std::to_string(d) + "ms " + c.label());
+    }
+  }
+  const std::vector<BinomialSpec> timing_failure = {
+      {"timing_failure", "timing_failures", "reads_completed"},
+  };
+  const std::vector<BinomialSpec> windowed = {
+      {"degraded_timing_failure", "degraded_failures", "degraded_reads"},
+      {"steady_timing_failure", "steady_failures", "steady_reads"},
+  };
+
+  std::vector<Plan> all = {
+      {.name = "recovery",
+       .description = "primary crash at t=8s, restart at t=14s: "
+                      "time-to-rejoin, time-to-first-selection, outage vs "
+                      "steady timing failures",
+       .default_requests = 300,
+       .points = {"crash_restart_primary"},
+       .binomials = {{"outage_timing_failure", "outage_failures",
+                      "outage_reads"},
+                     {"steady_timing_failure", "steady_failures",
+                      "steady_reads"}},
+       .run = run_recovery,
+       .check = recovery_check},
+      {.name = "failure_injection",
+       .description = "adaptivity under replica crashes: baseline, primary, "
+                      "two secondaries, sequencer, crash+recovery",
+       .default_requests = 400,
+       .points = {"baseline", "primary_crash", "two_secondary_crashes",
+                  "sequencer_crash", "primary_crash_recovery"},
+       .binomials = timing_failure,
+       .run = run_failure_injection,
+       .check = no_gsn_conflicts},
+      {.name = "fig4_adaptivity",
+       .description = "Figure 4 grid: 4 (Pc, LUI) configs x 8 deadlines, "
+                      "client 2 measured",
+       .default_requests = 1000,
+       .points = fig4_points,
+       .binomials = timing_failure,
+       .run = run_fig4},
+      {.name = "chaos",
+       .description = "randomized loss + crashes; safety/liveness invariant "
+                      "violations (must pool to 0)",
+       .default_requests = 80,
+       .points = {"crash_loss"},
+       .run = run_chaos},
+      {.name = "gray_failure",
+       .description = "gray-failure severity ladder (reorder/duplication/"
+                      "slow links/partial partition) over the chaos "
+                      "transport: timing-failure rate and time-to-detect vs "
+                      "severity; safety counters must pool to 0",
+       .default_requests = 120,
+       .points = {"baseline", "mild", "moderate", "severe"},
+       .binomials = windowed,
+       .run = run_gray_failure,
+       .check = gray_failure_check},
+      {.name = "gray_chaos",
+       .description = "randomized reorder+duplication+partial-partition gray "
+                      "chaos over the chaos transport; invariant violations "
+                      "must pool to 0",
+       .default_requests = 80,
+       .points = {"gray"},
+       .run = run_gray_chaos},
+      {.name = "shard_scaling",
+       .description = "sharded service at 1/4/16 replica groups (sequencer "
+                      "+ 1 primary + 1 secondary each) on one substrate: "
+                      "routing balance, intra-shard agreement, and "
+                      "key-placement invariants (must pool to 0)",
+       .default_requests = 120,
+       .points = {"shards_1", "shards_4", "shards_16"},
+       .binomials = timing_failure,
+       .run = run_shard_scaling},
+      {.name = "hot_shard",
+       .description = "cross-shard fault matrix on a 16-shard pool: uniform "
+                      "baseline, one hot (overloaded) replica group, "
+                      "correlated rack failure; per-window failure rates "
+                      "plus agreement/placement invariants (must pool to 0)",
+       .default_requests = 120,
+       .points = {"uniform", "hot_shard", "correlated_rack"},
+       .binomials = windowed,
+       .run = run_hot_shard,
+       .check = hot_shard_check},
+      {.name = "chaos_recovery",
+       .description = "randomized crash+restart chaos; invariants across "
+                      "reincarnations (must pool to 0)",
+       .default_requests = 80,
+       .points = {"crash_restart_loss"},
+       .run = run_chaos_recovery},
+      {.name = "ablation_lui",
+       .description = "Section 7 ablation: lazy-update interval 1/2/4/8 s "
+                      "on the standard workload, client 2 measured",
+       .default_requests = 1000,
+       .points = {"lui_1s", "lui_2s", "lui_4s", "lui_8s"},
+       .binomials = kClientBinomials,
+       .run = run_ablation_lui},
+      {.name = "ablation_request_delay",
+       .description = "Section 7 ablation: request delay 250-2000 ms (the "
+                      "update rate) on the standard workload",
+       .default_requests = 1000,
+       .points = {"delay_250ms", "delay_500ms", "delay_1000ms",
+                  "delay_2000ms"},
+       .binomials = kClientBinomials,
+       .run = run_ablation_request_delay},
+      {.name = "baselines",
+       .description = "Section 5 baselines: Algorithm 1 and its two rules "
+                      "ablated vs select-all / select-one / fixed-k",
+       .default_requests = 1000,
+       .points = {"probabilistic (Algorithm 1)",
+                  "probabilistic, no failure allowance",
+                  "probabilistic, greedy CDF order", "select-all",
+                  "select-one (random)", "select-one (LRU)",
+                  "fixed-k (k=3)"},
+       .binomials = kClientBinomials,
+       .run = run_baselines},
+      {.name = "staleness_model",
+       .description = "Eq. 4 validation: Poisson and empirical staleness "
+                      "factors vs Monte-Carlo ground truth (requests = "
+                      "windows per point), Poisson and bursty arrivals",
+       .default_requests = 20000,
+       .points = staleness_points(),
+       .run = run_staleness_model},
+      {.name = "group_sizing",
+       .description = "Section 3: primary/secondary split of a 10-replica "
+                      "pool, 10/0 to 2/8",
+       .default_requests = 1000,
+       .points = {"10p+0s", "8p+2s", "6p+4s", "4p+6s", "2p+8s"},
+       .binomials = kClientBinomials,
+       .run = run_group_sizing},
+      {.name = "heterogeneous",
+       .description = "the paper's mixed-speed testbed: per-replica speed "
+                      "skew and routing around slow hosts",
+       .default_requests = 1000,
+       .points = {"homogeneous (all 1.0x)", "mixed (paper-like 0.55x-1.8x)",
+                  "fast primaries, slow secondaries",
+                  "slow primaries, fast secondaries"},
+       .binomials = kClientBinomials,
+       .run = run_heterogeneous},
+      {.name = "open_loop",
+       .description = "open-loop Poisson arrivals: offered-load sweep to "
+                      "saturation",
+       .default_requests = 600,
+       .points = {"interarrival_2000ms", "interarrival_1000ms",
+                  "interarrival_500ms", "interarrival_250ms",
+                  "interarrival_125ms"},
+       .binomials = kClientBinomials,
+       .run = run_open_loop},
+      {.name = "ordering_handlers",
+       .description = "Section 4 / Fig. 2: sequential (TOTAL) vs FIFO "
+                      "handler read cost on one bare pool",
+       .default_requests = 600,
+       .points = {"sequential (TOTAL order)", "FIFO + read-your-writes",
+                  "FIFO (no session bound)"},
+       .binomials = {{"timing_failure", "timing_failures", "reads"}},
+       .run = run_ordering_handlers},
+      {.name = "protocol_overhead",
+       .description = "messages and bytes by message type for the standard "
+                      "workload",
+       .default_requests = 1000,
+       .points = {"standard"},
+       .run = run_protocol_overhead},
+  };
+  // Every gate starts with the shared one.
+  for (Plan& p : all) {
+    p.check = [extra = std::move(p.check)](const SweepSpec& spec,
+                                           const SweepResult& result) {
+      std::string failure = common_failure(result);
+      if (failure.empty() && extra) failure = extra(spec, result);
+      return failure;
     };
-    p.run = run_fig4;
-    all.push_back(std::move(p));
-  }
-  {
-    Plan p;
-    p.name = "chaos";
-    p.description =
-        "randomized loss + crashes; safety/liveness invariant violations "
-        "(must pool to 0)";
-    p.default_requests = 80;
-    p.points = {"crash_loss"};
-    p.run = run_chaos;
-    all.push_back(std::move(p));
-  }
-  {
-    Plan p;
-    p.name = "gray_failure";
-    p.description =
-        "gray-failure severity ladder (reorder/duplication/slow links/"
-        "partial partition) over the chaos transport: timing-failure rate "
-        "and time-to-detect vs severity; safety counters must pool to 0";
-    p.default_requests = 120;
-    p.points = {"baseline", "mild", "moderate", "severe"};
-    p.binomials = {
-        {"degraded_timing_failure", "degraded_failures", "degraded_reads"},
-        {"steady_timing_failure", "steady_failures", "steady_reads"},
-    };
-    p.run = run_gray_failure;
-    all.push_back(std::move(p));
-  }
-  {
-    Plan p;
-    p.name = "gray_chaos";
-    p.description =
-        "randomized reorder+duplication+partial-partition gray chaos over "
-        "the chaos transport; invariant violations must pool to 0";
-    p.default_requests = 80;
-    p.points = {"gray"};
-    p.run = run_gray_chaos;
-    all.push_back(std::move(p));
-  }
-  {
-    Plan p;
-    p.name = "shard_scaling";
-    p.description =
-        "sharded service at 1/4/16 replica groups (sequencer + 1 primary + "
-        "1 secondary each) on one substrate: routing balance, intra-shard "
-        "agreement, and key-placement invariants (must pool to 0)";
-    p.default_requests = 120;
-    p.points = {"shards_1", "shards_4", "shards_16"};
-    p.binomials = {
-        {"timing_failure", "timing_failures", "reads_completed"},
-    };
-    p.run = run_shard_scaling;
-    all.push_back(std::move(p));
-  }
-  {
-    Plan p;
-    p.name = "hot_shard";
-    p.description =
-        "cross-shard fault matrix on a 16-shard pool: uniform baseline, one "
-        "hot (overloaded) replica group, correlated rack failure; "
-        "per-window failure rates plus agreement/placement invariants "
-        "(must pool to 0)";
-    p.default_requests = 120;
-    p.points = {"uniform", "hot_shard", "correlated_rack"};
-    p.binomials = {
-        {"degraded_timing_failure", "degraded_failures", "degraded_reads"},
-        {"steady_timing_failure", "steady_failures", "steady_reads"},
-    };
-    p.run = run_hot_shard;
-    all.push_back(std::move(p));
-  }
-  {
-    Plan p;
-    p.name = "chaos_recovery";
-    p.description =
-        "randomized crash+restart chaos; invariants across reincarnations "
-        "(must pool to 0)";
-    p.default_requests = 80;
-    p.points = {"crash_restart_loss"};
-    p.run = run_chaos_recovery;
-    all.push_back(std::move(p));
   }
   return all;
 }

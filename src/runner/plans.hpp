@@ -1,10 +1,11 @@
 // Named bench plans for the sweep engine.
 //
-// A Plan packages one experiment's per-unit body — build a Scenario from
-// (seed, config point), run it, distill a SeedRecord — together with its
-// config-point labels and pooled-estimate declarations, so sweep_cli, the
-// bench binaries, and the chaos test suites all fan the *same* run bodies
-// across threads through runner::run_sweep.
+// A Plan packages one experiment's per-unit body — build a Scenario (or a
+// bare testbed) from (seed, config point), run it, distill a SeedRecord —
+// together with its config-point labels, pooled-estimate declarations and
+// exit gate. Every scenario experiment is a plan: sweep_cli is the one
+// driver that runs, renders and gates them, and the chaos test suites fan
+// the *same* run bodies across threads through runner::run_sweep.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +28,11 @@ struct Plan {
   std::vector<BinomialSpec> binomials;
   /// The per-unit body. Must be shared-nothing (see sweep.hpp).
   std::function<SeedRecord(const Unit&, std::size_t requests)> run;
+  /// Exit gate over a finished sweep of this plan: the failure reason, or
+  /// an empty string when it passes. Every registered plan fails when a
+  /// unit threw or when pooled `violations` is nonzero, plus whatever
+  /// plan-specific conditions it adds.
+  std::function<std::string(const SweepSpec&, const SweepResult&)> check;
 };
 
 /// All registered plans, in a stable order.

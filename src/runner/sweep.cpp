@@ -56,6 +56,57 @@ void write_row(obs::JsonWriter& w, const Unit& unit, const SeedRecord& row,
   w.end_object();
 }
 
+/// Deterministic merge: pooled aggregates walk `result.rows` in order,
+/// skipping failed rows.
+void pool_rows(const SweepSpec& spec, SweepResult& result) {
+  for (const SeedRecord& row : result.rows) {
+    if (!row.ok) continue;
+    for (const auto& [name, v] : row.counters) {
+      accumulate(result.pooled_counters, name, v);
+    }
+  }
+  for (const BinomialSpec& b : spec.binomials) {
+    PooledBinomial pooled;
+    pooled.label = b.label;
+    for (const SeedRecord& row : result.rows) {
+      if (!row.ok) continue;
+      pooled.failures += row.counter_or_zero(b.failures);
+      pooled.trials += row.counter_or_zero(b.trials);
+    }
+    pooled.ci = harness::binomial_ci_wilson(pooled.failures, pooled.trials);
+    result.binomials.push_back(std::move(pooled));
+  }
+  // Pooled percentiles: concatenate per-row samples in unit order; the
+  // percentile itself sorts, so this is order-insensitive anyway.
+  std::vector<std::pair<std::string, std::vector<double>>> pooled_samples;
+  for (const SeedRecord& row : result.rows) {
+    if (!row.ok) continue;
+    for (const auto& [name, samples] : row.samples) {
+      bool found = false;
+      for (auto& [n, all] : pooled_samples) {
+        if (n == name) {
+          all.insert(all.end(), samples.begin(), samples.end());
+          found = true;
+          break;
+        }
+      }
+      if (!found) pooled_samples.emplace_back(name, samples);
+    }
+  }
+  for (auto& [name, all] : pooled_samples) {
+    PooledSamples p;
+    p.name = name;
+    p.count = all.size();
+    double sum = 0.0;
+    for (const double s : all) sum += s;
+    p.mean = all.empty() ? 0.0 : sum / static_cast<double>(all.size());
+    for (const double q : spec.percentiles) {
+      p.quantiles.push_back(harness::percentile(all, q));
+    }
+    result.samples.push_back(std::move(p));
+  }
+}
+
 }  // namespace
 
 std::uint64_t SeedRecord::counter_or_zero(const std::string& name) const {
@@ -162,54 +213,20 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
     opts.metrics->gauge("sweep_wall_seconds").set(result.wall_seconds);
   }
 
-  // Deterministic merge: pooled aggregates walk rows in unit order.
-  for (const SeedRecord& row : result.rows) {
-    if (!row.ok) continue;
-    for (const auto& [name, v] : row.counters) {
-      accumulate(result.pooled_counters, name, v);
-    }
-  }
-  for (const BinomialSpec& b : spec.binomials) {
-    PooledBinomial pooled;
-    pooled.label = b.label;
-    for (const SeedRecord& row : result.rows) {
-      if (!row.ok) continue;
-      pooled.failures += row.counter_or_zero(b.failures);
-      pooled.trials += row.counter_or_zero(b.trials);
-    }
-    pooled.ci = harness::binomial_ci_wilson(pooled.failures, pooled.trials);
-    result.binomials.push_back(std::move(pooled));
-  }
-  // Pooled percentiles: concatenate per-row samples in unit order; the
-  // percentile itself sorts, so this is order-insensitive anyway.
-  std::vector<std::pair<std::string, std::vector<double>>> pooled_samples;
-  for (const SeedRecord& row : result.rows) {
-    if (!row.ok) continue;
-    for (const auto& [name, samples] : row.samples) {
-      bool found = false;
-      for (auto& [n, all] : pooled_samples) {
-        if (n == name) {
-          all.insert(all.end(), samples.begin(), samples.end());
-          found = true;
-          break;
-        }
-      }
-      if (!found) pooled_samples.emplace_back(name, samples);
-    }
-  }
-  for (auto& [name, all] : pooled_samples) {
-    PooledSamples p;
-    p.name = name;
-    p.count = all.size();
-    double sum = 0.0;
-    for (const double s : all) sum += s;
-    p.mean = all.empty() ? 0.0 : sum / static_cast<double>(all.size());
-    for (const double q : spec.percentiles) {
-      p.quantiles.push_back(harness::percentile(all, q));
-    }
-    result.samples.push_back(std::move(p));
-  }
+  pool_rows(spec, result);
   return result;
+}
+
+SweepResult point_result(const SweepSpec& spec, const SweepResult& result,
+                         std::size_t point) {
+  SweepResult out;
+  for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    if (spec.units[i].point != point) continue;
+    out.rows.push_back(result.rows[i]);
+    if (!result.rows[i].ok) ++out.failed;
+  }
+  pool_rows(spec, out);
+  return out;
 }
 
 void write_sweep_json(std::ostream& os, const SweepSpec& spec,

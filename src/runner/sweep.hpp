@@ -141,6 +141,12 @@ struct SweepOptions {
 /// the calling thread does all the work itself (the oracle path).
 SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts = {});
 
+/// The rows of config point `point` alone, pooled the way run_sweep pools
+/// the whole sweep (binomials get the same 95% Wilson interval). For
+/// per-point reporting; `result` and its sweep JSON are left untouched.
+SweepResult point_result(const SweepSpec& spec, const SweepResult& result,
+                         std::size_t point);
+
 /// Deterministic JSON for a finished sweep: per-row records then pooled
 /// aggregates. Contains no wall-clock or thread-count fields, so the bytes
 /// are identical for any `spec.threads` (the determinism suite asserts it).

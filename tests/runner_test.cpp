@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -217,6 +218,147 @@ TEST(SweepPlans, RegistryExposesEveryPlanWithRunBody) {
   EXPECT_EQ(spec.units[1].seed, 8u);
   EXPECT_EQ(spec.units[3].point, 1u);
 }
+
+TEST(SweepAggregation, PointResultPoolsOnlyThatPointsRows) {
+  // Two config points, five seeds each, point-major like make_spec.
+  runner::SweepSpec spec = synthetic_spec(10, 2);
+  for (std::size_t i = 0; i < spec.units.size(); ++i) {
+    spec.units[i].point = i / 5;
+  }
+  const auto result = runner::run_sweep(spec);
+  const std::string json = runner::sweep_json(spec, result);
+
+  for (std::size_t point = 0; point < 2; ++point) {
+    const auto pooled = runner::point_result(spec, result, point);
+    ASSERT_EQ(pooled.rows.size(), 5u);
+    std::uint64_t failures = 0, trials = 0;
+    std::vector<double> samples;
+    for (std::size_t i = point * 5; i < point * 5 + 5; ++i) {
+      const auto rec = synthetic_run(spec.units[i]);
+      failures += rec.counter_or_zero("failures");
+      trials += rec.counter_or_zero("trials");
+      samples.insert(samples.end(), rec.samples[0].second.begin(),
+                     rec.samples[0].second.end());
+    }
+    EXPECT_EQ(pooled.pooled_counter_or_zero("failures"), failures);
+    EXPECT_EQ(pooled.pooled_counter_or_zero("trials"), trials);
+    ASSERT_EQ(pooled.binomials.size(), 1u);
+    const auto expected = harness::binomial_ci_wilson(failures, trials);
+    EXPECT_DOUBLE_EQ(pooled.binomials[0].ci.lower, expected.lower);
+    EXPECT_DOUBLE_EQ(pooled.binomials[0].ci.upper, expected.upper);
+    ASSERT_EQ(pooled.samples.size(), 1u);
+    EXPECT_EQ(pooled.samples[0].count, samples.size());
+    EXPECT_DOUBLE_EQ(pooled.samples[0].quantiles[1],
+                     harness::percentile(samples, 0.95));
+  }
+  // Per-point pooling is for the printed tables only.
+  EXPECT_EQ(runner::sweep_json(spec, result), json);
+}
+
+/// Runs `plan`'s units (one seed) through crafted records instead of
+/// scenarios, so each check can be fed a result that must fail it, and
+/// returns the check's verdict.
+std::string check_of(
+    const runner::Plan& plan,
+    const std::function<runner::SeedRecord(const runner::Unit&)>& record) {
+  runner::SweepSpec spec = runner::make_spec(plan, 1, 1, 1, 1);
+  spec.run = record;
+  return plan.check(spec, runner::run_sweep(spec));
+}
+
+/// A record that satisfies every plan's check.
+runner::SeedRecord healthy_record(const runner::Unit&) {
+  runner::SeedRecord rec;
+  rec.counter("recovered", 1);
+  rec.counter("gsn_conflicts", 0);
+  rec.counter("messages_duplicated", 1);
+  rec.counter("reborn", 1);
+  rec.counter("violations", 0);
+  return rec;
+}
+
+/// `healthy_record` with one counter overwritten.
+std::function<runner::SeedRecord(const runner::Unit&)> with_counter(
+    std::string name, std::uint64_t v) {
+  return [name, v](const runner::Unit& unit) {
+    runner::SeedRecord rec = healthy_record(unit);
+    for (auto& [n, c] : rec.counters) {
+      if (n == name) c = v;
+    }
+    return rec;
+  };
+}
+
+TEST(PlanChecks, HealthyResultPassesEveryPlan) {
+  for (const runner::Plan& plan : runner::plans()) {
+    ASSERT_TRUE(static_cast<bool>(plan.check)) << plan.name;
+    EXPECT_EQ(check_of(plan, healthy_record), "") << plan.name;
+  }
+}
+
+TEST(PlanChecks, ThrownUnitOrViolationFailsEveryPlan) {
+  for (const runner::Plan& plan : runner::plans()) {
+    EXPECT_NE(check_of(plan,
+                       [](const runner::Unit& unit) -> runner::SeedRecord {
+                         if (unit.point == 0) throw std::runtime_error("x");
+                         return healthy_record(unit);
+                       }),
+              "")
+        << plan.name;
+    EXPECT_NE(check_of(plan, with_counter("violations", 1)), "") << plan.name;
+  }
+}
+
+TEST(PlanChecks, RecoveryRequiresEveryUnitRecoveredAndNoConflicts) {
+  const runner::Plan& plan = *runner::find_plan("recovery");
+  EXPECT_NE(check_of(plan, with_counter("recovered", 0)), "");
+  EXPECT_NE(check_of(plan, with_counter("gsn_conflicts", 1)), "");
+}
+
+TEST(PlanChecks, FailureInjectionRequiresNoGsnConflicts) {
+  const runner::Plan& plan = *runner::find_plan("failure_injection");
+  EXPECT_NE(check_of(plan, with_counter("gsn_conflicts", 1)), "");
+}
+
+TEST(PlanChecks, GrayFailureRequiresInjectedFaults) {
+  const runner::Plan& plan = *runner::find_plan("gray_failure");
+  EXPECT_NE(check_of(plan, with_counter("messages_duplicated", 0)), "");
+}
+
+TEST(PlanChecks, HotShardRequiresRestartsAtTheCorrelatedRackPoint) {
+  const runner::Plan& plan = *runner::find_plan("hot_shard");
+  ASSERT_EQ(plan.points[2], "correlated_rack");
+  EXPECT_NE(check_of(plan, with_counter("reborn", 0)), "");
+  // Restarts elsewhere do not count.
+  EXPECT_NE(check_of(plan,
+                     [](const runner::Unit& unit) {
+                       return with_counter("reborn", unit.point == 2 ? 0 : 5)(
+                           unit);
+                     }),
+            "");
+}
+
+// Every registered plan, one seed at a small request count, must pass its
+// own check: this is the only place most experiments run under ctest.
+class PlanSmoke : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PlanSmoke, PassesItsCheckAtOneSeed) {
+  const runner::Plan* plan = runner::find_plan(GetParam());
+  ASSERT_NE(plan, nullptr);
+  const runner::SweepSpec spec =
+      runner::make_spec(*plan, 1, 1, /*threads=*/0, /*requests=*/60);
+  const runner::SweepResult result = runner::run_sweep(spec);
+  EXPECT_EQ(plan->check(spec, result), "");
+}
+
+std::vector<std::string> plan_names() {
+  std::vector<std::string> names;
+  for (const runner::Plan& plan : runner::plans()) names.push_back(plan.name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPlans, PlanSmoke, ::testing::ValuesIn(plan_names()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace aqueduct
