@@ -291,15 +291,25 @@ SeedRecord run_fig4(const Unit& unit, std::size_t requests) {
 
 // ------------------------------------------------------------ chaos suites
 
-/// Shared invariant distillation: liveness, staleness, GSN uniqueness,
-/// exactly-once commits, committed-prefix convergence. Violation counters
-/// stay 0 on a healthy run; the chaos tests assert exactly that.
-struct ChaosInvariants {
+/// The one invariant collector. Violation counters stay 0 on a healthy
+/// run; the chaos tests and every plan check assert exactly that.
+///   liveness    — each client's reads completed + abandoned == expected;
+///   staleness   — no reply staler than its client's threshold;
+///   GSN         — no GSN bound to two requests (gsn_conflicts);
+///   CSN         — a live primary's store version equals its CSN;
+///   divergence  — live primaries within 2 commits of their shard's max;
+///   placement   — every stored key hashes to its replica's shard
+///                 (leaked_keys: an update crossed group boundaries).
+/// Shards are independent groups, so each is checked on its own with slot
+/// 0 as its sequencer. CSN and divergence skip crashed, recovering and
+/// non-primary replicas; GSN and placement hold on every slot.
+struct Invariants {
   std::uint64_t liveness_violations = 0;
   std::uint64_t staleness_violations = 0;
   std::uint64_t gsn_conflicts = 0;
   std::uint64_t csn_mismatches = 0;
   std::uint64_t divergences = 0;
+  std::uint64_t leaked_keys = 0;
 
   void report(SeedRecord& rec) const {
     rec.counter("liveness_violations", liveness_violations);
@@ -307,11 +317,50 @@ struct ChaosInvariants {
     rec.counter("gsn_conflicts", gsn_conflicts);
     rec.counter("csn_mismatches", csn_mismatches);
     rec.counter("divergences", divergences);
+    rec.counter("leaked_keys", leaked_keys);
     rec.counter("violations", liveness_violations + staleness_violations +
-                                  gsn_conflicts + csn_mismatches +
-                                  divergences);
+                                  gsn_conflicts + csn_mismatches + divergences +
+                                  leaked_keys);
   }
 };
+
+Invariants collect_invariants(harness::Scenario& scenario,
+                              const std::vector<harness::ClientResult>& results,
+                              std::uint64_t expected_reads) {
+  Invariants inv;
+  for (const auto& r : results) {
+    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
+      ++inv.liveness_violations;
+    }
+    inv.staleness_violations += r.stats.staleness_violations;
+  }
+  const std::size_t sps = scenario.servers_per_shard();
+  const auto live_primary = [](const replication::ReplicaServer& replica) {
+    return !replica.crashed() && replica.is_primary() && !replica.recovering();
+  };
+  for (std::size_t shard = 0; shard < scenario.num_shards(); ++shard) {
+    std::uint64_t max_csn = 0;
+    for (std::size_t slot = 0; slot < sps; ++slot) {
+      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
+      inv.gsn_conflicts += replica.stats().gsn_conflicts;
+      const auto& store =
+          dynamic_cast<const replication::KeyValueStore&>(replica.object());
+      for (const auto& [key, value] : store.entries()) {
+        if (scenario.shard_map().shard_for(key) != shard) ++inv.leaked_keys;
+      }
+      if (!live_primary(replica)) continue;
+      if (store.version() != replica.csn()) ++inv.csn_mismatches;
+      max_csn = std::max(max_csn, replica.csn());
+    }
+    for (std::size_t slot = 1; slot < sps; ++slot) {
+      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
+      if (live_primary(replica) && replica.csn() + 2 < max_csn) {
+        ++inv.divergences;
+      }
+    }
+  }
+  return inv;
+}
 
 harness::ScenarioConfig chaos_config(std::uint64_t seed,
                                      std::size_t num_primaries,
@@ -359,30 +408,8 @@ SeedRecord run_chaos(const Unit& unit, std::size_t requests) {
 
   auto results = scenario.run();
 
-  ChaosInvariants inv;
-  const std::uint64_t expected_reads = requests / 2;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  std::uint64_t max_csn = 0;
-  for (std::size_t i = 0; i <= 3; ++i) {
-    if (std::find(crashed.begin(), crashed.end(), i) != crashed.end()) continue;
-    const auto& replica = scenario.replica(i);
-    inv.gsn_conflicts += replica.stats().gsn_conflicts;
-    const auto& store =
-        dynamic_cast<const replication::KeyValueStore&>(replica.object());
-    if (store.version() != replica.csn()) ++inv.csn_mismatches;
-    max_csn = std::max(max_csn, replica.csn());
-  }
-  for (std::size_t i = 1; i <= 3; ++i) {
-    if (std::find(crashed.begin(), crashed.end(), i) != crashed.end()) continue;
-    if (scenario.replica(i).csn() + 2 < max_csn) ++inv.divergences;
-  }
   SeedRecord rec;
-  inv.report(rec);
+  collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -409,70 +436,13 @@ SeedRecord run_chaos_recovery(const Unit& unit, std::size_t requests) {
 
   auto results = scenario.run();
 
-  ChaosInvariants inv;
-  const std::uint64_t expected_reads = requests / 2;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  std::uint64_t max_csn = 0;
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    const auto& replica = scenario.replica(i);
-    inv.gsn_conflicts += replica.stats().gsn_conflicts;
-    if (replica.crashed() || !replica.is_primary() || replica.recovering()) {
-      continue;
-    }
-    const auto& store =
-        dynamic_cast<const replication::KeyValueStore&>(replica.object());
-    if (store.version() != replica.csn()) ++inv.csn_mismatches;
-    max_csn = std::max(max_csn, replica.csn());
-  }
-  for (std::size_t i = 1; i <= 2; ++i) {
-    const auto& replica = scenario.replica(i);
-    if (replica.crashed() || replica.recovering()) continue;
-    if (replica.csn() + 2 < max_csn) ++inv.divergences;
-  }
   SeedRecord rec;
-  inv.report(rec);
+  collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
 
 // ------------------------------------------------------------ gray failures
-
-/// Invariant collection shared by the gray plans: no replica crashes in
-/// them, so every replica is checked and primaries must agree on the
-/// committed prefix.
-ChaosInvariants collect_gray_invariants(
-    harness::Scenario& scenario,
-    const std::vector<harness::ClientResult>& results,
-    std::uint64_t expected_reads) {
-  ChaosInvariants inv;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  std::uint64_t max_csn = 0;
-  const std::size_t num_primaries = 3;  // chaos_config(…, 3, 3, …) layout
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    inv.gsn_conflicts += scenario.replica(i).stats().gsn_conflicts;
-  }
-  for (std::size_t i = 0; i <= num_primaries; ++i) {
-    const auto& replica = scenario.replica(i);
-    const auto& store =
-        dynamic_cast<const replication::KeyValueStore&>(replica.object());
-    if (store.version() != replica.csn()) ++inv.csn_mismatches;
-    max_csn = std::max(max_csn, replica.csn());
-  }
-  for (std::size_t i = 1; i <= num_primaries; ++i) {
-    if (scenario.replica(i).csn() + 2 < max_csn) ++inv.divergences;
-  }
-  return inv;
-}
 
 constexpr auto kGrayOnset = seconds(5);
 constexpr auto kGrayHealAt = seconds(18);
@@ -566,7 +536,7 @@ SeedRecord run_gray_failure(const Unit& unit, std::size_t requests) {
   rec.counter("messages_delayed", ts.messages_delayed);
   rec.counter("messages_dropped_loss", ts.messages_dropped_loss);
 
-  collect_gray_invariants(scenario, results, requests / 2).report(rec);
+  collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -606,81 +576,12 @@ SeedRecord run_gray_chaos(const Unit& unit, std::size_t requests) {
   rec.counter("messages_reordered", ts.messages_reordered);
   rec.counter("messages_delayed", ts.messages_delayed);
   rec.counter("messages_dropped_loss", ts.messages_dropped_loss);
-  collect_gray_invariants(scenario, results, requests / 2).report(rec);
+  collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
 
 // ------------------------------------------------------------ shard plans
-
-/// Invariants of a sharded run. On top of the chaos counters (checked per
-/// shard — groups are independent, so agreement is intra-shard), the
-/// placement invariant: a replica's store may only ever hold keys its
-/// shard owns. Any cross-shard GSN/key leakage pools into `violations`.
-struct ShardInvariants {
-  std::uint64_t liveness_violations = 0;
-  std::uint64_t staleness_violations = 0;
-  std::uint64_t gsn_conflicts = 0;
-  std::uint64_t csn_mismatches = 0;
-  std::uint64_t divergences = 0;
-  /// Keys found in some replica's store that the ShardMap places on a
-  /// different shard.
-  std::uint64_t leaked_keys = 0;
-
-  void report(SeedRecord& rec) const {
-    rec.counter("liveness_violations", liveness_violations);
-    rec.counter("staleness_violations", staleness_violations);
-    rec.counter("gsn_conflicts", gsn_conflicts);
-    rec.counter("csn_mismatches", csn_mismatches);
-    rec.counter("divergences", divergences);
-    rec.counter("leaked_keys", leaked_keys);
-    rec.counter("violations", liveness_violations + staleness_violations +
-                                  gsn_conflicts + csn_mismatches + divergences +
-                                  leaked_keys);
-  }
-};
-
-ShardInvariants collect_shard_invariants(
-    harness::Scenario& scenario,
-    const std::vector<harness::ClientResult>& results,
-    std::uint64_t expected_reads) {
-  ShardInvariants inv;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  const std::size_t sps = scenario.servers_per_shard();
-  for (std::size_t shard = 0; shard < scenario.num_shards(); ++shard) {
-    std::uint64_t max_csn = 0;
-    for (std::size_t slot = 0; slot < sps; ++slot) {
-      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
-      inv.gsn_conflicts += replica.stats().gsn_conflicts;
-      // Placement: every stored key must hash to this shard, crashed or
-      // not — a misplaced key means an update crossed group boundaries.
-      const auto& store =
-          dynamic_cast<const replication::KeyValueStore&>(replica.object());
-      for (const auto& [key, value] : store.entries()) {
-        if (scenario.shard_map().shard_for(key) != shard) ++inv.leaked_keys;
-      }
-      if (replica.crashed() || !replica.is_primary() || replica.recovering()) {
-        continue;
-      }
-      if (store.version() != replica.csn()) ++inv.csn_mismatches;
-      max_csn = std::max(max_csn, replica.csn());
-    }
-    // Committed-prefix agreement inside the shard (slot 0 = sequencer).
-    for (std::size_t slot = 1; slot < sps; ++slot) {
-      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
-      if (replica.crashed() || !replica.is_primary() || replica.recovering()) {
-        continue;
-      }
-      if (replica.csn() + 2 < max_csn) ++inv.divergences;
-    }
-  }
-  return inv;
-}
 
 harness::ScenarioConfig shard_config(std::uint64_t seed, std::size_t shards,
                                      std::size_t requests) {
@@ -762,7 +663,7 @@ SeedRecord run_shard_scaling(const Unit& unit, std::size_t requests) {
   rec.counter("timing_failures", timing_failures);
   rec.counter("retries", retries);
   rec.sample("read_ms", std::move(read_ms));
-  collect_shard_invariants(scenario, results, requests / 2).report(rec);
+  collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -835,7 +736,7 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
   rec.counter("steady_reads", steady_reads);
   rec.counter("steady_failures", steady_failures);
   rec.counter("reborn", reborn);
-  collect_shard_invariants(scenario, results, requests / 2).report(rec);
+  collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -880,25 +781,26 @@ const std::vector<BinomialSpec> kClientBinomials = {
     {"deferred", "deferred_replies", "reads_completed"},
 };
 
-/// The measured client's selection width, kClientBinomials tallies and
-/// read latency.
-void report_client(const harness::ClientResult& client, SeedRecord& rec) {
-  const auto& stats = client.stats;
+/// The measured client's (client 2's) selection width, kClientBinomials
+/// tallies and read latency, then the run's invariants.
+SeedRecord report_standard(harness::Scenario& scenario,
+                           const std::vector<harness::ClientResult>& results,
+                           std::size_t requests) {
+  const auto& stats = results[1].stats;
+  SeedRecord rec;
   rec.value("avg_replicas_selected", stats.avg_replicas_selected());
   rec.counter("reads_completed", stats.reads_completed);
   rec.counter("timing_failures", stats.timing_failures);
   rec.counter("deferred_replies", stats.deferred_replies);
-  rec.counter("staleness_violations", stats.staleness_violations);
-  rec.sample("read_ms", to_ms(client.read_response_times));
+  rec.sample("read_ms", to_ms(results[1].read_response_times));
+  collect_invariants(scenario, results, requests / 2).report(rec);
+  return rec;
 }
 
-/// Runs `config` and reports the measured client (client 2).
 SeedRecord run_standard(harness::ScenarioConfig config) {
+  const std::size_t requests = config.clients[0].num_requests;
   harness::Scenario scenario(std::move(config));
-  auto results = scenario.run();
-  SeedRecord rec;
-  report_client(results[1], rec);
-  return rec;
+  return report_standard(scenario, scenario.run(), requests);
 }
 
 /// Section 7 ablation: the lazy-update interval trades secondary
@@ -980,8 +882,7 @@ SeedRecord run_baselines(const Unit& unit, std::size_t requests) {
   }
   harness::Scenario scenario(std::move(config));
   auto results = scenario.run();
-  SeedRecord rec;
-  report_client(results[1], rec);
+  SeedRecord rec = report_standard(scenario, results, requests);
   rec.value("replica_msgs_per_read", replica_reads_per_read(scenario, results));
   return rec;
 }
@@ -1002,8 +903,7 @@ SeedRecord run_group_sizing(const Unit& unit, std::size_t requests) {
   for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
     update_services += scenario.replica(i).stats().updates_committed;
   }
-  SeedRecord rec;
-  report_client(results[1], rec);
+  SeedRecord rec = report_standard(scenario, results, requests);
   rec.value("avg_update_ms",
             sim::to_ms(results[1].stats.avg_update_response_time()));
   rec.value("update_services_per_update",
@@ -1035,8 +935,7 @@ SeedRecord run_heterogeneous(const Unit& unit, std::size_t requests) {
   for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
     total_reads += scenario.replica(i).stats().reads_served;
   }
-  SeedRecord rec;
-  report_client(results[1], rec);
+  SeedRecord rec = report_standard(scenario, results, requests);
   rec.value("slowest_replica_share_pct",
             100.0 * ratio(scenario.replica(slowest).stats().reads_served,
                           total_reads));
@@ -1104,6 +1003,7 @@ SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
     rec.counter("messages." + type, cost.first);
     rec.counter("bytes." + type, cost.second);
   }
+  collect_invariants(scenario, results, requests / 2).report(rec);
   return rec;
 }
 
