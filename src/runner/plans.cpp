@@ -62,6 +62,40 @@ class UnitTelemetry {
   obs::JsonlSnapshotSink sink_;
 };
 
+// ------------------------------------------------------ shared workload
+
+std::vector<double> to_ms(const std::vector<double>& seconds) {
+  std::vector<double> ms;
+  ms.reserve(seconds.size());
+  for (const double s : seconds) ms.push_back(s * 1000.0);
+  return ms;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0.0
+                  : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// The paper's standard two-client workload (Section 6.1 setup, Section 7
+/// QoS): client 1 holds a=4, d=200 ms, Pc=0.1; client 2, the measured
+/// client, a=2, d=140 ms, Pc=0.9; 1000 ms request delay; LUI 4 s.
+harness::ScenarioConfig standard_config(std::uint64_t seed,
+                                        std::size_t requests) {
+  harness::ScenarioConfig config;
+  config.seed = seed;
+  config.lazy_update_interval = seconds(4);
+  for (int c = 0; c < 2; ++c) {
+    config.clients.push_back(harness::ClientSpec{
+        .qos = {.staleness_threshold = c == 0 ? 4u : 2u,
+                .deadline = milliseconds(c == 0 ? 200 : 140),
+                .min_probability = c == 0 ? 0.1 : 0.9},
+        .request_delay = milliseconds(1000),
+        .num_requests = requests,
+    });
+  }
+  return config;
+}
+
 // ---------------------------------------------------------------- recovery
 
 constexpr std::size_t kRecoveryVictim = 1;  // a primary (0 = sequencer)
@@ -171,18 +205,8 @@ fault::FaultSchedule failure_schedule(std::size_t point) {
 }
 
 SeedRecord run_failure_injection(const Unit& unit, std::size_t requests) {
-  harness::ScenarioConfig config;
-  config.seed = unit.seed;
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
   config.lazy_update_interval = seconds(2);
-  for (int c = 0; c < 2; ++c) {
-    config.clients.push_back(harness::ClientSpec{
-        .qos = {.staleness_threshold = c == 0 ? 4u : 2u,
-                .deadline = milliseconds(c == 0 ? 200 : 140),
-                .min_probability = c == 0 ? 0.1 : 0.9},
-        .request_delay = milliseconds(1000),
-        .num_requests = requests,
-    });
-  }
   harness::Scenario scenario(std::move(config));
   UnitTelemetry telemetry(scenario);
   scenario.apply_faults(failure_schedule(unit.point));
@@ -270,21 +294,13 @@ SeedRecord run_fig4(const Unit& unit, std::size_t requests) {
   rec.value("lui_s", sim::to_sec(c.lui));
   rec.value("avg_replicas_selected", stats.avg_replicas_selected());
   rec.value("deferred_fraction",
-            stats.reads_completed == 0
-                ? 0.0
-                : static_cast<double>(stats.deferred_replies) /
-                      static_cast<double>(stats.reads_completed));
+            ratio(stats.deferred_replies, stats.reads_completed));
   rec.counter("reads_completed", stats.reads_completed);
   rec.counter("reads_abandoned", stats.reads_abandoned);
   rec.counter("timing_failures", stats.timing_failures);
   rec.counter("staleness_violations", stats.staleness_violations);
   rec.counter("deferred_replies", stats.deferred_replies);
-  std::vector<double> read_ms;
-  read_ms.reserve(results[1].read_response_times.size());
-  for (const double s : results[1].read_response_times) {
-    read_ms.push_back(s * 1000.0);
-  }
-  rec.sample("read_ms", std::move(read_ms));
+  rec.sample("read_ms", to_ms(results[1].read_response_times));
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -742,38 +758,6 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
 }
 
 // ------------------------------------------- standard-workload experiments
-
-std::vector<double> to_ms(const std::vector<double>& seconds) {
-  std::vector<double> ms;
-  ms.reserve(seconds.size());
-  for (const double s : seconds) ms.push_back(s * 1000.0);
-  return ms;
-}
-
-double ratio(std::uint64_t num, std::uint64_t den) {
-  return den == 0 ? 0.0
-                  : static_cast<double>(num) / static_cast<double>(den);
-}
-
-/// The paper's standard two-client workload (Section 6.1 setup, Section 7
-/// QoS): client 1 holds a=4, d=200 ms, Pc=0.1; client 2, the measured
-/// client, a=2, d=140 ms, Pc=0.9; 1000 ms request delay; LUI 4 s.
-harness::ScenarioConfig standard_config(std::uint64_t seed,
-                                        std::size_t requests) {
-  harness::ScenarioConfig config;
-  config.seed = seed;
-  config.lazy_update_interval = seconds(4);
-  for (int c = 0; c < 2; ++c) {
-    config.clients.push_back(harness::ClientSpec{
-        .qos = {.staleness_threshold = c == 0 ? 4u : 2u,
-                .deadline = milliseconds(c == 0 ? 200 : 140),
-                .min_probability = c == 0 ? 0.1 : 0.9},
-        .request_delay = milliseconds(1000),
-        .num_requests = requests,
-    });
-  }
-  return config;
-}
 
 /// Timing failures and deferrals of the measured client, pooled per point.
 const std::vector<BinomialSpec> kClientBinomials = {

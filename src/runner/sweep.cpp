@@ -116,13 +116,6 @@ std::uint64_t SeedRecord::counter_or_zero(const std::string& name) const {
   return 0;
 }
 
-double SeedRecord::value_or(const std::string& name, double fallback) const {
-  for (const auto& [n, v] : values) {
-    if (n == name) return v;
-  }
-  return fallback;
-}
-
 std::uint64_t SweepResult::pooled_counter_or_zero(
     const std::string& name) const {
   for (const auto& [n, v] : pooled_counters) {

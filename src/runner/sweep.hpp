@@ -68,8 +68,6 @@ struct SeedRecord {
   }
   /// Counter lookup (0 when absent) — used by aggregation and tests.
   std::uint64_t counter_or_zero(const std::string& name) const;
-  /// Scalar lookup (`fallback` when absent) — used by bench reporting.
-  double value_or(const std::string& name, double fallback = 0.0) const;
 };
 
 /// Declares a pooled binomial estimate: failures/trials counters are summed
