@@ -759,14 +759,8 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
 
 // ------------------------------------------- standard-workload experiments
 
-/// Timing failures and deferrals of the measured client, pooled per point.
-const std::vector<BinomialSpec> kClientBinomials = {
-    {"timing_failure", "timing_failures", "reads_completed"},
-    {"deferred", "deferred_replies", "reads_completed"},
-};
-
-/// The measured client's (client 2's) selection width, kClientBinomials
-/// tallies and read latency, then the run's invariants.
+/// The measured client's (client 2's) selection width, timing-failure and
+/// deferral tallies and read latency, then the run's invariants.
 SeedRecord report_standard(harness::Scenario& scenario,
                            const std::vector<harness::ClientResult>& results,
                            std::size_t requests) {
@@ -1280,6 +1274,11 @@ std::vector<Plan> build_plans() {
   const std::vector<BinomialSpec> timing_failure = {
       {"timing_failure", "timing_failures", "reads_completed"},
   };
+  // The measured client's timing failures and deferrals.
+  const std::vector<BinomialSpec> client = {
+      {"timing_failure", "timing_failures", "reads_completed"},
+      {"deferred", "deferred_replies", "reads_completed"},
+  };
   const std::vector<BinomialSpec> windowed = {
       {"degraded_timing_failure", "degraded_failures", "degraded_reads"},
       {"steady_timing_failure", "steady_failures", "steady_reads"},
@@ -1367,7 +1366,7 @@ std::vector<Plan> build_plans() {
                       "on the standard workload, client 2 measured",
        .default_requests = 1000,
        .points = {"lui_1s", "lui_2s", "lui_4s", "lui_8s"},
-       .binomials = kClientBinomials,
+       .binomials = client,
        .run = run_ablation_lui},
       {.name = "ablation_request_delay",
        .description = "Section 7 ablation: request delay 250-2000 ms (the "
@@ -1375,7 +1374,7 @@ std::vector<Plan> build_plans() {
        .default_requests = 1000,
        .points = {"delay_250ms", "delay_500ms", "delay_1000ms",
                   "delay_2000ms"},
-       .binomials = kClientBinomials,
+       .binomials = client,
        .run = run_ablation_request_delay},
       {.name = "baselines",
        .description = "Section 5 baselines: Algorithm 1 and its two rules "
@@ -1386,7 +1385,7 @@ std::vector<Plan> build_plans() {
                   "probabilistic, greedy CDF order", "select-all",
                   "select-one (random)", "select-one (LRU)",
                   "fixed-k (k=3)"},
-       .binomials = kClientBinomials,
+       .binomials = client,
        .run = run_baselines},
       {.name = "staleness_model",
        .description = "Eq. 4 validation: Poisson and empirical staleness "
@@ -1400,7 +1399,7 @@ std::vector<Plan> build_plans() {
                       "pool, 10/0 to 2/8",
        .default_requests = 1000,
        .points = {"10p+0s", "8p+2s", "6p+4s", "4p+6s", "2p+8s"},
-       .binomials = kClientBinomials,
+       .binomials = client,
        .run = run_group_sizing},
       {.name = "heterogeneous",
        .description = "the paper's mixed-speed testbed: per-replica speed "
@@ -1409,7 +1408,7 @@ std::vector<Plan> build_plans() {
        .points = {"homogeneous (all 1.0x)", "mixed (paper-like 0.55x-1.8x)",
                   "fast primaries, slow secondaries",
                   "slow primaries, fast secondaries"},
-       .binomials = kClientBinomials,
+       .binomials = client,
        .run = run_heterogeneous},
       {.name = "open_loop",
        .description = "open-loop Poisson arrivals: offered-load sweep to "
@@ -1418,7 +1417,7 @@ std::vector<Plan> build_plans() {
        .points = {"interarrival_2000ms", "interarrival_1000ms",
                   "interarrival_500ms", "interarrival_250ms",
                   "interarrival_125ms"},
-       .binomials = kClientBinomials,
+       .binomials = client,
        .run = run_open_loop},
       {.name = "ordering_handlers",
        .description = "Section 4 / Fig. 2: sequential (TOTAL) vs FIFO "
