@@ -53,7 +53,6 @@ struct Options {
   std::size_t iterations = 2000;
   std::size_t open_loop_iterations = 1000000;
   std::uint64_t seed = 42;
-  double epsilon = 0.0;
   bool json = true;
   std::string json_out;
 
@@ -62,7 +61,7 @@ struct Options {
   static void usage(const char* prog, std::ostream& os) {
     os << "usage: " << prog
        << " [--smoke] [--iterations N] [--open-loop-iterations N]"
-          " [--seed N] [--epsilon X] [--json-out PATH] [--no-json]"
+          " [--seed N] [--json-out PATH] [--no-json]"
           " [--help]\n";
   }
 
@@ -88,8 +87,6 @@ struct Options {
             static_cast<std::size_t>(std::stoull(value(i)));
       } else if (arg == "--seed") {
         opt.seed = std::stoull(value(i));
-      } else if (arg == "--epsilon") {
-        opt.epsilon = std::stod(value(i));
       } else if (arg == "--json-out") {
         opt.json_out = value(i);
       } else if (arg == "--no-json") {
@@ -197,8 +194,8 @@ struct ModeConfig {
 /// identical inputs.
 ModeResult run_mode(std::size_t replicas, std::size_t window,
                     std::size_t iterations, std::uint64_t seed,
-                    double epsilon, const ModeConfig& mode) {
-  client::InfoRepository repo(window, std::chrono::milliseconds(1), epsilon);
+                    const ModeConfig& mode) {
+  client::InfoRepository repo(window, std::chrono::milliseconds(1));
   repo.set_cache_enabled(mode.cache_enabled);
   repo.record_group_info(make_roles(replicas));
 
@@ -331,8 +328,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Selection scaling: memoized + pruned hot path ===\n"
             << "steady state: one publication per " << kPublishEvery
-            << " reads, round-robin; QoS a=2, d=140ms, Pc=0.9; epsilon="
-            << opt.epsilon << "\n\n";
+            << " reads, round-robin; QoS a=2, d=140ms, Pc=0.9\n\n";
 
   // --- 1. verify matrix ----------------------------------------------------
   std::cout << "[verify] " << opt.iterations
@@ -346,15 +342,13 @@ int main(int argc, char** argv) {
       p.window = window;
       ModeConfig cfg;
       cfg.keep_digests = true;
-      p.cached = run_mode(replicas, window, opt.iterations, opt.seed,
-                          opt.epsilon, cfg);
+      p.cached = run_mode(replicas, window, opt.iterations, opt.seed, cfg);
       cfg.cache_enabled = false;
-      p.uncached = run_mode(replicas, window, opt.iterations, opt.seed,
-                            opt.epsilon, cfg);
+      p.uncached = run_mode(replicas, window, opt.iterations, opt.seed, cfg);
       cfg.cache_enabled = true;
       cfg.search = core::ProbabilisticOptions::SubsetSearch::kExhaustiveScan;
-      p.exhaustive = run_mode(replicas, window, opt.iterations, opt.seed,
-                              opt.epsilon, cfg);
+      p.exhaustive =
+          run_mode(replicas, window, opt.iterations, opt.seed, cfg);
       p.mismatches =
           count_mismatches(p.cached, p.uncached, "uncached", opt.seed,
                            replicas, window) +
@@ -394,7 +388,7 @@ int main(int argc, char** argv) {
       p.replicas = replicas;
       p.window = window;
       p.cached = run_mode(replicas, window, opt.iterations, opt.seed,
-                          opt.epsilon, ModeConfig{});
+                          ModeConfig{});
       scale_points.push_back(p);
       std::cout << "replicas=" << replicas << " window=" << window << ": "
                 << static_cast<std::uint64_t>(p.cached.ns_per_selection)
@@ -413,7 +407,7 @@ int main(int argc, char** argv) {
   open_cfg.prime_before_measuring = true;
   const ModeResult open_loop =
       run_mode(kOpenLoopReplicas, kOpenLoopWindow, opt.open_loop_iterations,
-               opt.seed, opt.epsilon, open_cfg);
+               opt.seed, open_cfg);
   const bool within_budget =
       open_loop.ns_per_selection <= kBudgetNsPerSelection;
   std::cout << static_cast<std::uint64_t>(open_loop.ns_per_selection)
@@ -443,7 +437,6 @@ int main(int argc, char** argv) {
     w.field("seed", static_cast<std::uint64_t>(opt.seed));
     w.field("iterations", static_cast<std::uint64_t>(opt.iterations));
     w.field("publish_every", static_cast<std::uint64_t>(kPublishEvery));
-    w.field("epsilon", opt.epsilon);
     w.key("runs");
     w.begin_array();
     for (const VerifyPoint& p : points) {

@@ -6,11 +6,8 @@
 
 namespace aqueduct::client {
 
-InfoRepository::InfoRepository(std::size_t window_size, sim::Duration resolution,
-                               double truncation_epsilon)
-    : window_size_(window_size),
-      model_(resolution, truncation_epsilon),
-      arrival_rate_(window_size) {
+InfoRepository::InfoRepository(std::size_t window_size, sim::Duration resolution)
+    : window_size_(window_size), model_(resolution), arrival_rate_(window_size) {
   AQUEDUCT_CHECK(window_size_ > 0);
 }
 
@@ -92,8 +89,8 @@ void InfoRepository::record_reply(net::NodeId replica,
   h.set_gateway_delay(gateway_delay);
   h.last_reply_at = now;
   if (cache_enabled_) {
-    // The gateway delay only enters at materialization time (it shifts the
-    // grid), so the integer state is already current — just mark the pmfs
+    // The gateway delay only enters at evaluation time (it shifts the
+    // grid), so the integer state is already current — just mark the CDFs
     // stale and sync the version.
     Slot* slot = find_slot(replica);
     if (slot != nullptr && slot->estimate.valid &&
@@ -285,43 +282,37 @@ void InfoRepository::estimate_cdfs(
     e.history_version = version;
     e.valid = true;
     e.dirty = true;
-    e.has_deferred = false;
     rebuilt = true;
     ++cache_stats_.rebuilds;
   }
 
-  if (e.dirty || e.fallback_lazy_wait != fallback_lazy_wait ||
-      (want_deferred && !e.has_deferred)) {
-    // The integer state is current but the materialized pmfs lag it (an
-    // incremental update, a gateway shift, a fallback change, or a replica
-    // that turned secondary): rematerialize — scaling and prefix sums
-    // only, no convolution beyond the state's own lazily built deferred
-    // product.
-    const double epsilon = model_.truncation_epsilon();
-    e.immediate = e.state.immediate(h.gateway_delay(), epsilon);
-    e.has_deferred = e.has_deferred || want_deferred;
-    e.deferred = e.has_deferred
-                     ? e.state.deferred(h.gateway_delay(), fallback_lazy_wait,
-                                        epsilon)
-                     : core::Pmf{};
-    e.fallback_lazy_wait = fallback_lazy_wait;
-    e.dirty = false;
-    e.deadline = deadline;
-    e.immediate_cdf = e.immediate.cdf(deadline);
-    e.deferred_cdf = e.deferred.cdf(deadline);
+  // Stale: the integer state is current but the CDFs lag it (an
+  // incremental update, a gateway shift, a fallback change, or a replica
+  // that turned secondary).
+  const bool stale = e.dirty || e.fallback_lazy_wait != fallback_lazy_wait ||
+                     (want_deferred && !e.deferred_cdf);
+  if (stale) {
     if (!rebuilt) ++cache_stats_.incremental_refreshes;
   } else if (e.deadline != deadline) {
-    // Same distributions, new deadline: re-evaluate the CDFs from the
-    // cached pmfs (an O(1) prefix-sum probe, no convolution).
-    e.deadline = deadline;
-    e.immediate_cdf = e.immediate.cdf(deadline);
-    e.deferred_cdf = e.deferred.cdf(deadline);
     ++cache_stats_.cdf_refreshes;
   } else {
     ++cache_stats_.hits;
   }
+  if (stale || e.deadline != deadline) {
+    // Re-read the CDFs off the counts: sums bounded by the deadline, no
+    // convolution and no pmf.
+    e.fallback_lazy_wait = fallback_lazy_wait;
+    e.dirty = false;
+    e.deadline = deadline;
+    e.immediate_cdf = e.state.immediate_cdf(h.gateway_delay(), deadline);
+    e.deferred_cdf.reset();
+    if (want_deferred) {
+      e.deferred_cdf = e.state.deferred_cdf(h.gateway_delay(),
+                                            fallback_lazy_wait, deadline);
+    }
+  }
   out.immediate_cdf = e.immediate_cdf;
-  if (want_deferred) out.deferred_cdf = e.deferred_cdf;
+  if (want_deferred) out.deferred_cdf = *e.deferred_cdf;
 }
 
 core::SelectionContext InfoRepository::selection_context(

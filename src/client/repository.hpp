@@ -8,17 +8,19 @@
 //
 // The Eq. 5/6 distributions only change when a publication or reply
 // mutates a history (PerfHistory::version()), so the repository memoizes
-// each replica's immediate/deferred pmfs — and their CDF at the last-seen
-// deadline — keyed on (history version, deferred fallback, deadline).
-// A read against an unchanged replica costs nothing but a version compare
-// (see DESIGN.md "Information repository caching").
+// each replica's CDFs F^I(d) and F^D(d), keyed on (history version,
+// deferred fallback, deadline). A read against an unchanged replica costs
+// nothing but a version compare (see DESIGN.md "Information repository
+// caching").
 //
 // Each memo entry additionally owns the replica's integer-count convolution
 // state (core::ResponseState), kept current *incrementally* and on demand:
 // window pushes are queued as they arrive and the next read folds them —
 // each subtracting the evicted sample's cross terms and adding the new
 // sample's in O(window + span) integer additions — or, when the queue
-// would cost more than that, rebuilds the state from the windows (see
+// would cost more than that, rebuilds the state from the windows. A stale
+// CDF is then re-read straight off the counts, summing only the buckets
+// below the deadline; no pmf is materialized on the read path (see
 // DESIGN.md "Information repository caching" and "Selection at scale").
 //
 // Storage is *slot-indexed*: the role map's candidates (primaries then
@@ -37,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/pmf.hpp"
 #include "core/qos.hpp"
 #include "core/response_model.hpp"
 #include "core/selection.hpp"
@@ -51,17 +52,18 @@ namespace aqueduct::client {
 /// Effectiveness counters of the response-time memo (see DESIGN.md).
 struct RepositoryCacheStats {
   /// Deadline, fallback, and history version all matched: the candidate's
-  /// CDFs were served without touching a pmf.
+  /// memoized CDFs were served as they were.
   std::uint64_t hits = 0;
   /// History version changed with no delta queued (entry missing or
   /// stale), or the queue was dearer to fold: the integer state was
   /// rebuilt by convolution.
   std::uint64_t rebuilds = 0;
-  /// Pmfs were current but the deadline differed: CDFs re-evaluated from
-  /// the cached pmfs (an O(1) prefix-sum probe, no convolution).
+  /// The integer state was current but the deadline differed: CDFs re-read
+  /// from the counts (a sum over the buckets below the deadline, no
+  /// convolution).
   std::uint64_t cdf_refreshes = 0;
   /// A window push was queued for the entry's integer state, or a gateway
-  /// update marked its pmfs stale (no convolution either way).
+  /// update marked its CDFs stale (no convolution either way).
   std::uint64_t incremental_updates = 0;
   /// A query folded its entry's queued pushes into the integer state in
   /// place (O(window + span) additions per push, no convolution).
@@ -69,8 +71,9 @@ struct RepositoryCacheStats {
   /// A query found its entry's queued pushes dearer to fold than a rebuild
   /// and rebuilt instead (also counted in `rebuilds`).
   std::uint64_t queue_rebuilds = 0;
-  /// Pmfs/CDFs rematerialized from an incrementally maintained state —
-  /// the post-mutation read that a rebuild used to pay convolutions for.
+  /// CDFs re-read from an incrementally maintained state (a sum over the
+  /// buckets below the deadline) — the post-mutation read that a rebuild
+  /// used to pay convolutions for.
   std::uint64_t incremental_refreshes = 0;
 
   std::uint64_t lookups() const {
@@ -92,11 +95,8 @@ struct RepositoryChurnStats {
 class InfoRepository {
  public:
   /// `window_size` is the sliding-window length l (the paper evaluates 10
-  /// and 20); `resolution` buckets the response-time pmfs;
-  /// `truncation_epsilon` bounds the materialized pmfs' support (see
-  /// ResponseTimeModel — 0 keeps the exact full support).
-  InfoRepository(std::size_t window_size, sim::Duration resolution,
-                 double truncation_epsilon = 0.0);
+  /// and 20); `resolution` buckets the response-time distributions.
+  InfoRepository(std::size_t window_size, sim::Duration resolution);
 
   // ---- ingestion ----
 
@@ -158,9 +158,10 @@ class InfoRepository {
   const core::ResponseTimeModel& model() const { return model_; }
   std::size_t window_size() const { return window_size_; }
 
-  /// Disabling the memo forces every candidates() call to rebuild the
-  /// pmfs from scratch (the pre-cache behaviour) — for A/B benches and
-  /// coherence tests. Results must be bit-identical either way.
+  /// Disabling the memo forces every candidates() call to build the pmfs
+  /// from scratch through ResponseTimeModel (the pre-cache behaviour) — for
+  /// A/B benches and coherence tests. Results must be bit-identical either
+  /// way.
   void set_cache_enabled(bool enabled);
   bool cache_enabled() const { return cache_enabled_; }
   const RepositoryCacheStats& cache_stats() const { return cache_stats_; }
@@ -168,32 +169,29 @@ class InfoRepository {
   const RepositoryChurnStats& churn_stats() const { return churn_stats_; }
 
  private:
-  /// Memoized per-replica Eq. 5/6 artifacts. `history_version` and
-  /// `fallback_lazy_wait` key the pmfs; `deadline` additionally keys the
-  /// CDF values evaluated from them. `state` holds the integer convolution
-  /// counts; record_publication() queues its window pushes in `pending`
-  /// and the next query folds them (or rebuilds, whichever is cheaper);
-  /// record_reply() only marks the pmfs stale. `dirty` makes the next
-  /// query rematerialize, and `history_version` is the version that
+  /// Memoized per-replica Eq. 5/6 CDFs. `history_version` keys the
+  /// integer state; `fallback_lazy_wait` and `deadline` additionally key
+  /// the CDF values read from it. `state` holds the integer
+  /// convolution counts; record_publication() queues its window pushes in
+  /// `pending` and the next query folds them (or rebuilds, whichever is
+  /// cheaper); record_reply() only marks the CDFs stale. `dirty` makes the
+  /// next query re-read them, and `history_version` is the version that
   /// `state` plus `pending` reflects.
   struct CachedEstimate {
     bool valid = false;
-    /// The pmfs/CDFs lag the (current) integer state and need
-    /// rematerializing on the next query.
+    /// The CDFs lag the (current) integer state and need re-reading on the
+    /// next query.
     bool dirty = false;
-    /// The deferred pmf is filled lazily (primaries never ask for it).
-    bool has_deferred = false;
     std::uint64_t history_version = 0;
     std::optional<sim::Duration> fallback_lazy_wait;
     core::ResponseState state;
     /// Window pushes not yet folded into `state`, oldest first; never
     /// longer than the window.
     std::vector<core::ResponseState::Delta> pending;
-    core::Pmf immediate;
-    core::Pmf deferred;
     sim::Duration deadline = sim::Duration::zero();
     double immediate_cdf = 0.0;
-    double deferred_cdf = 0.0;
+    /// Filled lazily: primaries never ask for F^D(d).
+    std::optional<double> deferred_cdf;
   };
 
   /// One candidate position of the current role map, in the order

@@ -10,11 +10,11 @@
 // is the probability at value origin_ + i * resolution_ — plus a running
 // prefix-sum array, so cdf() is an O(1) index computation and quantile() a
 // binary search instead of the linear entry scans the sparse map
-// representation needed. Support is bounded: truncate_tail() drops upper-
-// tail buckets whose cumulative mass is below a configurable epsilon, which
-// both bounds the error (CDF shifts by at most epsilon at any deadline,
-// total mass stays within [1 - epsilon, 1]) and keeps convolution operands
-// short on the selection hot path.
+// representation needed. Support can be bounded: truncate_tail() drops
+// upper-tail buckets whose cumulative mass is below an epsilon, which
+// bounds the error (CDF shifts by at most epsilon at any deadline, total
+// mass stays within [1 - epsilon, 1]). The response-time model keeps the
+// full support.
 #pragma once
 
 #include <cstddef>

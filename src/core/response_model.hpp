@@ -26,9 +26,9 @@ namespace aqueduct::core {
 ///
 /// Every mutation that can change the derived response-time distributions
 /// (a window push or a gateway-delay update) advances version(), so the
-/// Eq. 5/6 pmfs and their CDF-at-deadline can be memoized between
-/// publication/reply events. last_reply_at is deliberately unversioned:
-/// it only feeds the ert sort, never the distributions.
+/// Eq. 5/6 CDFs at a deadline can be memoized between publication/reply
+/// events. last_reply_at is deliberately unversioned: it only feeds the ert
+/// sort, never the distributions.
 struct PerfHistory {
   explicit PerfHistory(std::size_t window_size)
       : service(window_size), queueing(window_size), lazy_wait(window_size) {}
@@ -72,12 +72,11 @@ struct PerfHistory {
 /// Window pmfs are relative frequencies count/n, so every derived mass is an
 /// integer count times one inverse: (S*W)[k] = C[k] / (nS*nW) where
 /// C = cS (*) cW is a convolution of integer histograms, and likewise for
-/// the deferred D = C (*) cU. ResponseState keeps cS/cW/cU and C (and D,
-/// built lazily — primaries never ask for it) as integer arrays and exposes
-/// two operations:
+/// the deferred D = C (*) cU. ResponseState keeps cS/cW/cU and C as integer
+/// arrays and exposes two update operations:
 ///
 ///   - rebuild(): recompute everything from the windows (one metered
-///     convolution for C; one more for D on first deferred use);
+///     convolution for C);
 ///   - apply_publication(): fold one window push in as a delta — subtract
 ///     the evicted sample's cross terms, add the new one's — in
 ///     O(window + span) integer additions with no convolution at all.
@@ -86,17 +85,20 @@ struct PerfHistory {
 /// current sizes, so a caller holding several queued deltas can take the
 /// cheaper one.
 ///
-/// Because the integer arithmetic is exact, an incrementally maintained
-/// state is *identical* (not approximately equal) to a rebuilt one, and the
-/// float pmfs materialized from it — mass[k] = count[k] * (1/n), the same
-/// single multiply Pmf::from_samples uses — are bit-identical whichever
-/// route produced the counts. That is what lets InfoRepository's memo apply
-/// deltas while the uncached ResponseTimeModel rebuilds from scratch, with
-/// the coherence tests still requiring bitwise-equal CDFs.
+/// D is never stored: immediate_cdf() and deferred_cdf() read F^I(d) and
+/// F^D(d) straight off the counts, computing D's buckets on the fly and
+/// only up to the deadline. Each adds count[k] * (1/n) over the non-zero
+/// buckets in ascending order, the exact float sequence Pmf's prefix sums
+/// accumulate, so the result is bitwise equal to cdf(d) of the pmf that
+/// immediate()/deferred() materialize. Because the integer arithmetic is
+/// exact, an incrementally maintained state is *identical* to a rebuilt
+/// one, so InfoRepository's memo can apply deltas and read CDFs from the
+/// counts while the uncached ResponseTimeModel builds whole pmfs from
+/// scratch, with the coherence tests still requiring bitwise-equal CDFs.
 ///
 /// The latest gateway delay G and the deferred fallback wait are *not* part
-/// of the state: they enter at materialization time as shifts, so a
-/// gateway-only update never touches the integer arrays.
+/// of the state: they enter at evaluation time as shifts, so a gateway-only
+/// update never touches the integer arrays.
 class ResponseState {
  public:
   /// One publication's window pushes, each paired with the value its
@@ -118,7 +120,6 @@ class ResponseState {
 
   /// Recomputes the window histograms and C from `history`. Counts one
   /// convolution when both the service and queueing windows are non-empty.
-  /// The deferred product D is dropped and rebuilt on next demand.
   void rebuild(const PerfHistory& history, sim::Duration resolution);
 
   /// Applies one performance publication as a delta. Requires built();
@@ -128,26 +129,35 @@ class ResponseState {
 
   /// Integer operations apply_publication() costs for one delta at the
   /// current sizes: the new sample's cross terms against the other window,
-  /// |S| + |W| = |dC|, plus |dC|·|U| + |C| once D is built.
+  /// |S| + |W|.
   std::size_t fold_cost() const;
 
-  /// Integer operations rebuild() costs, plus building D again when it is
-  /// built now: re-bucketing every window sample, |S|·|W| for C, and
-  /// |C|·|U| for D.
+  /// Integer operations rebuild() costs: re-bucketing every window sample
+  /// plus |S|·|W| for C.
   std::size_t rebuild_cost() const;
 
-  /// Materializes the Eq. 5 pmf: C scaled to probabilities, tail-truncated
-  /// at `epsilon` (see Pmf::truncate_tail), shifted by the exact gateway
-  /// delay. Empty when no service samples exist.
-  Pmf immediate(const std::optional<sim::Duration>& gateway,
-                double epsilon) const;
+  /// F^I(d) = P(S + W + G <= d): the counts of the buckets k with
+  /// k·r + G <= d. 0 when no service samples exist.
+  double immediate_cdf(const std::optional<sim::Duration>& gateway,
+                       sim::Duration deadline) const;
+
+  /// F^D(d) = P(S + W + G + U <= d). With lazy-wait samples, sums D's
+  /// buckets k with (k + bucket(G))·r <= d, each computed on the fly as
+  /// D[k] = sum_j U_j·C[k - u_j] — at most (d - lo)·|U| operations.
+  /// Otherwise `fallback` shifts F^I; otherwise 0.
+  double deferred_cdf(const std::optional<sim::Duration>& gateway,
+                      const std::optional<sim::Duration>& fallback,
+                      sim::Duration deadline) const;
+
+  /// Materializes the Eq. 5 pmf: C scaled to probabilities, shifted by the
+  /// exact gateway delay. Empty when no service samples exist.
+  Pmf immediate(const std::optional<sim::Duration>& gateway) const;
 
   /// Materializes the Eq. 6 pmf. With lazy-wait samples this is D scaled
-  /// and truncated (building D first if needed — the one lazy convolution);
-  /// otherwise `fallback` shifts the immediate pmf; otherwise empty.
+  /// (one counted convolution); otherwise `fallback` shifts the immediate
+  /// pmf; otherwise empty.
   Pmf deferred(const std::optional<sim::Duration>& gateway,
-               const std::optional<sim::Duration>& fallback,
-               double epsilon) const;
+               const std::optional<sim::Duration>& fallback) const;
 
  private:
   /// Sorted (bucket index, count) histogram of one sliding window.
@@ -165,40 +175,35 @@ class ResponseState {
     std::vector<std::int64_t> c;
 
     void clear() { lo = 0; c.clear(); }
-    bool empty() const { return c.empty(); }
     void add(std::int64_t idx, std::int64_t delta);
   };
 
   void rebuild_c();
-  void build_d() const;
-  Pmf materialize(const DenseCounts& counts, double inv, std::int64_t shift_idx,
-                  double epsilon) const;
+  /// Total Eq. 5 samples: nS·nW, or nS while the queueing window is empty.
+  std::int64_t immediate_total() const;
+  /// D[k] for D = C (*) cU, gathered from the U bins that reach C.
+  std::int64_t deferred_count(std::int64_t k) const;
+  /// Last bucket index whose value k·r + offset is <= d.
+  std::int64_t last_bucket(sim::Duration d, sim::Duration offset) const;
+  Pmf materialize(const std::vector<std::int64_t>& counts, std::int64_t lo,
+                  double inv, sim::Duration shift) const;
 
   sim::Duration resolution_{1};
   bool built_ = false;
   SparseCounts s_, w_, u_;
-  bool c_built_ = false;
-  DenseCounts c_;  // cS (*) cW (only while both windows are non-empty)
-  // D = C (*) cU, built on first deferred() and kept in sync by deltas.
-  // Mutable because laziness is invisible to callers: deferred() is
-  // logically const.
-  mutable bool d_built_ = false;
-  mutable DenseCounts d_;
+  // The Eq. 5 counts: cS (*) cW, or cS alone while the queueing window is
+  // empty.
+  DenseCounts c_;
 };
 
-/// Computes F^I_{R_i}(d) and F^D_{R_i}(d) from a PerfHistory.
-///
-/// `truncation_epsilon` bounds the materialized pmfs' support: upper-tail
-/// buckets are dropped while the removed mass stays <= epsilon, so every
-/// reported CDF is within epsilon *below* the exact value (conservative:
-/// a truncated model never over-credits a replica with meeting a deadline).
-/// 0 (the default) keeps the full support.
+/// Computes F^I_{R_i}(d) and F^D_{R_i}(d) from a PerfHistory by building
+/// the full Eq. 5/6 pmfs on every call: the uncached path, and the
+/// independent oracle InfoRepository's memo is tested against.
 class ResponseTimeModel {
  public:
   explicit ResponseTimeModel(
-      sim::Duration resolution = std::chrono::milliseconds(1),
-      double truncation_epsilon = 0.0)
-      : resolution_(resolution), epsilon_(truncation_epsilon) {}
+      sim::Duration resolution = std::chrono::milliseconds(1))
+      : resolution_(resolution) {}
 
   /// pmf of S + W + G (Eq. 5). Empty if the service window is empty.
   Pmf immediate_pmf(const PerfHistory& history) const;
@@ -209,14 +214,6 @@ class ResponseTimeModel {
   Pmf deferred_pmf(const PerfHistory& history,
                    std::optional<sim::Duration> fallback_lazy_wait = {}) const;
 
-  /// Eq. 6 given an already-computed Eq. 5 pmf. Bit-identical to
-  /// deferred_pmf() when `immediate` equals immediate_pmf(history). With no
-  /// lazy-wait samples the fallback shifts `immediate` directly (zero
-  /// convolutions); with samples the integer pipeline recomputes C and D.
-  Pmf deferred_from_immediate(
-      const Pmf& immediate, const PerfHistory& history,
-      std::optional<sim::Duration> fallback_lazy_wait = {}) const;
-
   /// F^I_{R_i}(d) = P(S + W + G <= d). 0 when no history exists — an
   /// unknown replica is never credited with meeting a deadline.
   double immediate_cdf(const PerfHistory& history, sim::Duration deadline) const;
@@ -226,11 +223,9 @@ class ResponseTimeModel {
                       std::optional<sim::Duration> fallback_lazy_wait = {}) const;
 
   sim::Duration resolution() const { return resolution_; }
-  double truncation_epsilon() const { return epsilon_; }
 
  private:
   sim::Duration resolution_;
-  double epsilon_ = 0.0;
 };
 
 }  // namespace aqueduct::core
