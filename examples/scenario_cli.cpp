@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
                         "deferred", "staleness_violations", "abandoned"});
   for (std::size_t c = 0; c < results.size(); ++c) {
     const auto& stats = results[c].stats;
-    const auto ci = harness::binomial_ci_normal(stats.timing_failures,
+    const auto ci = harness::binomial_ci_wilson(stats.timing_failures,
                                                 stats.reads_completed);
     table.add_row(
         {std::to_string(c), std::to_string(stats.reads_completed),

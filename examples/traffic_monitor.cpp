@@ -55,7 +55,7 @@ int main() {
                         "staleness_violations"});
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& stats = results[i].stats;
-    const auto ci = harness::binomial_ci_normal(stats.timing_failures,
+    const auto ci = harness::binomial_ci_wilson(stats.timing_failures,
                                                 stats.reads_completed);
     table.add_row({names[i], std::to_string(stats.reads_completed),
                    harness::Table::num(ci.point, 3),

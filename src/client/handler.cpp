@@ -97,6 +97,7 @@ void ClientHandler::update(net::MessagePtr op, UpdateCallback done) {
     return;
   }
   const replication::RequestId id{this->id(), ++next_seq_};
+  last_update_seq_ = id.seq;
   OutstandingRequest& req = outstanding_[id];
   req.is_read = false;
   req.op = std::move(op);
@@ -131,7 +132,20 @@ void ClientHandler::transmit_read(const replication::RequestId& id,
   const auto& roles = repository_.roles();
   const sim::TimePoint now = exec_.now();
 
+  // No sequencer in the role map: a FIFO service. There, threshold 0 asks
+  // for read-your-writes (this client's latest update seq) and any other
+  // threshold waives the session bound.
+  const bool fifo = !roles.sequencer.valid();
+  std::uint64_t bound = req.qos.staleness_threshold;
+  if (fifo) bound = req.qos.staleness_threshold == 0 ? last_update_seq_ : 0;
   auto ctx = repository_.selection_context(req.qos, now, rng_);
+  if (fifo) {
+    // FIFO has no global version count. Without a session bound every
+    // secondary is fresh enough; with one, a secondary holds this client's
+    // latest write only after a lazy propagation, so it counts through its
+    // deferred-read distribution alone.
+    ctx.stale_factor = bound == 0 ? 1.0 : 0.0;
+  }
   auto selection = config_.selector->select(ctx);
 
   req.replicas_selected = selection.selected.size();
@@ -147,7 +161,7 @@ void ClientHandler::transmit_read(const replication::RequestId& id,
   auto request = std::make_shared<replication::ReadRequest>();
   request->id = id;
   request->op = req.op;
-  request->staleness_threshold = req.qos.staleness_threshold;
+  request->bound = bound;
 
   req.tm = now;
   ++req.attempts;

@@ -6,6 +6,11 @@
 //   * read-only operations trigger probabilistic replica selection
 //     (Algorithm 1 by default) and are sent to the chosen subset plus the
 //     sequencer; the first reply is delivered to the application.
+// The service's ordering guarantee comes from its role map: a GroupInfo
+// without a sequencer means FIFO ordering. There, reads go to the chosen
+// subset alone and the staleness threshold selects the session bound (see
+// core::QoSSpec); FIFO has no global version count, so the secondary-group
+// staleness factor is 1 without a session bound and 0 with one.
 // It measures t_0/t_m/t_p, recovers the gateway delay from the piggybacked
 // t_1, maintains the information repository, detects timing failures, and
 // issues the QoS-violation callback when the observed frequency of timely
@@ -169,7 +174,7 @@ class ClientHandler {
   /// Issues a read-only operation with the given QoS specification.
   void read(net::MessagePtr op, const core::QoSSpec& qos, ReadCallback done);
 
-  /// Issues an update operation (sequentially ordered by the service).
+  /// Issues an update operation (ordered by the service's guarantee).
   void update(net::MessagePtr op, UpdateCallback done);
 
   void set_qos_alarm(QoSAlarm alarm) { alarm_ = std::move(alarm); }
@@ -231,6 +236,9 @@ class ClientHandler {
   QoSAlarm alarm_;
 
   std::uint64_t next_seq_ = 0;
+  /// Seq of this client's latest update: the read-your-writes horizon of
+  /// a FIFO service.
+  std::uint64_t last_update_seq_ = 0;
   std::unordered_map<replication::RequestId, OutstandingRequest> outstanding_;
   struct PendingApp {
     bool is_read;

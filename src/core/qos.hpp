@@ -35,9 +35,10 @@ constexpr Staleness staleness_of(Gsn gsn, Csn csn) {
 
 /// Ordering guarantee offered by a replicated service to all its clients
 /// (service-specific attribute of the consistency dimension).
+/// Chosen per service by replication::ReplicaConfig::ordering.
 enum class Ordering {
-  kSequential,  // total order — the protocol implemented in this library
-  kFifo,        // per-client FIFO order
+  kSequential,  // total order: a sequencer assigns GSNs
+  kFifo,        // per-client FIFO order: no sequencer, no GSNs
 };
 
 std::string to_string(Ordering o);
@@ -48,7 +49,11 @@ std::string to_string(Ordering o);
 /// 5 versions old, within 2.0 seconds, with probability at least 0.7" is
 /// QoSSpec{.staleness_threshold = 5, .deadline = 2s, .min_probability = 0.7}.
 struct QoSSpec {
-  /// Maximum acceptable staleness `a`, in versions.
+  /// Maximum acceptable staleness `a`, in versions, under sequential
+  /// ordering. A FIFO-ordered service has no global version count, so
+  /// there `a` only picks the session bound: 0 means read-your-writes (the
+  /// read waits for a replica that has applied this client's latest
+  /// update), and any a > 0 waives it (any replica state will do).
   Staleness staleness_threshold = 0;
   /// Response-time constraint `d`. Applies to read-only requests only.
   sim::Duration deadline = sim::Duration::zero();

@@ -8,19 +8,6 @@
 
 namespace aqueduct::harness {
 
-ConfidenceInterval binomial_ci_normal(std::uint64_t successes,
-                                      std::uint64_t trials, double z) {
-  ConfidenceInterval ci;
-  if (trials == 0) return ci;
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(successes) / n;
-  const double half = z * std::sqrt(p * (1.0 - p) / n);
-  ci.point = p;
-  ci.lower = std::max(0.0, p - half);
-  ci.upper = std::min(1.0, p + half);
-  return ci;
-}
-
 ConfidenceInterval binomial_ci_wilson(std::uint64_t successes,
                                       std::uint64_t trials, double z) {
   // One Wilson formula in the repo: the live SlaMonitor and the offline

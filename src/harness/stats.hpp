@@ -18,12 +18,9 @@ struct ConfidenceInterval {
   double point = 0.0;
 };
 
-/// Normal-approximation binomial CI: p ± z * sqrt(p(1-p)/n), clamped to
-/// [0, 1]. z defaults to the 95% quantile.
-ConfidenceInterval binomial_ci_normal(std::uint64_t successes,
-                                      std::uint64_t trials, double z = 1.96);
-
-/// Wilson score interval — better behaved for p near 0 or 1 and small n.
+/// Wilson score interval: the one binomial interval the harness reports.
+/// Unlike the normal approximation it stays honest for p near 0 or 1 and
+/// small n (0 failures in n trials is not [0, 0]).
 ConfidenceInterval binomial_ci_wilson(std::uint64_t successes,
                                       std::uint64_t trials, double z = 1.96);
 

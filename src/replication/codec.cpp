@@ -1,12 +1,11 @@
-// Wire encode/decode of the replication layer: the sequencer protocol
-// (messages.hpp, 0x2*), the FIFO handler (fifo.hpp, 0x3*), and the example
-// replicated objects (objects.hpp, 0x4*). Field order mirrors declaration
+// Wire encode/decode of the replication layer: the replication protocol
+// (messages.hpp, 0x2*) and the example replicated objects (objects.hpp,
+// 0x4*). Field order mirrors declaration
 // order; encode(decode(bytes)) == bytes for every type here.
 #include <memory>
 
 #include "gcs/messages.hpp"
 #include "net/codec.hpp"
-#include "replication/fifo.hpp"
 #include "replication/messages.hpp"
 #include "replication/objects.hpp"
 
@@ -61,7 +60,7 @@ std::map<std::string, std::string> decode_str_str_map(Reader& r) {
   return m;
 }
 
-// ---- sequencer protocol (0x2*) ----
+// ---- replication protocol (0x2*) ----
 
 net::MessagePtr decode_update(Reader& r) {
   auto m = std::make_shared<UpdateRequest>();
@@ -74,7 +73,7 @@ net::MessagePtr decode_read(Reader& r) {
   auto m = std::make_shared<ReadRequest>();
   m->id = decode_request_id(r);
   m->op = net::decode_nested(r);
-  m->staleness_threshold = r.u64();
+  m->bound = r.u64();
   return m;
 }
 
@@ -146,51 +145,6 @@ net::MessagePtr decode_groupinfo(Reader& r) {
   auto m = std::make_shared<GroupInfo>();
   m->epoch = r.u64();
   m->sequencer = r.node();
-  m->primaries = net::decode_node_vector(r);
-  m->secondaries = net::decode_node_vector(r);
-  m->lazy_publisher = r.node();
-  return m;
-}
-
-// ---- FIFO handler (0x3*) ----
-
-net::MessagePtr decode_fifo_update(Reader& r) {
-  auto m = std::make_shared<FifoUpdateRequest>();
-  m->id = decode_request_id(r);
-  m->op = net::decode_nested(r);
-  return m;
-}
-
-net::MessagePtr decode_fifo_read(Reader& r) {
-  auto m = std::make_shared<FifoReadRequest>();
-  m->id = decode_request_id(r);
-  m->op = net::decode_nested(r);
-  m->horizon = r.u64();
-  return m;
-}
-
-net::MessagePtr decode_fifo_reply(Reader& r) {
-  auto m = std::make_shared<FifoReply>();
-  m->id = decode_request_id(r);
-  m->is_update = r.boolean();
-  m->result = net::decode_nested(r);
-  m->replica = r.node();
-  m->t1 = r.duration();
-  m->deferred = r.boolean();
-  return m;
-}
-
-net::MessagePtr decode_fifo_lazy(Reader& r) {
-  auto m = std::make_shared<FifoLazyUpdate>();
-  m->snapshot = net::decode_nested(r);
-  m->horizons = net::decode_node_u64_map(r);
-  m->lazy_seq = r.u64();
-  return m;
-}
-
-net::MessagePtr decode_fifo_groupinfo(Reader& r) {
-  auto m = std::make_shared<FifoGroupInfo>();
-  m->epoch = r.u64();
   m->primaries = net::decode_node_vector(r);
   m->secondaries = net::decode_node_vector(r);
   m->lazy_publisher = r.node();
@@ -301,7 +255,7 @@ void UpdateRequest::encode(Writer& w) const {
 void ReadRequest::encode(Writer& w) const {
   encode_request_id(w, id);
   net::encode_nested(w, op);
-  w.u64(staleness_threshold);
+  w.u64(bound);
 }
 
 void GsnAssign::encode(Writer& w) const {
@@ -358,41 +312,6 @@ void PerfPublication::encode(Writer& w) const {
 void GroupInfo::encode(Writer& w) const {
   w.u64(epoch);
   w.node(sequencer);
-  net::encode_node_vector(w, primaries);
-  net::encode_node_vector(w, secondaries);
-  w.node(lazy_publisher);
-}
-
-// ---- FIFO handler ----
-
-void FifoUpdateRequest::encode(Writer& w) const {
-  encode_request_id(w, id);
-  net::encode_nested(w, op);
-}
-
-void FifoReadRequest::encode(Writer& w) const {
-  encode_request_id(w, id);
-  net::encode_nested(w, op);
-  w.u64(horizon);
-}
-
-void FifoReply::encode(Writer& w) const {
-  encode_request_id(w, id);
-  w.boolean(is_update);
-  net::encode_nested(w, result);
-  w.node(replica);
-  w.duration(t1);
-  w.boolean(deferred);
-}
-
-void FifoLazyUpdate::encode(Writer& w) const {
-  net::encode_nested(w, snapshot);
-  net::encode_node_u64_map(w, horizons);
-  w.u64(lazy_seq);
-}
-
-void FifoGroupInfo::encode(Writer& w) const {
-  w.u64(epoch);
   net::encode_node_vector(w, primaries);
   net::encode_node_vector(w, secondaries);
   w.node(lazy_publisher);
@@ -468,11 +387,6 @@ void register_wire_codecs() {
   reg.add(kWireStateSnapshot, "repl.state_snap", decode_state_snap);
   reg.add(kWirePerf, "repl.perf", decode_perf);
   reg.add(kWireGroupInfo, "repl.groupinfo", decode_groupinfo);
-  reg.add(kWireFifoUpdate, "fifo.update", decode_fifo_update);
-  reg.add(kWireFifoRead, "fifo.read", decode_fifo_read);
-  reg.add(kWireFifoReply, "fifo.reply", decode_fifo_reply);
-  reg.add(kWireFifoLazy, "fifo.lazy", decode_fifo_lazy);
-  reg.add(kWireFifoGroupInfo, "fifo.groupinfo", decode_fifo_groupinfo);
   reg.add(kWireKvPut, "kv.put", decode_kv_put);
   reg.add(kWireKvGet, "kv.get", decode_kv_get);
   reg.add(kWireKvResult, "kv.result", decode_kv_result);

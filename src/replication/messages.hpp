@@ -16,9 +16,11 @@
 
 namespace aqueduct::replication {
 
-// Wire type ids of the sequencer-protocol messages (block 0x2*), the FIFO
-// handler's messages (0x3*, fifo.hpp), and the example replicated objects
-// (0x4*, objects.hpp). Append-only: never renumber, never reuse.
+// Wire type ids of the replication protocol (block 0x2*, shared by every
+// ordering guarantee) and the example replicated objects (0x4*,
+// objects.hpp). Append-only: never renumber, never reuse. Retired, never
+// to be reused: 0x31-0x35 (the former FIFO handler's own update, read,
+// reply, lazy-update and role-map messages; FIFO now speaks 0x2*).
 inline constexpr net::WireTypeId kWireUpdate = 0x21;
 inline constexpr net::WireTypeId kWireRead = 0x22;
 inline constexpr net::WireTypeId kWireGsnAssign = 0x23;
@@ -29,8 +31,8 @@ inline constexpr net::WireTypeId kWireStateSnapshot = 0x27;
 inline constexpr net::WireTypeId kWirePerf = 0x28;
 inline constexpr net::WireTypeId kWireGroupInfo = 0x29;
 
-/// Registers every replication-layer decoder (sequencer protocol, FIFO
-/// handler, example objects) in the global net::CodecRegistry, plus the
+/// Registers every replication-layer decoder (replication protocol,
+/// example objects) in the global net::CodecRegistry, plus the
 /// gcs decoders the transport needs below them. Idempotent.
 void register_wire_codecs();
 
@@ -55,7 +57,8 @@ constexpr obs::TraceId trace_of(const RequestId& id) {
 }
 
 /// Update operation, sent point-to-point to every member of the primary
-/// group (including the sequencer, which assigns the GSN).
+/// group (including the sequencer, which assigns the GSN, under sequential
+/// ordering).
 struct UpdateRequest final : net::Message {
   RequestId id;
   net::MessagePtr op;
@@ -64,14 +67,18 @@ struct UpdateRequest final : net::Message {
   void encode(net::Writer& w) const override;
 };
 
-/// Read-only operation, sent to the sequencer plus the selected replica
-/// subset K.
+/// Read-only operation, sent to the selected replica subset K (plus the
+/// sequencer, under sequential ordering).
 struct ReadRequest final : net::Message {
   RequestId id;
   net::MessagePtr op;
-  /// Client's staleness threshold `a`; the replica serves immediately only
-  /// if its state is at most this stale.
-  core::Staleness staleness_threshold = 0;
+  /// The read's freshness bound; its meaning is the service's ordering.
+  ///   * Sequential: the client's staleness threshold `a`; the replica
+  ///     serves only once its state is at most `a` versions stale.
+  ///   * FIFO: the client's update horizon, the seq of its latest update
+  ///     (read-your-writes); the replica serves only once it has applied
+  ///     that client's updates up to it. 0 = no session bound.
+  std::uint64_t bound = 0;
   std::string type_name() const override { return "repl.read"; }
   net::WireTypeId wire_type() const override { return kWireRead; }
   void encode(net::Writer& w) const override;
@@ -137,10 +144,16 @@ struct StateRequest final : net::Message {
 };
 
 /// Recovery: full state handed to a rejoining primary. Carries everything
-/// the transfer barrier needs to guarantee no GSN is executed twice: the
-/// object snapshot with its CSN/GSN position, plus the responder's
-/// committed request ids so re-broadcast assignments of already-committed
-/// updates dedup instead of re-executing.
+/// the transfer barrier needs to guarantee no update is executed twice:
+/// the object snapshot with its CSN/GSN position, plus `committed`, whose
+/// meaning is the service's ordering.
+///   * Sequential: the responder's committed request ids, so re-broadcast
+///     assignments of already-committed updates dedup instead of
+///     re-executing.
+///   * FIFO: one id per client, {client, horizon} (the seq of its newest
+///     applied update) — the whole FIFO dedup summary. FIFO's lazy
+///     publisher also multicasts this message to the secondaries in place
+///     of LazyUpdate, so both catch-up paths share one install (gsn is 0).
 struct StateSnapshot final : net::Message {
   core::Csn csn = 0;
   core::Gsn gsn = 0;
@@ -180,11 +193,13 @@ struct PerfPublication final : net::Message {
   void encode(net::Writer& w) const override;
 };
 
-/// Service configuration published by the sequencer on the QoS group so
-/// clients learn the current roles (stand-in for the AQuA dependability
-/// manager's configuration distribution).
+/// Service configuration published by the primary-group leader on the QoS
+/// group so clients learn the current roles (stand-in for the AQuA
+/// dependability manager's configuration distribution).
 struct GroupInfo final : net::Message {
   std::uint64_t epoch = 0;
+  /// Invalid when the service is FIFO-ordered (there is no sequencer);
+  /// that is how clients learn the ordering.
   net::NodeId sequencer;
   std::vector<net::NodeId> primaries;  // excluding the sequencer
   std::vector<net::NodeId> secondaries;

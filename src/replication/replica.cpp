@@ -76,7 +76,7 @@ void ReplicaServer::start() {
     // to define primary membership and elect the sequencer.
   }
 
-  if (is_primary_) {
+  if (is_primary_ && !fifo()) {
     stall_task_ = std::make_unique<runtime::PeriodicTask>(
         exec_, config_.commit_stall_check, [this] { check_commit_stall(); });
     stall_task_->start();
@@ -118,6 +118,11 @@ void ReplicaServer::crash() {
   endpoint_.crash();
 }
 
+std::uint64_t ReplicaServer::horizon_of(net::NodeId client) const {
+  auto it = horizons_.find(client);
+  return it == horizons_.end() ? 0 : it->second;
+}
+
 void ReplicaServer::set_lazy_update_interval(sim::Duration interval) {
   AQUEDUCT_CHECK(interval > sim::Duration::zero());
   config_.lazy_update_interval = interval;
@@ -136,9 +141,10 @@ void ReplicaServer::on_primary_view(const gcs::View& view) {
   if (crashed_ || view.empty()) return;
 
   const net::NodeId new_leader = view.leader();
-  const bool becoming_sequencer = (new_leader == id()) && !is_sequencer_;
+  is_leader_ = (new_leader == id());
+  const bool becoming_sequencer = is_leader_ && !fifo() && !is_sequencer_;
 
-  is_sequencer_ = (new_leader == id());
+  is_sequencer_ = is_leader_ && !fifo();
   const net::NodeId lazy_publisher =
       view.size() >= 2 ? view.members.back() : view.leader();
   const bool was_publisher = is_lazy_publisher_;
@@ -179,7 +185,7 @@ void ReplicaServer::on_primary_view(const gcs::View& view) {
 
   last_primary_leader_ = new_leader;
   maybe_activate_sequencer();
-  if (is_sequencer_) publish_group_info();
+  if (is_leader_) publish_group_info();
 }
 
 void ReplicaServer::on_replication_view(const gcs::View& view) {
@@ -191,9 +197,11 @@ void ReplicaServer::on_replication_view(const gcs::View& view) {
     // synchronize before committing (the transfer barrier).
     recovery_decided_ = true;
     if (view.size() > 1) begin_recovery();
+    // FIFO primaries hold every update until this decision.
+    if (fifo()) try_enqueue_commits();
   }
   maybe_activate_sequencer();
-  if (is_sequencer_) publish_group_info();
+  if (is_leader_) publish_group_info();
   if (is_lazy_publisher_) {
     // Bring freshly joined secondaries up to date without waiting a full
     // lazy interval.
@@ -205,7 +213,7 @@ void ReplicaServer::on_qos_view(const gcs::View& view) {
   if (crashed_ || view.empty()) return;
   // A new client joined (or one left): re-publish the role map so it can
   // start issuing requests.
-  if (is_sequencer_) publish_group_info();
+  if (is_leader_) publish_group_info();
 }
 
 void ReplicaServer::maybe_activate_sequencer() {
@@ -231,17 +239,19 @@ void ReplicaServer::maybe_activate_sequencer() {
 }
 
 void ReplicaServer::publish_group_info() {
-  if (!is_sequencer_ || qos_member_ == nullptr || !qos_member_->joined()) return;
+  if (!is_leader_ || qos_member_ == nullptr || !qos_member_->joined()) return;
   if (primary_member_ == nullptr || !primary_member_->joined()) return;
   if (replication_member_ == nullptr || !replication_member_->joined()) return;
 
   auto info = std::make_shared<GroupInfo>();
   info->epoch = ++group_info_epoch_;
-  info->sequencer = id();
+  // No sequencer tells clients the service is FIFO-ordered; the leader is
+  // then an ordinary serving primary.
+  if (!fifo()) info->sequencer = id();
   const gcs::View& primary_view = primary_member_->view();
   const gcs::View& replication_view = replication_member_->view();
   for (const net::NodeId m : primary_view.members) {
-    if (m != id()) info->primaries.push_back(m);
+    if (m != info->sequencer) info->primaries.push_back(m);
   }
   for (const net::NodeId m : replication_view.members) {
     if (!primary_view.contains(m)) info->secondaries.push_back(m);
@@ -297,7 +307,7 @@ void ReplicaServer::handle_update_request(net::NodeId /*from*/,
   // The payload stays in update_payload_ until the commit completes, so a
   // retried payload is recognized as a duplicate whether the update is
   // still waiting for its GSN, queued, or already committed.
-  const bool duplicate = committed_.contains(id) || update_payload_.contains(id);
+  const bool duplicate = already_applied(id) || update_payload_.contains(id);
   span(obs::SpanKind::kDeliver, id, id.client, duplicate ? 1 : 0);
   if (duplicate) {
     ++stats_.duplicate_requests;
@@ -310,6 +320,7 @@ void ReplicaServer::handle_update_request(net::NodeId /*from*/,
     ++updates_since_lazy_;
     auto copy = std::make_shared<UpdateRequest>(request);
     update_payload_.emplace(id, std::move(copy));
+    if (fifo()) fifo_arrivals_.push_back(id);
   }
 
   if (is_sequencer_) sequence_update(request);
@@ -397,6 +408,26 @@ void ReplicaServer::try_enqueue_commits() {
   // install advances next_enqueue_gsn_ past everything it covers, so after
   // recovery each GSN is executed exactly once.
   if (!is_primary_ || recovering_) return;
+  if (fifo()) {
+    // Each client's updates apply in arrival order, which the service
+    // queue keeps. Updates an installed snapshot already covers drop out.
+    if (!recovery_decided_) return;
+    for (const RequestId& rid : fifo_arrivals_) {
+      if (already_applied(rid)) {
+        update_payload_.erase(rid);
+        continue;
+      }
+      Job job;
+      job.is_update = true;
+      job.id = rid;
+      job.op = update_payload_.at(rid)->op;
+      job.client = rid.client;
+      job.arrival = exec_.now();
+      enqueue_job(std::move(job));
+    }
+    fifo_arrivals_.clear();
+    return;
+  }
   while (true) {
     auto it = update_gsn_.find(next_enqueue_gsn_ + 1);
     if (it == update_gsn_.end()) break;
@@ -460,7 +491,11 @@ void ReplicaServer::handle_read_request(
   pending.request = request;
   pending.client = from;
   pending.arrival = exec_.now();
-  if (auto it = gsn_of_read_.find(id); it != gsn_of_read_.end()) {
+  if (fifo()) {
+    // No GSN to wait for: the client's horizon alone decides readiness.
+    pending.gsn = 0;
+    pending.gsn_at = exec_.now();
+  } else if (auto it = gsn_of_read_.find(id); it != gsn_of_read_.end()) {
     pending.gsn = it->second;
     pending.gsn_at = exec_.now();
   }
@@ -497,11 +532,14 @@ void ReplicaServer::try_ready_read(const RequestId& id) {
   PendingRead& pending = it->second;
   if (!pending.gsn) return;
 
-  const core::Staleness staleness = core::staleness_of(*pending.gsn, my_csn_);
-  if (staleness > pending.request->staleness_threshold) {
-    // Too stale: a secondary defers until the next lazy update brings the
-    // state within the threshold; a primary simply waits for its in-flight
-    // commits (that wait is part of the queueing delay W).
+  const bool fresh =
+      fifo() ? horizon_of(id.client) >= pending.request->bound
+             : core::staleness_of(*pending.gsn, my_csn_) <= pending.request->bound;
+  if (!fresh) {
+    // Too stale (or, under FIFO, missing the client's own writes): a
+    // secondary defers until the next lazy update brings the state within
+    // the bound; a primary simply waits for its in-flight commits (that
+    // wait is part of the queueing delay W).
     if (!is_primary_) pending.deferred = true;
     waiting_reads_.insert(id);
     return;
@@ -534,11 +572,19 @@ void ReplicaServer::propagate_lazy_update() {
   if (crashed_ || replication_member_ == nullptr || !replication_member_->joined()) {
     return;
   }
-  auto lazy = std::make_shared<LazyUpdate>();
-  lazy->csn = my_csn_;
-  lazy->snapshot = object_->snapshot();
-  lazy->lazy_seq = ++lazy_seq_;
-  replication_member_->multicast(lazy);
+  if (fifo()) {
+    // A recovering publisher's horizons are partial; shipping them could
+    // end a rejoining peer's recovery on a state that misses updates.
+    if (recovering_) return;
+    ++lazy_seq_;
+    replication_member_->multicast(state_snapshot());
+  } else {
+    auto lazy = std::make_shared<LazyUpdate>();
+    lazy->csn = my_csn_;
+    lazy->snapshot = object_->snapshot();
+    lazy->lazy_seq = ++lazy_seq_;
+    replication_member_->multicast(lazy);
+  }
   updates_since_lazy_ = 0;
   last_lazy_update_ = exec_.now();
   ++stats_.lazy_updates_published;
@@ -629,17 +675,31 @@ void ReplicaServer::handle_state_request(net::NodeId from) {
   if (!is_primary_ || recovering_ || crashed_) return;
   if (replication_member_ == nullptr || !replication_member_->joined()) return;
   if (!replication_member_->view().contains(from)) return;
+  ++stats_.state_snapshots_served;
+  metrics_.state_snapshots_served.inc();
+  replication_member_->send_to(from, state_snapshot());
+}
+
+std::shared_ptr<StateSnapshot> ReplicaServer::state_snapshot() const {
   auto snap = std::make_shared<StateSnapshot>();
   snap->csn = my_csn_;
   snap->gsn = my_gsn_;
   snap->snapshot = object_->snapshot();
-  snap->committed.assign(committed_order_.begin(), committed_order_.end());
-  ++stats_.state_snapshots_served;
-  metrics_.state_snapshots_served.inc();
-  replication_member_->send_to(from, snap);
+  if (fifo()) {
+    for (const auto& [client, seq] : horizons_) {
+      snap->committed.push_back(RequestId{client, seq});
+    }
+  } else {
+    snap->committed.assign(committed_order_.begin(), committed_order_.end());
+  }
+  return snap;
 }
 
 void ReplicaServer::handle_state_snapshot(const StateSnapshot& snap) {
+  if (fifo()) {
+    install_fifo_snapshot(snap);
+    return;
+  }
   if (!recovering_ || !is_primary_) return;  // late duplicate
   if (snap.csn > my_csn_) {
     object_->install_snapshot(snap.snapshot);
@@ -665,6 +725,42 @@ void ReplicaServer::handle_state_snapshot(const StateSnapshot& snap) {
     }
   }
   finish_recovery();
+}
+
+void ReplicaServer::install_fifo_snapshot(const StateSnapshot& snap) {
+  // Lazy propagations reach the whole replication group; a synchronized
+  // primary's own state is at least as current.
+  if (is_primary_ && !recovering_) return;
+  std::map<net::NodeId, std::uint64_t> horizons;
+  for (const RequestId& h : snap.committed) horizons[h.client] = h.seq;
+  // Never roll a client's session back: install only a state covering
+  // every horizon this replica already holds. Primaries interleave clients
+  // differently, so after a publisher failover a secondary may wait for
+  // the new publisher to catch up.
+  bool advances = false;
+  for (const auto& [client, seq] : horizons) {
+    advances = advances || seq > horizon_of(client);
+  }
+  for (const auto& [client, seq] : horizons_) {
+    auto it = horizons.find(client);
+    if (it == horizons.end() || it->second < seq) return;
+  }
+  if (!advances && !recovering_) return;
+  object_->install_snapshot(snap.snapshot);
+  my_csn_ = snap.csn;
+  horizons_ = std::move(horizons);
+  if (is_primary_) {
+    ++stats_.state_snapshots_installed;
+    metrics_.state_snapshots_installed.inc();
+  } else {
+    ++stats_.lazy_updates_installed;
+    metrics_.lazy_updates_installed.inc();
+  }
+  if (recovering_) {
+    finish_recovery();  // applies the updates held behind the barrier
+  } else {
+    recheck_waiting_reads();
+  }
 }
 
 void ReplicaServer::finish_recovery() {
@@ -749,7 +845,12 @@ void ReplicaServer::complete_job(const Job& job, sim::Duration service_time,
       ++my_csn_;
       ++stats_.updates_committed;
       metrics_.updates_committed.inc();
-      remember_committed(job.id);
+      if (fifo()) {
+        auto& horizon = horizons_[job.id.client];
+        horizon = std::max(horizon, job.id.seq);
+      } else {
+        remember_committed(job.id);
+      }
       update_payload_.erase(job.id);
       if (!is_sequencer_) {
         const sim::Duration tq = service_start - job.arrival;
@@ -845,6 +946,10 @@ std::optional<LazyInfo> ReplicaServer::build_lazy_info() {
 // ---------------------------------------------------------------------------
 // Bounded caches
 // ---------------------------------------------------------------------------
+
+bool ReplicaServer::already_applied(const RequestId& id) const {
+  return fifo() ? id.seq <= horizon_of(id.client) : committed_.contains(id);
+}
 
 void ReplicaServer::remember_committed(const RequestId& id) {
   committed_.insert(id);

@@ -1,7 +1,12 @@
 // Server-side gateway handler (paper Section 4).
 //
-// One ReplicaServer per replica process. Depending on its group roles it
-// acts as:
+// One ReplicaServer per replica process. The service's ordering guarantee
+// (paper Section 2: consistency is <ordering, staleness threshold>) is a
+// service-wide policy, ReplicaConfig::ordering; Figure 2 draws each
+// guarantee as a policy inside the one gateway, and so does this class.
+//
+// Under sequential (total) ordering, depending on its group roles a
+// replica acts as:
 //   * sequencer — leader of the primary group; assigns GSNs to updates,
 //     broadcasts the current GSN for reads, never services requests;
 //   * primary replica — commits updates in GSN order, serves reads from
@@ -14,9 +19,21 @@
 //     publishes the <n_u, t_u>/<n_L, t_L> measurements clients use for
 //     staleness estimation.
 //
+// Under FIFO ordering there is no sequencer and there are no GSNs: the
+// primary-group leader is an ordinary serving primary that publishes the
+// role map (a GroupInfo without a sequencer). Every primary applies each
+// client's updates in arrival order (the GCS point-to-point channels are
+// FIFO) and keeps a per-client horizon, the seq of that client's newest
+// update it has applied. A read carrying horizon h is ready once the
+// replica's horizon for the issuing client is >= h (read-your-writes);
+// secondaries reach it with the next lazy propagation. Lazy propagation
+// and state transfer to a rejoining primary share one install path: a
+// StateSnapshot whose `committed` list holds the horizons.
+//
 // Roles are derived from the primary-group view, so they fail over
-// automatically: a sequencer crash elects the next primary as leader (and
-// thus sequencer), a lazy-publisher crash re-designates the last member.
+// automatically: a leader crash elects the next primary (and thus the
+// next sequencer / role publisher), a lazy-publisher crash re-designates
+// the last member.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +58,9 @@
 namespace aqueduct::replication {
 
 struct ReplicaConfig {
+  /// The service's ordering guarantee; every replica of one service must
+  /// agree. Clients learn it from the role map (see GroupInfo).
+  core::Ordering ordering = core::Ordering::kSequential;
   /// Simulated request-processing delay (the paper's experiments draw it
   /// from a normal distribution with mean 100 ms to model background
   /// load). Shared by reads and updates; the sequencer's bookkeeping is
@@ -58,14 +78,15 @@ struct ReplicaConfig {
   /// (covers lost requests, unknown roles, and a mid-transfer responder
   /// crash).
   sim::Duration state_transfer_retry = std::chrono::milliseconds(500);
-  /// Period of the commit-stall watchdog: a primary whose commit pipeline
-  /// has been stuck on the same missing GSN/payload for two consecutive
-  /// checks re-enters recovery and jumps the gap via a fresh snapshot.
+  /// Period of the commit-stall watchdog (sequential ordering only): a
+  /// primary whose commit pipeline has been stuck on the same missing
+  /// GSN/payload for two consecutive checks re-enters recovery and jumps
+  /// the gap via a fresh snapshot.
   sim::Duration commit_stall_check = std::chrono::seconds(1);
 };
 
 struct ReplicaStats {
-  std::uint64_t updates_committed = 0;
+  std::uint64_t updates_committed = 0;  // applied, under FIFO ordering
   std::uint64_t reads_served = 0;
   std::uint64_t deferred_reads = 0;
   std::uint64_t gsn_assigned = 0;
@@ -88,8 +109,8 @@ struct ReplicaStats {
 class ReplicaServer {
  public:
   /// `is_primary` decides which groups this replica joins: primaries (and
-  /// the sequencer) join the primary group; everyone joins the replication
-  /// and QoS groups. Call start() to join.
+  /// the sequencer, or the FIFO role publisher) join the primary group;
+  /// everyone joins the replication and QoS groups. Call start() to join.
   ReplicaServer(runtime::Executor& exec, gcs::Endpoint& endpoint,
                 ServiceGroups groups, bool is_primary,
                 std::unique_ptr<ReplicatedObject> object, ReplicaConfig config);
@@ -118,7 +139,11 @@ class ReplicaServer {
   bool is_sequencer() const { return is_sequencer_; }
   bool is_lazy_publisher() const { return is_lazy_publisher_; }
   core::Gsn gsn() const { return my_gsn_; }
+  /// Updates committed (sequential: the CSN; FIFO: the number applied).
   core::Csn csn() const { return my_csn_; }
+  /// FIFO ordering: seq of `client`'s newest update this replica has
+  /// applied (0 if none).
+  std::uint64_t horizon_of(net::NodeId client) const;
   const ReplicaStats& stats() const { return stats_; }
   const ReplicatedObject& object() const { return *object_; }
   sim::Duration lazy_update_interval() const { return config_.lazy_update_interval; }
@@ -153,6 +178,8 @@ class ReplicaServer {
   std::optional<net::NodeId> choose_transfer_target() const;
   void handle_state_request(net::NodeId from);
   void handle_state_snapshot(const StateSnapshot& snap);
+  void install_fifo_snapshot(const StateSnapshot& snap);
+  std::shared_ptr<StateSnapshot> state_snapshot() const;
   void check_commit_stall();
   void on_member_eviction();
 
@@ -163,6 +190,9 @@ class ReplicaServer {
   void publish_group_info();
 
   // ---- commit pipeline (primaries) ----
+  bool fifo() const { return config_.ordering == core::Ordering::kFifo; }
+  /// Whether update `id` is already reflected in this replica's state.
+  bool already_applied(const RequestId& id) const;
   void try_enqueue_commits();
   void advance_csn();
 
@@ -233,7 +263,8 @@ class ReplicaServer {
   std::shared_ptr<const bool> alive_ = std::make_shared<bool>(true);
 
   // Roles (derived from the primary-group view).
-  bool is_sequencer_ = false;
+  bool is_leader_ = false;     // primary-group leader: publishes the role map
+  bool is_sequencer_ = false;  // the leader, under sequential ordering
   bool is_lazy_publisher_ = false;
   /// Sequencing stays inactive after a takeover until the replication
   /// group's view has excluded the previous sequencer — guarantees the old
@@ -275,6 +306,11 @@ class ReplicaServer {
   core::Gsn next_enqueue_gsn_ = 0;  // last update GSN handed to the queue
   std::set<RequestId> committed_;   // dedup (bounded via committed_order_)
   std::deque<RequestId> committed_order_;
+
+  // FIFO ordering: updates in arrival order, awaiting the transfer
+  // barrier, and the per-client horizons (also the dedup summary).
+  std::deque<RequestId> fifo_arrivals_;
+  std::map<net::NodeId, std::uint64_t> horizons_;
 
   // Read pipeline.
   std::unordered_map<RequestId, core::Gsn> gsn_of_read_;

@@ -3,7 +3,8 @@
 // A replicated service uses three process groups:
 //   * the primary replication group — the sequencer (leader) plus the
 //     primary replicas; updates are multicast here and committed in GSN
-//     order (strong consistency);
+//     order (strong consistency). Under FIFO ordering the leader is an
+//     ordinary primary and updates apply in per-client arrival order;
 //   * the replication group — every replica of the service; the sequencer
 //     broadcasts GSN assignments here and the lazy publisher propagates
 //     state updates here;

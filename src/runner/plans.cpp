@@ -9,7 +9,6 @@
 #include <memory>
 #include <sstream>
 
-#include "client/fifo_handler.hpp"
 #include "client/handler.hpp"
 #include "core/staleness.hpp"
 #include "fault/schedule.hpp"
@@ -19,7 +18,6 @@
 #include "net/loopback.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
-#include "replication/fifo.hpp"
 #include "replication/objects.hpp"
 #include "replication/replica.hpp"
 #include "sim/random.hpp"
@@ -987,49 +985,64 @@ SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
 
 // --------------------------------------------------- ordering handlers
 
-/// Section 4 / Fig. 2: the sequential (TOTAL) handler against the FIFO
-/// handler on the same bare pool (3 primaries incl. the sequencer, 4
-/// secondaries), alternating write/read with a 200 ms think time.
+/// Section 4 / Fig. 2: the one replica stack under each ordering policy on
+/// the same bare pool (3 primaries, the sequencer among them under
+/// sequential ordering, and 4 secondaries), alternating put/get with a
+/// 200 ms think time.
 constexpr std::size_t kOrderingPrimaries = 3;
 constexpr std::size_t kOrderingSecondaries = 4;
+/// The point that asks a FIFO service for read-your-writes.
+constexpr std::size_t kReadYourWritesPoint = 1;
 
-/// Simulator, LAN and one endpoint per replica. Declaration order gives
-/// correct teardown: endpoints detach from the network before either dies.
-/// Replicas and clients hold the simulator, so callers declare them after
-/// the testbed.
-struct Testbed {
-  std::unique_ptr<sim::Simulator> sim;
-  std::unique_ptr<net::LoopbackTransport> lan;
-  gcs::Directory directory;
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-};
-
-template <typename MakeReplica>
-void boot_testbed(Testbed& t, std::uint64_t seed, MakeReplica make) {
-  t.sim = std::make_unique<sim::Simulator>(seed);
-  t.lan = std::make_unique<net::LoopbackTransport>(
-      *t.sim, std::make_unique<sim::NormalDuration>(
-                  std::chrono::microseconds(500),
-                  std::chrono::microseconds(200)));
-  for (std::size_t i = 0; i < kOrderingPrimaries + kOrderingSecondaries; ++i) {
-    auto endpoint =
-        std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
-    make(*t.sim, *endpoint, i < kOrderingPrimaries, i);
-    t.endpoints.push_back(std::move(endpoint));
-  }
+core::QoSSpec ordering_qos() {
+  return {.staleness_threshold = 2,
+          .deadline = milliseconds(140),
+          .min_probability = 0.9};
 }
 
-/// Drives `requests` alternating put/get calls through `client` and
-/// reports the reads. `Update(put, done)` and `Read(done_with_outcome)`
-/// adapt the two handler APIs.
-template <typename Client, typename Update, typename Read>
-SeedRecord drive_ordering(Testbed& t, Client& client, std::size_t requests,
-                          Update update, Read read) {
-  sim::Simulator& sim = *t.sim;
+SeedRecord run_ordering_handlers(const Unit& unit, std::size_t requests) {
+  const bool fifo = unit.point != 0;
+  const bool read_your_writes = unit.point == kReadYourWritesPoint;
+  // Under FIFO ordering, staleness threshold 0 is read-your-writes and
+  // any other waives the session bound.
+  core::QoSSpec qos = ordering_qos();
+  if (read_your_writes) qos.staleness_threshold = 0;
+  const auto groups = replication::ServiceGroups::for_service(1);
+
+  // Declaration order gives correct teardown: endpoints detach from the
+  // network before either dies, and outlive the replicas and the client.
+  sim::Simulator sim(unit.seed);
+  net::LoopbackTransport lan(
+      sim, std::make_unique<sim::NormalDuration>(std::chrono::microseconds(500),
+                                                 std::chrono::microseconds(200)));
+  gcs::Directory directory;
+  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
+  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
+  for (std::size_t i = 0; i < kOrderingPrimaries + kOrderingSecondaries; ++i) {
+    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
+    replication::ReplicaConfig config;
+    if (fifo) config.ordering = core::Ordering::kFifo;
+    config.service_time = std::make_shared<sim::NormalDuration>(
+        milliseconds(100), milliseconds(50));
+    config.lazy_update_interval = seconds(2);
+    replicas.push_back(std::make_unique<replication::ReplicaServer>(
+        sim, *endpoint, groups, i < kOrderingPrimaries,
+        std::make_unique<replication::KeyValueStore>(), std::move(config)));
+    sim.after(i * milliseconds(10), [r = replicas.back().get()] { r->start(); });
+    endpoints.push_back(std::move(endpoint));
+  }
+  auto client_ep = std::make_unique<gcs::Endpoint>(sim, lan, directory);
+  client::ClientHandler client(sim, *client_ep, groups, {});
   client.start();
   sim.run_for(seconds(1));
+
   std::vector<double> read_ms;
   std::uint64_t failures = 0;
+  // Read-your-writes, checked from the reply payload alone: the one client
+  // knows the value it last put, so any read returning another is a
+  // violation, whatever the replicas' own horizons claim.
+  std::string last_put;
+  std::uint64_t ryw_violations = 0;
   std::size_t issued = 0;
   std::function<void()> next = [&] {
     if (issued >= requests) return;
@@ -1039,11 +1052,17 @@ SeedRecord drive_ordering(Testbed& t, Client& client, std::size_t requests,
       auto put = std::make_shared<replication::KvPut>();
       put->key = "k";
       put->value = std::to_string(n);
-      update(put, again);
+      last_put = put->value;
+      client.update(put, [again](const client::UpdateOutcome&) { again(); });
     } else {
-      read([&, again](sim::Duration response_time, bool timing_failure) {
-        read_ms.push_back(sim::to_ms(response_time));
-        if (timing_failure) ++failures;
+      auto get = std::make_shared<replication::KvGet>();
+      get->key = "k";
+      client.read(get, qos, [&, again](const client::ReadOutcome& o) {
+        read_ms.push_back(sim::to_ms(o.response_time));
+        if (o.timing_failure) ++failures;
+        if (auto result = net::message_cast<replication::KvResult>(o.result)) {
+          if (result->value != last_put) ++ryw_violations;
+        }
         again();
       });
     }
@@ -1054,83 +1073,9 @@ SeedRecord drive_ordering(Testbed& t, Client& client, std::size_t requests,
   rec.value("avg_replicas_selected", client.stats().avg_replicas_selected());
   rec.counter("reads", read_ms.size());
   rec.counter("timing_failures", failures);
+  if (read_your_writes) rec.counter("ryw_violations", ryw_violations);
   rec.sample("read_ms", std::move(read_ms));
   return rec;
-}
-
-core::QoSSpec ordering_qos() {
-  return {.staleness_threshold = 2,
-          .deadline = milliseconds(140),
-          .min_probability = 0.9};
-}
-
-SeedRecord run_ordering_sequential(std::uint64_t seed, std::size_t requests) {
-  Testbed t;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
-  boot_testbed(t, seed, [&](sim::Simulator& s, gcs::Endpoint& ep,
-                            bool primary, std::size_t i) {
-    replication::ReplicaConfig config;
-    config.service_time =
-        std::make_shared<sim::NormalDuration>(milliseconds(100),
-                                              milliseconds(50));
-    config.lazy_update_interval = seconds(2);
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        s, ep, replication::ServiceGroups::for_service(1), primary,
-        std::make_unique<replication::KeyValueStore>(), std::move(config)));
-    s.after(i * milliseconds(10), [r = replicas.back().get()] { r->start(); });
-  });
-  auto client_ep = std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
-  client::ClientHandler client(*t.sim, *client_ep,
-                               replication::ServiceGroups::for_service(1), {});
-  return drive_ordering(
-      t, client, requests,
-      [&](auto put, auto done) {
-        client.update(put, [done](const client::UpdateOutcome&) { done(); });
-      },
-      [&](auto done) {
-        client.read(std::make_shared<replication::KvGet>(), ordering_qos(),
-                    [done](const client::ReadOutcome& o) {
-                      done(o.response_time, o.timing_failure);
-                    });
-      });
-}
-
-SeedRecord run_ordering_fifo(std::uint64_t seed, std::size_t requests,
-                             bool read_your_writes) {
-  Testbed t;
-  std::vector<std::unique_ptr<replication::FifoReplicaServer>> replicas;
-  boot_testbed(t, seed, [&](sim::Simulator& s, gcs::Endpoint& ep,
-                            bool primary, std::size_t i) {
-    replication::FifoReplicaConfig config;
-    config.service_time =
-        std::make_shared<sim::NormalDuration>(milliseconds(100),
-                                              milliseconds(50));
-    config.lazy_update_interval = seconds(2);
-    replicas.push_back(std::make_unique<replication::FifoReplicaServer>(
-        s, ep, replication::ServiceGroups::for_service(2), primary,
-        std::make_unique<replication::KeyValueStore>(), std::move(config)));
-    s.after(i * milliseconds(10), [r = replicas.back().get()] { r->start(); });
-  });
-  auto client_ep = std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
-  client::FifoClientHandler client(*t.sim, *client_ep,
-                                   replication::ServiceGroups::for_service(2));
-  return drive_ordering(
-      t, client, requests,
-      [&](auto put, auto done) {
-        client.update(put, [done](sim::Duration) { done(); });
-      },
-      [&](auto done) {
-        client.read(std::make_shared<replication::KvGet>(), ordering_qos(),
-                    read_your_writes,
-                    [done](const client::FifoReadOutcome& o) {
-                      done(o.response_time, o.timing_failure);
-                    });
-      });
-}
-
-SeedRecord run_ordering_handlers(const Unit& unit, std::size_t requests) {
-  if (unit.point == 0) return run_ordering_sequential(unit.seed, requests);
-  return run_ordering_fifo(unit.seed, requests, unit.point == 1);
 }
 
 // ------------------------------------------------------- staleness model
@@ -1230,6 +1175,11 @@ std::string recovery_check(const SweepSpec& spec, const SweepResult& result) {
            std::to_string(result.rows.size()) + " units";
   }
   return no_gsn_conflicts(spec, result);
+}
+
+std::string no_ryw_violations(const SweepSpec&, const SweepResult& result) {
+  const std::uint64_t v = result.pooled_counter_or_zero("ryw_violations");
+  return v == 0 ? "" : std::to_string(v) + " read-your-writes violation(s)";
 }
 
 /// The chaos layer must actually have fired.
@@ -1421,12 +1371,14 @@ std::vector<Plan> build_plans() {
        .run = run_open_loop},
       {.name = "ordering_handlers",
        .description = "Section 4 / Fig. 2: sequential (TOTAL) vs FIFO "
-                      "handler read cost on one bare pool",
+                      "ordering read cost on one bare pool; FIFO "
+                      "read-your-writes checked from the reply payload",
        .default_requests = 600,
        .points = {"sequential (TOTAL order)", "FIFO + read-your-writes",
                   "FIFO (no session bound)"},
        .binomials = {{"timing_failure", "timing_failures", "reads"}},
-       .run = run_ordering_handlers},
+       .run = run_ordering_handlers,
+       .check = no_ryw_violations},
       {.name = "protocol_overhead",
        .description = "messages and bytes by message type for the standard "
                       "workload",

@@ -13,7 +13,6 @@
 #include "gcs/messages.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
-#include "replication/fifo.hpp"
 #include "replication/messages.hpp"
 #include "replication/objects.hpp"
 #include "sim/random.hpp"
@@ -109,7 +108,7 @@ std::vector<net::MessagePtr> exemplars() {
     out.push_back(m);
   }
 
-  // ---- replication sequencer protocol (0x2*) ----
+  // ---- replication protocol (0x2*) ----
   {
     auto m = std::make_shared<replication::UpdateRequest>();
     m->id = {net::NodeId{21}, 5};
@@ -122,7 +121,7 @@ std::vector<net::MessagePtr> exemplars() {
     auto op = std::make_shared<replication::KvGet>();
     op->key = "k3";
     m->op = op;
-    m->staleness_threshold = 4;
+    m->bound = 4;
     out.push_back(m);
   }
   {
@@ -190,52 +189,6 @@ std::vector<net::MessagePtr> exemplars() {
     m->primaries = {net::NodeId{2}, net::NodeId{3}};
     m->secondaries = {net::NodeId{11}, net::NodeId{12}};
     m->lazy_publisher = net::NodeId{3};
-    out.push_back(m);
-  }
-
-  // ---- FIFO handler (0x3*) ----
-  {
-    auto m = std::make_shared<replication::FifoUpdateRequest>();
-    m->id = {net::NodeId{23}, 2};
-    m->op = make_kv_put();
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoReadRequest>();
-    m->id = {net::NodeId{23}, 3};
-    auto op = std::make_shared<replication::KvGet>();
-    op->key = "k0";
-    m->op = op;
-    m->horizon = 2;
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoReply>();
-    m->id = {net::NodeId{23}, 3};
-    m->is_update = false;
-    auto result = std::make_shared<replication::KvResult>();
-    result->version = 2;
-    m->result = result;
-    m->replica = net::NodeId{2};
-    m->t1 = std::chrono::milliseconds(30);
-    m->deferred = true;
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoLazyUpdate>();
-    auto snap = std::make_shared<replication::KvSnapshot>();
-    snap->version = 2;
-    m->snapshot = snap;
-    m->horizons = {{net::NodeId{23}, 2}};
-    m->lazy_seq = 1;
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoGroupInfo>();
-    m->epoch = 2;
-    m->primaries = {net::NodeId{2}};
-    m->secondaries = {net::NodeId{11}};
-    m->lazy_publisher = net::NodeId{2};
     out.push_back(m);
   }
 
@@ -456,6 +409,18 @@ TEST_F(CodecTest, UnknownTypeIdThrows) {
   bytes[5] = bytes[6] = bytes[7] = bytes[8] = 0xff;
   net::Reader r(bytes);
   EXPECT_THROW(net::decode_frame(r), net::CodecError);
+}
+
+TEST_F(CodecTest, RetiredFifoTypeIdsThrow) {
+  // 0x31-0x35 were the former FIFO handler's own messages; the ids are
+  // retired for good, so frames carrying them must not decode.
+  for (std::uint8_t id = 0x31; id <= 0x35; ++id) {
+    auto bytes = net::encode_frame(*make_kv_put());
+    bytes[5] = id;  // type id is bytes 5..8, little-endian
+    bytes[6] = bytes[7] = bytes[8] = 0;
+    net::Reader r(bytes);
+    EXPECT_THROW(net::decode_frame(r), net::CodecError) << "type id " << int{id};
+  }
 }
 
 TEST_F(CodecTest, TrailingPayloadBytesThrow) {

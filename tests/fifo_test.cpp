@@ -1,16 +1,17 @@
-// FIFO timed consistency handler (paper Figure 2: the framework hosts
-// multiple ordering guarantees as pluggable handlers).
+// FIFO ordering (paper Figure 2: the framework hosts multiple ordering
+// guarantees as policies of the one gateway): ReplicaServer and
+// ClientHandler with ReplicaConfig::ordering = kFifo.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <vector>
 
-#include "client/fifo_handler.hpp"
+#include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/loopback.hpp"
-#include "replication/fifo.hpp"
 #include "replication/objects.hpp"
+#include "replication/replica.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct::replication {
@@ -26,28 +27,32 @@ struct Fixture {
       : sim(seed),
         network(sim, std::make_unique<sim::NormalDuration>(
                          milliseconds(1), std::chrono::microseconds(300))) {
-    auto add_replica = [&](bool primary) {
-      auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-      FifoReplicaConfig config;
-      config.service_time =
-          std::make_shared<sim::FixedDuration>(milliseconds(10));
-      config.lazy_update_interval = lazy_interval;
-      replicas.push_back(std::make_unique<FifoReplicaServer>(
-          sim, *endpoint, groups, primary,
-          std::make_unique<SharedDocument>(), std::move(config)));
-      endpoints.push_back(std::move(endpoint));
-    };
-    for (std::size_t i = 0; i < primaries; ++i) add_replica(true);
-    for (std::size_t i = 0; i < secondaries; ++i) add_replica(false);
+    for (std::size_t i = 0; i < primaries + secondaries; ++i) {
+      replicas.push_back(make_replica(i < primaries, lazy_interval));
+    }
     for (std::size_t i = 0; i < replicas.size(); ++i) {
       sim.after(milliseconds(10 * (i + 1)), [this, i] { replicas[i]->start(); });
     }
   }
 
-  client::FifoClientHandler& add_client() {
+  std::unique_ptr<ReplicaServer> make_replica(bool primary,
+                                              sim::Duration lazy_interval) {
     auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    clients.push_back(std::make_unique<client::FifoClientHandler>(
-        sim, *endpoint, groups));
+    ReplicaConfig config;
+    config.ordering = core::Ordering::kFifo;
+    config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
+    config.lazy_update_interval = lazy_interval;
+    auto replica = std::make_unique<ReplicaServer>(
+        sim, *endpoint, groups, primary, std::make_unique<SharedDocument>(),
+        std::move(config));
+    endpoints.push_back(std::move(endpoint));
+    return replica;
+  }
+
+  client::ClientHandler& add_client(client::ClientConfig config = {}) {
+    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
+    clients.push_back(std::make_unique<client::ClientHandler>(
+        sim, *endpoint, groups, std::move(config)));
     endpoints.push_back(std::move(endpoint));
     clients.back()->start();
     return *clients.back();
@@ -60,15 +65,51 @@ struct Fixture {
   gcs::Directory directory;
   ServiceGroups groups = ServiceGroups::for_service(2);
   std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<FifoReplicaServer>> replicas;
-  std::vector<std::unique_ptr<client::FifoClientHandler>> clients;
+  std::vector<std::unique_ptr<ReplicaServer>> replicas;
+  std::vector<std::unique_ptr<client::ClientHandler>> clients;
 };
 
-core::QoSSpec loose() {
+/// Staleness threshold 0 asks a FIFO service for read-your-writes.
+core::QoSSpec read_your_writes() {
   return {.staleness_threshold = 0,
           .deadline = seconds(2),
           .min_probability = 0.5};
 }
+
+/// Any threshold above 0 waives the FIFO session bound.
+core::QoSSpec no_session_bound() {
+  return {.staleness_threshold = 1,
+          .deadline = seconds(2),
+          .min_probability = 0.5};
+}
+
+std::vector<std::string> lines_of(const ReplicatedObject& object) {
+  const auto& doc = dynamic_cast<const SharedDocument&>(object);
+  return net::message_cast<DocContents>(doc.apply_read(std::make_shared<DocRead>()))
+      ->lines;
+}
+
+/// The lines of `all` that start with `prefix`, in order: one client's
+/// subsequence of a FIFO-ordered document.
+std::vector<std::string> lines_from(const std::vector<std::string>& all,
+                                    char prefix) {
+  std::vector<std::string> out;
+  for (const auto& line : all) {
+    if (line[0] == prefix) out.push_back(line);
+  }
+  return out;
+}
+
+/// Selects the first candidate alone: the first primary of the role map.
+class FirstCandidateSelector final : public core::ReplicaSelector {
+ public:
+  core::SelectionResult select(core::SelectionContext& ctx) override {
+    core::SelectionResult result;
+    if (!ctx.candidates.empty()) result.selected.push_back(ctx.candidates[0].id);
+    return result;
+  }
+  std::string name() const override { return "first-candidate"; }
+};
 
 std::shared_ptr<DocAppend> append(const std::string& line) {
   auto op = std::make_shared<DocAppend>();
@@ -83,12 +124,13 @@ TEST(Fifo, UpdatesAppliedOnAllPrimaries) {
   f.settle(seconds(1));
   int done = 0;
   for (int i = 0; i < 5; ++i) {
-    client.update(append("p" + std::to_string(i)), [&](sim::Duration) { ++done; });
+    client.update(append("p" + std::to_string(i)),
+                  [&](const client::UpdateOutcome&) { ++done; });
   }
   f.settle(seconds(3));
   EXPECT_EQ(done, 5);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(f.replicas[i]->stats().updates_applied, 5u) << "primary " << i;
+    EXPECT_EQ(f.replicas[i]->stats().updates_committed, 5u) << "primary " << i;
     const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[i]->object());
     EXPECT_EQ(doc.version(), 5u);
   }
@@ -121,8 +163,8 @@ TEST(Fifo, ReadYourWritesOnPrimary) {
   f.settle(seconds(1));
   client.update(append("mine"), {});
   std::size_t lines = 0;
-  client.read(std::make_shared<DocRead>(), loose(), /*read_your_writes=*/true,
-              [&](const client::FifoReadOutcome& o) {
+  client.read(std::make_shared<DocRead>(), read_your_writes(),
+              [&](const client::ReadOutcome& o) {
                 const auto contents = net::message_cast<DocContents>(o.result);
                 lines = contents->lines.size();
               });
@@ -143,8 +185,8 @@ TEST(Fifo, ReadYourWritesDefersOnStaleSecondary) {
   bool any_deferred = false;
   std::size_t lines = 0;
   for (int i = 0; i < 6; ++i) {
-    client.read(std::make_shared<DocRead>(), loose(), true,
-                [&](const client::FifoReadOutcome& o) {
+    client.read(std::make_shared<DocRead>(), read_your_writes(),
+                [&](const client::ReadOutcome& o) {
                   got = true;
                   any_deferred |= o.deferred;
                   lines = net::message_cast<DocContents>(o.result)->lines.size();
@@ -171,8 +213,8 @@ TEST(Fifo, RelaxedReadServedImmediately) {
   // Without read-your-writes, even a fully stale secondary answers at
   // once (possibly with the old document).
   int replies = 0;
-  client.read(std::make_shared<DocRead>(), loose(), /*read_your_writes=*/false,
-              [&](const client::FifoReadOutcome& o) {
+  client.read(std::make_shared<DocRead>(), no_session_bound(),
+              [&](const client::ReadOutcome& o) {
                 ++replies;
                 EXPECT_FALSE(o.deferred);
               });
@@ -230,12 +272,12 @@ TEST(Fifo, TimingFailureDetected) {
   f.settle();
   auto& client = f.add_client();
   f.settle(seconds(1));
-  core::QoSSpec tight{.staleness_threshold = 0,
+  core::QoSSpec tight{.staleness_threshold = 1,
                       .deadline = milliseconds(1),
                       .min_probability = 0.5};
   bool failed = false;
-  client.read(std::make_shared<DocRead>(), tight, false,
-              [&](const client::FifoReadOutcome& o) { failed = o.timing_failure; });
+  client.read(std::make_shared<DocRead>(), tight,
+              [&](const client::ReadOutcome& o) { failed = o.timing_failure; });
   f.settle(seconds(2));
   EXPECT_TRUE(failed);
   EXPECT_EQ(client.stats().timing_failures, 1u);
@@ -256,6 +298,83 @@ TEST(Fifo, DuplicateRequestsDeduplicated) {
     const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[r]->object());
     EXPECT_EQ(doc.version(), 10u) << "primary " << r;
   }
+}
+
+TEST(Fifo, ReadRetriesWhenItsWholeSelectedSetCrashes) {
+  Fixture f(2, 1);
+  f.settle();
+  client::ClientConfig config;
+  config.selector = std::make_unique<FirstCandidateSelector>();
+  config.retry_timeout = milliseconds(500);
+  auto& client = f.add_client(std::move(config));
+  f.settle(seconds(1));
+  client.update(append("before"), {});
+  f.settle(seconds(1));
+  ASSERT_EQ(client.repository().roles().primaries.front(), f.replicas[0]->id());
+
+  // The read goes to replicas[0] alone, which dies before serving it: only
+  // a re-selection against the new role map can complete it.
+  client::ReadOutcome outcome;
+  bool done = false;
+  client.read(std::make_shared<DocRead>(), read_your_writes(),
+              [&](const client::ReadOutcome& o) {
+                outcome = o;
+                done = true;
+              });
+  f.replicas[0]->crash();
+  f.settle(seconds(10));
+  ASSERT_TRUE(done);
+  ASSERT_NE(outcome.result, nullptr);
+  EXPECT_EQ(outcome.responder, f.replicas[1]->id());
+  EXPECT_EQ(net::message_cast<DocContents>(outcome.result)->lines,
+            std::vector<std::string>{"before"});
+  EXPECT_GE(client.stats().retries, 1u);
+  EXPECT_EQ(client.stats().reads_abandoned, 0u);
+}
+
+TEST(Fifo, RestartedPrimaryRejoinsThroughStateTransfer) {
+  Fixture f(3, 1, 5, /*lazy=*/milliseconds(500));
+  f.settle();
+  auto& a = f.add_client();
+  auto& b = f.add_client();
+  f.settle(seconds(1));
+  int next_a = 0, next_b = 0;
+  auto burst = [&] {
+    for (int i = 0; i < 4; ++i) {
+      a.update(append("a" + std::to_string(next_a++)), {});
+      b.update(append("b" + std::to_string(next_b++)), {});
+    }
+    f.settle(seconds(3));
+  };
+  burst();
+  f.replicas[2]->crash();
+  f.settle(seconds(3));
+  burst();  // applied by the survivors only
+
+  // Reborn under a fresh endpoint (a new NodeId): it joins a running
+  // service, so it must pull the state it missed before applying more.
+  f.replicas[2] = f.make_replica(true, milliseconds(500));
+  f.replicas[2]->start();
+  f.settle(seconds(3));
+  EXPECT_FALSE(f.replicas[2]->recovering());
+  EXPECT_GE(f.replicas[2]->stats().state_snapshots_installed, 1u);
+  burst();
+
+  const ReplicaServer& reborn = *f.replicas[2];
+  const auto reborn_lines = lines_of(reborn.object());
+  ASSERT_EQ(reborn_lines.size(), 24u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const ReplicaServer& peer = *f.replicas[r];
+    const auto peer_lines = lines_of(peer.object());
+    for (const char prefix : {'a', 'b'}) {
+      EXPECT_EQ(lines_from(reborn_lines, prefix), lines_from(peer_lines, prefix))
+          << "client " << prefix << " vs primary " << r;
+    }
+    EXPECT_EQ(reborn.horizon_of(a.id()), peer.horizon_of(a.id()));
+    EXPECT_EQ(reborn.horizon_of(b.id()), peer.horizon_of(b.id()));
+    EXPECT_EQ(reborn.csn(), peer.csn());
+  }
+  EXPECT_EQ(reborn.horizon_of(a.id()), 12u);
 }
 
 }  // namespace

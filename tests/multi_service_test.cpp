@@ -1,17 +1,15 @@
 // Multiple replicated services sharing one LAN (paper Figure 2: a client
-// gateway talks to service A with the TOTAL handler and service B with
-// the FIFO handler simultaneously).
+// gateway talks to a TOTAL-ordered service A and a FIFO-ordered service B
+// simultaneously).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <vector>
 
-#include "client/fifo_handler.hpp"
 #include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/loopback.hpp"
-#include "replication/fifo.hpp"
 #include "replication/objects.hpp"
 #include "replication/replica.hpp"
 #include "sim/simulator.hpp"
@@ -105,7 +103,7 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
 
   std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
   std::vector<std::unique_ptr<replication::ReplicaServer>> seq_replicas;
-  std::vector<std::unique_ptr<replication::FifoReplicaServer>> fifo_replicas;
+  std::vector<std::unique_ptr<replication::ReplicaServer>> fifo_replicas;
   for (int i = 0; i < 3; ++i) {
     auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
     replication::ReplicaConfig config;
@@ -117,9 +115,10 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
   }
   for (int i = 0; i < 3; ++i) {
     auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    replication::FifoReplicaConfig config;
+    replication::ReplicaConfig config;
+    config.ordering = core::Ordering::kFifo;
     config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
-    fifo_replicas.push_back(std::make_unique<replication::FifoReplicaServer>(
+    fifo_replicas.push_back(std::make_unique<replication::ReplicaServer>(
         sim, *endpoint, groups_b, i < 2,
         std::make_unique<replication::SharedDocument>(), std::move(config)));
     endpoints.push_back(std::move(endpoint));
@@ -133,7 +132,7 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
   // gateway hosts one handler per contacted service.
   auto client_endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
   client::ClientHandler total_handler(sim, *client_endpoint, groups_a, {});
-  client::FifoClientHandler fifo_handler(sim, *client_endpoint, groups_b);
+  client::ClientHandler fifo_handler(sim, *client_endpoint, groups_b, {});
   total_handler.start();
   fifo_handler.start();
   sim.run_for(seconds(2));
@@ -160,8 +159,7 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
                     {.staleness_threshold = 0,
                      .deadline = seconds(1),
                      .min_probability = 0.5},
-                    /*read_your_writes=*/true,
-                    [&](const client::FifoReadOutcome& o) {
+                    [&](const client::ReadOutcome& o) {
                       auto doc = net::message_cast<replication::DocContents>(o.result);
                       if (doc && !doc->lines.empty()) fifo_line = doc->lines[0];
                     });

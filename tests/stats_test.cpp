@@ -5,40 +5,6 @@
 namespace aqueduct::harness {
 namespace {
 
-TEST(BinomialCiNormal, ZeroTrials) {
-  const auto ci = binomial_ci_normal(0, 0);
-  EXPECT_DOUBLE_EQ(ci.point, 0.0);
-  EXPECT_DOUBLE_EQ(ci.lower, 0.0);
-  EXPECT_DOUBLE_EQ(ci.upper, 0.0);
-}
-
-TEST(BinomialCiNormal, PointEstimateCorrect) {
-  const auto ci = binomial_ci_normal(25, 100);
-  EXPECT_DOUBLE_EQ(ci.point, 0.25);
-  EXPECT_LT(ci.lower, 0.25);
-  EXPECT_GT(ci.upper, 0.25);
-}
-
-TEST(BinomialCiNormal, KnownHalfWidth) {
-  // p=0.5, n=100: half-width = 1.96 * sqrt(0.25/100) = 0.098.
-  const auto ci = binomial_ci_normal(50, 100);
-  EXPECT_NEAR(ci.upper - ci.point, 0.098, 1e-3);
-  EXPECT_NEAR(ci.point - ci.lower, 0.098, 1e-3);
-}
-
-TEST(BinomialCiNormal, ClampedToUnitInterval) {
-  const auto lo = binomial_ci_normal(0, 10);
-  EXPECT_DOUBLE_EQ(lo.lower, 0.0);
-  const auto hi = binomial_ci_normal(10, 10);
-  EXPECT_DOUBLE_EQ(hi.upper, 1.0);
-}
-
-TEST(BinomialCiNormal, ShrinksWithSampleSize) {
-  const auto small = binomial_ci_normal(5, 20);
-  const auto large = binomial_ci_normal(250, 1000);
-  EXPECT_LT(large.upper - large.lower, small.upper - small.lower);
-}
-
 TEST(BinomialCiWilson, CoversPointEstimate) {
   const auto ci = binomial_ci_wilson(3, 50);
   EXPECT_DOUBLE_EQ(ci.point, 0.06);

@@ -42,8 +42,9 @@ ROOT = os.path.dirname(HERE)
 BASELINE = os.path.join(ROOT, "bench", "baselines", "ORACLE_digests.json")
 
 # Fixed seeds; each plan's default request count except fig4_adaptivity,
-# whose 32-point grid runs at 40. The whole check takes about 10 s on two
-# cores, well under the two-minute CI budget.
+# whose 32-point grid runs at 40, and ordering_handlers, which runs at 200
+# (about 1 s; it pins the FIFO ordering's output too). The whole check
+# takes about 10 s on two cores, well under the two-minute CI budget.
 SEED = 1
 SEEDS = 2
 THREADS = 2
@@ -55,6 +56,7 @@ PLANS = [
     ("gray_chaos", 80),
     ("shard_scaling", 120),
     ("hot_shard", 120),
+    ("ordering_handlers", 200),
 ]
 
 
@@ -98,10 +100,10 @@ def write_baseline(sweep_cli, tools, workdir):
         second = run_plan(sweep_cli, plan, requests, workdir)
         if first != second:
             unstable.append(plan)
-            print("%-16s unstable across two runs; not recorded" % plan)
+            print("%-18s unstable across two runs; not recorded" % plan)
             continue
         plans[plan] = {"requests": requests, "sha256": first}
-        print("%-16s %s" % (plan, first))
+        print("%-18s %s" % (plan, first))
     doc = {
         "seed": SEED,
         "seeds": SEEDS,
@@ -134,12 +136,12 @@ def check_baseline(sweep_cli, tools, workdir):
         digest = run_plan(sweep_cli, plan, entry["requests"], workdir)
         ok = digest == entry["sha256"]
         failures += 0 if ok else 1
-        print("%-16s %s %s (%.1f s)" % (plan, "ok  " if ok else "DIFF",
+        print("%-18s %s %s (%.1f s)" % (plan, "ok  " if ok else "DIFF",
                                         digest, time.time() - start))
         if not ok:
             print("  expected %s" % entry["sha256"])
     for plan in doc.get("unstable", []):
-        print("%-16s skipped (unstable when the baseline was written)" % plan)
+        print("%-18s skipped (unstable when the baseline was written)" % plan)
     if failures:
         print("%d plan(s) drifted from the committed digests" % failures)
         return 1
