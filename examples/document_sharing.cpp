@@ -13,11 +13,8 @@
 #include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 using namespace aqueduct;
 using namespace std::chrono_literals;
@@ -31,40 +28,30 @@ struct Reader {
   std::size_t timing_failures = 0;
   std::size_t deferred = 0;
   std::uint64_t total_staleness = 0;
-  std::unique_ptr<client::ClientHandler> handler;
+  client::ClientHandler* handler = nullptr;
 };
 
 }  // namespace
 
 int main() {
-  sim::Simulator sim(7);
-  net::LoopbackTransport lan(sim, std::make_unique<sim::NormalDuration>(600us, 250us));
-  gcs::Directory directory;
+  harness::Testbed bed(7, std::make_unique<sim::NormalDuration>(600us, 250us));
+  runtime::Executor& sim = bed.executor();
   const auto groups = replication::ServiceGroups::for_service(1);
 
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
   auto add_replica = [&](bool primary) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
     replication::ReplicaConfig config;
     config.service_time = std::make_shared<sim::NormalDuration>(60ms, 25ms);
     config.lazy_update_interval = 3s;
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::SharedDocument>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+    bed.add_replica(groups, primary, std::move(config),
+                    [] { return std::make_unique<replication::SharedDocument>(); });
   };
   add_replica(true);  // sequencer
   for (int i = 0; i < 3; ++i) add_replica(true);
   for (int i = 0; i < 5; ++i) add_replica(false);
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    sim.after(i * 10ms, [&, i] { replicas[i]->start(); });
-  }
+  bed.start_replicas();
 
   // The writer.
-  auto writer_endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
-  client::ClientHandler writer(sim, *writer_endpoint, groups, {});
-  writer.start();
+  client::ClientHandler& writer = bed.add_client(groups);
 
   // The readers.
   std::vector<Reader> readers;
@@ -74,13 +61,7 @@ int main() {
       {"reviewer ", {.staleness_threshold = 5, .deadline = 2s, .min_probability = 0.7}});
   readers.push_back(
       {"archivist", {.staleness_threshold = 0, .deadline = 8s, .min_probability = 0.5}});
-  for (auto& reader : readers) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
-    reader.handler = std::make_unique<client::ClientHandler>(sim, *endpoint,
-                                                             groups, client::ClientConfig{});
-    reader.handler->start();
-    endpoints.push_back(std::move(endpoint));
-  }
+  for (auto& reader : readers) reader.handler = &bed.add_client(groups);
   sim.run_for(1s);
 
   // The writer appends a paragraph every ~400 ms, 60 times.

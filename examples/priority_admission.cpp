@@ -13,43 +13,30 @@
 #include "client/admission.hpp"
 #include "client/handler.hpp"
 #include "core/priority.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 using namespace aqueduct;
 using namespace std::chrono_literals;
 
 int main() {
-  sim::Simulator sim(17);
-  net::LoopbackTransport lan(sim, std::make_unique<sim::NormalDuration>(500us, 200us));
-  gcs::Directory directory;
+  harness::Testbed bed(17, std::make_unique<sim::NormalDuration>(500us, 200us));
+  runtime::Executor& sim = bed.executor();
   const auto groups = replication::ServiceGroups::for_service(1);
 
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
   auto add_replica = [&](bool primary) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
     replication::ReplicaConfig config;
     config.service_time = std::make_shared<sim::NormalDuration>(80ms, 35ms);
     config.lazy_update_interval = 2s;
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::StockTicker>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+    bed.add_replica(groups, primary, std::move(config),
+                    [] { return std::make_unique<replication::StockTicker>(); });
   };
   add_replica(true);  // sequencer
   for (int i = 0; i < 3; ++i) add_replica(true);
   for (int i = 0; i < 4; ++i) add_replica(false);
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    sim.after(i * 10ms, [&, i] { replicas[i]->start(); });
-  }
+  bed.start_replicas();
 
-  auto client_ep = std::make_unique<gcs::Endpoint>(sim, lan, directory);
-  client::ClientHandler client(sim, *client_ep, groups, {});
-  client.start();
+  client::ClientHandler& client = bed.add_client(groups);
   sim.run_for(1s);
 
   // Warm the performance histories so admission has data to judge.
@@ -93,8 +80,8 @@ int main() {
   report("with the full pool");
 
   // Degrade the pool: crash two primaries, re-evaluate.
-  replicas[2]->crash();
-  replicas[3]->crash();
+  bed.crash_replica(2);
+  bed.crash_replica(3);
   sim.run_for(6s);  // failure detection + reconfiguration
   // Refresh histories against the reduced pool (same mixed workload as
   // the warm-up, so the two reports compare like for like).

@@ -11,38 +11,28 @@
 // the output is reproducible.
 #include <cstdio>
 #include <memory>
-#include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 using namespace aqueduct;
 using namespace std::chrono_literals;
 
 int main() {
   // --- 1. The simulated LAN -------------------------------------------------
-  sim::Simulator sim(/*seed=*/2026);
-  net::LoopbackTransport lan(sim, std::make_unique<sim::NormalDuration>(500us, 200us));
-  gcs::Directory directory;
+  harness::Testbed bed(/*seed=*/2026, std::make_unique<sim::NormalDuration>(500us, 200us));
+  runtime::Executor& sim = bed.executor();
   const auto groups = replication::ServiceGroups::for_service(1);
 
   // --- 2. Replicas ----------------------------------------------------------
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
   auto add_replica = [&](bool primary) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
     replication::ReplicaConfig config;
     // Simulated request-processing load, as in the paper's experiments.
     config.service_time = std::make_shared<sim::NormalDuration>(40ms, 15ms);
     config.lazy_update_interval = 2s;  // the consistency/timeliness knob
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::KeyValueStore>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+    bed.add_replica(groups, primary, std::move(config),
+                    [] { return std::make_unique<replication::KeyValueStore>(); });
   };
   add_replica(true);  // first primary-group joiner becomes the sequencer
   add_replica(true);
@@ -50,14 +40,10 @@ int main() {
   add_replica(false);
   add_replica(false);
   add_replica(false);
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    sim.after(i * 10ms, [&, i] { replicas[i]->start(); });
-  }
+  bed.start_replicas();  // staggered, 10 ms apart
 
   // --- 3. A client ----------------------------------------------------------
-  auto client_endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
-  client::ClientHandler client(sim, *client_endpoint, groups, {});
-  client.start();
+  client::ClientHandler& client = bed.add_client(groups);
   sim.run_for(1s);  // let the groups form
 
   // --- 4. Updates (sequentially consistent) ---------------------------------

@@ -7,57 +7,38 @@
 //     quotes up to 3 updates stale to get them fast;
 //   * a compliance auditor that needs exact state and can wait.
 // Halfway through the run one primary replica crashes; the adaptive
-// selection keeps both clients inside their QoS.
+// selection keeps both clients inside their QoS. Exits 1 if the auditor
+// was ever served stale state.
 #include <cstdio>
 #include <memory>
-#include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 using namespace aqueduct;
 using namespace std::chrono_literals;
 
 int main() {
-  sim::Simulator sim(99);
-  net::LoopbackTransport lan(sim, std::make_unique<sim::NormalDuration>(400us, 150us));
-  gcs::Directory directory;
+  harness::Testbed bed(99, std::make_unique<sim::NormalDuration>(400us, 150us));
+  runtime::Executor& sim = bed.executor();
   const auto groups = replication::ServiceGroups::for_service(1);
 
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
   auto add_replica = [&](bool primary) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
     replication::ReplicaConfig config;
     config.service_time = std::make_shared<sim::NormalDuration>(30ms, 12ms);
     config.lazy_update_interval = 1s;  // fast-moving data: propagate often
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::StockTicker>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+    bed.add_replica(groups, primary, std::move(config),
+                    [] { return std::make_unique<replication::StockTicker>(); });
   };
   add_replica(true);  // sequencer
   for (int i = 0; i < 3; ++i) add_replica(true);
   for (int i = 0; i < 4; ++i) add_replica(false);
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    sim.after(i * 10ms, [&, i] { replicas[i]->start(); });
-  }
+  bed.start_replicas();
 
-  auto make_client = [&](client::ClientConfig config = {}) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
-    auto handler = std::make_unique<client::ClientHandler>(sim, *endpoint,
-                                                           groups, std::move(config));
-    handler->start();
-    endpoints.push_back(std::move(endpoint));
-    return handler;
-  };
-  auto feed = make_client();
-  auto trader = make_client();
-  auto auditor = make_client();
+  client::ClientHandler& feed = bed.add_client(groups);
+  client::ClientHandler& trader = bed.add_client(groups);
+  client::ClientHandler& auditor = bed.add_client(groups);
   sim.run_for(1s);
 
   // The market feed: a price tick every 150 ms.
@@ -67,7 +48,7 @@ int main() {
       auto tick = std::make_shared<replication::TickerSet>();
       tick->symbol = symbols[i % 3];
       tick->price = 100.0 + (i % 17) * 0.25;
-      feed->update(tick, {});
+      feed.update(tick, {});
     });
   }
 
@@ -80,7 +61,7 @@ int main() {
     sim.after(500ms + i * 250ms, [&, i] {
       auto get = std::make_shared<replication::TickerGet>();
       get->symbol = symbols[i % 3];
-      trader->read(get, trader_qos, [&](const client::ReadOutcome& outcome) {
+      trader.read(get, trader_qos, [&](const client::ReadOutcome& outcome) {
         ++trader_reads;
         if (outcome.timing_failure) ++trader_failures;
         if (outcome.deferred) ++trader_deferred;
@@ -97,7 +78,7 @@ int main() {
     sim.after(1s + i * 2s, [&, i] {
       auto get = std::make_shared<replication::TickerGet>();
       get->symbol = symbols[i % 3];
-      auditor->read(get, auditor_qos, [&](const client::ReadOutcome& outcome) {
+      auditor.read(get, auditor_qos, [&](const client::ReadOutcome& outcome) {
         ++audit_reads;
         if (outcome.staleness > 0) ++audit_stale;
       });
@@ -107,8 +88,8 @@ int main() {
   // Crash one primary mid-run: the model adapts.
   sim.after(20s, [&] {
     std::printf("t=20s: primary replica %s crashes\n",
-                net::to_string(replicas[2]->id()).c_str());
-    replicas[2]->crash();
+                net::to_string(bed.replica_node(2)).c_str());
+    bed.crash_replica(2);
   });
 
   sim.run_for(60s);
@@ -118,10 +99,10 @@ int main() {
               trader_reads, trader_failures,
               trader_reads ? 100.0 * trader_failures / trader_reads : 0.0,
               100.0 * (1.0 - trader_qos.min_probability), trader_deferred,
-              trader->stats().avg_replicas_selected());
+              trader.stats().avg_replicas_selected());
   std::printf("auditor : %zu audits, %zu served from stale state (must be 0)\n",
               audit_reads, audit_stale);
   std::printf("feed    : %llu ticks committed\n",
-              static_cast<unsigned long long>(feed->stats().updates_completed));
-  return 0;
+              static_cast<unsigned long long>(feed.stats().updates_completed));
+  return audit_stale == 0 ? 0 : 1;
 }

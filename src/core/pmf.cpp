@@ -177,33 +177,6 @@ Pmf Pmf::shift(sim::Duration offset) const {
   return out;
 }
 
-Pmf Pmf::truncate_tail(double epsilon) const {
-  if (epsilon <= 0.0 || empty()) return *this;
-  const double total = prefix_.back();
-  // Smallest k whose upper-tail mass (total - prefix_[k]) is <= epsilon;
-  // the tail is non-increasing in k, so binary search the crossover. k
-  // always exists (the tail above the last bucket is 0) and mass_[k] > 0
-  // (the tail only shrinks at nonzero buckets), so no trailing zeros.
-  std::size_t lo = 0;
-  std::size_t hi = prefix_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (total - prefix_[mid] <= epsilon) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  if (lo + 1 == mass_.size()) return *this;
-  Pmf out;
-  out.origin_ = origin_;
-  out.resolution_ = resolution_;
-  out.mass_.assign(mass_.begin(),
-                   mass_.begin() + static_cast<std::ptrdiff_t>(lo) + 1);
-  out.finalize();
-  return out;
-}
-
 sim::Duration Pmf::mean() const {
   AQUEDUCT_CHECK(!empty());
   double acc = 0.0;

@@ -10,11 +10,7 @@
 // is the probability at value origin_ + i * resolution_ — plus a running
 // prefix-sum array, so cdf() is an O(1) index computation and quantile() a
 // binary search instead of the linear entry scans the sparse map
-// representation needed. Support can be bounded: truncate_tail() drops
-// upper-tail buckets whose cumulative mass is below an epsilon, which
-// bounds the error (CDF shifts by at most epsilon at any deadline, total
-// mass stays within [1 - epsilon, 1]). The response-time model keeps the
-// full support.
+// representation needed.
 #pragma once
 
 #include <cstddef>
@@ -64,13 +60,6 @@ class Pmf {
   /// Shifts the distribution by a constant (convolution with a point mass,
   /// done directly: the paper adds the latest gateway delay G this way).
   Pmf shift(sim::Duration offset) const;
-
-  /// Bounded-support quantization: drops buckets off the upper tail while
-  /// the removed cumulative mass stays <= epsilon. The result's CDF is
-  /// within epsilon below the exact CDF at every deadline and its
-  /// total_mass() is within [total - epsilon, total]. epsilon <= 0 returns
-  /// *this unchanged.
-  Pmf truncate_tail(double epsilon) const;
 
   /// P(X <= d). Returns 0 for an empty pmf. O(1): an index into the
   /// prefix-sum array.

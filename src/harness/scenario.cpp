@@ -1,6 +1,5 @@
 #include "harness/scenario.hpp"
 
-#include "runtime/sim_executor.hpp"
 #include <algorithm>
 #include <string>
 #include <utility>
@@ -107,7 +106,11 @@ ClientResult WorkloadClient::result_with_stats() const {
 
 Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)),
-      shard_map_(config_.seed, config_.num_shards == 0 ? 1 : config_.num_shards) {
+      shard_map_(config_.seed, config_.num_shards == 0 ? 1 : config_.num_shards),
+      bed_(config_.seed,
+           std::make_unique<sim::NormalDuration>(config_.net_latency_mean,
+                                                 config_.net_latency_std),
+           config_.runtime, config_.chaos, config_.gcs) {
   build();
 }
 
@@ -115,14 +118,6 @@ Scenario::~Scenario() = default;
 
 void Scenario::build() {
   AQUEDUCT_CHECK_MSG(config_.num_shards >= 1, "num_shards must be >= 1");
-  exec_ = runtime::make_executor(config_.runtime, config_.seed);
-  transport_ = net::make_loopback_transport(
-      *exec_, std::make_unique<sim::NormalDuration>(config_.net_latency_mean,
-                                                    config_.net_latency_std));
-  if (config_.chaos) {
-    transport_ = net::make_chaos_transport(std::move(transport_));
-  }
-
   // Shard k's groups live under service id 1 + k; all shards share the one
   // transport/directory substrate (gcs multiplexes by group id).
   groups_.reserve(config_.num_shards);
@@ -131,17 +126,28 @@ void Scenario::build() {
         static_cast<std::uint32_t>(1 + k)));
   }
 
+  // A group that ejects a live-but-gray replica leaves the server crashed;
+  // reincarnate the slot after a supervisor delay (the reborn process joins
+  // under a fresh NodeId, escaping any identity-keyed blackhole).
+  if (config_.eviction_restart_delay > sim::Duration::zero()) {
+    bed_.set_on_evicted([this](std::size_t index) {
+      refresh_live_gauge(shard_of(index));
+      executor().after(config_.eviction_restart_delay, [this, index] {
+        if (!replica_alive(index)) restart_replica(index);
+      });
+    });
+  }
+
   // Flat shard-major layout. Within a shard, the sequencer (slot 0) is the
   // first primary-group joiner (rank 0 = leader), then primaries, then
   // secondaries.
   const std::size_t num_servers = config_.num_shards * servers_per_shard();
   for (std::size_t index = 0; index < num_servers; ++index) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(*exec_, *transport_,
-                                                    directory_, config_.gcs);
-    replicas_.push_back(make_replica_server(index, *endpoint));
-    endpoints_.push_back(std::move(endpoint));
+    const bool is_primary =
+        index % servers_per_shard() <= config_.num_primaries;  // 0 = sequencer
+    bed_.add_replica(groups_[shard_of(index)], is_primary, replica_config(index),
+                     [] { return std::make_unique<replication::KeyValueStore>(); });
   }
-  incarnations_.assign(num_servers, 0);
 
   // Per-shard liveness gauges only exist in a genuinely sharded run: a new
   // metric name would change the single-shard telemetry digest.
@@ -155,11 +161,9 @@ void Scenario::build() {
   }
 
   for (const ClientSpec& spec : config_.clients) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(*exec_, *transport_,
-                                                    directory_, config_.gcs);
     workloads_.push_back(std::make_unique<WorkloadClient>(
-        *exec_, *endpoint, shard_map_, groups_, spec, config_.window_size));
-    endpoints_.push_back(std::move(endpoint));
+        executor(), bed_.add_client_endpoint(), shard_map_, groups_, spec,
+        config_.window_size));
   }
 }
 
@@ -167,7 +171,7 @@ obs::MetricsSnapshotter& Scenario::enable_telemetry(sim::Duration period) {
   AQUEDUCT_CHECK_MSG(!ran_, "enable_telemetry() must precede run()");
   AQUEDUCT_CHECK_MSG(!snapshotter_, "telemetry already enabled");
   snapshotter_ = std::make_unique<obs::MetricsSnapshotter>(
-      *exec_, observability().metrics, period);
+      executor(), observability().metrics, period);
   return *snapshotter_;
 }
 
@@ -177,32 +181,25 @@ std::vector<ClientResult> Scenario::run() {
   if (snapshotter_) snapshotter_->start();
 
   // Staggered start: each shard's sequencer boots before its followers so
-  // it becomes that primary group's leader; replicas follow, then clients
-  // after the groups have settled. Offsets are relative to now(): under
-  // kSim now() is kEpoch here (identical schedule to an absolute one);
-  // under kRealTime construction already consumed wall time, so relative
-  // is the only correct choice.
-  sim::Duration at = sim::Duration::zero();
-  for (auto& replica : replicas_) {
-    exec_->after(at, [r = replica.get()] { r->start(); });
-    at += std::chrono::milliseconds(10);
-  }
-  at += std::chrono::milliseconds(500);
+  // it becomes that primary group's leader; clients follow after the
+  // groups have settled.
+  sim::Duration at = bed_.start_replicas() + std::chrono::milliseconds(500);
+  runtime::Executor& exec = executor();
   for (auto& workload : workloads_) {
-    exec_->after(at, [w = workload.get()] { w->start(); });
+    exec.after(at, [w = workload.get()] { w->start(); });
     at += std::chrono::milliseconds(10);
   }
 
-  const sim::TimePoint deadline = exec_->now() + config_.max_sim_time;
-  while (exec_->now() < deadline) {
+  const sim::TimePoint deadline = exec.now() + config_.max_sim_time;
+  while (exec.now() < deadline) {
     const bool all_done =
         std::all_of(workloads_.begin(), workloads_.end(),
                     [](const auto& w) { return w->done(); });
     if (all_done) break;
-    exec_->run_for(std::chrono::seconds(1));
+    exec.run_for(std::chrono::seconds(1));
   }
   // Drain trailing protocol work (late replies, final publications).
-  exec_->run_for(config_.drain);
+  exec.run_for(config_.drain);
   if (snapshotter_) {
     snapshotter_->stop();
     snapshotter_->capture_now();  // pick up the post-drain tail
@@ -214,11 +211,7 @@ std::vector<ClientResult> Scenario::run() {
   return results;
 }
 
-std::unique_ptr<replication::ReplicaServer> Scenario::make_replica_server(
-    std::size_t index, gcs::Endpoint& endpoint) {
-  const std::size_t shard = shard_of(index);
-  const std::size_t slot = index % servers_per_shard();
-  const bool is_primary = slot <= config_.num_primaries;  // slot 0 = sequencer
+replication::ReplicaConfig Scenario::replica_config(std::size_t index) const {
   double speed = 1.0;
   if (index < config_.speed_factors.size() &&
       config_.speed_factors[index] > 0.0) {
@@ -229,60 +222,29 @@ std::unique_ptr<replication::ReplicaServer> Scenario::make_replica_server(
       std::chrono::duration_cast<sim::Duration>(config_.service_mean / speed),
       std::chrono::duration_cast<sim::Duration>(config_.service_std / speed));
   rc.lazy_update_interval = config_.lazy_update_interval;
-  auto server = std::make_unique<replication::ReplicaServer>(
-      *exec_, endpoint, groups_[shard], is_primary,
-      std::make_unique<replication::KeyValueStore>(), std::move(rc));
-  // A group that ejects a live-but-gray replica leaves the server crashed;
-  // reincarnate the slot after a supervisor delay (the reborn process joins
-  // under a fresh NodeId, escaping any identity-keyed blackhole).
-  if (config_.eviction_restart_delay > sim::Duration::zero()) {
-    server->set_on_evicted([this, index, shard] {
-      refresh_live_gauge(shard);
-      exec_->after(config_.eviction_restart_delay, [this, index] {
-        if (replicas_[index]->crashed()) restart_replica(index);
-      });
-    });
-  }
-  return server;
+  return rc;
 }
 
 void Scenario::schedule_crash(std::size_t replica_index, sim::TimePoint at) {
-  AQUEDUCT_CHECK(replica_index < replicas_.size());
+  AQUEDUCT_CHECK(replica_index < num_replicas());
   // Capture the index, not the server: a restart may have replaced the
   // object by the time this fires.
-  exec_->at(at, [this, replica_index] { crash_replica(replica_index); });
+  executor().at(at, [this, replica_index] { crash_replica(replica_index); });
 }
 
 void Scenario::schedule_restart(std::size_t replica_index, sim::TimePoint at) {
-  AQUEDUCT_CHECK(replica_index < replicas_.size());
-  exec_->at(at, [this, replica_index] { restart_replica(replica_index); });
+  AQUEDUCT_CHECK(replica_index < num_replicas());
+  executor().at(at, [this, replica_index] { restart_replica(replica_index); });
 }
 
 void Scenario::crash_replica(std::size_t replica_index) {
-  AQUEDUCT_CHECK(replica_index < replicas_.size());
-  if (!replicas_[replica_index]->crashed()) replicas_[replica_index]->crash();
+  bed_.crash_replica(replica_index);
   refresh_live_gauge(shard_of(replica_index));
 }
 
-std::size_t Scenario::live_replicas_excluding(std::size_t index) const {
-  const std::size_t begin = shard_of(index) * servers_per_shard();
-  const std::size_t end = begin + servers_per_shard();
-  std::size_t live = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (i != index && !replicas_[i]->crashed()) ++live;
-  }
-  return live;
-}
-
-std::size_t Scenario::live_primaries_excluding(std::size_t index) const {
-  const std::size_t begin = shard_of(index) * servers_per_shard();
-  const std::size_t end = begin + servers_per_shard();
-  std::size_t live = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (i != index && replicas_[i]->is_primary() && !replicas_[i]->crashed())
-      ++live;
-  }
-  return live;
+void Scenario::restart_replica(std::size_t replica_index) {
+  bed_.restart_replica(replica_index);
+  refresh_live_gauge(shard_of(replica_index));
 }
 
 void Scenario::refresh_live_gauge(std::size_t shard) {
@@ -291,59 +253,21 @@ void Scenario::refresh_live_gauge(std::size_t shard) {
   const std::size_t end = begin + servers_per_shard();
   std::size_t live = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    if (!replicas_[i]->crashed()) ++live;
+    if (replica_alive(i)) ++live;
   }
   live_gauges_[shard]->set(static_cast<double>(live));
 }
 
-void Scenario::restart_replica(std::size_t replica_index) {
-  AQUEDUCT_CHECK(replica_index < replicas_.size());
-  const replication::ServiceGroups& groups = groups_[shard_of(replica_index)];
-  replication::ReplicaServer& old = *replicas_[replica_index];
-  if (!old.crashed()) old.crash();
-  const net::NodeId old_id = endpoints_[replica_index]->id();
-  const bool was_primary = old.is_primary();
-
-  // Destroy the dead server before reincarnating the endpoint — it holds
-  // raw pointers into the endpoint's Member objects.
-  replicas_[replica_index].reset();
-
-  // Clear directory entries that still name the dead incarnation and have
-  // no surviving member to fail over to (a joiner chasing such an entry
-  // would retry against a dead process forever). When any other member is
-  // alive its failover coordinator refreshes the entry itself, and erasing
-  // it here could split the group into two disjoint views. Liveness is
-  // judged within the slot's own shard: other shards' groups are disjoint.
-  if (was_primary && live_primaries_excluding(replica_index) == 0) {
-    directory_.forget_if(groups.primary, old_id);
-  }
-  if (live_replicas_excluding(replica_index) == 0) {
-    directory_.forget_if(groups.replication, old_id);
-    // Clients are QoS-group members too; only forget when none exist.
-    if (workloads_.empty()) directory_.forget_if(groups.qos, old_id);
-  }
-
-  endpoints_[replica_index]->reincarnate();
-  replicas_[replica_index] =
-      make_replica_server(replica_index, *endpoints_[replica_index]);
-  replicas_[replica_index]->start();
-  ++incarnations_[replica_index];
-  refresh_live_gauge(shard_of(replica_index));
-}
-
 std::uint32_t Scenario::incarnation(std::size_t replica_index) const {
-  AQUEDUCT_CHECK(replica_index < incarnations_.size());
-  return incarnations_[replica_index];
+  return bed_.incarnation(replica_index);
 }
 
 net::NodeId Scenario::replica_node(std::size_t replica_index) const {
-  AQUEDUCT_CHECK(replica_index < endpoints_.size());
-  return endpoints_[replica_index]->id();
+  return bed_.replica_node(replica_index);
 }
 
 bool Scenario::replica_alive(std::size_t replica_index) const {
-  AQUEDUCT_CHECK(replica_index < replicas_.size());
-  return !replicas_[replica_index]->crashed();
+  return bed_.replica_alive(replica_index);
 }
 
 void Scenario::apply_faults(const fault::FaultSchedule& schedule) {
@@ -351,8 +275,8 @@ void Scenario::apply_faults(const fault::FaultSchedule& schedule) {
   targets.crash = [this](std::size_t i) { crash_replica(i); };
   targets.restart = [this](std::size_t i) { restart_replica(i); };
   targets.node_id = [this](std::size_t i) { return replica_node(i); };
-  targets.network = transport_->fault_injection();
-  targets.num_replicas = replicas_.size();
+  targets.network = transport().fault_injection();
+  targets.num_replicas = num_replicas();
   targets.slot_index = [this](fault::SlotRef ref) {
     AQUEDUCT_CHECK_MSG(ref.shard < num_shards(),
                        "fault SlotRef names a shard this scenario lacks");
@@ -360,17 +284,17 @@ void Scenario::apply_faults(const fault::FaultSchedule& schedule) {
                        "fault SlotRef slot out of range");
     return slot_index(ref.shard, ref.slot);
   };
-  fault::apply(schedule, *exec_, std::move(targets));
+  fault::apply(schedule, executor(), std::move(targets));
 }
 
 void Scenario::enable_dependability(fault::DependabilityConfig config) {
   AQUEDUCT_CHECK_MSG(!dependability_, "dependability manager already enabled");
   fault::DependabilityManager::Hooks hooks;
-  hooks.num_replicas = [this] { return replicas_.size(); };
+  hooks.num_replicas = [this] { return num_replicas(); };
   hooks.alive = [this](std::size_t i) { return replica_alive(i); };
   hooks.restart = [this](std::size_t i) { restart_replica(i); };
   dependability_ = std::make_unique<fault::DependabilityManager>(
-      *exec_, observability(), config, std::move(hooks));
+      executor(), observability(), config, std::move(hooks));
   dependability_->start();
 }
 

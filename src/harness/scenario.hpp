@@ -1,6 +1,6 @@
-// Experiment scenario: builds the full simulated testbed — transport, group
-// communication, sequencer + primary + secondary replicas, and workload
-// clients — and runs it to completion.
+// Experiment scenario: a config-driven layer over one harness::Testbed —
+// sequencer + primary + secondary replicas and workload clients on one
+// simulated LAN — that runs the workloads to completion.
 //
 // The default configuration mirrors the paper's Section 6 setup: 10 server
 // replicas plus a sequencer (4 primary, 6 secondary), service delay drawn
@@ -28,8 +28,8 @@
 #include "fault/dependability.hpp"
 #include "fault/schedule.hpp"
 #include "gcs/config.hpp"
-#include "gcs/directory.hpp"
 #include "gcs/endpoint.hpp"
+#include "harness/testbed.hpp"
 #include "net/transport.hpp"
 #include "obs/snapshot.hpp"
 #include "replication/objects.hpp"
@@ -197,7 +197,7 @@ class Scenario {
   std::size_t index_sequencer(std::size_t shard) const {
     return shard * servers_per_shard();
   }
-  std::size_t num_replicas() const { return replicas_.size(); }
+  std::size_t num_replicas() const { return bed_.num_replicas(); }
 
   // ---- shard topology ----
   std::size_t num_shards() const { return config_.num_shards; }
@@ -220,19 +220,19 @@ class Scenario {
     return groups_.at(shard);
   }
 
-  runtime::Executor& executor() { return *exec_; }
-  replication::ReplicaServer& replica(std::size_t index) { return *replicas_.at(index); }
+  runtime::Executor& executor() { return bed_.executor(); }
+  replication::ReplicaServer& replica(std::size_t index) { return bed_.replica(index); }
   std::size_t num_workloads() const { return workloads_.size(); }
   WorkloadClient& workload(std::size_t index) { return *workloads_.at(index); }
   /// Snapshot of the transport counters (assembled from the metrics
   /// registry).
-  net::TransportStats transport_stats() const { return transport_->stats(); }
+  net::TransportStats transport_stats() const { return bed_.transport().stats(); }
   /// The transport every scenario process is attached to (a loopback,
   /// chaos-wrapped when config.chaos is set).
-  net::Transport& transport() { return *transport_; }
+  net::Transport& transport() { return bed_.transport(); }
   /// The simulation-wide metrics registry + trace hub. Register trace
   /// sinks here before run().
-  obs::Observability& observability() { return transport_->observability(); }
+  obs::Observability& observability() { return transport().observability(); }
 
   /// Enables periodic telemetry: a MetricsSnapshotter on this scenario's
   /// executor capturing the registry every `period` (simulated time under
@@ -247,30 +247,20 @@ class Scenario {
 
  private:
   void build();
-  /// Builds the ReplicaServer for flat slot `index` against `endpoint`
-  /// (shard, role and speed factor derive from the index). Shared by
-  /// build() and restart_replica().
-  std::unique_ptr<replication::ReplicaServer> make_replica_server(
-      std::size_t index, gcs::Endpoint& endpoint);
-  /// Live servers of `index`'s shard, excluding `index` itself.
-  std::size_t live_replicas_excluding(std::size_t index) const;
-  std::size_t live_primaries_excluding(std::size_t index) const;
+  /// The ReplicaConfig of flat slot `index` (its speed factor scales the
+  /// service time).
+  replication::ReplicaConfig replica_config(std::size_t index) const;
   /// Re-computes shard `shard`'s `shard<k>.replicas_live` gauge (no-op in
   /// single-shard mode, where the gauges are not registered).
   void refresh_live_gauge(std::size_t shard);
 
   ScenarioConfig config_;
   shard::ShardMap shard_map_;
-  std::unique_ptr<runtime::Executor> exec_;
-  std::unique_ptr<net::Transport> transport_;
-  gcs::Directory directory_;
+  // Replicas are flat and shard-major: bed_.replica(slot_index(s, 0)) is
+  // shard s's sequencer, then come its primaries, then its secondaries.
+  Testbed bed_;
   /// groups_[k] = shard k's gcs group ids (service id 1 + k).
   std::vector<replication::ServiceGroups> groups_;
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints_;
-  // Flat, shard-major: replicas_[slot_index(s, 0)] = shard s's sequencer,
-  // then its primaries, then its secondaries.
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas_;
-  std::vector<std::uint32_t> incarnations_;  // per replica slot
   std::vector<std::unique_ptr<WorkloadClient>> workloads_;
   std::vector<obs::Gauge*> live_gauges_;  // per shard; empty when 1 shard
   std::unique_ptr<fault::DependabilityManager> dependability_;

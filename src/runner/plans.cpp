@@ -12,16 +12,14 @@
 #include "client/handler.hpp"
 #include "core/staleness.hpp"
 #include "fault/schedule.hpp"
-#include "gcs/endpoint.hpp"
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "replication/objects.hpp"
 #include "replication/replica.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct::runner {
 
@@ -1009,31 +1007,21 @@ SeedRecord run_ordering_handlers(const Unit& unit, std::size_t requests) {
   if (read_your_writes) qos.staleness_threshold = 0;
   const auto groups = replication::ServiceGroups::for_service(1);
 
-  // Declaration order gives correct teardown: endpoints detach from the
-  // network before either dies, and outlive the replicas and the client.
-  sim::Simulator sim(unit.seed);
-  net::LoopbackTransport lan(
-      sim, std::make_unique<sim::NormalDuration>(std::chrono::microseconds(500),
-                                                 std::chrono::microseconds(200)));
-  gcs::Directory directory;
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
+  harness::Testbed bed(unit.seed, std::make_unique<sim::NormalDuration>(
+                                      std::chrono::microseconds(500),
+                                      std::chrono::microseconds(200)));
   for (std::size_t i = 0; i < kOrderingPrimaries + kOrderingSecondaries; ++i) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, lan, directory);
     replication::ReplicaConfig config;
     if (fifo) config.ordering = core::Ordering::kFifo;
     config.service_time = std::make_shared<sim::NormalDuration>(
         milliseconds(100), milliseconds(50));
     config.lazy_update_interval = seconds(2);
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, i < kOrderingPrimaries,
-        std::make_unique<replication::KeyValueStore>(), std::move(config)));
-    sim.after(i * milliseconds(10), [r = replicas.back().get()] { r->start(); });
-    endpoints.push_back(std::move(endpoint));
+    bed.add_replica(groups, i < kOrderingPrimaries, std::move(config),
+                    [] { return std::make_unique<replication::KeyValueStore>(); });
   }
-  auto client_ep = std::make_unique<gcs::Endpoint>(sim, lan, directory);
-  client::ClientHandler client(sim, *client_ep, groups, {});
-  client.start();
+  bed.start_replicas();
+  client::ClientHandler& client = bed.add_client(groups);
+  runtime::Executor& sim = bed.executor();
   sim.run_for(seconds(1));
 
   std::vector<double> read_ms;

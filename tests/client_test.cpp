@@ -4,14 +4,10 @@
 
 #include <chrono>
 #include <memory>
-#include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct::client {
 namespace {
@@ -22,47 +18,33 @@ using std::chrono::seconds;
 struct Fixture {
   explicit Fixture(std::uint64_t seed = 1,
                    sim::Duration service = milliseconds(50))
-      : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(200))) {
+      : bed(seed, std::make_unique<sim::NormalDuration>(
+                      milliseconds(1), std::chrono::microseconds(200))) {
     auto add_replica = [&](bool primary) {
-      auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
       replication::ReplicaConfig config;
       config.service_time = std::make_shared<sim::FixedDuration>(service);
       config.lazy_update_interval = seconds(1);
-      replicas.push_back(std::make_unique<replication::ReplicaServer>(
-          sim, *endpoint, groups, primary,
-          std::make_unique<replication::VersionedRegister>(), std::move(config)));
-      endpoints.push_back(std::move(endpoint));
+      bed.add_replica(groups, primary, std::move(config), [] {
+        return std::make_unique<replication::VersionedRegister>();
+      });
     };
     add_replica(true);   // sequencer
     add_replica(true);   // primary
     add_replica(true);   // primary
     add_replica(false);  // secondary
     add_replica(false);  // secondary
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      sim.after(milliseconds(10 * (i + 1)), [this, i] { replicas[i]->start(); });
-    }
+    bed.start_replicas(milliseconds(10));
   }
 
   ClientHandler& add_client(ClientConfig config = {}) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    clients.push_back(std::make_unique<ClientHandler>(sim, *endpoint, groups,
-                                                      std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-    clients.back()->start();
-    return *clients.back();
+    return bed.add_client(groups, std::move(config));
   }
 
   void settle(sim::Duration d = seconds(2)) { sim.run_for(d); }
 
-  sim::Simulator sim;
-  net::LoopbackTransport network;
-  gcs::Directory directory;
+  harness::Testbed bed;
+  runtime::Executor& sim = bed.executor();
   replication::ServiceGroups groups = replication::ServiceGroups::for_service(1);
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<ClientHandler>> clients;
 };
 
 core::QoSSpec qos(int deadline_ms, double pc = 0.5, core::Staleness a = 10) {
@@ -185,9 +167,9 @@ TEST(ClientHandler, RetriesWhenAllSelectedReplicasCrash) {
   f.settle(seconds(5));
   // Crash every non-sequencer replica except one primary: any read that
   // selected a crashed replica must be retried and still complete.
-  f.replicas[2]->crash();
-  f.replicas[3]->crash();
-  f.replicas[4]->crash();
+  f.bed.replica(2).crash();
+  f.bed.replica(3).crash();
+  f.bed.replica(4).crash();
   f.sim.run_for(seconds(8));  // failure detection + reconfiguration
   int replies = 0;
   for (int i = 0; i < 5; ++i) {
@@ -205,7 +187,7 @@ TEST(ClientHandler, AbandonsAfterMaxRetries) {
   auto& client = f.add_client(std::move(config));
   f.settle();
   // Crash everything that could answer reads (all but the sequencer).
-  for (std::size_t i = 1; i < f.replicas.size(); ++i) f.replicas[i]->crash();
+  for (std::size_t i = 1; i < f.bed.num_replicas(); ++i) f.bed.replica(i).crash();
   ReadOutcome outcome;
   int called = 0;
   client.read(std::make_shared<replication::RegisterRead>(), qos(200),
@@ -231,7 +213,7 @@ TEST(ClientHandler, RetriesCountedInSelectionAccounting) {
   f.settle();
   // Crash everything that could answer reads: the single read below then
   // exercises the initial transmission plus both retries.
-  for (std::size_t i = 1; i < f.replicas.size(); ++i) f.replicas[i]->crash();
+  for (std::size_t i = 1; i < f.bed.num_replicas(); ++i) f.bed.replica(i).crash();
   client.read(std::make_shared<replication::RegisterRead>(), qos(200), {});
   f.settle(seconds(20));
   const auto& stats = client.stats();
@@ -252,8 +234,8 @@ TEST(ClientHandler, ErtUpdatedOnReplies) {
   f.settle(seconds(2));
   // Some replica has a recent last_reply_at.
   bool any_recent = false;
-  for (std::size_t i = 1; i < f.replicas.size(); ++i) {
-    const auto* h = client.repository().find_history(f.replicas[i]->id());
+  for (std::size_t i = 1; i < f.bed.num_replicas(); ++i) {
+    const auto* h = client.repository().find_history(f.bed.replica(i).id());
     if (h && h->last_reply_at > sim::kEpoch) any_recent = true;
   }
   EXPECT_TRUE(any_recent);
@@ -267,8 +249,8 @@ TEST(ClientHandler, GatewayDelayMeasuredPositiveAndSmall) {
     client.read(std::make_shared<replication::RegisterRead>(), qos(1000), {});
   }
   f.settle(seconds(3));
-  for (std::size_t i = 1; i < f.replicas.size(); ++i) {
-    const auto* h = client.repository().find_history(f.replicas[i]->id());
+  for (std::size_t i = 1; i < f.bed.num_replicas(); ++i) {
+    const auto* h = client.repository().find_history(f.bed.replica(i).id());
     if (h == nullptr || !h->gateway_delay()) continue;
     // Two-way gateway delay ~ 2 x 1ms network latency; must not include
     // the 50ms service time (that is what the t1 piggyback removes).

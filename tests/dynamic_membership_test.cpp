@@ -9,11 +9,8 @@
 #include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct {
 namespace {
@@ -23,39 +20,25 @@ using std::chrono::seconds;
 
 struct Fixture {
   explicit Fixture(std::uint64_t seed = 1)
-      : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(300))) {}
+      : bed(seed, std::make_unique<sim::NormalDuration>(
+                      milliseconds(1), std::chrono::microseconds(300))) {}
 
   replication::ReplicaServer& add_replica(bool primary,
                                           sim::Duration lazy = seconds(1)) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
     replication::ReplicaConfig config;
     config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
     config.lazy_update_interval = lazy;
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::VersionedRegister>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-    return *replicas.back();
+    return bed.add_replica(groups, primary, std::move(config), [] {
+      return std::make_unique<replication::VersionedRegister>();
+    });
   }
 
-  client::ClientHandler& add_client() {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    clients.push_back(std::make_unique<client::ClientHandler>(
-        sim, *endpoint, groups, client::ClientConfig{}));
-    endpoints.push_back(std::move(endpoint));
-    clients.back()->start();
-    return *clients.back();
-  }
+  client::ClientHandler& add_client() { return bed.add_client(groups); }
 
-  sim::Simulator sim;
-  net::LoopbackTransport network;
-  gcs::Directory directory;
+  harness::Testbed bed;
+  runtime::Executor& sim = bed.executor();
+  net::FaultInjection& network = *bed.transport().fault_injection();
   replication::ServiceGroups groups = replication::ServiceGroups::for_service(1);
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<client::ClientHandler>> clients;
 };
 
 TEST(DynamicMembership, LateSecondaryCatchesUpViaLazyUpdate) {
@@ -63,9 +46,7 @@ TEST(DynamicMembership, LateSecondaryCatchesUpViaLazyUpdate) {
   f.add_replica(true);   // sequencer
   f.add_replica(true);   // primary (becomes lazy publisher)
   f.add_replica(false);  // secondary from the start
-  for (std::size_t i = 0; i < 3; ++i) {
-    f.sim.after(milliseconds(10 * (i + 1)), [&, i] { f.replicas[i]->start(); });
-  }
+  f.bed.start_replicas(milliseconds(10));
   auto& client = f.add_client();
   f.sim.run_for(seconds(2));
 
@@ -91,9 +72,7 @@ TEST(DynamicMembership, LateSecondaryServesReads) {
   Fixture f;
   f.add_replica(true);
   f.add_replica(true);
-  for (std::size_t i = 0; i < 2; ++i) {
-    f.sim.after(milliseconds(10 * (i + 1)), [&, i] { f.replicas[i]->start(); });
-  }
+  f.bed.start_replicas(milliseconds(10));
   auto& client = f.add_client();
   f.sim.run_for(seconds(2));
   client.update(std::make_shared<replication::RegisterBump>(), {});
@@ -123,9 +102,7 @@ TEST(DynamicMembership, GroupInfoReflectsNewSecondary) {
   f.add_replica(true);
   f.add_replica(true);
   f.add_replica(false);
-  for (std::size_t i = 0; i < 3; ++i) {
-    f.sim.after(milliseconds(10 * (i + 1)), [&, i] { f.replicas[i]->start(); });
-  }
+  f.bed.start_replicas(milliseconds(10));
   auto& client = f.add_client();
   f.sim.run_for(seconds(2));
   ASSERT_TRUE(client.ready());
@@ -142,17 +119,15 @@ TEST(DynamicMembership, ShortPartitionHealsWithoutViewChange) {
   f.add_replica(true);
   f.add_replica(true);
   f.add_replica(false);
-  for (std::size_t i = 0; i < 3; ++i) {
-    f.sim.after(milliseconds(10 * (i + 1)), [&, i] { f.replicas[i]->start(); });
-  }
+  f.bed.start_replicas(milliseconds(10));
   auto& client = f.add_client();
   f.sim.run_for(seconds(2));
 
   // Partition the secondary away for less than the suspicion timeout
   // (1.5 s default): traffic to it drops, but no view change happens.
-  std::vector<net::NodeId> others = {f.replicas[0]->id(), f.replicas[1]->id(),
+  std::vector<net::NodeId> others = {f.bed.replica(0).id(), f.bed.replica(1).id(),
                                      client.id()};
-  f.network.partition({f.replicas[2]->id()}, others);
+  f.network.partition({f.bed.replica(2).id()}, others);
   f.sim.run_for(milliseconds(800));
   f.network.heal();
   f.sim.run_for(seconds(3));
@@ -178,16 +153,14 @@ TEST(DynamicMembership, PartitionDuringUpdatesRepairsByRetransmission) {
   f.add_replica(true);
   f.add_replica(true);
   f.add_replica(true);
-  for (std::size_t i = 0; i < 3; ++i) {
-    f.sim.after(milliseconds(10 * (i + 1)), [&, i] { f.replicas[i]->start(); });
-  }
+  f.bed.start_replicas(milliseconds(10));
   auto& client = f.add_client();
   f.sim.run_for(seconds(2));
 
   // Cut one primary off briefly while updates flow; the GCS NACK repair
   // must bring it back in sync after the heal.
-  f.network.partition({f.replicas[2]->id()},
-                      {f.replicas[0]->id(), f.replicas[1]->id(), client.id()});
+  f.network.partition({f.bed.replica(2).id()},
+                      {f.bed.replica(0).id(), f.bed.replica(1).id(), client.id()});
   int done = 0;
   for (int i = 0; i < 5; ++i) {
     client.update(std::make_shared<replication::RegisterBump>(),
@@ -198,8 +171,8 @@ TEST(DynamicMembership, PartitionDuringUpdatesRepairsByRetransmission) {
   f.sim.run_for(seconds(5));
 
   EXPECT_EQ(done, 5);
-  EXPECT_EQ(f.replicas[2]->csn(), 5u);
-  EXPECT_EQ(f.replicas[2]->stats().gsn_conflicts, 0u);
+  EXPECT_EQ(f.bed.replica(2).csn(), 5u);
+  EXPECT_EQ(f.bed.replica(2).stats().gsn_conflicts, 0u);
 }
 
 }  // namespace

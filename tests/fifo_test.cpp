@@ -8,11 +8,8 @@
 #include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct::replication {
 namespace {
@@ -24,49 +21,29 @@ struct Fixture {
   explicit Fixture(std::size_t primaries, std::size_t secondaries,
                    std::uint64_t seed = 1,
                    sim::Duration lazy_interval = seconds(1))
-      : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(300))) {
+      : bed(seed, std::make_unique<sim::NormalDuration>(
+                      milliseconds(1), std::chrono::microseconds(300))) {
     for (std::size_t i = 0; i < primaries + secondaries; ++i) {
-      replicas.push_back(make_replica(i < primaries, lazy_interval));
+      ReplicaConfig config;
+      config.ordering = core::Ordering::kFifo;
+      config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
+      config.lazy_update_interval = lazy_interval;
+      bed.add_replica(groups, i < primaries, std::move(config),
+                      [] { return std::make_unique<SharedDocument>(); });
     }
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      sim.after(milliseconds(10 * (i + 1)), [this, i] { replicas[i]->start(); });
-    }
-  }
-
-  std::unique_ptr<ReplicaServer> make_replica(bool primary,
-                                              sim::Duration lazy_interval) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    ReplicaConfig config;
-    config.ordering = core::Ordering::kFifo;
-    config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
-    config.lazy_update_interval = lazy_interval;
-    auto replica = std::make_unique<ReplicaServer>(
-        sim, *endpoint, groups, primary, std::make_unique<SharedDocument>(),
-        std::move(config));
-    endpoints.push_back(std::move(endpoint));
-    return replica;
+    bed.start_replicas(milliseconds(10));
   }
 
   client::ClientHandler& add_client(client::ClientConfig config = {}) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    clients.push_back(std::make_unique<client::ClientHandler>(
-        sim, *endpoint, groups, std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-    clients.back()->start();
-    return *clients.back();
+    return bed.add_client(groups, std::move(config));
   }
 
   void settle(sim::Duration d = seconds(2)) { sim.run_for(d); }
 
-  sim::Simulator sim;
-  net::LoopbackTransport network;
-  gcs::Directory directory;
+  harness::Testbed bed;
+  runtime::Executor& sim = bed.executor();
+  net::FaultInjection& network = *bed.transport().fault_injection();
   ServiceGroups groups = ServiceGroups::for_service(2);
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<client::ClientHandler>> clients;
 };
 
 /// Staleness threshold 0 asks a FIFO service for read-your-writes.
@@ -130,8 +107,8 @@ TEST(Fifo, UpdatesAppliedOnAllPrimaries) {
   f.settle(seconds(3));
   EXPECT_EQ(done, 5);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(f.replicas[i]->stats().updates_committed, 5u) << "primary " << i;
-    const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[i]->object());
+    EXPECT_EQ(f.bed.replica(i).stats().updates_committed, 5u) << "primary " << i;
+    const auto& doc = dynamic_cast<const SharedDocument&>(f.bed.replica(i).object());
     EXPECT_EQ(doc.version(), 5u);
   }
 }
@@ -146,7 +123,7 @@ TEST(Fifo, PerClientOrderPreserved) {
   // FIFO consistency: each primary applied this client's appends in issue
   // order.
   for (std::size_t r = 0; r < 2; ++r) {
-    const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[r]->object());
+    const auto& doc = dynamic_cast<const SharedDocument&>(f.bed.replica(r).object());
     const auto contents =
         net::message_cast<DocContents>(doc.apply_read(std::make_shared<DocRead>()));
     ASSERT_EQ(contents->lines.size(), 10u);
@@ -195,8 +172,8 @@ TEST(Fifo, ReadYourWritesDefersOnStaleSecondary) {
   f.settle(seconds(5));
   EXPECT_TRUE(got);
   EXPECT_EQ(lines, 1u);
-  std::uint64_t deferred = f.replicas[1]->stats().deferred_reads +
-                           f.replicas[2]->stats().deferred_reads;
+  std::uint64_t deferred = f.bed.replica(1).stats().deferred_reads +
+                           f.bed.replica(2).stats().deferred_reads;
   // At least one read landed on a stale secondary and deferred (seed-
   // dependent but the selection sends to several replicas while histories
   // are empty).
@@ -230,10 +207,10 @@ TEST(Fifo, SecondariesConvergeViaLazyUpdates) {
   for (int i = 0; i < 6; ++i) client.update(append(std::to_string(i)), {});
   f.settle(seconds(3));
   for (std::size_t r = 2; r < 4; ++r) {
-    const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[r]->object());
+    const auto& doc = dynamic_cast<const SharedDocument&>(f.bed.replica(r).object());
     EXPECT_EQ(doc.version(), 6u) << "secondary " << r;
-    EXPECT_GT(f.replicas[r]->stats().lazy_updates_installed, 0u);
-    EXPECT_EQ(f.replicas[r]->horizon_of(client.id()), 6u);  // seq of 6th update
+    EXPECT_GT(f.bed.replica(r).stats().lazy_updates_installed, 0u);
+    EXPECT_EQ(f.bed.replica(r).horizon_of(client.id()), 6u);  // seq of 6th update
   }
 }
 
@@ -249,7 +226,7 @@ TEST(Fifo, TwoClientsInterleaveButKeepOwnOrder) {
   }
   f.settle(seconds(5));
   for (std::size_t r = 0; r < 2; ++r) {
-    const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[r]->object());
+    const auto& doc = dynamic_cast<const SharedDocument&>(f.bed.replica(r).object());
     const auto contents =
         net::message_cast<DocContents>(doc.apply_read(std::make_shared<DocRead>()));
     ASSERT_EQ(contents->lines.size(), 16u);
@@ -295,7 +272,7 @@ TEST(Fifo, DuplicateRequestsDeduplicated) {
   f.network.set_loss_probability(0.0);
   f.settle(seconds(5));
   for (std::size_t r = 0; r < 2; ++r) {
-    const auto& doc = dynamic_cast<const SharedDocument&>(f.replicas[r]->object());
+    const auto& doc = dynamic_cast<const SharedDocument&>(f.bed.replica(r).object());
     EXPECT_EQ(doc.version(), 10u) << "primary " << r;
   }
 }
@@ -310,7 +287,7 @@ TEST(Fifo, ReadRetriesWhenItsWholeSelectedSetCrashes) {
   f.settle(seconds(1));
   client.update(append("before"), {});
   f.settle(seconds(1));
-  ASSERT_EQ(client.repository().roles().primaries.front(), f.replicas[0]->id());
+  ASSERT_EQ(client.repository().roles().primaries.front(), f.bed.replica(0).id());
 
   // The read goes to replicas[0] alone, which dies before serving it: only
   // a re-selection against the new role map can complete it.
@@ -321,11 +298,11 @@ TEST(Fifo, ReadRetriesWhenItsWholeSelectedSetCrashes) {
                 outcome = o;
                 done = true;
               });
-  f.replicas[0]->crash();
+  f.bed.replica(0).crash();
   f.settle(seconds(10));
   ASSERT_TRUE(done);
   ASSERT_NE(outcome.result, nullptr);
-  EXPECT_EQ(outcome.responder, f.replicas[1]->id());
+  EXPECT_EQ(outcome.responder, f.bed.replica(1).id());
   EXPECT_EQ(net::message_cast<DocContents>(outcome.result)->lines,
             std::vector<std::string>{"before"});
   EXPECT_GE(client.stats().retries, 1u);
@@ -347,24 +324,23 @@ TEST(Fifo, RestartedPrimaryRejoinsThroughStateTransfer) {
     f.settle(seconds(3));
   };
   burst();
-  f.replicas[2]->crash();
+  f.bed.replica(2).crash();
   f.settle(seconds(3));
   burst();  // applied by the survivors only
 
-  // Reborn under a fresh endpoint (a new NodeId): it joins a running
-  // service, so it must pull the state it missed before applying more.
-  f.replicas[2] = f.make_replica(true, milliseconds(500));
-  f.replicas[2]->start();
+  // Reborn under a fresh NodeId: it joins a running service, so it must
+  // pull the state it missed before applying more.
+  f.bed.restart_replica(2);
   f.settle(seconds(3));
-  EXPECT_FALSE(f.replicas[2]->recovering());
-  EXPECT_GE(f.replicas[2]->stats().state_snapshots_installed, 1u);
+  EXPECT_FALSE(f.bed.replica(2).recovering());
+  EXPECT_GE(f.bed.replica(2).stats().state_snapshots_installed, 1u);
   burst();
 
-  const ReplicaServer& reborn = *f.replicas[2];
+  const ReplicaServer& reborn = f.bed.replica(2);
   const auto reborn_lines = lines_of(reborn.object());
   ASSERT_EQ(reborn_lines.size(), 24u);
   for (std::size_t r = 0; r < 2; ++r) {
-    const ReplicaServer& peer = *f.replicas[r];
+    const ReplicaServer& peer = f.bed.replica(r);
     const auto peer_lines = lines_of(peer.object());
     for (const char prefix : {'a', 'b'}) {
       EXPECT_EQ(lines_from(reborn_lines, prefix), lines_from(peer_lines, prefix))

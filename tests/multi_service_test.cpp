@@ -5,14 +5,11 @@
 
 #include <chrono>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct {
 namespace {
@@ -21,40 +18,28 @@ using std::chrono::milliseconds;
 using std::chrono::seconds;
 
 TEST(MultiService, TwoSequentialServicesAreIsolated) {
-  sim::Simulator sim(3);
-  net::LoopbackTransport network(sim, std::make_unique<sim::NormalDuration>(
-                                milliseconds(1), std::chrono::microseconds(200)));
-  gcs::Directory directory;
+  harness::Testbed bed(3, std::make_unique<sim::NormalDuration>(
+                              milliseconds(1), std::chrono::microseconds(200)));
+  runtime::Executor& sim = bed.executor();
   const auto groups_a = replication::ServiceGroups::for_service(1);
   const auto groups_b = replication::ServiceGroups::for_service(2);
 
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
   auto add = [&](const replication::ServiceGroups& groups, bool primary) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
     replication::ReplicaConfig config;
     config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
     config.lazy_update_interval = seconds(1);
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::KeyValueStore>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+    bed.add_replica(groups, primary, std::move(config),
+                    [] { return std::make_unique<replication::KeyValueStore>(); });
   };
   for (const auto* groups : {&groups_a, &groups_b}) {
     add(*groups, true);
     add(*groups, true);
     add(*groups, false);
   }
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    sim.after(milliseconds(10 * (i + 1)), [&, i] { replicas[i]->start(); });
-  }
+  bed.start_replicas(milliseconds(10));
 
-  auto ep_a = std::make_unique<gcs::Endpoint>(sim, network, directory);
-  client::ClientHandler client_a(sim, *ep_a, groups_a, {});
-  client_a.start();
-  auto ep_b = std::make_unique<gcs::Endpoint>(sim, network, directory);
-  client::ClientHandler client_b(sim, *ep_b, groups_b, {});
-  client_b.start();
+  client::ClientHandler& client_a = bed.add_client(groups_a);
+  client::ClientHandler& client_b = bed.add_client(groups_b);
   sim.run_for(seconds(2));
 
   auto put = [&](client::ClientHandler& c, const std::string& v) {
@@ -87,52 +72,39 @@ TEST(MultiService, TwoSequentialServicesAreIsolated) {
   EXPECT_EQ(got_a, "from-a");
   EXPECT_EQ(got_b, "from-b");
   // Each service committed exactly its own update.
-  EXPECT_EQ(replicas[0]->csn(), 1u);
-  EXPECT_EQ(replicas[3]->csn(), 1u);
+  EXPECT_EQ(bed.replica(0).csn(), 1u);
+  EXPECT_EQ(bed.replica(3).csn(), 1u);
 }
 
 TEST(MultiService, SequentialAndFifoHandlersCoexist) {
   // One client process talks TOTAL to service A and FIFO to service B
   // through the same gateway endpoint — the paper's Figure 2 picture.
-  sim::Simulator sim(9);
-  net::LoopbackTransport network(sim, std::make_unique<sim::NormalDuration>(
-                                milliseconds(1), std::chrono::microseconds(200)));
-  gcs::Directory directory;
+  harness::Testbed bed(9, std::make_unique<sim::NormalDuration>(
+                              milliseconds(1), std::chrono::microseconds(200)));
+  runtime::Executor& sim = bed.executor();
   const auto groups_a = replication::ServiceGroups::for_service(1);
   const auto groups_b = replication::ServiceGroups::for_service(2);
 
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> seq_replicas;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> fifo_replicas;
-  for (int i = 0; i < 3; ++i) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    replication::ReplicaConfig config;
-    config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
-    seq_replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups_a, i < 2,
-        std::make_unique<replication::SharedDocument>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+  for (const core::Ordering ordering :
+       {core::Ordering::kSequential, core::Ordering::kFifo}) {
+    const auto& groups =
+        ordering == core::Ordering::kFifo ? groups_b : groups_a;
+    for (int i = 0; i < 3; ++i) {
+      replication::ReplicaConfig config;
+      config.ordering = ordering;
+      config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
+      bed.add_replica(groups, i < 2, std::move(config), [] {
+        return std::make_unique<replication::SharedDocument>();
+      });
+    }
   }
-  for (int i = 0; i < 3; ++i) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    replication::ReplicaConfig config;
-    config.ordering = core::Ordering::kFifo;
-    config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
-    fifo_replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups_b, i < 2,
-        std::make_unique<replication::SharedDocument>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    sim.after(milliseconds(10 * (i + 1)), [&, i] { seq_replicas[i]->start(); });
-    sim.after(milliseconds(10 * (i + 4)), [&, i] { fifo_replicas[i]->start(); });
-  }
+  bed.start_replicas(milliseconds(10));
 
   // Single client endpoint, two handlers — one per service, as an AQuA
   // gateway hosts one handler per contacted service.
-  auto client_endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-  client::ClientHandler total_handler(sim, *client_endpoint, groups_a, {});
-  client::ClientHandler fifo_handler(sim, *client_endpoint, groups_b, {});
+  gcs::Endpoint& client_endpoint = bed.add_client_endpoint();
+  client::ClientHandler total_handler(sim, client_endpoint, groups_a, {});
+  client::ClientHandler fifo_handler(sim, client_endpoint, groups_b, {});
   total_handler.start();
   fifo_handler.start();
   sim.run_for(seconds(2));

@@ -247,57 +247,5 @@ TEST(Pmf, PrefixCdfMatchesLinearScanBitForBit) {
   }
 }
 
-// --- tail-truncation error bound (quantized pmfs, DESIGN.md) ---------------
-
-class PmfTruncationProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PmfTruncationProperty, CdfErrorStaysWithinEpsilonEverywhere) {
-  sim::Rng rng(GetParam());
-  auto draw = [&](std::size_t n, sim::Duration mean) {
-    std::vector<sim::Duration> samples;
-    for (std::size_t i = 0; i < n; ++i) {
-      samples.push_back(rng.normal_duration(mean, mean));
-    }
-    return Pmf::from_samples(samples, milliseconds(1));
-  };
-  // A convolved pmf, like Eq. 5's S (+) W: long upper tail, uneven masses.
-  const Pmf exact = draw(5 + rng.uniform_int(40), milliseconds(100))
-                        .convolve(draw(5 + rng.uniform_int(40), milliseconds(20)));
-  ASSERT_FALSE(exact.empty());
-
-  for (const double epsilon : {1e-9, 1e-6, 1e-3, 0.01, 0.05}) {
-    const Pmf truncated = exact.truncate_tail(epsilon);
-    // Truncation only ever removes upper-tail mass, and never more than
-    // epsilon of it.
-    EXPECT_LE(truncated.total_mass(), exact.total_mass() + 1e-15);
-    EXPECT_GE(truncated.total_mass(), exact.total_mass() - epsilon);
-    EXPECT_LE(truncated.span(), exact.span());
-    // At *every* deadline (all support points plus both tails) the
-    // truncated CDF is within epsilon below the exact one, and never
-    // above it — quantization can only under-credit a deadline.
-    std::vector<sim::Duration> probes;
-    probes.push_back(exact.min_value() - milliseconds(1));
-    for (const auto& [value, mass] : exact.entries()) probes.push_back(value);
-    probes.push_back(exact.entries().back().first + milliseconds(5));
-    for (const sim::Duration d : probes) {
-      const double want = exact.cdf(d);
-      const double got = truncated.cdf(d);
-      EXPECT_LE(got, want + 1e-12) << "deadline " << d.count();
-      EXPECT_GE(got, want - epsilon - 1e-12) << "deadline " << d.count();
-    }
-  }
-
-  // epsilon = 0 is the identity.
-  const Pmf same = exact.truncate_tail(0.0);
-  ASSERT_EQ(same.support_size(), exact.support_size());
-  for (std::size_t i = 0; i < exact.support_size(); ++i) {
-    EXPECT_EQ(same.entries()[i].first, exact.entries()[i].first);
-    EXPECT_EQ(same.entries()[i].second, exact.entries()[i].second);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PmfTruncationProperty,
-                         ::testing::Range<std::uint64_t>(1, 21));
-
 }  // namespace
 }  // namespace aqueduct::core

@@ -4,14 +4,10 @@
 
 #include <chrono>
 #include <memory>
-#include <vector>
 
 #include "client/proxy.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct::client {
 namespace {
@@ -21,29 +17,21 @@ using std::chrono::seconds;
 
 struct Fixture {
   Fixture()
-      : sim(5),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(200))) {
+      : bed(5, std::make_unique<sim::NormalDuration>(
+                   milliseconds(1), std::chrono::microseconds(200))) {
     auto add_replica = [&](bool primary) {
-      auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
       replication::ReplicaConfig config;
       config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
       config.lazy_update_interval = seconds(1);
-      replicas.push_back(std::make_unique<replication::ReplicaServer>(
-          sim, *endpoint, groups, primary,
-          std::make_unique<replication::KeyValueStore>(), std::move(config)));
-      endpoints.push_back(std::move(endpoint));
+      bed.add_replica(groups, primary, std::move(config), [] {
+        return std::make_unique<replication::KeyValueStore>();
+      });
     };
     add_replica(true);
     add_replica(true);
     add_replica(false);
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      sim.after(milliseconds(10 * (i + 1)), [this, i] { replicas[i]->start(); });
-    }
-    client_endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    handler = std::make_unique<ClientHandler>(sim, *client_endpoint, groups,
-                                              ClientConfig{});
-    handler->start();
+    bed.start_replicas(milliseconds(10));
+    handler = &bed.add_client(groups);
     sim.run_for(seconds(2));
   }
 
@@ -53,14 +41,10 @@ struct Fixture {
     return registry;
   }
 
-  sim::Simulator sim;
-  net::LoopbackTransport network;
-  gcs::Directory directory;
+  harness::Testbed bed;
+  runtime::Executor& sim = bed.executor();
   replication::ServiceGroups groups = replication::ServiceGroups::for_service(1);
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
-  std::unique_ptr<gcs::Endpoint> client_endpoint;
-  std::unique_ptr<ClientHandler> handler;
+  ClientHandler* handler = nullptr;
 };
 
 core::QoSSpec default_qos() {
@@ -90,7 +74,7 @@ TEST(ServiceProxy, DeclaredMethodRoutesAsRead) {
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(*result->value, "v");
   // Reads never advance the GSN; the single put is the only update.
-  EXPECT_EQ(f.replicas[0]->gsn(), 1u);
+  EXPECT_EQ(f.bed.replica(0).gsn(), 1u);
   EXPECT_EQ(f.handler->stats().reads_completed, 1u);
   EXPECT_EQ(f.handler->stats().updates_completed, 1u);
 }

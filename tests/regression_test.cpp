@@ -9,9 +9,9 @@
 
 #include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
+#include "harness/testbed.hpp"
 #include "net/loopback.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct {
@@ -70,45 +70,31 @@ TEST(Regression, JoinerDrainsMessagesThatRacedItsInstall) {
 
 struct ReplicaFixture {
   explicit ReplicaFixture(std::uint64_t seed = 1)
-      : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(300))) {}
+      : bed(seed, std::make_unique<sim::NormalDuration>(
+                      milliseconds(1), std::chrono::microseconds(300))) {}
 
   replication::ReplicaServer& add_replica(bool primary) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
     replication::ReplicaConfig config;
     config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
     config.lazy_update_interval = seconds(1);
-    replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups, primary,
-        std::make_unique<replication::VersionedRegister>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-    return *replicas.back();
+    return bed.add_replica(groups, primary, std::move(config), [] {
+      return std::make_unique<replication::VersionedRegister>();
+    });
   }
 
   client::ClientHandler& add_client(client::ClientConfig config = {}) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    clients.push_back(std::make_unique<client::ClientHandler>(
-        sim, *endpoint, groups, std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-    clients.back()->start();
-    return *clients.back();
+    return bed.add_client(groups, std::move(config));
   }
 
   void boot() {
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      sim.after(milliseconds(10 * (i + 1)), [this, i] { replicas[i]->start(); });
-    }
+    bed.start_replicas(milliseconds(10));
     sim.run_for(seconds(2));
   }
 
-  sim::Simulator sim;
-  net::LoopbackTransport network;
-  gcs::Directory directory;
+  harness::Testbed bed;
+  runtime::Executor& sim = bed.executor();
+  net::FaultInjection& network = *bed.transport().fault_injection();
   replication::ServiceGroups groups = replication::ServiceGroups::for_service(1);
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<client::ClientHandler>> clients;
 };
 
 // Bug 2: an update whose GsnAssign broadcast beat the payload to a
@@ -152,13 +138,13 @@ TEST(Regression, GroupInfoEpochSurvivesSequencerFailover) {
   ASSERT_TRUE(client.ready());
   const auto old_sequencer = client.repository().roles().sequencer;
 
-  f.replicas[0]->crash();
+  f.bed.replica(0).crash();
   f.sim.run_for(seconds(8));  // detection + failover + republish
 
   ASSERT_TRUE(client.ready());
   EXPECT_NE(client.repository().roles().sequencer, old_sequencer)
       << "client must learn the new sequencer despite the epoch reset";
-  EXPECT_EQ(client.repository().roles().sequencer, f.replicas[1]->id());
+  EXPECT_EQ(client.repository().roles().sequencer, f.bed.replica(1).id());
 
   // And requests keep completing.
   int replies = 0;

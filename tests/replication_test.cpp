@@ -6,11 +6,8 @@
 #include <vector>
 
 #include "client/handler.hpp"
-#include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "harness/testbed.hpp"
 #include "replication/objects.hpp"
-#include "replication/replica.hpp"
-#include "sim/simulator.hpp"
 
 namespace aqueduct::replication {
 namespace {
@@ -18,57 +15,38 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::seconds;
 
-/// Manual testbed: sequencer + primaries + secondaries + direct client
+/// Bare testbed: sequencer + primaries + secondaries + direct client
 /// handlers (no workload driver), with fast deterministic service times.
 struct Fixture {
   explicit Fixture(std::size_t primaries, std::size_t secondaries,
                    std::uint64_t seed = 1,
                    sim::Duration lazy_interval = seconds(2),
                    sim::Duration service = milliseconds(10))
-      : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(300))) {
+      : bed(seed, std::make_unique<sim::NormalDuration>(
+                      milliseconds(1), std::chrono::microseconds(300))) {
     auto add_replica = [&](bool primary) {
-      auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
       ReplicaConfig config;
       config.service_time = std::make_shared<sim::FixedDuration>(service);
       config.lazy_update_interval = lazy_interval;
-      replicas.push_back(std::make_unique<ReplicaServer>(
-          sim, *endpoint, groups, primary,
-          std::make_unique<VersionedRegister>(), std::move(config)));
-      endpoints.push_back(std::move(endpoint));
+      bed.add_replica(groups, primary, std::move(config),
+                      [] { return std::make_unique<VersionedRegister>(); });
     };
     add_replica(true);  // sequencer (first primary-group joiner)
     for (std::size_t i = 0; i < primaries; ++i) add_replica(true);
     for (std::size_t i = 0; i < secondaries; ++i) add_replica(false);
-
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      sim.after(milliseconds(10 * (i + 1)), [this, i] { replicas[i]->start(); });
-    }
+    bed.start_replicas(milliseconds(10));
   }
 
-  client::ClientHandler& add_client() {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    client::ClientConfig config;
-    clients.push_back(std::make_unique<client::ClientHandler>(
-        sim, *endpoint, groups, std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-    auto& handler = *clients.back();
-    handler.start();
-    return handler;
-  }
+  client::ClientHandler& add_client() { return bed.add_client(groups); }
 
   void settle(sim::Duration d = seconds(2)) { sim.run_for(d); }
 
-  ReplicaServer& sequencer() { return *replicas[0]; }
+  ReplicaServer& sequencer() { return bed.replica(0); }
 
-  sim::Simulator sim;
-  net::LoopbackTransport network;
-  gcs::Directory directory;
+  harness::Testbed bed;
+  runtime::Executor& sim = bed.executor();
+  net::FaultInjection& network = *bed.transport().fault_injection();
   ServiceGroups groups = ServiceGroups::for_service(1);
-  std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<ReplicaServer>> replicas;
-  std::vector<std::unique_ptr<client::ClientHandler>> clients;
 };
 
 core::QoSSpec loose_qos(core::Staleness a = 100) {
@@ -81,17 +59,17 @@ TEST(Roles, SequencerIsFirstPrimaryJoiner) {
   Fixture f(2, 2);
   f.settle();
   EXPECT_TRUE(f.sequencer().is_sequencer());
-  EXPECT_FALSE(f.replicas[1]->is_sequencer());
-  EXPECT_TRUE(f.replicas[1]->is_primary());
-  EXPECT_FALSE(f.replicas[3]->is_primary());
+  EXPECT_FALSE(f.bed.replica(1).is_sequencer());
+  EXPECT_TRUE(f.bed.replica(1).is_primary());
+  EXPECT_FALSE(f.bed.replica(3).is_primary());
 }
 
 TEST(Roles, LazyPublisherIsLastPrimaryMember) {
   Fixture f(2, 2);
   f.settle();
   EXPECT_FALSE(f.sequencer().is_lazy_publisher());
-  EXPECT_FALSE(f.replicas[1]->is_lazy_publisher());
-  EXPECT_TRUE(f.replicas[2]->is_lazy_publisher());
+  EXPECT_FALSE(f.bed.replica(1).is_lazy_publisher());
+  EXPECT_TRUE(f.bed.replica(2).is_lazy_publisher());
 }
 
 TEST(Updates, CommittedByAllPrimariesInOrder) {
@@ -107,9 +85,9 @@ TEST(Updates, CommittedByAllPrimariesInOrder) {
   f.settle(seconds(5));
   EXPECT_EQ(done, 10);
   for (std::size_t i = 0; i <= 3; ++i) {
-    EXPECT_EQ(f.replicas[i]->csn(), 10u) << "primary " << i;
-    EXPECT_EQ(f.replicas[i]->gsn(), 10u);
-    EXPECT_EQ(f.replicas[i]->stats().gsn_conflicts, 0u);
+    EXPECT_EQ(f.bed.replica(i).csn(), 10u) << "primary " << i;
+    EXPECT_EQ(f.bed.replica(i).gsn(), 10u);
+    EXPECT_EQ(f.bed.replica(i).stats().gsn_conflicts, 0u);
   }
 }
 
@@ -135,9 +113,9 @@ TEST(Updates, SecondariesDoNotCommitDirectly) {
   f.settle(seconds(3));
   // With lazy updates effectively disabled, secondaries stay at csn 0 even
   // though they saw the GSN broadcasts.
-  EXPECT_EQ(f.replicas[3]->csn(), 0u);
-  EXPECT_EQ(f.replicas[3]->stats().updates_committed, 0u);
-  EXPECT_EQ(f.replicas[3]->gsn(), 4u);
+  EXPECT_EQ(f.bed.replica(3).csn(), 0u);
+  EXPECT_EQ(f.bed.replica(3).stats().updates_committed, 0u);
+  EXPECT_EQ(f.bed.replica(3).gsn(), 4u);
 }
 
 TEST(Reads, GsnBroadcastDoesNotAdvanceGsn) {
@@ -183,8 +161,8 @@ TEST(Reads, FreshSecondaryServesWithinThreshold) {
               });
   f.settle(seconds(2));
   std::uint64_t secondary_reads = 0;
-  for (std::size_t i = 2; i < f.replicas.size(); ++i) {
-    secondary_reads += f.replicas[i]->stats().reads_served;
+  for (std::size_t i = 2; i < f.bed.num_replicas(); ++i) {
+    secondary_reads += f.bed.replica(i).stats().reads_served;
   }
   EXPECT_GT(secondary_reads, 0u);
   EXPECT_EQ(served_stale, 0);
@@ -210,8 +188,8 @@ TEST(Reads, DeferredReadWaitsForLazyUpdate) {
   f.settle(seconds(5));
   EXPECT_TRUE(deferred);
   EXPECT_EQ(staleness, 0u);
-  std::uint64_t deferred_count = f.replicas[1]->stats().deferred_reads +
-                                 f.replicas[2]->stats().deferred_reads;
+  std::uint64_t deferred_count = f.bed.replica(1).stats().deferred_reads +
+                                 f.bed.replica(2).stats().deferred_reads;
   EXPECT_GT(deferred_count, 0u);
 }
 
@@ -244,9 +222,9 @@ TEST(LazyPropagation, SecondariesCatchUpPeriodically) {
   f.settle(seconds(1));
   for (int i = 0; i < 6; ++i) client.update(std::make_shared<RegisterBump>(), {});
   f.settle(seconds(3));
-  for (std::size_t i = 2; i < f.replicas.size(); ++i) {
-    EXPECT_EQ(f.replicas[i]->csn(), 6u) << "secondary " << i;
-    EXPECT_GT(f.replicas[i]->stats().lazy_updates_installed, 0u);
+  for (std::size_t i = 2; i < f.bed.num_replicas(); ++i) {
+    EXPECT_EQ(f.bed.replica(i).csn(), 6u) << "secondary " << i;
+    EXPECT_GT(f.bed.replica(i).stats().lazy_updates_installed, 0u);
   }
 }
 
@@ -257,11 +235,11 @@ TEST(LazyPropagation, IntervalTunableAtRuntime) {
   f.settle(seconds(1));
   client.update(std::make_shared<RegisterBump>(), {});
   f.settle(seconds(2));
-  EXPECT_EQ(f.replicas[2]->csn(), 0u);  // nothing propagated yet
+  EXPECT_EQ(f.bed.replica(2).csn(), 0u);  // nothing propagated yet
   // The lazy publisher is the last primary member (index 1).
-  f.replicas[1]->set_lazy_update_interval(milliseconds(200));
+  f.bed.replica(1).set_lazy_update_interval(milliseconds(200));
   f.settle(seconds(2));
-  EXPECT_EQ(f.replicas[2]->csn(), 1u);
+  EXPECT_EQ(f.bed.replica(2).csn(), 1u);
 }
 
 TEST(Dedup, ClientRetryDoesNotDoubleCommit) {
@@ -282,12 +260,12 @@ TEST(Dedup, ClientRetryDoesNotDoubleCommit) {
   f.settle(seconds(10));
   EXPECT_EQ(done, 10);
   for (std::size_t i = 0; i <= 2; ++i) {
-    EXPECT_EQ(f.replicas[i]->csn(), 10u) << "primary " << i;
-    EXPECT_EQ(f.replicas[i]->stats().gsn_conflicts, 0u);
+    EXPECT_EQ(f.bed.replica(i).csn(), 10u) << "primary " << i;
+    EXPECT_EQ(f.bed.replica(i).stats().gsn_conflicts, 0u);
     // The register counts every applied update: double-commit would show.
     if (i > 0) {
       const auto& reg =
-          dynamic_cast<const VersionedRegister&>(f.replicas[i]->object());
+          dynamic_cast<const VersionedRegister&>(f.bed.replica(i).object());
       EXPECT_EQ(reg.value(), 10u);
     }
   }
@@ -304,8 +282,8 @@ TEST(PerfPublication, ClientsLearnServiceTimes) {
   f.settle(seconds(5));
   // Histories exist for the replicas that served reads.
   std::size_t with_history = 0;
-  for (std::size_t i = 1; i < f.replicas.size(); ++i) {
-    const auto* h = client.repository().find_history(f.replicas[i]->id());
+  for (std::size_t i = 1; i < f.bed.num_replicas(); ++i) {
+    const auto* h = client.repository().find_history(f.bed.replica(i).id());
     if (h != nullptr && h->has_samples()) ++with_history;
   }
   EXPECT_GT(with_history, 0u);
@@ -332,7 +310,7 @@ TEST(GroupInfo, ClientLearnsRoles) {
   EXPECT_EQ(roles.sequencer, f.sequencer().id());
   EXPECT_EQ(roles.primaries.size(), 2u);
   EXPECT_EQ(roles.secondaries.size(), 3u);
-  EXPECT_EQ(roles.lazy_publisher, f.replicas[2]->id());
+  EXPECT_EQ(roles.lazy_publisher, f.bed.replica(2).id());
 }
 
 // Sequential consistency property: with several concurrent clients, every
@@ -357,9 +335,9 @@ TEST_P(SequentialConsistencyProperty, PrimariesAgree) {
   f.settle(seconds(10));
   EXPECT_EQ(done, 24);
   for (std::size_t i = 0; i <= 3; ++i) {
-    EXPECT_EQ(f.replicas[i]->csn(), 24u) << "primary " << i;
+    EXPECT_EQ(f.bed.replica(i).csn(), 24u) << "primary " << i;
     const auto& reg =
-        dynamic_cast<const VersionedRegister&>(f.replicas[i]->object());
+        dynamic_cast<const VersionedRegister&>(f.bed.replica(i).object());
     EXPECT_EQ(reg.value(), 24u) << "primary " << i;
   }
 }

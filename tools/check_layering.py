@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Layering lint: the protocol stack must not name concrete infrastructure.
 
-Three rules, same motivation — keep the protocol stack substitutable:
+Three rules keep the protocol stack substitutable; a fourth keeps pool
+wiring in one place:
 
 1. Executors. Everything in src/{net,gcs,replication,client,fault} (and
    src/core, which is executor-free entirely) is written against
@@ -25,6 +26,13 @@ Three rules, same motivation — keep the protocol stack substitutable:
    fault-injection implementation); concrete transports are constructed
    only in composition roots (examples, tests, benches) or through the
    make_loopback_transport() / make_chaos_transport() factories.
+
+4. Testbed. An in-process replica pool (executor, transport, directory,
+   endpoints, replicas, clients) is wired in one place, harness::Testbed.
+   examples/ and src/runner/ build their pools through it and may not
+   construct a gcs::Endpoint or a replication::ReplicaServer themselves.
+   The one exemption is live_cli's --role path (run_multiproc), which
+   builds a single node per OS process, not a pool.
 
 Composition roots (src/runner, tests, benches, examples) are allowed to
 name all of these; that is where executors, exporters, and transports are
@@ -80,6 +88,19 @@ FORBIDDEN_TRANSPORTS = {
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^">]+)[">]')
 
+# Rule 4: directories that build pools only through harness::Testbed.
+TESTBED_ONLY_DIRS = ["examples", "src/runner"]
+
+# A construction of a gcs::Endpoint or ReplicaServer: make_unique<T>(...),
+# a named variable `T name(...)` / `T name{...}`, or a temporary `T(...)`.
+# References and pointers (`T&`, `T*`) are not constructions.
+CONSTRUCT_RE = re.compile(
+    r'\b(gcs::Endpoint|ReplicaServer)\b(?:>\s*[({]|\s+\w+\s*[({]|\s*[({])')
+
+# (file, function) whose body may construct them: live_cli's single-node
+# --role path.
+TESTBED_EXEMPT = {("examples/live_cli.cpp", "run_multiproc")}
+
 
 def scan(dirs, forbidden, what):
     violations = []
@@ -98,20 +119,60 @@ def scan(dirs, forbidden, what):
     return violations
 
 
+def exempt_lines(relpath, lines):
+    """Line numbers inside a TESTBED_EXEMPT function: from its signature
+    at column 0 to the next closing brace at column 0."""
+    exempt = set()
+    for path, function in TESTBED_EXEMPT:
+        if path != relpath:
+            continue
+        inside = False
+        for lineno, line in enumerate(lines, start=1):
+            if re.match(r'^\S.*\b%s\(' % function, line):
+                inside = True
+            if inside:
+                exempt.add(lineno)
+                if line.startswith("}"):
+                    inside = False
+    return exempt
+
+
+def scan_constructions():
+    violations = []
+    for layer in TESTBED_ONLY_DIRS:
+        for path in sorted((REPO / layer).rglob("*")):
+            if path.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
+                continue
+            relpath = str(path.relative_to(REPO))
+            lines = path.read_text(encoding="utf-8").splitlines()
+            exempt = exempt_lines(relpath, lines)
+            for lineno, line in enumerate(lines, start=1):
+                match = CONSTRUCT_RE.search(line.split("//")[0])
+                if match and lineno not in exempt:
+                    violations.append(
+                        f"{relpath}:{lineno}: constructs {match.group(1)} "
+                        "(build in-process pools through harness::Testbed)")
+    return violations
+
+
 def main() -> int:
     violations = scan(PROTOCOL_DIRS, FORBIDDEN, "protocol layer")
     violations += scan(TRANSPORT_AGNOSTIC_DIRS, FORBIDDEN_TRANSPORTS,
                        "transport-agnostic layer")
+    violations += scan_constructions()
     if violations:
         print("layering violations (protocol code must depend only on "
               "runtime/executor.hpp, net/transport.hpp, and the obs "
-              "interfaces):", file=sys.stderr)
+              "interfaces; pools are wired only by harness::Testbed):",
+              file=sys.stderr)
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 1
     print(f"layering OK: {len(PROTOCOL_DIRS)} protocol layers depend only "
           "on the Executor interface and obs interfaces; "
-          f"{len(TRANSPORT_AGNOSTIC_DIRS)} layers name only net::Transport")
+          f"{len(TRANSPORT_AGNOSTIC_DIRS)} layers name only net::Transport; "
+          f"{len(TESTBED_ONLY_DIRS)} directories build pools only through "
+          "harness::Testbed")
     return 0
 
 
