@@ -67,6 +67,7 @@
 #include "obs/sinks.hpp"
 #include "replication/objects.hpp"
 #include "replication/replica.hpp"
+#include "runner/plans.hpp"
 #include "runtime/sim_executor.hpp"
 
 using namespace aqueduct;
@@ -501,50 +502,29 @@ class ConsoleTelemetry final : public obs::SnapshotSink {
   }
 };
 
-/// Committed-prefix agreement at shutdown: no replica ever observed a GSN
-/// conflict, every live non-recovering primary applied exactly the prefix
-/// it committed (store version == CSN), and live primaries agree on the
-/// commit point up to in-flight slack. Returns the number of violations.
-int check_agreement(harness::Scenario& scenario) {
-  int violations = 0;
-  std::uint64_t max_csn = 0;
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    const auto& replica = scenario.replica(i);
-    if (replica.stats().gsn_conflicts != 0) {
-      std::fprintf(stderr, "VIOLATION: replica %zu saw %llu gsn conflicts\n",
-                   i, static_cast<unsigned long long>(
-                          replica.stats().gsn_conflicts));
-      ++violations;
-    }
-    if (!replica.crashed() && replica.is_primary() && !replica.recovering()) {
-      const auto& store =
-          dynamic_cast<const replication::KeyValueStore&>(replica.object());
-      if (store.version() != replica.csn()) {
-        std::fprintf(stderr,
-                     "VIOLATION: replica %zu applied %llu updates but "
-                     "committed %llu\n",
-                     i, static_cast<unsigned long long>(store.version()),
-                     static_cast<unsigned long long>(replica.csn()));
-        ++violations;
-      }
-      max_csn = std::max(max_csn, replica.csn());
+/// Safety at shutdown, judged by the sweep plans' invariant collector:
+/// no stale reply, no GSN conflict, every live primary's store at its CSN,
+/// live primaries within 2 commits of each other, no misplaced key.
+/// Liveness is not gated, since a wall-clock-capped run need not finish
+/// its workload. Returns the number of violations.
+int check_agreement(harness::Scenario& scenario,
+                    const std::vector<harness::ClientResult>& results) {
+  const runner::Invariants inv =
+      runner::collect_invariants(scenario, results, /*expected_reads=*/0);
+  const std::pair<const char*, std::uint64_t> rules[] = {
+      {"staleness violations", inv.staleness_violations},
+      {"GSN conflicts", inv.gsn_conflicts},
+      {"CSN mismatches", inv.csn_mismatches},
+      {"diverged primaries", inv.divergences},
+      {"misplaced keys", inv.leaked_keys},
+  };
+  for (const auto& [rule, count] : rules) {
+    if (count != 0) {
+      std::fprintf(stderr, "VIOLATION: %llu %s\n",
+                   static_cast<unsigned long long>(count), rule);
     }
   }
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    const auto& replica = scenario.replica(i);
-    if (replica.crashed() || !replica.is_primary() || replica.recovering() ||
-        i == scenario.index_sequencer()) {
-      continue;
-    }
-    if (replica.csn() + 2 < max_csn) {
-      std::fprintf(stderr,
-                   "VIOLATION: primary %zu diverged (csn %llu, max %llu)\n",
-                   i, static_cast<unsigned long long>(replica.csn()),
-                   static_cast<unsigned long long>(max_csn));
-      ++violations;
-    }
-  }
-  return violations;
+  return static_cast<int>(inv.safety_violations());
 }
 
 }  // namespace
@@ -786,7 +766,7 @@ int main(int argc, char** argv) {
   breakdown.write_json(std::cout);
   std::printf("\n");
 
-  const int violations = check_agreement(scenario);
+  const int violations = check_agreement(scenario, results);
   if (violations == 0) {
     std::printf("committed-prefix agreement: OK\n");
   }

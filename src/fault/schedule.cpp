@@ -31,21 +31,6 @@ const char* to_string(FaultKind kind) {
 }
 
 namespace {
-bool is_gray(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDegradeLink:
-    case FaultKind::kPartialPartition:
-    case FaultKind::kHealLink:
-    case FaultKind::kDuplicateStorm:
-    case FaultKind::kReorder:
-    case FaultKind::kThrottleLink:
-    case FaultKind::kHealGray:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Kinds that act on the whole network and need no replica-index → NodeId
 /// resolution.
 bool is_global(FaultKind kind) {
@@ -401,16 +386,9 @@ void apply(const FaultSchedule& schedule, runtime::Executor& exec,
           shared->network != nullptr,
           "schedule injects '"
               << to_string(event.kind) << "' at " << sim::format(event.at)
-              << " but Transport::fault_injection() returned nullptr — this "
-                 "backend cannot inject faults (wrap it via "
+              << " but Transport::fault_injection() returned nullptr — a "
+                 "bare backend injects no faults (wrap it via "
                  "net::make_chaos_transport() to get an injectable surface)");
-      AQUEDUCT_CHECK_MSG(
-          !is_gray(event.kind) || shared->network->supports_gray_faults(),
-          "schedule injects gray-failure action '"
-              << to_string(event.kind) << "' at " << sim::format(event.at)
-              << " but the transport's FaultInjection surface only supports "
-                 "crash-era faults — wrap the transport via "
-                 "net::make_chaos_transport()");
       AQUEDUCT_CHECK_MSG(static_cast<bool>(shared->node_id) ||
                              is_global(event.kind),
                          "fault schedule needs a node_id resolver");

@@ -32,12 +32,11 @@ enum class FaultKind {
   kLinkLoss,      // directional loss on the (replica, peer) link
   kInboundLoss,   // loss on everything `replica` receives
   kOutboundLoss,  // loss on everything `replica` sends
-  kLatencySpike,  // Normal(latency_mean, latency_std) on all of `replica`'s
-                  // links for `duration`, then back to the default model
+  kLatencySpike,  // extra Normal(latency_mean, latency_std) delay on top of
+                  // the LAN latency on all of `replica`'s links for
+                  // `duration`, then back to the bare LAN model
 
-  // Gray-failure kinds. These require a transport whose FaultInjection
-  // surface reports supports_gray_faults() — i.e. one wrapped via
-  // net::make_chaos_transport(); apply() fails loudly otherwise.
+  // Gray-failure kinds.
   kDegradeLink,       // extra Normal(latency_mean, latency_std) delay and/or
                       // `probability` loss on the directional (replica, peer)
                       // link — a slow-but-alive / lossy link
@@ -137,11 +136,13 @@ class FaultSchedule {
                               sim::Duration at);
   FaultSchedule& outbound_loss(SlotRef replica, double probability,
                                sim::Duration at);
+  /// Extra Normal(mean, std) delay on every link of `replica`, added to
+  /// the LAN latency, for `duration`.
   FaultSchedule& latency_spike(SlotRef replica, sim::Duration mean,
                                sim::Duration std, sim::Duration at,
                                sim::Duration duration);
 
-  // --- Gray-failure builders (need a chaos-wrapped transport) ---------
+  // --- Gray-failure builders ------------------------------------------
   // A zero `duration` means "until explicitly healed"; a positive one
   // appends the matching heal/clear event at `at + duration`, so the
   // schedule stays pure, printable data.
@@ -194,9 +195,10 @@ class FaultSchedule {
   // --- Cross-shard builders -------------------------------------------
 
   /// Hot shard: every server slot of `shard` (slots [0, slots)) suffers a
-  /// Normal(extra_mean, extra_std) latency spike on all its links for
-  /// `duration` — the network-level signature of one overloaded replica
-  /// group in a sharded pool.
+  /// latency spike of extra Normal(extra_mean, extra_std) delay on top of
+  /// the LAN latency, on all its links, for `duration` — the
+  /// network-level signature of one overloaded replica group in a sharded
+  /// pool.
   FaultSchedule& hot_shard(std::size_t shard, std::size_t slots,
                            sim::Duration extra_mean, sim::Duration extra_std,
                            sim::Duration at, sim::Duration duration);
@@ -226,11 +228,10 @@ class FaultSchedule {
 /// indices into actions on the harness's objects; `node_id` resolves the
 /// *current incarnation*'s NodeId at injection time (the id of a reborn
 /// replica differs from its pre-crash one). `network` is whatever
-/// Transport::fault_injection() returned for the run's transport — any
-/// backend, not just the loopback; nullptr means the transport cannot
-/// inject faults at all, and gray-failure kinds additionally require
-/// network->supports_gray_faults() (a chaos-wrapped transport). apply()
-/// checks both up front and fails loudly.
+/// Transport::fault_injection() returned for the run's transport: the
+/// chaos decorator over any backend, or nullptr on a bare backend, which
+/// injects no faults. apply() rejects every network kind against nullptr
+/// up front.
 struct FaultTargets {
   std::function<void(std::size_t)> crash;
   std::function<void(std::size_t)> restart;

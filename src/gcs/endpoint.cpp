@@ -53,7 +53,7 @@ Member& Endpoint::member(GroupId group) {
         [this](net::NodeId to, net::MessagePtr msg) {
           if (!crashed_) transport_.send(id_, to, std::move(msg));
         },
-        &transport_.observability());
+        transport_.observability());
     it = members_.emplace(group, std::move(member)).first;
   }
   return *it->second;

@@ -19,21 +19,22 @@ Member::Instruments::Instruments(obs::MetricsRegistry& reg)
 
 Member::Member(runtime::Executor& exec, Directory& directory, Config config,
                GroupId group, net::NodeId self, SendFn send,
-               obs::Observability* obs)
+               obs::Observability& obs)
     : exec_(exec),
       directory_(directory),
       config_(config),
       group_(group),
       self_(self),
       send_(std::move(send)),
-      metrics_((obs != nullptr ? *obs : obs::Observability::scratch()).metrics) {
+      metrics_(obs.metrics) {
   AQUEDUCT_CHECK(group_.valid());
   AQUEDUCT_CHECK(self_.valid());
   AQUEDUCT_CHECK(send_ != nullptr);
   heartbeat_task_ = std::make_unique<runtime::PeriodicTask>(
-      exec_, config_.heartbeat_period, [this] { send_heartbeat(); });
-  fd_task_ = std::make_unique<runtime::PeriodicTask>(
-      exec_, config_.heartbeat_period, [this] { fd_tick(); });
+      exec_, config_.heartbeat_period, [this] {
+        send_heartbeat();
+        fd_tick();
+      });
 }
 
 Member::~Member() { stop(); }
@@ -43,7 +44,6 @@ void Member::stop() {
   stopped_ = true;
   joined_ = false;
   heartbeat_task_->stop();
-  fd_task_->stop();
   exec_.cancel(flush_timeout_);
   exec_.cancel(join_retry_);
 }
@@ -71,7 +71,6 @@ void Member::bootstrap_singleton() {
   last_proposal_seen_ = 1;
   last_heard_[self_] = exec_.now();
   heartbeat_task_->start();
-  fd_task_->start();
   directory_.update(group_, self_);
   ++stats_.view_changes;
   metrics_.view_changes.inc();
@@ -760,7 +759,6 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
   for (const net::NodeId m : view_.members) last_heard_[m] = exec_.now();
 
   heartbeat_task_->start();
-  fd_task_->start();
   exec_.cancel(join_retry_);
   if (is_leader()) directory_.update(group_, self_);
 

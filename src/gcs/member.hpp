@@ -63,11 +63,10 @@ class Member {
   using EvictionFn = std::function<void()>;
 
   /// `obs` is the simulation's observability context (aggregate "gcs.*"
-  /// metrics are mirrored into its registry); pass nullptr to fall back to
-  /// the process-wide scratch context (isolated unit tests).
+  /// metrics are mirrored into its registry).
   Member(runtime::Executor& exec, Directory& directory, Config config,
          GroupId group, net::NodeId self, SendFn send,
-         obs::Observability* obs = nullptr);
+         obs::Observability& obs);
   ~Member();
 
   Member(const Member&) = delete;
@@ -244,8 +243,8 @@ class Member {
   sim::EventHandle join_retry_;
   std::shared_ptr<const InstallMsg> last_install_;  // for lost-install repair
 
+  /// Each tick sends a heartbeat, then runs the failure detector.
   std::unique_ptr<runtime::PeriodicTask> heartbeat_task_;
-  std::unique_ptr<runtime::PeriodicTask> fd_task_;
 
   /// Per-member view (the `stats()` accessor); the same increments are
   /// mirrored into the registry-wide "gcs.*" aggregates below.

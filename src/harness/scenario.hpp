@@ -109,10 +109,12 @@ struct ScenarioConfig {
   /// reached) so late replies and final publications drain. Under
   /// kRealTime this is real seconds — live_cli shortens it.
   sim::Duration drain = std::chrono::seconds(2);
-  /// Wraps the transport in the chaos decorator so fault schedules can
-  /// script gray failures (degrade_link, partial_partition,
-  /// duplicate_storm, reorder, throttle_link, WAN matrices) on top of the
-  /// crash-era faults. Decisions are drawn from the run's seed.
+  /// Wraps the transport in the chaos decorator, the only layer that
+  /// injects network faults: a schedule with any event besides crash and
+  /// restart (loss, partitions, latency spikes, degrade_link,
+  /// partial_partition, duplicate_storm, reorder, throttle_link, WAN
+  /// matrices) needs it. Decisions are drawn from the run's seed; a
+  /// fault-free run leaves it off and keeps the bare LAN model.
   bool chaos = false;
   /// How long after a group evicts a still-running replica (gray failure:
   /// partial partition or slow link fooled the failure detector) the
@@ -180,8 +182,8 @@ class Scenario {
 
   /// Schedules every event of `schedule` onto this scenario's executor
   /// (crashes/restarts resolve against (shard, slot) replica slots;
-  /// network faults against the current incarnations' NodeIds). Call
-  /// before run().
+  /// network faults against the current incarnations' NodeIds, and need
+  /// config.chaos). Call before run().
   void apply_faults(const fault::FaultSchedule& schedule);
 
   /// Installs a dependability manager that polls the replication level and

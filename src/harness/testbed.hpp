@@ -38,8 +38,9 @@ namespace aqueduct::harness {
 class Testbed {
  public:
   /// `latency` is the LAN's per-message delay model. `chaos` wraps the
-  /// transport in the chaos decorator, whose fault_injection() adds the
-  /// gray-failure surface; `gcs` configures every endpoint.
+  /// transport in the chaos decorator, the only transport whose
+  /// fault_injection() is non-null: a bed that scripts loss, partitions or
+  /// extra delay needs it. `gcs` configures every endpoint.
   Testbed(std::uint64_t seed, std::unique_ptr<sim::DurationDistribution> latency,
           runtime::Kind runtime = runtime::Kind::kSim, bool chaos = false,
           gcs::Config gcs = {});
@@ -115,8 +116,9 @@ class Testbed {
   }
 
   runtime::Executor& executor() { return *exec_; }
-  /// The transport every endpoint is attached to; its fault_injection()
-  /// scripts loss, partitions and latency overrides.
+  /// The transport every endpoint is attached to. With `chaos` its
+  /// fault_injection() scripts loss, partitions and extra delay; on the
+  /// bare loopback it is nullptr.
   net::Transport& transport() { return *transport_; }
   const net::Transport& transport() const { return *transport_; }
   gcs::Directory& directory() { return directory_; }

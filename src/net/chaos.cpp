@@ -12,9 +12,10 @@ ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner)
       exec_(inner_->executor()),
       rng_(exec_.rng().split()),
       alive_(std::make_shared<const bool>(true)),
-      c_dropped_loss_(inner_->metrics().counter("net.chaos.dropped_loss")),
+      c_sent_(inner_->metrics().counter("net.messages_sent")),
+      c_dropped_loss_(inner_->metrics().counter("net.messages_dropped_loss")),
       c_dropped_partition_(
-          inner_->metrics().counter("net.chaos.dropped_partition")),
+          inner_->metrics().counter("net.messages_dropped_partition")),
       c_duplicated_(inner_->metrics().counter("net.messages_duplicated")),
       c_reordered_(inner_->metrics().counter("net.messages_reordered")),
       c_delayed_(inner_->metrics().counter("net.messages_delayed")) {}
@@ -22,27 +23,18 @@ ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner)
 ChaosTransport::~ChaosTransport() = default;
 
 TransportStats ChaosTransport::stats() const {
+  // The drop counters are shared with the backend, but only the loopback
+  // reports them; the gray-only tallies are never the backend's.
   TransportStats s = inner_->stats();
-  // Messages the chaos layer drops never reach the backend, but the
-  // protocol did send them — keep messages_sent meaning "send() calls",
-  // exactly as on the loopback.
-  s.messages_sent += c_dropped_loss_.value() + c_dropped_partition_.value();
-  s.messages_dropped_loss += c_dropped_loss_.value();
-  s.messages_dropped_partition += c_dropped_partition_.value();
-  s.messages_duplicated += c_duplicated_.value();
-  s.messages_reordered += c_reordered_.value();
-  s.messages_delayed += c_delayed_.value();
+  s.messages_dropped_loss = c_dropped_loss_.value();
+  s.messages_dropped_partition = c_dropped_partition_.value();
+  s.messages_duplicated = c_duplicated_.value();
+  s.messages_reordered = c_reordered_.value();
+  s.messages_delayed = c_delayed_.value();
   return s;
 }
 
 // ---- crash-era core ------------------------------------------------------
-
-void ChaosTransport::set_link_latency(
-    NodeId a, NodeId b, std::shared_ptr<sim::DurationDistribution> latency) {
-  AQUEDUCT_CHECK(latency != nullptr);
-  link_delay_[{a, b}] = latency;
-  link_delay_[{b, a}] = std::move(latency);
-}
 
 void ChaosTransport::set_node_latency(
     NodeId node, std::shared_ptr<sim::DurationDistribution> latency) {
@@ -85,9 +77,9 @@ void ChaosTransport::set_outbound_loss(NodeId node, double p) {
 }
 
 double ChaosTransport::loss_probability(NodeId from, NodeId to) const {
-  // Same composition as the loopback: a per-link override is
-  // authoritative, otherwise the pessimistic max of outbound, inbound,
-  // and global loss governs.
+  // A per-link override is authoritative (it can also *lower* loss below
+  // the node/global level); otherwise the pessimistic max of outbound,
+  // inbound, and global loss governs.
   if (auto it = link_loss_.find({from, to}); it != link_loss_.end()) {
     return it->second;
   }
@@ -264,15 +256,31 @@ void ChaosTransport::forward_copy(NodeId from, NodeId to, MessagePtr msg) {
   });
 }
 
+void ChaosTransport::drop(NodeId from, NodeId to, const MessagePtr& msg,
+                          obs::Counter& reason_counter, const char* reason) {
+  c_sent_.inc();
+  reason_counter.inc();
+  obs::TraceHub& trace = inner_->tracing();
+  if (!trace.active()) return;
+  obs::MessageEvent event;
+  event.at = exec_.now();
+  event.from = from;
+  event.to = to;
+  event.type_name = msg->type_name();
+  event.wire_size = msg->wire_size();
+  event.dropped = reason;
+  trace.message(event);
+}
+
 void ChaosTransport::send(NodeId from, NodeId to, MessagePtr msg) {
   AQUEDUCT_CHECK(msg != nullptr);
   if (partitioned(from, to)) {
-    c_dropped_partition_.inc();
+    drop(from, to, msg, c_dropped_partition_, "partition");
     return;
   }
   const double loss = loss_probability(from, to);
   if (loss > 0.0 && rng_.bernoulli(loss)) {
-    c_dropped_loss_.inc();
+    drop(from, to, msg, c_dropped_loss_, "loss");
     return;
   }
   const double dup = duplicate_probability(from, to);

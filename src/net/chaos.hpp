@@ -1,8 +1,10 @@
-// Chaos decorator over any net::Transport: a seeded-deterministic
-// gray-failure layer on the send path.
+// Chaos decorator over any net::Transport: the one fault-injection layer,
+// seeded-deterministic, on the send path.
 //
 // ChaosTransport wraps a backend (loopback or UDP) and intercepts every
-// send() before it reaches the wire. Each message runs the same pipeline:
+// send() before it reaches the wire. Bare backends inject nothing, so
+// every scripted network fault — crash-era loss and partitions as well as
+// gray failures — lives here. Each message runs the same pipeline:
 //
 //   partition / partial-partition check  → drop
 //   loss (per-link override, else max of outbound/inbound/global) → drop
@@ -11,6 +13,12 @@
 //   reordering (extra uniform holdback in [0, window))
 //   throttling (per directional link: serialize sends min_gap apart)
 //   forward to the wrapped backend (immediately, or via exec.after)
+//
+// Every injected delay is *extra*: the backend still applies its own
+// delivery latency underneath, so a slow node is the LAN model plus its
+// spike. Drops are counted in the backend's own "net.messages_sent" and
+// "net.messages_dropped_{loss,partition}" counters and traced with the
+// "loss" / "partition" reason, as if the wire had lost them.
 //
 // All randomness comes from one sim::Rng split off the executor's root
 // RNG, so under a SimExecutor the drop/delay/duplicate decisions are a
@@ -57,12 +65,6 @@ class ChaosTransport final : public Transport, public FaultInjection {
   FaultInjection* fault_injection() override { return this; }
 
   // ---- FaultInjection: crash-era core ----
-  // set_link_latency / set_node_latency are interpreted as *extra*
-  // injected delay on top of the backend's own delivery latency (the
-  // decorator cannot shorten what the wire does underneath).
-  void set_link_latency(
-      NodeId a, NodeId b,
-      std::shared_ptr<sim::DurationDistribution> latency) override;
   void set_node_latency(
       NodeId node, std::shared_ptr<sim::DurationDistribution> latency) override;
   void clear_node_latency(NodeId node) override;
@@ -76,7 +78,6 @@ class ChaosTransport final : public Transport, public FaultInjection {
   void heal() override;
 
   // ---- FaultInjection: gray-failure surface ----
-  bool supports_gray_faults() const override { return true; }
   void set_default_delay(
       std::shared_ptr<sim::DurationDistribution> extra) override;
   void set_link_delay(NodeId from, NodeId to,
@@ -108,14 +109,16 @@ class ChaosTransport final : public Transport, public FaultInjection {
   sim::Duration sample_extra_delay(NodeId from, NodeId to);
   /// Delays (if needed) and forwards one copy to the wrapped backend.
   void forward_copy(NodeId from, NodeId to, MessagePtr msg);
+  /// Counts and traces a message the chaos layer drops.
+  void drop(NodeId from, NodeId to, const MessagePtr& msg,
+            obs::Counter& reason_counter, const char* reason);
 
   std::unique_ptr<Transport> inner_;
   runtime::Executor& exec_;
   sim::Rng rng_;
 
-  // Loss / partition state (chaos-local; composes exactly like the
-  // loopback: per-link override authoritative, else max of outbound,
-  // inbound, and global).
+  // Loss / partition state (per-link override authoritative, else max of
+  // outbound, inbound, and global loss).
   double loss_probability_ = 0.0;
   std::unordered_map<Link, double, LinkHash> link_loss_;
   std::unordered_map<NodeId, double> inbound_loss_;
@@ -143,8 +146,11 @@ class ChaosTransport final : public Transport, public FaultInjection {
   // fire after this decorator is destroyed (same pattern as gcs::Member).
   std::shared_ptr<const bool> alive_;
 
-  // Chaos-layer tallies, mirrored into the wrapped backend's metrics
-  // registry under fresh names (the backend already owns "net.*").
+  // Tallies in the wrapped backend's metrics registry. The send and drop
+  // counters are the backend's own (the drop ones are created here when
+  // the backend has none, as on UDP); the gray-only tallies exist only
+  // here.
+  obs::Counter& c_sent_;
   obs::Counter& c_dropped_loss_;
   obs::Counter& c_dropped_partition_;
   obs::Counter& c_duplicated_;

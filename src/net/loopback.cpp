@@ -1,6 +1,5 @@
 #include "net/loopback.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/check.hpp"
@@ -42,107 +41,6 @@ NodeId LoopbackTransport::attach(Endpoint& endpoint) {
 
 void LoopbackTransport::detach(NodeId id) { endpoints_.erase(id); }
 
-void LoopbackTransport::set_link_latency(
-    NodeId a, NodeId b, std::shared_ptr<sim::DurationDistribution> latency) {
-  AQUEDUCT_CHECK(latency != nullptr);
-  link_latency_[{a, b}] = latency;
-  link_latency_[{b, a}] = std::move(latency);
-}
-
-void LoopbackTransport::set_node_latency(
-    NodeId node, std::shared_ptr<sim::DurationDistribution> latency) {
-  AQUEDUCT_CHECK(latency != nullptr);
-  node_latency_[node] = std::move(latency);
-}
-
-void LoopbackTransport::clear_node_latency(NodeId node) { node_latency_.erase(node); }
-
-void LoopbackTransport::set_loss_probability(double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  loss_probability_ = p;
-}
-
-void LoopbackTransport::set_link_loss(NodeId from, NodeId to, double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  link_loss_[{from, to}] = p;
-}
-
-void LoopbackTransport::clear_link_loss(NodeId from, NodeId to) {
-  link_loss_.erase({from, to});
-}
-
-void LoopbackTransport::set_inbound_loss(NodeId node, double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  if (p == 0.0) {
-    inbound_loss_.erase(node);
-  } else {
-    inbound_loss_[node] = p;
-  }
-}
-
-void LoopbackTransport::set_outbound_loss(NodeId node, double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  if (p == 0.0) {
-    outbound_loss_.erase(node);
-  } else {
-    outbound_loss_[node] = p;
-  }
-}
-
-double LoopbackTransport::loss_probability(NodeId from, NodeId to) const {
-  // A per-link override is authoritative (it can also *lower* loss below
-  // the node/global level); otherwise the pessimistic max of the sender's
-  // outbound, the receiver's inbound, and the global probability governs.
-  if (auto it = link_loss_.find({from, to}); it != link_loss_.end()) {
-    return it->second;
-  }
-  double p = loss_probability_;
-  if (auto it = outbound_loss_.find(from); it != outbound_loss_.end()) {
-    p = std::max(p, it->second);
-  }
-  if (auto it = inbound_loss_.find(to); it != inbound_loss_.end()) {
-    p = std::max(p, it->second);
-  }
-  return p;
-}
-
-void LoopbackTransport::partition(std::vector<NodeId> side_a, std::vector<NodeId> side_b) {
-  partition_a_.clear();
-  partition_b_.clear();
-  partition_a_.insert(side_a.begin(), side_a.end());
-  partition_b_.insert(side_b.begin(), side_b.end());
-}
-
-void LoopbackTransport::heal() {
-  partition_a_.clear();
-  partition_b_.clear();
-}
-
-bool LoopbackTransport::partitioned(NodeId a, NodeId b) const {
-  const bool a_in_a = partition_a_.contains(a);
-  const bool a_in_b = partition_b_.contains(a);
-  const bool b_in_a = partition_a_.contains(b);
-  const bool b_in_b = partition_b_.contains(b);
-  return (a_in_a && b_in_b) || (a_in_b && b_in_a);
-}
-
-sim::Duration LoopbackTransport::sample_latency(NodeId from, NodeId to) {
-  if (auto it = link_latency_.find({from, to}); it != link_latency_.end()) {
-    return it->second->sample(rng_);
-  }
-  // Node overrides compose additively on top of nothing else: if either
-  // endpoint has a node-level model, the slower of the two governs.
-  auto f = node_latency_.find(from);
-  auto t = node_latency_.find(to);
-  if (f != node_latency_.end() || t != node_latency_.end()) {
-    sim::Duration d = sim::Duration::zero();
-    if (f != node_latency_.end()) d = std::max(d, f->second->sample(rng_));
-    if (t != node_latency_.end()) d = std::max(d, t->second->sample(rng_));
-    return d;
-  }
-  return default_latency_->sample(rng_);
-}
-
 void LoopbackTransport::tap(NodeId from, NodeId to, const MessagePtr& msg,
                   const char* dropped) {
   if (!obs_.trace.active()) return;
@@ -167,19 +65,8 @@ void LoopbackTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     tap(from, to, msg, "detached");
     return;
   }
-  if (partitioned(from, to)) {
-    c_dropped_partition_.inc();
-    tap(from, to, msg, "partition");
-    return;
-  }
-  const double loss = loss_probability(from, to);
-  if (loss > 0.0 && rng_.bernoulli(loss)) {
-    c_dropped_loss_.inc();
-    tap(from, to, msg, "loss");
-    return;
-  }
   tap(from, to, msg, "");
-  const sim::Duration latency = sample_latency(from, to);
+  const sim::Duration latency = default_latency_->sample(rng_);
   h_delivery_latency_ms_.observe(sim::to_ms(latency));
   exec_.after(latency, [this, from, to, msg = std::move(msg)] {
     auto it = endpoints_.find(to);

@@ -6,8 +6,8 @@
 // runs unmodified over
 //
 //   * LoopbackTransport (net/loopback.hpp) — in-process delivery through
-//     the executor's timer queue with configurable latency models, loss,
-//     partitions, and crashes. Under a SimExecutor this is the paper's
+//     the executor's timer queue after a sampled LAN latency; detaching an
+//     endpoint models a crash. Under a SimExecutor this is the paper's
 //     deterministic simulated LAN; under a RealTimeExecutor it is a
 //     loopback with real injected latency.
 //   * UdpTransport (net/udp_transport.hpp) — non-blocking UDP sockets
@@ -15,9 +15,10 @@
 //     codec (net/codec.hpp) for framing. Used by live_cli's multi-process
 //     deployment.
 //   * ChaosTransport (net/chaos.hpp) — a decorator that wraps either
-//     backend and adds a seeded-deterministic gray-failure layer (loss,
+//     backend and owns every injected network fault (loss, partitions,
 //     extra delay, reordering, duplication, partial partitions, link
-//     throttling) on the send path. Built through make_chaos_transport().
+//     throttling), decided on the send path from a seeded RNG. Built
+//     through make_chaos_transport(); the only FaultInjection.
 //
 // The layering lint (tools/check_layering.py) enforces that protocol code
 // includes this header and not the concrete transport headers.
@@ -31,7 +32,6 @@
 #include "net/node.hpp"
 #include "obs/observability.hpp"
 #include "runtime/executor.hpp"
-#include "sim/check.hpp"
 #include "sim/random.hpp"
 
 namespace aqueduct::net {
@@ -48,8 +48,11 @@ class Endpoint {
 /// Snapshot of the transport counters (assembled from the registry-backed
 /// instruments; see metrics "net.*").
 struct TransportStats {
+  /// send() calls, including the ones a fault dropped.
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
+  /// Injected drops, counted by the chaos decorator (net/chaos.hpp); on
+  /// bare backends these stay 0.
   std::uint64_t messages_dropped_loss = 0;
   std::uint64_t messages_dropped_partition = 0;
   std::uint64_t messages_dropped_detached = 0;
@@ -70,30 +73,24 @@ struct TransportStats {
 };
 
 /// Fault-injection surface of a transport that can misbehave on demand.
-/// The loopback implements the crash-era core (latency overrides, loss,
-/// partitions); bare real-socket transports return nullptr from
-/// Transport::fault_injection() and suffer only genuine faults. Wrapping
-/// any backend in the chaos decorator (make_chaos_transport) yields a
-/// surface that additionally supports the gray-failure knobs below —
-/// check supports_gray_faults() before scripting them. Protocol layers
-/// and fault schedules name only this interface, never a concrete
-/// implementation.
+/// The chaos decorator (make_chaos_transport) is its one implementation:
+/// bare backends (the loopback LAN model, UDP sockets) return nullptr
+/// from Transport::fault_injection() and suffer only genuine faults, so
+/// a run scripts network faults by wrapping its backend. Every delay knob
+/// adds to the wrapped backend's own delivery latency. Protocol layers
+/// and fault schedules name only this interface, never the decorator.
 class FaultInjection {
  public:
   virtual ~FaultInjection() = default;
 
-  /// Overrides the latency model for the (a, b) pair, both directions.
-  virtual void set_link_latency(
-      NodeId a, NodeId b, std::shared_ptr<sim::DurationDistribution> latency) = 0;
-
-  /// Overrides the latency model for every link touching `node` (both
-  /// directions). Models a slow host/NIC, as in the paper's heterogeneous
-  /// 300 MHz–1 GHz testbed.
+  /// Extra delay on every link touching `node` (both directions), sampled
+  /// per message; when both ends have one the larger sample applies.
+  /// Models a slow host/NIC, as in the paper's heterogeneous 300 MHz–1 GHz
+  /// testbed.
   virtual void set_node_latency(
       NodeId node, std::shared_ptr<sim::DurationDistribution> latency) = 0;
 
-  /// Removes a node-level latency override installed by set_node_latency()
-  /// (links fall back to per-link overrides or the default model). Used by
+  /// Removes a node-level delay installed by set_node_latency(). Used by
   /// fault schedules to end a latency spike.
   virtual void clear_node_latency(NodeId node) = 0;
 
@@ -127,122 +124,61 @@ class FaultInjection {
   /// Removes any active partition (including partial_partition() links).
   virtual void heal() = 0;
 
-  // --- Gray-failure surface -------------------------------------------
-  //
-  // Slow-but-alive links, duplicated/reordered delivery, and partial
-  // partitions. Only the chaos decorator implements these; the defaults
-  // fail loudly so a schedule scripting gray faults against a bare
-  // backend is a configuration error, not a silent no-op.
-
-  /// True when the gray-failure knobs below are implemented. Callers
-  /// (e.g. fault::FaultSchedule::apply) must check this before using them.
-  virtual bool supports_gray_faults() const { return false; }
+  // --- Gray failures: slow-but-alive links, duplicated/reordered
+  // delivery, partial partitions.
 
   /// Extra delay added to every message without a more specific override,
   /// sampled per message. nullptr clears.
   virtual void set_default_delay(
-      std::shared_ptr<sim::DurationDistribution> extra) {
-    (void)extra;
-    gray_unsupported("set_default_delay");
-  }
+      std::shared_ptr<sim::DurationDistribution> extra) = 0;
 
   /// Directional extra delay for messages from `from` to `to`, sampled per
   /// message — the primitive behind asymmetric links and WAN latency
   /// matrices. Overrides node-level and default extra delay for that link.
-  virtual void set_link_delay(NodeId from, NodeId to,
-                              std::shared_ptr<sim::DurationDistribution> extra) {
-    (void)from;
-    (void)to;
-    (void)extra;
-    gray_unsupported("set_link_delay");
-  }
+  virtual void set_link_delay(
+      NodeId from, NodeId to,
+      std::shared_ptr<sim::DurationDistribution> extra) = 0;
 
   /// Removes a directional extra-delay override.
-  virtual void clear_link_delay(NodeId from, NodeId to) {
-    (void)from;
-    (void)to;
-    gray_unsupported("clear_link_delay");
-  }
+  virtual void clear_link_delay(NodeId from, NodeId to) = 0;
 
   /// Probability in [0, 1] that a message is sent twice (each copy delayed
   /// independently, so duplicates also reorder). Applies to every link
   /// without a per-link override.
-  virtual void set_duplicate_probability(double p) {
-    (void)p;
-    gray_unsupported("set_duplicate_probability");
-  }
+  virtual void set_duplicate_probability(double p) = 0;
 
   /// Directional per-link duplication probability; overrides the global
   /// knob for that link. p == 0 with no global knob disables.
-  virtual void set_link_duplicate(NodeId from, NodeId to, double p) {
-    (void)from;
-    (void)to;
-    (void)p;
-    gray_unsupported("set_link_duplicate");
-  }
+  virtual void set_link_duplicate(NodeId from, NodeId to, double p) = 0;
 
   /// Removes a directional per-link duplication override.
-  virtual void clear_link_duplicate(NodeId from, NodeId to) {
-    (void)from;
-    (void)to;
-    gray_unsupported("clear_link_duplicate");
-  }
+  virtual void clear_link_duplicate(NodeId from, NodeId to) = 0;
 
   /// Probability in [0, 1] that a message is held back by an extra uniform
   /// delay in [0, reorder window), letting later sends overtake it.
-  virtual void set_reorder_probability(double p) {
-    (void)p;
-    gray_unsupported("set_reorder_probability");
-  }
+  virtual void set_reorder_probability(double p) = 0;
 
   /// Maximum holdback used by reordering (default 50 ms).
-  virtual void set_reorder_window(sim::Duration window) {
-    (void)window;
-    gray_unsupported("set_reorder_window");
-  }
+  virtual void set_reorder_window(sim::Duration window) = 0;
 
   /// Serializes the directional link `from` → `to` so consecutive messages
   /// enter the wrapped backend at least `min_gap` apart — a slow-but-alive
   /// link that stays connected but cannot sustain throughput. Zero clears.
   virtual void set_link_throttle(NodeId from, NodeId to,
-                                 sim::Duration min_gap) {
-    (void)from;
-    (void)to;
-    (void)min_gap;
-    gray_unsupported("set_link_throttle");
-  }
+                                 sim::Duration min_gap) = 0;
 
   /// Blackholes traffic between `a` and `b` (both directions) without
   /// touching any other link — a partial partition. Undone by heal_link()
   /// or heal().
-  virtual void partial_partition(NodeId a, NodeId b) {
-    (void)a;
-    (void)b;
-    gray_unsupported("partial_partition");
-  }
+  virtual void partial_partition(NodeId a, NodeId b) = 0;
 
   /// Restores the (a, b) pair: removes the partial partition and any
   /// per-link delay/loss/duplication/throttle overrides, both directions.
-  virtual void heal_link(NodeId a, NodeId b) {
-    (void)a;
-    (void)b;
-    gray_unsupported("heal_link");
-  }
+  virtual void heal_link(NodeId a, NodeId b) = 0;
 
-  /// Resets every gray-failure knob (delays, duplication, reordering,
-  /// throttles, partial partitions) and all loss settings. Full-mesh
-  /// partitions installed via partition() are also healed.
-  virtual void heal_gray() { gray_unsupported("heal_gray"); }
-
- protected:
-  [[noreturn]] static void gray_unsupported(const char* what) {
-    AQUEDUCT_CHECK_MSG(false, "FaultInjection::"
-                                  << what
-                                  << " needs gray-failure support — wrap the "
-                                     "transport via net::make_chaos_transport() "
-                                     "(this backend only injects crash-era "
-                                     "faults)");
-  }
+  /// Resets every knob: delays, duplication, reordering, throttles, all
+  /// loss settings and every partition.
+  virtual void heal_gray() = 0;
 };
 
 /// Abstract message mover: endpoint attach/detach, unreliable datagram
@@ -292,14 +228,14 @@ class Transport {
 
   virtual runtime::Executor& executor() = 0;
 
-  /// The transport's fault-injection surface, or nullptr if it cannot
-  /// inject faults (real sockets).
+  /// The transport's fault-injection surface, or nullptr on a bare backend
+  /// (only the chaos decorator injects faults).
   virtual FaultInjection* fault_injection() { return nullptr; }
 };
 
 /// Builds the in-process loopback backend (a LoopbackTransport) without
 /// naming its header. `default_latency` is sampled independently per
-/// message for every link without an explicit override. This is the
+/// message on every link. This is the
 /// factory composition roots that must stay backend-agnostic (e.g.
 /// harness::Scenario) construct through.
 std::unique_ptr<Transport> make_loopback_transport(
@@ -308,7 +244,7 @@ std::unique_ptr<Transport> make_loopback_transport(
 
 /// Wraps any backend (loopback or UDP) in the chaos decorator
 /// (a ChaosTransport, net/chaos.hpp): the returned transport's
-/// fault_injection() supports the full gray-failure surface with
+/// fault_injection() is the full FaultInjection surface, with
 /// seeded-deterministic decisions drawn from `exec.rng().split()` of the
 /// wrapped backend's executor. Messages the chaos layer lets through are
 /// forwarded to `inner` unchanged.

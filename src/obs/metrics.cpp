@@ -162,9 +162,4 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   w.end_object();
 }
 
-MetricsRegistry& MetricsRegistry::scratch() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace aqueduct::obs

@@ -138,11 +138,6 @@ class MetricsRegistry {
   /// Deterministic (name-sorted) field order.
   void write_json(std::ostream& os) const;
 
-  /// Process-wide scratch registry for components constructed without an
-  /// observability context (unit tests building layers in isolation).
-  /// Instruments work normally but nobody exports them.
-  static MetricsRegistry& scratch();
-
  private:
   struct Instrument {
     // Exactly one is non-null.

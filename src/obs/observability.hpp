@@ -16,13 +16,6 @@ struct Observability {
   /// Watches observed per-client timing-failure rates against each QoS
   /// spec's Pc(d); fed by the client gateway on every completed read.
   SlaMonitor sla{metrics, trace};
-
-  /// Shared fallback for components constructed without a context (layers
-  /// unit-tested in isolation). Never exported, never subscribed to.
-  static Observability& scratch() {
-    static Observability o;
-    return o;
-  }
 };
 
 }  // namespace aqueduct::obs

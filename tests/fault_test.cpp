@@ -7,7 +7,7 @@
 
 #include "fault/dependability.hpp"
 #include "fault/schedule.hpp"
-#include "net/loopback.hpp"
+#include "net/chaos.hpp"
 #include "sim/check.hpp"
 #include "sim/simulator.hpp"
 
@@ -125,24 +125,20 @@ TEST(FaultSchedule, WanTopologyDegradesOnlyCrossRegionLinks) {
   }
 }
 
-TEST(FaultApply, GrayKindsRequireGraySupportAndFailLoudly) {
+TEST(FaultApply, NetworkKindsNeedChaosTransportAndFailLoudly) {
   sim::Simulator sim(1);
-  net::LoopbackTransport network(sim, std::make_unique<sim::FixedDuration>(
-                                milliseconds(1)));
-  FaultSchedule s;
-  s.duplicate_storm(0.2, seconds(1));
-
-  FaultTargets targets;
-  targets.node_id = [](std::size_t) { return net::NodeId{1}; };
-  targets.num_replicas = 4;
-  targets.network = &network;  // crash-era only: supports_gray_faults false
-  EXPECT_THROW(apply(s, sim, std::move(targets)), InvariantViolation);
-
-  FaultTargets none;
-  none.node_id = [](std::size_t) { return net::NodeId{1}; };
-  none.num_replicas = 4;
-  none.network = nullptr;
-  EXPECT_THROW(apply(s, sim, std::move(none)), InvariantViolation);
+  auto bare = net::make_loopback_transport(
+      sim, std::make_unique<sim::FixedDuration>(milliseconds(1)));
+  ASSERT_EQ(bare->fault_injection(), nullptr)
+      << "only the chaos decorator injects faults";
+  for (FaultSchedule s : {FaultSchedule().loss(0.2, seconds(1)),
+                          FaultSchedule().duplicate_storm(0.2, seconds(1))}) {
+    FaultTargets targets;
+    targets.node_id = [](std::size_t) { return net::NodeId{1}; };
+    targets.num_replicas = 4;
+    targets.network = bare->fault_injection();
+    EXPECT_THROW(apply(s, sim, std::move(targets)), InvariantViolation);
+  }
 }
 
 TEST(FaultApply, GrayEventsDriveChaosKnobsAtScheduledTimes) {
@@ -174,8 +170,8 @@ TEST(FaultApply, GrayEventsDriveChaosKnobsAtScheduledTimes) {
 
 TEST(FaultApply, FiresCallbacksAtScheduledTimes) {
   sim::Simulator sim(1);
-  net::LoopbackTransport network(sim, std::make_unique<sim::FixedDuration>(
-                                milliseconds(1)));
+  net::ChaosTransport network(net::make_loopback_transport(
+      sim, std::make_unique<sim::FixedDuration>(milliseconds(1))));
   std::vector<std::pair<std::size_t, sim::TimePoint>> crashes, restarts;
 
   FaultSchedule s;

@@ -21,8 +21,10 @@ struct Fixture {
   explicit Fixture(std::size_t primaries, std::size_t secondaries,
                    std::uint64_t seed = 1,
                    sim::Duration lazy_interval = seconds(1))
-      : bed(seed, std::make_unique<sim::NormalDuration>(
-                      milliseconds(1), std::chrono::microseconds(300))) {
+      : bed(seed,
+            std::make_unique<sim::NormalDuration>(
+                milliseconds(1), std::chrono::microseconds(300)),
+            runtime::Kind::kSim, /*chaos=*/true) {
     for (std::size_t i = 0; i < primaries + secondaries; ++i) {
       ReplicaConfig config;
       config.ordering = core::Ordering::kFifo;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "net/chaos.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct::gcs {
@@ -27,8 +27,9 @@ constexpr GroupId kGroup{3};
 struct Fixture {
   explicit Fixture(std::size_t n, Config config, std::uint64_t seed = 1)
       : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(
-                         milliseconds(1), std::chrono::microseconds(300))) {
+        network(net::make_loopback_transport(
+            sim, std::make_unique<sim::NormalDuration>(
+                     milliseconds(1), std::chrono::microseconds(300)))) {
     for (std::size_t i = 0; i < n; ++i) {
       endpoints.push_back(
           std::make_unique<Endpoint>(sim, network, directory, config));
@@ -44,7 +45,7 @@ struct Fixture {
   }
 
   sim::Simulator sim;
-  net::LoopbackTransport network;
+  net::ChaosTransport network;
   Directory directory;
   std::vector<std::unique_ptr<Endpoint>> endpoints;
 };

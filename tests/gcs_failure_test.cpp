@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "gcs/endpoint.hpp"
-#include "net/loopback.hpp"
+#include "net/chaos.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct::gcs {
@@ -31,8 +31,9 @@ constexpr GroupId kGroup{7};
 struct Fixture {
   explicit Fixture(std::size_t n, std::uint64_t seed = 1)
       : sim(seed),
-        network(sim,
-                std::make_unique<sim::NormalDuration>(milliseconds(2), milliseconds(1))) {
+        network(net::make_loopback_transport(
+            sim, std::make_unique<sim::NormalDuration>(milliseconds(2),
+                                                       milliseconds(1)))) {
     for (std::size_t i = 0; i < n; ++i) {
       endpoints.push_back(std::make_unique<Endpoint>(sim, network, directory));
       auto& member = endpoints[i]->member(kGroup);
@@ -55,7 +56,7 @@ struct Fixture {
   Member& member(std::size_t i) { return endpoints[i]->member(kGroup); }
 
   sim::Simulator sim;
-  net::LoopbackTransport network;
+  net::ChaosTransport network;
   Directory directory;
   std::vector<std::unique_ptr<Endpoint>> endpoints;
   std::map<std::size_t, std::vector<std::pair<net::NodeId, std::string>>> delivered;

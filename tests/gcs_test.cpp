@@ -10,6 +10,7 @@
 
 #include "gcs/endpoint.hpp"
 #include "gcs/stability.hpp"
+#include "net/chaos.hpp"
 #include "net/loopback.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -40,7 +41,8 @@ struct Fixture {
   explicit Fixture(std::size_t n, std::uint64_t seed = 1,
                    sim::Duration jitter = milliseconds(2), Config config = {})
       : sim(seed),
-        network(sim, std::make_unique<sim::NormalDuration>(milliseconds(2), jitter)) {
+        network(net::make_loopback_transport(
+            sim, std::make_unique<sim::NormalDuration>(milliseconds(2), jitter))) {
     for (std::size_t i = 0; i < n; ++i) {
       endpoints.push_back(std::make_unique<Endpoint>(sim, network, directory, config));
       auto& member = endpoints[i]->member(kGroup);
@@ -76,7 +78,7 @@ struct Fixture {
   }
 
   sim::Simulator sim;
-  net::LoopbackTransport network;
+  net::ChaosTransport network;
   Directory directory;
   std::vector<std::unique_ptr<Endpoint>> endpoints;
   std::map<std::size_t, std::vector<std::pair<net::NodeId, std::string>>> delivered;

@@ -1,10 +1,13 @@
 // Message-level tracing at the transport layer, observed through the
 // obs::TraceSink pipeline (transport.tracing() is the per-simulation hub).
+// Drops are injected by the chaos decorator, which traces them into the
+// wrapped loopback's hub.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "net/chaos.hpp"
 #include "net/loopback.hpp"
 #include "obs/trace.hpp"
 #include "runtime/sim_executor.hpp"
@@ -30,7 +33,8 @@ struct RecordingSink final : obs::TraceSink {
 
 TEST(NetworkTrace, ObservesDeliveriesAndDrops) {
   runtime::SimExecutor sim(1);
-  LoopbackTransport network(sim, std::make_unique<sim::FixedDuration>(milliseconds(1)));
+  ChaosTransport network(make_loopback_transport(
+      sim, std::make_unique<sim::FixedDuration>(milliseconds(1))));
   NullEndpoint a, b;
   const NodeId ida = network.attach(a);
   const NodeId idb = network.attach(b);
@@ -56,7 +60,8 @@ TEST(NetworkTrace, ObservesDeliveriesAndDrops) {
 
 TEST(NetworkTrace, LossEventsTagged) {
   runtime::SimExecutor sim(2);
-  LoopbackTransport network(sim, std::make_unique<sim::FixedDuration>(milliseconds(1)));
+  ChaosTransport network(make_loopback_transport(
+      sim, std::make_unique<sim::FixedDuration>(milliseconds(1))));
   NullEndpoint a, b;
   const NodeId ida = network.attach(a);
   const NodeId idb = network.attach(b);

@@ -1,3 +1,5 @@
+// The bare loopback LAN model, and the network faults the chaos decorator
+// injects over it.
 #include "net/loopback.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "net/chaos.hpp"
 #include "net/message.hpp"
 #include "sim/simulator.hpp"
 
@@ -31,6 +34,14 @@ struct Recorder final : Endpoint {
 struct Fixture {
   sim::Simulator sim{1};
   LoopbackTransport network{sim, std::make_unique<sim::FixedDuration>(milliseconds(1))};
+};
+
+/// The same 1 ms LAN with the chaos decorator on top, which injects every
+/// network fault.
+struct ChaosFixture {
+  sim::Simulator sim{1};
+  ChaosTransport network{make_loopback_transport(
+      sim, std::make_unique<sim::FixedDuration>(milliseconds(1)))};
 };
 
 TEST(LoopbackTransport, DeliversAfterLatency) {
@@ -106,7 +117,7 @@ TEST(LoopbackTransport, InFlightMessageToCrashedNodeDropped) {
 }
 
 TEST(LoopbackTransport, LossDropsApproximatelyAtRate) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
@@ -120,7 +131,7 @@ TEST(LoopbackTransport, LossDropsApproximatelyAtRate) {
 }
 
 TEST(LoopbackTransport, PartitionBlocksCrossTraffic) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b, c;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
@@ -135,7 +146,7 @@ TEST(LoopbackTransport, PartitionBlocksCrossTraffic) {
 }
 
 TEST(LoopbackTransport, HealRestoresTraffic) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
@@ -147,24 +158,27 @@ TEST(LoopbackTransport, HealRestoresTraffic) {
 }
 
 TEST(LoopbackTransport, PerLinkLatencyOverride) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b, c;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
   const NodeId idc = f.network.attach(c);
-  f.network.set_link_latency(ida, idb,
-                             std::make_shared<sim::FixedDuration>(milliseconds(50)));
+  f.network.set_link_delay(ida, idb,
+                           std::make_shared<sim::FixedDuration>(milliseconds(50)));
   f.network.send(ida, idb, std::make_shared<TextMsg>("slow"));
   f.network.send(ida, idc, std::make_shared<TextMsg>("fast"));
   f.sim.run_until(sim::kEpoch + milliseconds(10));
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(c.received.size(), 1u);
-  f.sim.run();
+  // The link delay adds to the 1 ms LAN latency rather than replacing it.
+  f.sim.run_until(sim::kEpoch + milliseconds(50));
+  EXPECT_TRUE(b.received.empty());
+  f.sim.run_until(sim::kEpoch + milliseconds(51));
   EXPECT_EQ(b.received.size(), 1u);
 }
 
 TEST(LoopbackTransport, SlowNodeLatencyAppliesBothDirections) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
@@ -217,7 +231,7 @@ TEST(LoopbackTransport, VariableLatencyCanReorder) {
 }
 
 TEST(NetworkLoss, LinkLossIsDirectional) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
@@ -236,7 +250,7 @@ TEST(NetworkLoss, LinkLossIsDirectional) {
 }
 
 TEST(NetworkLoss, InboundAndOutboundLossApplyPerNode) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b, c;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
@@ -258,7 +272,7 @@ TEST(NetworkLoss, InboundAndOutboundLossApplyPerNode) {
 }
 
 TEST(NetworkLoss, PrecedenceLinkOverridesNodeAndGlobal) {
-  Fixture f;
+  ChaosFixture f;
   Recorder a, b;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);

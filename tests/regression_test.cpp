@@ -10,7 +10,7 @@
 #include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
 #include "harness/testbed.hpp"
-#include "net/loopback.hpp"
+#include "net/chaos.hpp"
 #include "replication/objects.hpp"
 #include "sim/simulator.hpp"
 
@@ -36,8 +36,8 @@ TEST(Regression, JoinerDrainsMessagesThatRacedItsInstall) {
   // A slow link from the coordinator to the joiner makes the install
   // arrive *after* data multicast at the same time.
   sim::Simulator sim(1);
-  net::LoopbackTransport network(sim,
-                       std::make_unique<sim::FixedDuration>(milliseconds(1)));
+  net::ChaosTransport network(net::make_loopback_transport(
+      sim, std::make_unique<sim::FixedDuration>(milliseconds(1))));
   gcs::Directory directory;
   const gcs::GroupId group{5};
 
@@ -52,9 +52,11 @@ TEST(Regression, JoinerDrainsMessagesThatRacedItsInstall) {
   cm.join();
   sim.run_for(milliseconds(10));
   // Make coordinator->joiner slow so the install (sent at flush end)
-  // loses the race against the multicast sent right after.
-  network.set_link_latency(coordinator.id(), joiner.id(),
-                           std::make_shared<sim::FixedDuration>(milliseconds(30)));
+  // loses the race against the multicast sent right after: 29 ms of extra
+  // delay on top of the 1 ms LAN, both ways.
+  const auto slow = std::make_shared<sim::FixedDuration>(milliseconds(29));
+  network.set_link_delay(coordinator.id(), joiner.id(), slow);
+  network.set_link_delay(joiner.id(), coordinator.id(), slow);
   jm.set_on_view([&](const gcs::View&) {
     // As soon as the coordinator installs the 2-member view it multicasts;
     // with the asymmetric delay the joiner sees data before install.
@@ -70,8 +72,10 @@ TEST(Regression, JoinerDrainsMessagesThatRacedItsInstall) {
 
 struct ReplicaFixture {
   explicit ReplicaFixture(std::uint64_t seed = 1)
-      : bed(seed, std::make_unique<sim::NormalDuration>(
-                      milliseconds(1), std::chrono::microseconds(300))) {}
+      : bed(seed,
+            std::make_unique<sim::NormalDuration>(
+                milliseconds(1), std::chrono::microseconds(300)),
+            runtime::Kind::kSim, /*chaos=*/true) {}
 
   replication::ReplicaServer& add_replica(bool primary) {
     replication::ReplicaConfig config;
@@ -112,8 +116,9 @@ TEST(Regression, GsnBeforePayloadStillCommits) {
   // The sequencer is co-located with the client's update path; make the
   // client->primary link slow so the GsnAssign (client->sequencer->
   // primary, two fast hops) arrives before the payload (one slow hop).
-  f.network.set_link_latency(client.id(), primary.id(),
-                             std::make_shared<sim::FixedDuration>(milliseconds(20)));
+  const auto slow = std::make_shared<sim::FixedDuration>(milliseconds(20));
+  f.network.set_link_delay(client.id(), primary.id(), slow);
+  f.network.set_link_delay(primary.id(), client.id(), slow);
   int done = 0;
   for (int i = 0; i < 5; ++i) {
     client.update(std::make_shared<replication::RegisterBump>(),
@@ -165,8 +170,9 @@ TEST(Regression, GroupInfoEpochSurvivesSequencerFailover) {
 // complete consistently.
 TEST(Regression, ViewChangeCompletesUnderHeavyLoss) {
   sim::Simulator sim(11);
-  net::LoopbackTransport network(sim, std::make_unique<sim::NormalDuration>(
-                                milliseconds(2), milliseconds(1)));
+  net::ChaosTransport network(net::make_loopback_transport(
+      sim, std::make_unique<sim::NormalDuration>(milliseconds(2),
+                                                 milliseconds(1))));
   gcs::Directory directory;
   const gcs::GroupId group{9};
   std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;

@@ -22,8 +22,10 @@ struct Fixture {
                    std::uint64_t seed = 1,
                    sim::Duration lazy_interval = seconds(2),
                    sim::Duration service = milliseconds(10))
-      : bed(seed, std::make_unique<sim::NormalDuration>(
-                      milliseconds(1), std::chrono::microseconds(300))) {
+      : bed(seed,
+            std::make_unique<sim::NormalDuration>(
+                milliseconds(1), std::chrono::microseconds(300)),
+            runtime::Kind::kSim, /*chaos=*/true) {
     auto add_replica = [&](bool primary) {
       ReplicaConfig config;
       config.service_time = std::make_shared<sim::FixedDuration>(service);

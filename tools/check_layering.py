@@ -76,10 +76,10 @@ TRANSPORT_AGNOSTIC_DIRS = ["src/gcs", "src/replication", "src/client",
                            "src/harness"]
 
 # Headers naming a concrete transport backend. The chaos decorator counts:
-# protocol layers and fault schedules reach the gray-failure knobs through
+# protocol layers and fault schedules reach every fault knob through
 # net::FaultInjection on a transport built via make_chaos_transport(), so
-# naming ChaosTransport above src/net would re-couple them to one
-# implementation of that surface.
+# naming ChaosTransport above src/net would couple them to the class
+# rather than the interface.
 FORBIDDEN_TRANSPORTS = {
     "net/loopback.hpp": "concrete transport backend",
     "net/udp_transport.hpp": "concrete transport backend",
