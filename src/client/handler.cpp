@@ -12,6 +12,15 @@ namespace {
 /// How long a completed request's bookkeeping lingers so late replies from
 /// the other selected replicas still contribute t_g / ert measurements.
 constexpr sim::Duration kLinger = std::chrono::seconds(10);
+
+/// Bucket size for the response-time pmfs.
+constexpr sim::Duration kPmfResolution = std::chrono::milliseconds(1);
+
+/// Retry backoff (see arm_retry): growth factor per failed attempt, cap on
+/// any single delay, and symmetric jitter fraction.
+constexpr double kRetryBackoffFactor = 2.0;
+constexpr sim::Duration kRetryBackoffCap = std::chrono::seconds(15);
+constexpr double kRetryJitter = 0.1;
 }  // namespace
 
 ClientHandler::Instruments::Instruments(obs::MetricsRegistry& reg)
@@ -40,7 +49,7 @@ ClientHandler::ClientHandler(runtime::Executor& exec, gcs::Endpoint& endpoint,
       groups_(groups),
       config_(std::move(config)),
       rng_(exec.rng().split()),
-      repository_(config_.window_size, config_.pmf_resolution),
+      repository_(config_.window_size, kPmfResolution),
       obs_(endpoint.observability()),
       metrics_(obs_.metrics) {
   if (config_.selector == nullptr) {
@@ -204,14 +213,12 @@ void ClientHandler::arm_retry(const replication::RequestId& id) {
   // base * factor^(n-1) (capped), scaled by 1 ± U*jitter so concurrent
   // clients don't stampede a recovering service in lockstep.
   const double base_ms = sim::to_ms(config_.retry_timeout);
-  const double cap_ms = sim::to_ms(config_.retry_backoff_cap);
+  const double cap_ms = sim::to_ms(kRetryBackoffCap);
   const std::uint32_t exponent = req.attempts > 0 ? req.attempts - 1 : 0;
   double delay_ms = std::min(
-      cap_ms, base_ms * std::pow(config_.retry_backoff_factor,
+      cap_ms, base_ms * std::pow(kRetryBackoffFactor,
                                  static_cast<double>(exponent)));
-  if (config_.retry_jitter > 0.0) {
-    delay_ms *= 1.0 + config_.retry_jitter * (2.0 * rng_.uniform() - 1.0);
-  }
+  delay_ms *= 1.0 + kRetryJitter * (2.0 * rng_.uniform() - 1.0);
   delay_ms = std::max(delay_ms, 1.0);
   const auto delay = std::chrono::duration_cast<sim::Duration>(
       std::chrono::duration<double, std::milli>(delay_ms));

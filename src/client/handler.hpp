@@ -38,23 +38,13 @@ namespace aqueduct::client {
 struct ClientConfig {
   /// Sliding-window length l for the performance histories.
   std::size_t window_size = 20;
-  /// Bucket size for the response-time pmfs.
-  sim::Duration pmf_resolution = std::chrono::milliseconds(1);
   /// Replica-selection strategy; defaults to the paper's Algorithm 1.
   std::unique_ptr<core::ReplicaSelector> selector;
   /// Liveness: re-select and re-send a request that got no reply within
   /// this duration (covers crashed replicas / sequencer failover). This is
   /// the *base* of the backoff schedule: attempt n waits
-  /// retry_timeout * retry_backoff_factor^(n-1), capped and jittered.
+  /// retry_timeout * 2^(n-1), capped at 15 s and jittered by ±10%.
   sim::Duration retry_timeout = std::chrono::seconds(2);
-  /// Multiplier applied to the retry delay after every failed attempt.
-  double retry_backoff_factor = 2.0;
-  /// Upper bound on any single retry delay.
-  sim::Duration retry_backoff_cap = std::chrono::seconds(15);
-  /// Symmetric jitter fraction (delay scaled by 1 ± U*jitter, seeded from
-  /// the client's rng) so clients retrying into the same outage
-  /// de-synchronize instead of stampeding the reborn replica.
-  double retry_jitter = 0.1;
   /// Give up after this many retries (the outcome reports failure).
   std::uint32_t max_retries = 10;
   /// Shard tag for SLA monitoring in a sharded service: the router sets

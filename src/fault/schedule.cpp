@@ -15,9 +15,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kPartition: return "partition";
     case FaultKind::kHeal: return "heal";
     case FaultKind::kLoss: return "loss";
-    case FaultKind::kLinkLoss: return "link_loss";
-    case FaultKind::kInboundLoss: return "inbound_loss";
-    case FaultKind::kOutboundLoss: return "outbound_loss";
     case FaultKind::kLatencySpike: return "latency_spike";
     case FaultKind::kDegradeLink: return "degrade_link";
     case FaultKind::kPartialPartition: return "partial_partition";
@@ -98,42 +95,6 @@ FaultSchedule& FaultSchedule::loss(double probability, sim::Duration at) {
   FaultEvent e;
   e.kind = FaultKind::kLoss;
   e.at = at;
-  e.probability = probability;
-  events_.push_back(std::move(e));
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::link_loss(SlotRef from, SlotRef to,
-                                        double probability, sim::Duration at) {
-  FaultEvent e;
-  e.kind = FaultKind::kLinkLoss;
-  e.at = at;
-  e.replica = from;
-  e.peer = to;
-  e.probability = probability;
-  events_.push_back(std::move(e));
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::inbound_loss(SlotRef replica,
-                                           double probability,
-                                           sim::Duration at) {
-  FaultEvent e;
-  e.kind = FaultKind::kInboundLoss;
-  e.at = at;
-  e.replica = replica;
-  e.probability = probability;
-  events_.push_back(std::move(e));
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::outbound_loss(SlotRef replica,
-                                            double probability,
-                                            sim::Duration at) {
-  FaultEvent e;
-  e.kind = FaultKind::kOutboundLoss;
-  e.at = at;
-  e.replica = replica;
   e.probability = probability;
   events_.push_back(std::move(e));
   return *this;
@@ -437,24 +398,6 @@ void apply(const FaultSchedule& schedule, runtime::Executor& exec,
           break;
         case FaultKind::kLoss:
           net->set_loss_probability(event.probability);
-          break;
-        case FaultKind::kLinkLoss:
-          if (event.probability > 0.0) {
-            net->set_link_loss(node_of(event.replica),
-                               node_of(event.peer),
-                               event.probability);
-          } else {
-            net->clear_link_loss(node_of(event.replica),
-                                 node_of(event.peer));
-          }
-          break;
-        case FaultKind::kInboundLoss:
-          net->set_inbound_loss(node_of(event.replica),
-                                event.probability);
-          break;
-        case FaultKind::kOutboundLoss:
-          net->set_outbound_loss(node_of(event.replica),
-                                 event.probability);
           break;
         case FaultKind::kLatencySpike: {
           const net::NodeId node = node_of(event.replica);

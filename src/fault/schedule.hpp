@@ -29,9 +29,6 @@ enum class FaultKind {
   kPartition,     // split side_a | side_b until the next kHeal
   kHeal,          // remove any active partition
   kLoss,          // set the network-wide loss probability
-  kLinkLoss,      // directional loss on the (replica, peer) link
-  kInboundLoss,   // loss on everything `replica` receives
-  kOutboundLoss,  // loss on everything `replica` sends
   kLatencySpike,  // extra Normal(latency_mean, latency_std) delay on top of
                   // the LAN latency on all of `replica`'s links for
                   // `duration`, then back to the bare LAN model
@@ -74,9 +71,10 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   /// Injection time as an offset from sim::kEpoch.
   sim::Duration at = sim::Duration::zero();
-  /// Target replica slot (crash/restart/loss shaping/latency spike).
+  /// Target replica slot (crash/restart/latency spike); the source end of
+  /// the per-link kinds.
   SlotRef replica;
-  /// Link-loss destination replica slot.
+  /// The other end of the per-link kinds.
   SlotRef peer;
   /// Partition sides (replica slots).
   std::vector<SlotRef> side_a;
@@ -130,12 +128,6 @@ class FaultSchedule {
                            std::vector<SlotRef> side_b, sim::Duration at);
   FaultSchedule& heal(sim::Duration at);
   FaultSchedule& loss(double probability, sim::Duration at);
-  FaultSchedule& link_loss(SlotRef from, SlotRef to,
-                           double probability, sim::Duration at);
-  FaultSchedule& inbound_loss(SlotRef replica, double probability,
-                              sim::Duration at);
-  FaultSchedule& outbound_loss(SlotRef replica, double probability,
-                               sim::Duration at);
   /// Extra Normal(mean, std) delay on every link of `replica`, added to
   /// the LAN latency, for `duration`.
   FaultSchedule& latency_spike(SlotRef replica, sim::Duration mean,

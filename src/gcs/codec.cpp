@@ -56,7 +56,6 @@ net::MessagePtr decode_data(Reader& r) {
   m->sender = r.node();
   m->dest = r.node();
   m->seq = r.u64();
-  m->view_sent = r.u64();
   m->payload = net::decode_nested(r);
   return m;
 }
@@ -64,7 +63,6 @@ net::MessagePtr decode_data(Reader& r) {
 net::MessagePtr decode_heartbeat(Reader& r) {
   auto m = std::make_shared<HeartbeatMsg>();
   m->group = decode_group(r);
-  m->view = r.u64();
   m->my_mcast_seq = r.u64();
   m->my_p2p_seq = net::decode_node_u64_pairs(r);
   m->mcast_acks = net::decode_node_u64_pairs(r);
@@ -135,13 +133,11 @@ void DataMsg::encode(Writer& w) const {
   w.node(sender);
   w.node(dest);
   w.u64(seq);
-  w.u64(view_sent);
   net::encode_nested(w, payload);
 }
 
 void HeartbeatMsg::encode(Writer& w) const {
   encode_group(w, group);
-  w.u64(view);
   w.u64(my_mcast_seq);
   net::encode_node_u64_map(w, my_p2p_seq);
   net::encode_node_u64_map(w, mcast_acks);

@@ -15,19 +15,6 @@ struct Config {
   /// A member is suspected crashed if nothing is heard from it for this
   /// long. Must be a few multiples of heartbeat_period.
   sim::Duration suspect_timeout = std::chrono::milliseconds(1500);
-
-  /// After learning (via heartbeat) that a sender has sent messages we have
-  /// not received, wait this long before NACKing (the message is probably
-  /// still in flight).
-  sim::Duration nack_delay = std::chrono::milliseconds(100);
-
-  /// A joiner that got no view re-contacts the group coordinator at this
-  /// period (covers the coordinator crashing while the join was pending).
-  sim::Duration join_retry = std::chrono::milliseconds(1000);
-
-  /// A flush round that has not completed within this period is restarted
-  /// (excluding members that did not respond and are suspected).
-  sim::Duration flush_timeout = std::chrono::milliseconds(2000);
 };
 
 }  // namespace aqueduct::gcs

@@ -7,6 +7,17 @@
 
 namespace aqueduct::gcs {
 
+namespace {
+/// A gap is NACKed this long after it shows (the message is probably
+/// still in flight).
+constexpr sim::Duration kNackDelay = std::chrono::milliseconds(100);
+/// A joiner without a view re-contacts the coordinator at this period
+/// (covers the coordinator crashing while the join was pending).
+constexpr sim::Duration kJoinRetry = std::chrono::milliseconds(1000);
+/// A flush round not complete within this period is re-proposed.
+constexpr sim::Duration kFlushTimeout = std::chrono::milliseconds(2000);
+}  // namespace
+
 Member::Instruments::Instruments(obs::MetricsRegistry& reg)
     : mcasts_sent(reg.counter("gcs.mcasts_sent")),
       p2p_sent(reg.counter("gcs.p2p_sent")),
@@ -69,7 +80,6 @@ void Member::bootstrap_singleton() {
   acks_.set_view(view_.members, self_);
   joined_ = true;
   last_proposal_seen_ = 1;
-  last_heard_[self_] = exec_.now();
   heartbeat_task_->start();
   directory_.update(group_, self_);
   ++stats_.view_changes;
@@ -85,7 +95,7 @@ void Member::send_join_request() {
     msg->group = group_;
     send_(*coordinator, msg);
   }
-  join_retry_ = exec_.after(config_.join_retry, [this] { send_join_request(); });
+  join_retry_ = exec_.after(kJoinRetry, [this] { send_join_request(); });
 }
 
 void Member::leave() {
@@ -119,7 +129,6 @@ void Member::multicast(net::MessagePtr payload) {
   msg->is_mcast = true;
   msg->sender = self_;
   msg->seq = ++mcast_send_seq_;
-  msg->view_sent = view_.id;
   msg->payload = std::move(payload);
   const DataMsgPtr frozen = msg;
   sent_mcast_.emplace(frozen->seq, frozen);
@@ -165,16 +174,16 @@ void Member::send_control(net::NodeId dest, net::MessagePtr payload) {
 }
 
 void Member::send_p2p(net::NodeId dest, net::MessagePtr payload) {
+  Peer& peer = peers_[dest];
   auto msg = std::make_shared<DataMsg>();
   msg->group = group_;
   msg->is_mcast = false;
   msg->sender = self_;
   msg->dest = dest;
-  msg->seq = ++p2p_send_seq_[dest];
-  msg->view_sent = view_.id;
+  msg->seq = ++peer.p2p_send_seq;
   msg->payload = std::move(payload);
   const DataMsgPtr frozen = msg;
-  sent_p2p_[dest].emplace(frozen->seq, frozen);
+  peer.sent_p2p.emplace(frozen->seq, frozen);
   ++stats_.p2p_sent;
   metrics_.p2p_sent.inc();
   if (dest == self_) {
@@ -201,7 +210,7 @@ void Member::send_to_set(const std::vector<net::NodeId>& dests,
 // exactly one concrete type, so the static casts below are exact.
 void Member::handle(net::NodeId from, const net::MessagePtr& msg) {
   if (stopped_) return;
-  last_heard_[from] = exec_.now();
+  peers_[from].last_heard = exec_.now();
   switch (msg->wire_type()) {
     case kWireData:
       handle_data(from, std::static_pointer_cast<const DataMsg>(msg));
@@ -263,7 +272,7 @@ bool Member::dispatch_control(net::NodeId from, const net::MessagePtr& payload) 
 }
 
 void Member::accept(net::NodeId sender, const DataMsgPtr& msg) {
-  InChannel& chan = msg->is_mcast ? mcast_in_[sender] : p2p_in_[sender];
+  InChannel& chan = peers_[sender].in(msg->is_mcast);
   if (msg->seq <= chan.delivered || chan.buffered.contains(msg->seq)) {
     ++stats_.duplicates_dropped;
     metrics_.duplicates_dropped.inc();
@@ -272,21 +281,20 @@ void Member::accept(net::NodeId sender, const DataMsgPtr& msg) {
   chan.buffered.emplace(msg->seq, msg);
   if (msg->seq > chan.delivered + 1) {
     // Out-of-order arrival exposes a gap below it: ask the sender to
-    // retransmit whatever is still missing after nack_delay.
+    // retransmit whatever is still missing after kNackDelay.
     schedule_nack_check(sender, msg->is_mcast, msg->seq);
   }
   deliver_ready(sender, msg->is_mcast);
 }
 
 void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
-  // The channel is re-looked-up every iteration: delivering a message can
-  // install a view (via dispatch_control) whose garbage collection erases
-  // the sender's channel — a held reference would dangle.
+  // The peer is re-looked-up every iteration: delivering a message can
+  // install a view (via dispatch_control) that erases the sender's entry —
+  // a held reference would dangle.
   while (true) {
-    auto& channels = is_mcast ? mcast_in_ : p2p_in_;
-    auto cit = channels.find(sender);
-    if (cit == channels.end()) return;  // sender departed mid-delivery
-    InChannel& chan = cit->second;
+    auto pit = peers_.find(sender);
+    if (pit == peers_.end()) return;  // sender departed mid-delivery
+    InChannel& chan = pit->second.in(is_mcast);
     auto it = chan.buffered.find(chan.delivered + 1);
     if (it == chan.buffered.end()) break;
     DataMsgPtr msg = it->second;
@@ -310,13 +318,15 @@ void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
 
 void Member::schedule_nack_check(net::NodeId sender, bool is_mcast,
                                  std::uint64_t up_to) {
-  InChannel& chan = is_mcast ? mcast_in_[sender] : p2p_in_[sender];
+  InChannel& chan = peers_[sender].in(is_mcast);
   if (chan.nack_pending_up_to && *chan.nack_pending_up_to >= up_to) return;
   chan.nack_pending_up_to = up_to;
-  exec_.after(config_.nack_delay, [this, sender, is_mcast, up_to,
-                                  alive = std::weak_ptr<const bool>(alive_)] {
+  exec_.after(kNackDelay, [this, sender, is_mcast, up_to,
+                           alive = std::weak_ptr<const bool>(alive_)] {
     if (alive.expired() || stopped_) return;
-    InChannel& c = is_mcast ? mcast_in_[sender] : p2p_in_[sender];
+    auto pit = peers_.find(sender);
+    if (pit == peers_.end()) return;  // the sender left the view
+    InChannel& c = pit->second.in(is_mcast);
     c.nack_pending_up_to.reset();
     // Determine the first gap below `up_to`.
     std::uint64_t first_missing = c.delivered + 1;
@@ -344,10 +354,9 @@ void Member::handle_nack(net::NodeId from, const NackMsg& msg) {
       send_(from, it->second);
     }
   } else {
-    auto chan = sent_p2p_.find(from);
-    if (chan == sent_p2p_.end()) return;
-    for (auto it = chan->second.lower_bound(msg.from_seq);
-         it != chan->second.end() && it->first <= msg.to_seq; ++it) {
+    const auto& copies = peers_[from].sent_p2p;
+    for (auto it = copies.lower_bound(msg.from_seq);
+         it != copies.end() && it->first <= msg.to_seq; ++it) {
       ++stats_.retransmissions;
       metrics_.retransmissions.inc();
       send_(from, it->second);
@@ -363,25 +372,20 @@ void Member::send_heartbeat() {
   if (!joined_ || stopped_) return;
   auto hb = std::make_shared<HeartbeatMsg>();
   hb->group = group_;
-  hb->view = view_.id;
   hb->my_mcast_seq = mcast_send_seq_;
-  // The maps iterate in NodeId order, so the vectors come out sorted.
-  hb->my_p2p_seq.assign(p2p_send_seq_.begin(), p2p_send_seq_.end());
-  // Every mcast channel's ack, plus our own stream's (0 before we deliver
-  // our first multicast).
-  hb->mcast_acks.reserve(mcast_in_.size() + 1);
-  bool self_listed = false;
-  for (const auto& [sender, chan] : mcast_in_) {
-    if (!self_listed && self_ <= sender) {
-      if (self_ != sender) hb->mcast_acks.emplace_back(self_, 0);
-      self_listed = true;
+  // Only streams that carry something are listed: receivers read a missing
+  // node as 0. peers_ iterates in NodeId order, so the vectors come out
+  // sorted.
+  for (const auto& [node, peer] : peers_) {
+    if (peer.p2p_send_seq > 0) {
+      hb->my_p2p_seq.emplace_back(node, peer.p2p_send_seq);
     }
-    hb->mcast_acks.emplace_back(sender, chan.delivered);
-  }
-  if (!self_listed) hb->mcast_acks.emplace_back(self_, 0);
-  hb->p2p_acks.reserve(p2p_in_.size());
-  for (const auto& [sender, chan] : p2p_in_) {
-    hb->p2p_acks.emplace_back(sender, chan.delivered);
+    if (peer.mcast_in.delivered > 0) {
+      hb->mcast_acks.emplace_back(node, peer.mcast_in.delivered);
+    }
+    if (peer.p2p_in.delivered > 0) {
+      hb->p2p_acks.emplace_back(node, peer.p2p_in.delivered);
+    }
   }
   for (const net::NodeId dest : view_.members) {
     if (dest != self_) send_(dest, hb);
@@ -405,26 +409,21 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
   acks_.set_row(from, msg.mcast_acks);
   collect_stability();
 
+  Peer& peer = peers_[from];
   // Garbage-collect the p2p send buffer towards `from`.
   if (const std::uint64_t* ack = net::find_node(msg.p2p_acks, self_)) {
-    if (auto chan = sent_p2p_.find(from); chan != sent_p2p_.end()) {
-      erase_up_to(chan->second, *ack);
-    }
+    erase_up_to(peer.sent_p2p, *ack);
   }
 
   // Loss detection on the mcast stream of `from`: anything between our
   // contiguous high-water mark and the sender's announced seq might be a
   // gap (trailing or interior) worth NACKing.
-  {
-    InChannel& chan = mcast_in_[from];
-    if (msg.my_mcast_seq > chan.delivered) {
-      schedule_nack_check(from, /*is_mcast=*/true, msg.my_mcast_seq);
-    }
+  if (msg.my_mcast_seq > peer.mcast_in.delivered) {
+    schedule_nack_check(from, /*is_mcast=*/true, msg.my_mcast_seq);
   }
   // Same for the from->me p2p channel.
   if (const std::uint64_t* sent = net::find_node(msg.my_p2p_seq, self_)) {
-    InChannel& chan = p2p_in_[from];
-    if (*sent > chan.delivered) {
+    if (*sent > peer.p2p_in.delivered) {
       schedule_nack_check(from, /*is_mcast=*/false, *sent);
     }
   }
@@ -437,8 +436,9 @@ void Member::collect_stability() {
   // the sender's own buffer. The per-sender minima are maintained by acks_,
   // so this is one lookup and one front-of-buffer compare per sender; only
   // a buffer whose oldest copy became stable is trimmed.
-  for (auto& [sender, chan] : mcast_in_) {
-    if (!chan.retained.empty()) erase_up_to(chan.retained, acks_.stable(sender));
+  for (auto& [sender, peer] : peers_) {
+    auto& retained = peer.mcast_in.retained;
+    if (!retained.empty()) erase_up_to(retained, acks_.stable(sender));
   }
   if (!sent_mcast_.empty()) erase_up_to(sent_mcast_, acks_.stable(self_));
 }
@@ -448,9 +448,8 @@ void Member::fd_tick() {
   const sim::TimePoint now = exec_.now();
   for (const net::NodeId m : view_.members) {
     if (m == self_) continue;
-    auto it = last_heard_.find(m);
-    const sim::TimePoint heard = it == last_heard_.end() ? sim::kEpoch : it->second;
-    if (now - heard > config_.suspect_timeout) suspect(m);
+    // Every view member has an entry: install_view stamps them all.
+    if (now - peers_[m].last_heard > config_.suspect_timeout) suspect(m);
   }
 }
 
@@ -477,7 +476,7 @@ net::NodeId Member::acting_coordinator() const {
 
 Member::BufferSizes Member::buffer_sizes() const {
   BufferSizes sizes;
-  for (const auto& [sender, chan] : mcast_in_) sizes.retained += chan.retained.size();
+  for (const auto& [node, peer] : peers_) sizes.retained += peer.mcast_in.retained.size();
   sizes.sent = sent_mcast_.size();
   return sizes;
 }
@@ -557,7 +556,7 @@ void Member::start_view_change() {
   for (const net::NodeId m : flush_waiting_) send_control(m, propose);
 
   exec_.cancel(flush_timeout_);
-  flush_timeout_ = exec_.after(config_.flush_timeout, [this] {
+  flush_timeout_ = exec_.after(kFlushTimeout, [this] {
     if (!coordinating_ || flush_waiting_.empty()) return;
     // Slow round (e.g. repair in progress): re-propose with a fresh
     // proposal number. Genuinely crashed members are removed when the
@@ -573,8 +572,10 @@ std::shared_ptr<FlushMsg> Member::build_flush(std::uint64_t proposal) const {
   auto flush = std::make_shared<FlushMsg>();
   flush->group = group_;
   flush->proposal = proposal;
-  for (const auto& [sender, chan] : mcast_in_) {
-    flush->delivered[sender] = chan.delivered;
+  for (const auto& [sender, peer] : peers_) {
+    const InChannel& chan = peer.mcast_in;
+    // A missing sender reads as 0, as in heartbeats.
+    if (chan.delivered > 0) flush->delivered[sender] = chan.delivered;
     for (const auto& [seq, msg] : chan.retained) flush->held.push_back(msg);
     for (const auto& [seq, msg] : chan.buffered) flush->held.push_back(msg);
   }
@@ -669,7 +670,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
     // old view's messages (application-level state transfer brings it up to
     // date — see the replication layer).
     for (const auto& [sender, target] : msg->deliver_up_to) {
-      InChannel& chan = mcast_in_[sender];
+      InChannel& chan = peers_[sender].mcast_in;
       chan.delivered = std::max(chan.delivered, target);
       std::erase_if(chan.buffered,
                     [&](const auto& kv) { return kv.first <= chan.delivered; });
@@ -677,10 +678,10 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
     }
     // Messages multicast in the *new* view can race ahead of this install;
     // drain anything that became contiguous once the baseline was set.
-    // (Collect the senders first: delivery can mutate the channel map.)
+    // (Collect the senders first: delivery can mutate the peer table.)
     std::vector<net::NodeId> senders;
-    senders.reserve(mcast_in_.size());
-    for (const auto& [sender, chan] : mcast_in_) senders.push_back(sender);
+    senders.reserve(peers_.size());
+    for (const auto& [sender, peer] : peers_) senders.push_back(sender);
     for (const net::NodeId sender : senders) {
       deliver_ready(sender, /*is_mcast=*/true);
       if (stopped_) return;
@@ -688,24 +689,25 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
   } else {
     // Surviving member: complete delivery up to the agreed cut.
     for (const DataMsgPtr& m : msg->resolution) {
-      InChannel& chan = mcast_in_[m->sender];
+      InChannel& chan = peers_[m->sender].mcast_in;
       if (m->seq > chan.delivered && !chan.buffered.contains(m->seq)) {
         chan.buffered.emplace(m->seq, m);
       }
     }
     for (const auto& [sender, target] : msg->deliver_up_to) {
-      mcast_in_[sender];  // the cut can reference senders we never heard
+      peers_[sender];  // the cut can reference senders we never heard
       deliver_ready(sender, /*is_mcast=*/true);
       if (stopped_) return;
       while (true) {
-        auto cit = mcast_in_.find(sender);
-        if (cit == mcast_in_.end() || cit->second.delivered >= target) break;
+        auto pit = peers_.find(sender);
+        if (pit == peers_.end() || pit->second.mcast_in.delivered >= target) break;
+        InChannel& chan = pit->second.mcast_in;
         // Gap that no survivor can fill: the only holders crashed. Count it
         // and move on (allowed for a crashed sender's unstable messages).
         ++stats_.flush_gaps;
         metrics_.flush_gaps.inc();
-        cit->second.delivered += 1;
-        acks_.set_cell(self_, sender, cit->second.delivered);
+        chan.delivered += 1;
+        acks_.set_cell(self_, sender, chan.delivered);
         deliver_ready(sender, /*is_mcast=*/true);
         if (stopped_) return;
       }
@@ -743,20 +745,13 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
   std::erase_if(pending_leavers_,
                 [&](net::NodeId n) { return !view_.contains(n); });
   acks_.set_view(view_.members, self_);
-  std::erase_if(sent_p2p_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
-  // Garbage-collect per-sender state of departed members. NodeIds are
-  // never reused (a recovered process reincarnates under a fresh id), so
-  // an ex-member's channels and failure-detector timestamps can never be
-  // consulted again — without this, every crash/leave leaks its channel
-  // buffers and `last_heard_` entry for the lifetime of the member.
-  std::erase_if(last_heard_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
-  std::erase_if(mcast_in_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
-  std::erase_if(p2p_in_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
-  for (const net::NodeId m : view_.members) last_heard_[m] = exec_.now();
+  // Forget every node outside the new view. NodeIds are never reused (a
+  // recovered process reincarnates under a fresh id), so an ex-member's
+  // streams, unacked copies and failure-detector timestamp can never be
+  // consulted again — without this, every crash/leave would leak them for
+  // the lifetime of the member, and heartbeats would keep listing them.
+  std::erase_if(peers_, [&](const auto& kv) { return !view_.contains(kv.first); });
+  for (const net::NodeId m : view_.members) peers_[m].last_heard = exec_.now();
 
   heartbeat_task_->start();
   exec_.cancel(join_retry_);

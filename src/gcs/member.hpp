@@ -144,6 +144,20 @@ class Member {
     std::optional<std::uint64_t> nack_pending_up_to;
   };
 
+  /// Everything this member knows about one node (itself included): the
+  /// node's two inbound streams, this member's p2p stream towards it, and
+  /// when the node was last heard from. Created on first contact; erased
+  /// when a view that excludes the node is installed.
+  struct Peer {
+    InChannel mcast_in;
+    InChannel p2p_in;
+    std::uint64_t p2p_send_seq = 0;
+    std::map<std::uint64_t, DataMsgPtr> sent_p2p;  // unacked copies to it
+    sim::TimePoint last_heard = sim::kEpoch;
+
+    InChannel& in(bool is_mcast) { return is_mcast ? mcast_in : p2p_in; }
+  };
+
   // ---- message handlers ----
   void handle_data(net::NodeId from, const std::shared_ptr<const DataMsg>& msg);
   /// Dispatches membership control messages carried over the reliable p2p
@@ -162,8 +176,8 @@ class Member {
   void send_p2p(net::NodeId dest, net::MessagePtr payload);
   void send_control(net::NodeId dest, net::MessagePtr payload);
   /// Delivers every contiguous buffered message on the sender's channel.
-  /// Looks the channel up afresh each iteration — a delivered control
-  /// message can install a view whose GC erases the channel.
+  /// Looks the peer up afresh each iteration — a delivered control message
+  /// can install a view that erases it.
   void deliver_ready(net::NodeId sender, bool is_mcast);
   void accept(net::NodeId sender, const DataMsgPtr& msg);
   void schedule_nack_check(net::NodeId sender, bool is_mcast, std::uint64_t up_to);
@@ -208,8 +222,6 @@ class Member {
   // send side
   std::uint64_t mcast_send_seq_ = 0;
   std::map<std::uint64_t, DataMsgPtr> sent_mcast_;  // unstable own multicasts
-  std::map<net::NodeId, std::uint64_t> p2p_send_seq_;
-  std::map<net::NodeId, std::map<std::uint64_t, DataMsgPtr>> sent_p2p_;
   struct PendingSend {
     bool is_mcast;
     net::NodeId dest;
@@ -217,16 +229,15 @@ class Member {
   };
   std::deque<PendingSend> pending_sends_;  // queued while blocked
 
-  // receive side
-  std::map<net::NodeId, InChannel> mcast_in_;
-  std::map<net::NodeId, InChannel> p2p_in_;
+  /// Per-node state, in NodeId order (heartbeat and flush vectors come out
+  /// sorted).
+  std::map<net::NodeId, Peer> peers_;
 
   // stability: every member's cumulative mcast acks, with per-sender
   // minima over the current view kept incrementally
   AckMatrix acks_;
 
   // failure detection
-  std::map<net::NodeId, sim::TimePoint> last_heard_;
   std::set<net::NodeId> suspects_;
 
   // membership coordination

@@ -39,16 +39,15 @@ void register_wire_codecs();
 /// Application payload wrapped for reliable FIFO delivery.
 ///
 /// Sequence numbers are per sender and persist across views, so receivers
-/// deduplicate and order by (sender, seq) alone. `is_mcast` selects the
-/// stream: the group-wide multicast stream, or the per-destination
-/// point-to-point stream.
+/// deduplicate and order by (sender, seq) alone; a message carries no view
+/// id. `is_mcast` selects the stream: the group-wide multicast stream, or
+/// the per-destination point-to-point stream.
 struct DataMsg final : net::Message {
   GroupId group;
   bool is_mcast = true;
   net::NodeId sender;
   net::NodeId dest;  // only meaningful for p2p
   std::uint64_t seq = 0;
-  ViewId view_sent = 0;  // diagnostic: view in which the send was issued
   net::MessagePtr payload;
 
   std::string type_name() const override { return "gcs.data"; }
@@ -59,17 +58,19 @@ struct DataMsg final : net::Message {
 using DataMsgPtr = std::shared_ptr<const DataMsg>;
 
 /// Periodic per-group heartbeat. Its per-node fields are NodeId-sorted flat
-/// vectors, encoded exactly like the std::maps of the other messages.
+/// vectors, encoded exactly like the std::maps of the other messages. They
+/// list only streams that carry something: a node missing from a vector
+/// reads as 0, so a member that never multicast or sent p2p heartbeats
+/// empty vectors, and a node that left the view drops out of all three.
 struct HeartbeatMsg final : net::Message {
   GroupId group;
-  ViewId view = 0;
   /// Sender's own multicast stream high-water mark (for trailing-loss
   /// detection at receivers).
   std::uint64_t my_mcast_seq = 0;
-  /// Sender's p2p stream high-water mark per destination.
+  /// Sender's p2p stream high-water mark per destination it has sent to.
   net::NodeU64Pairs my_p2p_seq;
-  /// Cumulative contiguous-delivery acknowledgements: for each sender in
-  /// the group, the highest mcast seq this member has delivered.
+  /// Cumulative contiguous-delivery acknowledgements: for each sender whose
+  /// multicasts this member has delivered, the highest delivered seq.
   net::NodeU64Pairs mcast_acks;
   /// For each sender, the highest p2p seq (on the sender->me channel) this
   /// member has delivered.
@@ -135,7 +136,8 @@ struct ProposeMsg final : net::Message {
 struct FlushMsg final : net::Message {
   GroupId group;
   std::uint64_t proposal = 0;
-  /// Highest contiguously delivered mcast seq per sender.
+  /// Highest contiguously delivered mcast seq per sender; senders with
+  /// nothing delivered are omitted (read as 0).
   std::map<net::NodeId, std::uint64_t> delivered;
   /// All unstable messages this member holds copies of: retained delivered
   /// messages, buffered out-of-order messages, and its own unstable sends.

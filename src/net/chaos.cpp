@@ -129,29 +129,9 @@ void ChaosTransport::set_link_delay(
   link_delay_[{from, to}] = std::move(extra);
 }
 
-void ChaosTransport::clear_link_delay(NodeId from, NodeId to) {
-  link_delay_.erase({from, to});
-}
-
 void ChaosTransport::set_duplicate_probability(double p) {
   AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
   duplicate_probability_ = p;
-}
-
-void ChaosTransport::set_link_duplicate(NodeId from, NodeId to, double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  link_duplicate_[{from, to}] = p;
-}
-
-void ChaosTransport::clear_link_duplicate(NodeId from, NodeId to) {
-  link_duplicate_.erase({from, to});
-}
-
-double ChaosTransport::duplicate_probability(NodeId from, NodeId to) const {
-  if (auto it = link_duplicate_.find({from, to}); it != link_duplicate_.end()) {
-    return it->second;
-  }
-  return duplicate_probability_;
 }
 
 void ChaosTransport::set_reorder_probability(double p) {
@@ -185,7 +165,6 @@ void ChaosTransport::heal_link(NodeId a, NodeId b) {
     blackholes_.erase(link);
     link_delay_.erase(link);
     link_loss_.erase(link);
-    link_duplicate_.erase(link);
     throttle_gap_.erase(link);
     throttle_next_free_.erase(link);
   }
@@ -203,7 +182,6 @@ void ChaosTransport::heal_gray() {
   link_delay_.clear();
   node_delay_.clear();
   duplicate_probability_ = 0.0;
-  link_duplicate_.clear();
   reorder_probability_ = 0.0;
   throttle_gap_.clear();
   throttle_next_free_.clear();
@@ -283,8 +261,8 @@ void ChaosTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     drop(from, to, msg, c_dropped_loss_, "loss");
     return;
   }
-  const double dup = duplicate_probability(from, to);
-  const bool duplicate = dup > 0.0 && rng_.bernoulli(dup);
+  const bool duplicate = duplicate_probability_ > 0.0 &&
+                         rng_.bernoulli(duplicate_probability_);
   if (duplicate) c_duplicated_.inc();
   forward_copy(from, to, msg);
   if (duplicate) forward_copy(from, to, std::move(msg));

@@ -82,10 +82,7 @@ class ChaosTransport final : public Transport, public FaultInjection {
       std::shared_ptr<sim::DurationDistribution> extra) override;
   void set_link_delay(NodeId from, NodeId to,
                       std::shared_ptr<sim::DurationDistribution> extra) override;
-  void clear_link_delay(NodeId from, NodeId to) override;
   void set_duplicate_probability(double p) override;
-  void set_link_duplicate(NodeId from, NodeId to, double p) override;
-  void clear_link_duplicate(NodeId from, NodeId to) override;
   void set_reorder_probability(double p) override;
   void set_reorder_window(sim::Duration window) override;
   void set_link_throttle(NodeId from, NodeId to, sim::Duration min_gap) override;
@@ -103,7 +100,6 @@ class ChaosTransport final : public Transport, public FaultInjection {
   };
 
   bool partitioned(NodeId a, NodeId b) const;
-  double duplicate_probability(NodeId from, NodeId to) const;
   /// Extra injected delay for one copy (link → node → default precedence),
   /// zero when no delay knob matches.
   sim::Duration sample_extra_delay(NodeId from, NodeId to);
@@ -136,7 +132,6 @@ class ChaosTransport final : public Transport, public FaultInjection {
 
   // Duplication / reordering / throttling state.
   double duplicate_probability_ = 0.0;
-  std::unordered_map<Link, double, LinkHash> link_duplicate_;
   double reorder_probability_ = 0.0;
   sim::Duration reorder_window_ = std::chrono::milliseconds(50);
   std::unordered_map<Link, sim::Duration, LinkHash> throttle_gap_;

@@ -139,20 +139,9 @@ class FaultInjection {
       NodeId from, NodeId to,
       std::shared_ptr<sim::DurationDistribution> extra) = 0;
 
-  /// Removes a directional extra-delay override.
-  virtual void clear_link_delay(NodeId from, NodeId to) = 0;
-
   /// Probability in [0, 1] that a message is sent twice (each copy delayed
-  /// independently, so duplicates also reorder). Applies to every link
-  /// without a per-link override.
+  /// independently, so duplicates also reorder), on every link.
   virtual void set_duplicate_probability(double p) = 0;
-
-  /// Directional per-link duplication probability; overrides the global
-  /// knob for that link. p == 0 with no global knob disables.
-  virtual void set_link_duplicate(NodeId from, NodeId to, double p) = 0;
-
-  /// Removes a directional per-link duplication override.
-  virtual void clear_link_duplicate(NodeId from, NodeId to) = 0;
 
   /// Probability in [0, 1] that a message is held back by an extra uniform
   /// delay in [0, reorder window), letting later sends overtake it.

@@ -8,6 +8,28 @@
 
 namespace aqueduct::replication {
 
+namespace {
+
+/// Period of the lazy publisher's standalone performance broadcasts (keeps
+/// client staleness estimators fresh even between reads).
+constexpr sim::Duration kPerfPublishPeriod = std::chrono::milliseconds(500);
+
+/// Bound on the dedup/reply caches.
+constexpr std::size_t kCacheLimit = 16384;
+
+/// How long a rejoining primary waits before re-sending a StateRequest
+/// (covers lost requests, unknown roles, and a mid-transfer responder
+/// crash).
+constexpr sim::Duration kStateTransferRetry = std::chrono::milliseconds(500);
+
+/// Period of the commit-stall watchdog (sequential ordering only): a
+/// primary whose commit pipeline has been stuck on the same missing
+/// GSN/payload for two consecutive checks re-enters recovery and jumps the
+/// gap via a fresh snapshot.
+constexpr sim::Duration kCommitStallCheck = std::chrono::seconds(1);
+
+}  // namespace
+
 ReplicaServer::Instruments::Instruments(obs::MetricsRegistry& reg)
     : updates_committed(reg.counter("repl.updates_committed")),
       reads_served(reg.counter("repl.reads_served")),
@@ -78,7 +100,7 @@ void ReplicaServer::start() {
 
   if (is_primary_ && !fifo()) {
     stall_task_ = std::make_unique<runtime::PeriodicTask>(
-        exec_, config_.commit_stall_check, [this] { check_commit_stall(); });
+        exec_, kCommitStallCheck, [this] { check_commit_stall(); });
     stall_task_->start();
   }
 
@@ -175,7 +197,7 @@ void ReplicaServer::on_primary_view(const gcs::View& view) {
         exec_, config_.lazy_update_interval, [this] { propagate_lazy_update(); });
     lazy_task_->start();
     perf_task_ = std::make_unique<runtime::PeriodicTask>(
-        exec_, config_.perf_publish_period,
+        exec_, kPerfPublishPeriod,
         [this] { publish_perf(std::nullopt, std::nullopt, std::nullopt, false); });
     perf_task_->start();
   } else if (!is_lazy_publisher_ && was_publisher) {
@@ -342,7 +364,7 @@ void ReplicaServer::sequence_update(const UpdateRequest& request) {
     assign->gsn = ++my_gsn_;
     assigned_.emplace(request.id, assign->gsn);
     assigned_order_.push_back(request.id);
-    if (assigned_order_.size() > config_.cache_limit) {
+    if (assigned_order_.size() > kCacheLimit) {
       assigned_.erase(assigned_order_.front());
       assigned_order_.pop_front();
     }
@@ -362,7 +384,7 @@ void ReplicaServer::handle_gsn_assign(const GsnAssign& assign) {
     if (!gsn_of_read_.contains(assign.id)) {
       gsn_of_read_.emplace(assign.id, assign.gsn);
       gsn_of_read_order_.push_back(assign.id);
-      if (gsn_of_read_order_.size() > config_.cache_limit) {
+      if (gsn_of_read_order_.size() > kCacheLimit) {
         gsn_of_read_.erase(gsn_of_read_order_.front());
         gsn_of_read_order_.pop_front();
       }
@@ -518,7 +540,7 @@ void ReplicaServer::sequence_read(const ReadRequest& request) {
     assign->gsn = my_gsn_;  // current GSN, *not* advanced for reads
     assigned_.emplace(request.id, assign->gsn);
     assigned_order_.push_back(request.id);
-    if (assigned_order_.size() > config_.cache_limit) {
+    if (assigned_order_.size() > kCacheLimit) {
       assigned_.erase(assigned_order_.front());
       assigned_order_.pop_front();
     }
@@ -637,7 +659,7 @@ void ReplicaServer::begin_recovery() {
 void ReplicaServer::send_state_request() {
   if (!recovering_ || crashed_) return;
   exec_.cancel(recovery_retry_);
-  recovery_retry_ = exec_.after(config_.state_transfer_retry,
+  recovery_retry_ = exec_.after(kStateTransferRetry,
                                [this] { send_state_request(); });
   const auto target = choose_transfer_target();
   if (!target) return;  // roles unknown yet; retry after the timer
@@ -954,7 +976,7 @@ bool ReplicaServer::already_applied(const RequestId& id) const {
 void ReplicaServer::remember_committed(const RequestId& id) {
   committed_.insert(id);
   committed_order_.push_back(id);
-  if (committed_order_.size() > config_.cache_limit) {
+  if (committed_order_.size() > kCacheLimit) {
     const RequestId& oldest = committed_order_.front();
     committed_.erase(oldest);
     gsn_of_update_.erase(oldest);
@@ -966,7 +988,7 @@ void ReplicaServer::cache_reply(const RequestId& id,
                                 std::shared_ptr<const Reply> reply) {
   reply_cache_[id] = std::move(reply);
   reply_cache_order_.push_back(id);
-  if (reply_cache_order_.size() > config_.cache_limit) {
+  if (reply_cache_order_.size() > kCacheLimit) {
     reply_cache_.erase(reply_cache_order_.front());
     reply_cache_order_.pop_front();
   }

@@ -69,20 +69,6 @@ struct ReplicaConfig {
   /// Lazy-update propagation period T_L (effective only while this replica
   /// is the lazy publisher).
   sim::Duration lazy_update_interval = std::chrono::seconds(4);
-  /// Period of the lazy publisher's standalone performance broadcasts
-  /// (keeps client staleness estimators fresh even between reads).
-  sim::Duration perf_publish_period = std::chrono::milliseconds(500);
-  /// Bound on the dedup/reply caches.
-  std::size_t cache_limit = 16384;
-  /// How long a rejoining primary waits before re-sending a StateRequest
-  /// (covers lost requests, unknown roles, and a mid-transfer responder
-  /// crash).
-  sim::Duration state_transfer_retry = std::chrono::milliseconds(500);
-  /// Period of the commit-stall watchdog (sequential ordering only): a
-  /// primary whose commit pipeline has been stuck on the same missing
-  /// GSN/payload for two consecutive checks re-enters recovery and jumps
-  /// the gap via a fresh snapshot.
-  sim::Duration commit_stall_check = std::chrono::seconds(1);
 };
 
 struct ReplicaStats {

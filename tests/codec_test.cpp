@@ -34,7 +34,6 @@ std::shared_ptr<const gcs::DataMsg> make_data_msg() {
   data->sender = net::NodeId{3};
   data->dest = net::NodeId{9};
   data->seq = 41;
-  data->view_sent = 6;
   data->payload = make_kv_put();
   return data;
 }
@@ -50,7 +49,6 @@ std::vector<net::MessagePtr> exemplars() {
   {
     auto m = std::make_shared<gcs::HeartbeatMsg>();
     m->group = gcs::GroupId{18};
-    m->view = 4;
     m->my_mcast_seq = 100;
     m->my_p2p_seq = {{net::NodeId{2}, 7}, {net::NodeId{5}, 0}};
     m->mcast_acks = {{net::NodeId{1}, 99}};
@@ -302,6 +300,45 @@ TEST_F(CodecTest, EncodeDecodeEncodeIsByteIdentical) {
     // must re-encode to exactly the original bytes.
     EXPECT_EQ(net::encode_frame(*decoded), bytes);
   }
+}
+
+// The byte round trip above proves re-encoding fidelity; this pins every
+// field of the two hottest gcs messages by value after a decode.
+TEST_F(CodecTest, DataAndHeartbeatFieldsSurviveTheRoundTrip) {
+  const auto data = make_data_msg();
+  const std::vector<std::uint8_t> data_bytes = net::encode_frame(*data);
+  net::Reader dr(data_bytes);
+  const auto got = net::message_cast<gcs::DataMsg>(net::decode_frame(dr));
+  ASSERT_TRUE(got);
+  EXPECT_EQ(got->group, data->group);
+  EXPECT_EQ(got->is_mcast, data->is_mcast);
+  EXPECT_EQ(got->sender, data->sender);
+  EXPECT_EQ(got->dest, data->dest);
+  EXPECT_EQ(got->seq, data->seq);
+  ASSERT_TRUE(got->payload);
+  EXPECT_EQ(net::encode_frame(*got->payload), net::encode_frame(*data->payload));
+
+  gcs::HeartbeatMsg hb;
+  hb.group = gcs::GroupId{18};
+  hb.my_mcast_seq = 100;
+  hb.my_p2p_seq = {{net::NodeId{2}, 7}};
+  hb.mcast_acks = {{net::NodeId{1}, 99}, {net::NodeId{6}, 4}};
+  hb.p2p_acks = {{net::NodeId{4}, 3}};
+  const std::vector<std::uint8_t> hb_bytes = net::encode_frame(hb);
+  net::Reader hr(hb_bytes);
+  const auto back = net::message_cast<gcs::HeartbeatMsg>(net::decode_frame(hr));
+  ASSERT_TRUE(back);
+  EXPECT_EQ(back->group, hb.group);
+  EXPECT_EQ(back->my_mcast_seq, hb.my_mcast_seq);
+  EXPECT_EQ(back->my_p2p_seq, hb.my_p2p_seq);
+  EXPECT_EQ(back->mcast_acks, hb.mcast_acks);
+  EXPECT_EQ(back->p2p_acks, hb.p2p_acks);
+
+  // A heartbeat with nothing to list is the group id, the mcast seq and
+  // three empty vector counts.
+  gcs::HeartbeatMsg empty;
+  empty.group = gcs::GroupId{18};
+  EXPECT_EQ(empty.wire_size(), net::kFrameHeaderSize + 4 + 8 + 3 * 4);
 }
 
 TEST_F(CodecTest, WireSizeIsTheEncodedFrameSize) {

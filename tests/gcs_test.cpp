@@ -36,13 +36,42 @@ std::string text_of(const net::MessagePtr& msg) {
 
 constexpr GroupId kGroup{42};
 
+/// Forwards everything to the wrapped backend and, while `recording`, keeps
+/// every heartbeat handed to it: the heartbeats as they go on the wire.
+class HeartbeatTap final : public net::Transport {
+ public:
+  explicit HeartbeatTap(std::unique_ptr<net::Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  net::NodeId attach(net::Endpoint& endpoint) override {
+    return inner_->attach(endpoint);
+  }
+  void detach(net::NodeId id) override { inner_->detach(id); }
+  bool is_attached(net::NodeId id) const override { return inner_->is_attached(id); }
+  void send(net::NodeId from, net::NodeId to, net::MessagePtr msg) override {
+    if (recording) {
+      if (auto hb = net::message_cast<HeartbeatMsg>(msg)) sent.emplace_back(from, hb);
+    }
+    inner_->send(from, to, std::move(msg));
+  }
+  net::TransportStats stats() const override { return inner_->stats(); }
+  obs::Observability& observability() override { return inner_->observability(); }
+  runtime::Executor& executor() override { return inner_->executor(); }
+
+  bool recording = false;
+  std::vector<std::pair<net::NodeId, std::shared_ptr<const HeartbeatMsg>>> sent;
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+};
+
 /// N processes in one group over a jittery network.
 struct Fixture {
   explicit Fixture(std::size_t n, std::uint64_t seed = 1,
                    sim::Duration jitter = milliseconds(2), Config config = {})
       : sim(seed),
-        network(net::make_loopback_transport(
-            sim, std::make_unique<sim::NormalDuration>(milliseconds(2), jitter))) {
+        network(std::make_unique<HeartbeatTap>(net::make_loopback_transport(
+            sim, std::make_unique<sim::NormalDuration>(milliseconds(2), jitter)))) {
     for (std::size_t i = 0; i < n; ++i) {
       endpoints.push_back(std::make_unique<Endpoint>(sim, network, directory, config));
       auto& member = endpoints[i]->member(kGroup);
@@ -65,6 +94,8 @@ struct Fixture {
   void settle(sim::Duration d = seconds(2)) { sim.run_for(d); }
 
   Member& member(std::size_t i) { return endpoints[i]->member(kGroup); }
+
+  HeartbeatTap& tap() { return static_cast<HeartbeatTap&>(network.inner()); }
 
   /// Messages (as text) member i delivered from `from`, in order.
   std::vector<std::string> from_sender(std::size_t i, net::NodeId from) const {
@@ -433,6 +464,73 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
       }
     }
   }
+}
+
+bool names(const net::NodeU64Pairs& pairs, net::NodeId node) {
+  return net::find_node(pairs, node) != nullptr;
+}
+
+TEST(GcsHeartbeat, DepartedMemberDropsOutOfEveryField) {
+  Fixture f(4);
+  f.join_all();
+  // Give every survivor a stream towards and from the member that departs:
+  // it multicasts and sends p2p, and each survivor sends it p2p.
+  const net::NodeId departing = f.member(3).self();
+  f.member(3).multicast(text("m"));
+  for (std::size_t i = 0; i < 3; ++i) {
+    f.member(3).send_to(f.member(i).self(), text("to-survivor"));
+    f.member(i).send_to(departing, text("to-departing"));
+  }
+  f.settle(milliseconds(600));
+  f.tap().recording = true;
+  f.settle(milliseconds(300));
+  std::size_t naming = 0;
+  for (const auto& [from, hb] : f.tap().sent) {
+    if (from == departing) continue;
+    naming += names(hb->my_p2p_seq, departing) && names(hb->mcast_acks, departing) &&
+              names(hb->p2p_acks, departing);
+  }
+  ASSERT_GT(naming, 0u) << "before the departure every survivor names it";
+
+  f.endpoints[3]->crash();
+  f.settle(seconds(3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_FALSE(f.member(i).view().contains(departing)) << "member " << i;
+  }
+  f.tap().sent.clear();
+  f.settle(seconds(1));
+  ASSERT_FALSE(f.tap().sent.empty());
+  for (const auto& [from, hb] : f.tap().sent) {
+    EXPECT_FALSE(names(hb->my_p2p_seq, departing)) << "from " << from;
+    EXPECT_FALSE(names(hb->mcast_acks, departing)) << "from " << from;
+    EXPECT_FALSE(names(hb->p2p_acks, departing)) << "from " << from;
+  }
+}
+
+TEST(GcsHeartbeat, SilentMemberHeartbeatsEmptyVectors) {
+  Fixture f(3);
+  f.join_all();
+  // Members 0 and 1 talk p2p; member 2 joined last (its install came as a
+  // raw send) and never multicasts or sends p2p.
+  for (int i = 0; i < 3; ++i) f.member(0).send_to(f.member(1).self(), text("p"));
+  f.settle(milliseconds(300));
+  f.tap().recording = true;
+  f.settle(seconds(1));
+  const net::NodeId silent = f.member(2).self();
+  std::size_t from_silent = 0;
+  for (const auto& [from, hb] : f.tap().sent) {
+    // Nobody multicast, so no heartbeat carries an mcast ack.
+    EXPECT_TRUE(hb->mcast_acks.empty()) << "from " << from;
+    EXPECT_FALSE(names(hb->my_p2p_seq, silent)) << "from " << from;
+    if (from != silent) continue;
+    ++from_silent;
+    EXPECT_EQ(hb->my_mcast_seq, 0u);
+    EXPECT_TRUE(hb->my_p2p_seq.empty());
+    EXPECT_TRUE(hb->p2p_acks.empty());
+  }
+  EXPECT_GT(from_silent, 0u);
+  EXPECT_EQ(f.member(2).stats().p2p_sent, 0u);
+  EXPECT_EQ(f.member(2).stats().mcasts_sent, 0u);
 }
 
 TEST(GcsLeave, GracefulLeaveShrinksView) {
