@@ -67,7 +67,7 @@ void ClientHandler::start() {
       [this](net::NodeId from, const net::MessagePtr& msg) {
         on_deliver(from, msg);
       });
-  qos_member_->join();
+  qos_member_->join(gcs::Role::kListener);
 }
 
 // ---------------------------------------------------------------------------

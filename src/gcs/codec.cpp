@@ -19,6 +19,7 @@ void encode_view(Writer& w, const View& v) {
   encode_group(w, v.group);
   w.u64(v.id);
   net::encode_node_vector(w, v.members);
+  net::encode_node_vector(w, v.listeners);
 }
 
 View decode_view(Reader& r) {
@@ -26,6 +27,7 @@ View decode_view(Reader& r) {
   v.group = decode_group(r);
   v.id = r.u64();
   v.members = net::decode_node_vector(r);
+  v.listeners = net::decode_node_vector(r);
   return v;
 }
 
@@ -82,6 +84,11 @@ net::MessagePtr decode_nack(Reader& r) {
 net::MessagePtr decode_join(Reader& r) {
   auto m = std::make_shared<JoinMsg>();
   m->group = decode_group(r);
+  const std::uint8_t role = r.u8();
+  if (role > static_cast<std::uint8_t>(Role::kListener)) {
+    throw net::CodecError("gcs.join: unknown role");
+  }
+  m->role = static_cast<Role>(role);
   return m;
 }
 
@@ -151,7 +158,10 @@ void NackMsg::encode(Writer& w) const {
   w.u64(to_seq);
 }
 
-void JoinMsg::encode(Writer& w) const { encode_group(w, group); }
+void JoinMsg::encode(Writer& w) const {
+  encode_group(w, group);
+  w.u8(static_cast<std::uint8_t>(role));
+}
 
 void LeaveMsg::encode(Writer& w) const { encode_group(w, group); }
 

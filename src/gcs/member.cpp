@@ -63,9 +63,10 @@ void Member::stop() {
 // Join / leave
 // ---------------------------------------------------------------------------
 
-void Member::join() {
+void Member::join(Role role) {
   AQUEDUCT_CHECK(!stopped_);
   AQUEDUCT_CHECK_MSG(!joined_ && !join_requested_, "join() called twice");
+  role_ = role;
   const auto coordinator = directory_.claim_or_get(group_, self_);
   if (!coordinator) {
     bootstrap_singleton();
@@ -76,8 +77,9 @@ void Member::join() {
 }
 
 void Member::bootstrap_singleton() {
-  view_ = View{group_, 1, {self_}};
-  acks_.set_view(view_.members, self_);
+  view_ = View{group_, 1, {self_}, {}};
+  if (role_ == Role::kListener) view_.listeners.push_back(self_);
+  reset_acks();
   joined_ = true;
   last_proposal_seen_ = 1;
   heartbeat_task_->start();
@@ -93,6 +95,7 @@ void Member::send_join_request() {
   if (coordinator && *coordinator != self_) {
     auto msg = std::make_shared<JoinMsg>();
     msg->group = group_;
+    msg->role = role_;
     send_(*coordinator, msg);
   }
   join_retry_ = exec_.after(kJoinRetry, [this] { send_join_request(); });
@@ -120,6 +123,7 @@ void Member::multicast(net::MessagePtr payload) {
   AQUEDUCT_CHECK(payload != nullptr);
   AQUEDUCT_CHECK_MSG(joined_ || blocked_ || join_requested_,
                      "multicast before join");
+  AQUEDUCT_CHECK_MSG(role_ != Role::kListener, "a listener never multicasts");
   if (blocked_ || !joined_) {
     pending_sends_.push_back({true, net::NodeId{}, std::move(payload)});
     return;
@@ -222,7 +226,7 @@ void Member::handle(net::NodeId from, const net::MessagePtr& msg) {
       handle_nack(from, static_cast<const NackMsg&>(*msg));
       break;
     case kWireJoin:
-      handle_join(from);
+      handle_join(from, static_cast<const JoinMsg&>(*msg));
       break;
     case kWireLeave:
       handle_leave(from);
@@ -387,8 +391,15 @@ void Member::send_heartbeat() {
       hb->p2p_acks.emplace_back(node, peer.p2p_in.delivered);
     }
   }
+  // Beyond the monitored pairs, a p2p stream between two listeners keeps
+  // its heartbeats: they carry its acks and its trailing-loss detection.
+  const auto p2p_stream = [this](net::NodeId node) {
+    auto it = peers_.find(node);
+    return it != peers_.end() &&
+           (it->second.p2p_send_seq > 0 || it->second.p2p_in.delivered > 0);
+  };
   for (const net::NodeId dest : view_.members) {
-    if (dest != self_) send_(dest, hb);
+    if (dest != self_ && (monitors(dest) || p2p_stream(dest))) send_(dest, hb);
   }
 }
 
@@ -429,13 +440,24 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
   }
 }
 
+void Member::reset_acks() {
+  const std::vector<net::NodeId> senders = view_.full_members();
+  if (!view_.is_listener(self_)) {
+    acks_.set_view(view_.members, senders, self_);
+    return;
+  }
+  std::vector<net::NodeId> rows = senders;
+  rows.push_back(self_);
+  acks_.set_view(rows, senders, self_);
+}
+
 void Member::collect_stability() {
   if (!joined_) return;
-  // A multicast (sender, seq) is stable once every current-view member has
-  // delivered it; stable copies can be dropped from retained logs and from
-  // the sender's own buffer. The per-sender minima are maintained by acks_,
-  // so this is one lookup and one front-of-buffer compare per sender; only
-  // a buffer whose oldest copy became stable is trimmed.
+  // A multicast (sender, seq) is stable once every member whose acks count
+  // here has delivered it; stable copies can be dropped from retained logs
+  // and from the sender's own buffer. The per-sender minima are maintained
+  // by acks_, so this is one lookup and one front-of-buffer compare per
+  // sender; only a buffer whose oldest copy became stable is trimmed.
   for (auto& [sender, peer] : peers_) {
     auto& retained = peer.mcast_in.retained;
     if (!retained.empty()) erase_up_to(retained, acks_.stable(sender));
@@ -447,10 +469,15 @@ void Member::fd_tick() {
   if (!joined_ || stopped_) return;
   const sim::TimePoint now = exec_.now();
   for (const net::NodeId m : view_.members) {
-    if (m == self_) continue;
+    if (m == self_ || !monitors(m)) continue;
     // Every view member has an entry: install_view stamps them all.
     if (now - peers_[m].last_heard > config_.suspect_timeout) suspect(m);
   }
+}
+
+bool Member::monitors(net::NodeId node) const {
+  return !view_.is_listener(self_) || !view_.is_listener(node) ||
+         view_.leader() == self_ || view_.leader() == node;
 }
 
 void Member::suspect(net::NodeId node) {
@@ -476,7 +503,10 @@ net::NodeId Member::acting_coordinator() const {
 
 Member::BufferSizes Member::buffer_sizes() const {
   BufferSizes sizes;
-  for (const auto& [node, peer] : peers_) sizes.retained += peer.mcast_in.retained.size();
+  for (const auto& [node, peer] : peers_) {
+    sizes.retained += peer.mcast_in.retained.size();
+    sizes.p2p += peer.sent_p2p.size();
+  }
   sizes.sent = sent_mcast_.size();
   return sizes;
 }
@@ -485,7 +515,7 @@ Member::BufferSizes Member::buffer_sizes() const {
 // Membership coordination (view changes with virtually synchronous flush)
 // ---------------------------------------------------------------------------
 
-void Member::handle_join(net::NodeId from) {
+void Member::handle_join(net::NodeId from, const JoinMsg& msg) {
   if (!joined_) return;
   if (view_.contains(from)) {
     // Already admitted — its install was probably lost; re-send it.
@@ -494,7 +524,7 @@ void Member::handle_join(net::NodeId from) {
     }
     return;
   }
-  pending_joiners_.insert(from);
+  pending_joiners_.emplace(from, msg.role);
   if (acting_coordinator() == self_) start_view_change();
 }
 
@@ -517,28 +547,32 @@ void Member::start_view_change() {
     return;
   }
 
-  // New membership: survivors in old order, then joiners in id order.
+  // New membership: survivors in old order, then joiners in id order. The
+  // listeners are the surviving ones plus the joiners that asked to be.
   std::vector<net::NodeId> members;
+  std::vector<net::NodeId> listeners;
   for (const net::NodeId m : view_.members) {
     if (!suspects_.contains(m) && !pending_leavers_.contains(m)) {
       members.push_back(m);
+      if (view_.is_listener(m)) listeners.push_back(m);
     }
   }
-  std::vector<net::NodeId> joiners(pending_joiners_.begin(), pending_joiners_.end());
-  for (const net::NodeId j : joiners) {
-    if (std::find(members.begin(), members.end(), j) == members.end()) {
-      members.push_back(j);
+  for (const auto& [joiner, role] : pending_joiners_) {
+    if (std::find(members.begin(), members.end(), joiner) == members.end()) {
+      members.push_back(joiner);
+      if (role == Role::kListener) listeners.push_back(joiner);
     }
   }
   if (members == view_.members) {
     pending_joiners_.clear();
     return;  // nothing to change
   }
+  std::sort(listeners.begin(), listeners.end());
 
   my_proposal_ = std::max(last_proposal_seen_, view_.id) + 1;
   last_proposal_seen_ = my_proposal_;
   coordinating_ = true;
-  proposed_members_ = std::move(members);
+  proposed_ = View{group_, my_proposal_, std::move(members), std::move(listeners)};
   flush_replies_.clear();
   flush_waiting_.clear();
   for (const net::NodeId m : view_.members) {
@@ -552,7 +586,7 @@ void Member::start_view_change() {
   auto propose = std::make_shared<ProposeMsg>();
   propose->group = group_;
   propose->proposal = my_proposal_;
-  propose->members = proposed_members_;
+  propose->members = proposed_.members;
   for (const net::NodeId m : flush_waiting_) send_control(m, propose);
 
   exec_.cancel(flush_timeout_);
@@ -605,7 +639,7 @@ void Member::finish_flush() {
   auto install = std::make_shared<InstallMsg>();
   install->group = group_;
   install->proposal = my_proposal_;
-  install->view = View{group_, my_proposal_, proposed_members_};
+  install->view = proposed_;
 
   std::map<std::pair<net::NodeId, std::uint64_t>, DataMsgPtr> resolution;
   for (const auto& [member, flush] : flush_replies_) {
@@ -625,7 +659,7 @@ void Member::finish_flush() {
   // Everyone that flushed (including leavers) plus joiners learns the view.
   // Flushed members have live reliable channels; joiners do not yet, so
   // they get a raw send (re-repaired by their join-retry loop if lost).
-  std::set<net::NodeId> recipients(proposed_members_.begin(), proposed_members_.end());
+  std::set<net::NodeId> recipients(proposed_.members.begin(), proposed_.members.end());
   for (const auto& [member, flush] : flush_replies_) recipients.insert(member);
   for (const net::NodeId m : recipients) {
     if (m == self_) continue;
@@ -741,10 +775,10 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
     it = view_.contains(*it) ? std::next(it) : suspects_.erase(it);
   }
   std::erase_if(pending_joiners_,
-                [&](net::NodeId n) { return view_.contains(n); });
+                [&](const auto& kv) { return view_.contains(kv.first); });
   std::erase_if(pending_leavers_,
                 [&](net::NodeId n) { return !view_.contains(n); });
-  acks_.set_view(view_.members, self_);
+  reset_acks();
   // Forget every node outside the new view. NodeIds are never reused (a
   // recovered process reincarnates under a fresh id), so an ex-member's
   // streams, unacked copies and failure-detector timestamp can never be

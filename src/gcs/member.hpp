@@ -15,6 +15,24 @@
 //     coordinator, so leadership fails over automatically;
 //   * failure detection by heartbeat timeout.
 //
+// A process joins either as a full member or as a listener (gcs::Role). A
+// listener receives the group's multicasts and sends and receives p2p, but
+// never multicasts. Heartbeats flow along every pair that has a full member
+// in it and never between two listeners, so a group of m full members and
+// l listeners sends O(m * (m + l)) heartbeats per period instead of
+// O((m + l)^2). Clients join their service's QoS group as listeners. Two
+// exceptions keep a listener-only corner live: the view's leader exchanges
+// heartbeats with everyone, whatever the roles (a listener that bootstrapped
+// the group heads its view until it leaves), and two listeners with a p2p
+// stream between them heartbeat each other so that the stream's acks and
+// trailing-loss detection work. See monitors().
+//
+// Stability follows the heartbeats: a full member frees a retained copy once
+// every view member has delivered it, a listener once every full member has.
+// Full members therefore hold every message some listener still lacks, and
+// the flush redistributes every delivered message while a full member
+// survives.
+//
 // Assumed failure model: fail-stop crashes (no Byzantine behaviour); the
 // network may delay, reorder, and drop messages.
 #pragma once
@@ -89,10 +107,10 @@ class Member {
   /// typically treats it as a crash and reincarnates the process.
   void set_on_eviction(EvictionFn fn) { on_eviction_ = std::move(fn); }
 
-  /// Starts the join protocol. If the group is empty this member bootstraps
-  /// a singleton view immediately; otherwise a view including this member
-  /// is installed asynchronously.
-  void join();
+  /// Starts the join protocol in `role`. If the group is empty this member
+  /// bootstraps a singleton view immediately; otherwise a view including
+  /// this member is installed asynchronously.
+  void join(Role role = Role::kMember);
 
   /// Gracefully leaves the group (the coordinator excludes us from the next
   /// view). Local delivery stops immediately.
@@ -103,7 +121,8 @@ class Member {
 
   /// Reliable FIFO multicast of `payload` to the current view (including
   /// self-delivery). Requires an installed view; sends issued during a
-  /// flush are queued and transmitted in order in the next view.
+  /// flush are queued and transmitted in order in the next view. A listener
+  /// may not multicast.
   void multicast(net::MessagePtr payload);
 
   /// Reliable FIFO point-to-point send to a group member.
@@ -124,12 +143,14 @@ class Member {
   const MemberStats& stats() const { return stats_; }
   const Config& config() const { return config_; }
 
-  /// Unstable multicast copies this member still holds: delivered messages
-  /// retained for the flush protocol (all senders), and its own multicasts
-  /// not yet stable. Both shrink as stability garbage collection runs.
+  /// Copies this member still holds: delivered multicasts retained for the
+  /// flush protocol (all senders) and its own multicasts not yet stable,
+  /// both shrinking as stability garbage collection runs, plus its p2p sends
+  /// (all destinations) not yet acked by a heartbeat.
   struct BufferSizes {
     std::size_t retained = 0;
     std::size_t sent = 0;
+    std::size_t p2p = 0;
   };
   BufferSizes buffer_sizes() const;
 
@@ -165,7 +186,7 @@ class Member {
   bool dispatch_control(net::NodeId from, const net::MessagePtr& payload);
   void handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg);
   void handle_nack(net::NodeId from, const NackMsg& msg);
-  void handle_join(net::NodeId from);
+  void handle_join(net::NodeId from, const JoinMsg& msg);
   void handle_leave(net::NodeId from);
   void handle_suspect(net::NodeId from, const SuspectMsg& msg);
   void handle_propose(net::NodeId from, const ProposeMsg& msg);
@@ -183,6 +204,9 @@ class Member {
   void schedule_nack_check(net::NodeId sender, bool is_mcast, std::uint64_t up_to);
   void transmit_mcast(const DataMsgPtr& msg);
   void collect_stability();
+  /// Points acks_ at the current view: the rows of the members whose
+  /// heartbeats reach this member, and the full members' columns.
+  void reset_acks();
 
   // ---- membership / flush ----
   void bootstrap_singleton();
@@ -193,6 +217,11 @@ class Member {
   std::shared_ptr<FlushMsg> build_flush(std::uint64_t proposal) const;
   void suspect(net::NodeId node);
   net::NodeId acting_coordinator() const;
+  /// Whether this member and `node` heartbeat each other and each suspects
+  /// the other when it falls silent: every pair of the current view that
+  /// contains a full member or the view's leader. A function of the view
+  /// alone, so both ends agree on it.
+  bool monitors(net::NodeId node) const;
   void fd_tick();
   void send_heartbeat();
 
@@ -216,6 +245,7 @@ class Member {
   bool joined_ = false;
   bool join_requested_ = false;
   bool leave_requested_ = false;  // distinguishes leave() from eviction
+  Role role_ = Role::kMember;     // set by join()
   bool blocked_ = false;
   View view_;
 
@@ -242,12 +272,12 @@ class Member {
 
   // membership coordination
   std::uint64_t last_proposal_seen_ = 0;
-  std::set<net::NodeId> pending_joiners_;
+  std::map<net::NodeId, Role> pending_joiners_;
   std::set<net::NodeId> pending_leavers_;
   bool coordinating_ = false;
   bool rerun_change_after_install_ = false;
   std::uint64_t my_proposal_ = 0;
-  std::vector<net::NodeId> proposed_members_;
+  View proposed_;
   std::set<net::NodeId> flush_waiting_;
   std::map<net::NodeId, std::shared_ptr<const FlushMsg>> flush_replies_;
   sim::EventHandle flush_timeout_;

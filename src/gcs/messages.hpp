@@ -97,6 +97,7 @@ struct NackMsg final : net::Message {
 /// Sent by a process that wants to join the group, to the coordinator.
 struct JoinMsg final : net::Message {
   GroupId group;
+  Role role = Role::kMember;  // the joiner's role in every view it is in
   std::string type_name() const override { return "gcs.join"; }
   net::WireTypeId wire_type() const override { return kWireJoin; }
   void encode(net::Writer& w) const override;

@@ -14,12 +14,19 @@ std::uint64_t cell(const AckMatrix::Row& row, net::NodeId sender) {
   return ack == nullptr ? 0 : *ack;
 }
 
+std::vector<net::NodeId> sorted_unique(std::vector<net::NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  return nodes;
+}
+
 }  // namespace
 
-std::size_t AckMatrix::view_index(net::NodeId node) const {
-  auto it = std::lower_bound(members_.begin(), members_.end(), node);
-  if (it == members_.end() || *it != node) return kNotInView;
-  return static_cast<std::size_t>(it - members_.begin());
+std::size_t AckMatrix::index_of(const std::vector<net::NodeId>& nodes,
+                                net::NodeId node) {
+  auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
+  if (it == nodes.end() || *it != node) return kAbsent;
+  return static_cast<std::size_t>(it - nodes.begin());
 }
 
 void AckMatrix::include(std::size_t j, std::uint64_t ack) {
@@ -39,9 +46,9 @@ void AckMatrix::exclude(std::size_t j, std::uint64_t ack) {
 
 void AckMatrix::include_row(const Row& row) {
   auto cursor = row.begin();
-  for (std::size_t j = 0; j < members_.size(); ++j) {
-    while (cursor != row.end() && cursor->first < members_[j]) ++cursor;
-    include(j, cursor != row.end() && cursor->first == members_[j]
+  for (std::size_t j = 0; j < senders_.size(); ++j) {
+    while (cursor != row.end() && cursor->first < senders_[j]) ++cursor;
+    include(j, cursor != row.end() && cursor->first == senders_[j]
                    ? cursor->second
                    : 0);
   }
@@ -50,32 +57,32 @@ void AckMatrix::include_row(const Row& row) {
 void AckMatrix::recompute(std::size_t j) {
   min_[j] = kNoRows;
   at_min_[j] = 0;
-  for (const Row* row : view_rows_) {
-    if (row != nullptr) include(j, cell(*row, members_[j]));
+  for (const Row* row : counted_) {
+    if (row != nullptr) include(j, cell(*row, senders_[j]));
   }
 }
 
 void AckMatrix::set_row(net::NodeId member, const Row& acks) {
   auto [it, inserted] = rows_.try_emplace(member);
   Row& row = it->second;
-  const std::size_t k = view_index(member);
-  if (k == kNotInView) {
+  const std::size_t k = index_of(members_, member);
+  if (k == kAbsent) {
     row = acks;
     return;
   }
   if (inserted) {
     row = acks;
-    view_rows_[k] = &row;
+    counted_[k] = &row;
     --missing_rows_;
     include_row(row);
     return;
   }
-  // One merge walk over the view's senders, the old row and the new one.
+  // One merge walk over the tracked senders, the old row and the new one.
   auto before = row.begin();
   auto after = acks.begin();
   bool stale = false;
-  for (std::size_t j = 0; j < members_.size(); ++j) {
-    const net::NodeId sender = members_[j];
+  for (std::size_t j = 0; j < senders_.size(); ++j) {
+    const net::NodeId sender = senders_[j];
     while (before != row.end() && before->first < sender) ++before;
     while (after != acks.end() && after->first < sender) ++after;
     const std::uint64_t old_ack =
@@ -89,7 +96,7 @@ void AckMatrix::set_row(net::NodeId member, const Row& acks) {
   }
   row = acks;
   if (!stale) return;
-  for (std::size_t j = 0; j < members_.size(); ++j) {
+  for (std::size_t j = 0; j < senders_.size(); ++j) {
     if (at_min_[j] == 0) recompute(j);
   }
 }
@@ -108,41 +115,40 @@ void AckMatrix::set_cell(net::NodeId member, net::NodeId sender,
   } else {
     row.insert(pos, {sender, ack});
   }
-  const std::size_t k = view_index(member);
-  if (k == kNotInView) return;
+  const std::size_t k = index_of(members_, member);
+  if (k == kAbsent) return;
   if (inserted) {
-    view_rows_[k] = &row;
+    counted_[k] = &row;
     --missing_rows_;
     include_row(row);
     return;
   }
-  const std::size_t j = view_index(sender);
-  if (j == kNotInView || old_ack == ack) return;
+  const std::size_t j = index_of(senders_, sender);
+  if (j == kAbsent || old_ack == ack) return;
   exclude(j, old_ack);
   include(j, ack);
   if (at_min_[j] == 0) recompute(j);
 }
 
 void AckMatrix::set_view(const std::vector<net::NodeId>& members,
+                         const std::vector<net::NodeId>& senders,
                          net::NodeId self) {
-  members_ = members;
-  std::sort(members_.begin(), members_.end());
-  members_.erase(std::unique(members_.begin(), members_.end()), members_.end());
+  members_ = sorted_unique(members);
+  senders_ = sorted_unique(senders);
   std::erase_if(rows_, [&](const auto& kv) {
-    return kv.first != self && view_index(kv.first) == kNotInView;
+    return kv.first != self && index_of(members_, kv.first) == kAbsent;
   });
-  const std::size_t n = members_.size();
-  view_rows_.assign(n, nullptr);
+  counted_.assign(members_.size(), nullptr);
   missing_rows_ = 0;
-  min_.assign(n, kNoRows);
-  at_min_.assign(n, 0);
-  for (std::size_t k = 0; k < n; ++k) {
+  min_.assign(senders_.size(), kNoRows);
+  at_min_.assign(senders_.size(), 0);
+  for (std::size_t k = 0; k < members_.size(); ++k) {
     auto it = rows_.find(members_[k]);
     if (it == rows_.end()) {
       ++missing_rows_;
       continue;
     }
-    view_rows_[k] = &it->second;
+    counted_[k] = &it->second;
     include_row(it->second);
   }
 }
@@ -150,10 +156,10 @@ void AckMatrix::set_view(const std::vector<net::NodeId>& members,
 std::uint64_t AckMatrix::stable(net::NodeId sender) const {
   if (members_.empty() || missing_rows_ > 0) return 0;
   std::uint64_t stable = kNoRows;
-  if (const std::size_t j = view_index(sender); j != kNotInView) {
+  if (const std::size_t j = index_of(senders_, sender); j != kAbsent) {
     stable = min_[j];
   } else {
-    for (const Row* row : view_rows_) stable = std::min(stable, cell(*row, sender));
+    for (const Row* row : counted_) stable = std::min(stable, cell(*row, sender));
   }
   return stable == kNoRows ? 0 : stable;
 }

@@ -1,18 +1,23 @@
 // Multicast stability bookkeeping of one group member.
 //
-// A multicast (sender, seq) is stable once every member of the current view
-// has delivered it; stable copies can then be dropped from the flush
-// protocol's retained logs and from the sender's own buffer. Each member
-// announces its cumulative delivery acks in its heartbeats (a *row*: sender
-// -> highest contiguously delivered seq); this member's own row is updated
-// on every delivery.
+// A multicast (sender, seq) is stable once every member this member hears
+// acks from has delivered it; stable copies can then be dropped from the
+// flush protocol's retained logs and from the sender's own buffer. Each
+// member announces its cumulative delivery acks in its heartbeats (a *row*:
+// sender -> highest contiguously delivered seq); this member's own row is
+// updated on every delivery.
+//
+// Which rows count and which senders are tracked are set per view: the rows
+// are the members whose heartbeats reach this member (all of them at a full
+// member; the full members plus itself at a listener), and the *columns*
+// are the view's senders, its full members (listeners never multicast).
 //
 // AckMatrix keeps the rows as NodeId-sorted flat vectors and maintains, for
-// every sender of the current view, the minimum over the view's rows plus
-// how many rows sit at that minimum. A row change then costs one merge walk
-// over the old and new row: a minimum moves only when a cell at it changes,
-// and is re-derived from the rows only when the last cell at it rises. The
-// view-change path rebuilds everything from the rows.
+// every column, the minimum over the counted rows plus how many rows sit at
+// that minimum. A row change then costs one merge walk over the old and new
+// row: a minimum moves only when a cell at it changes, and is re-derived
+// from the rows only when the last cell at it rises. The view-change path
+// rebuilds everything from the rows.
 #pragma once
 
 #include <cstdint>
@@ -28,44 +33,50 @@ class AckMatrix {
  public:
   using Row = net::NodeU64Pairs;
 
-  /// Replaces `member`'s row with `acks` (its latest heartbeat). Rows of
-  /// nodes outside the view are kept: they count once the node joins.
+  /// Replaces `member`'s row with `acks` (its latest heartbeat). A row that
+  /// does not count is kept until the next set_view(): a joiner's row counts
+  /// once the view that admits it is set.
   void set_row(net::NodeId member, const Row& acks);
 
   /// Sets one cell of `member`'s row, creating the row if it has none.
   void set_cell(net::NodeId member, net::NodeId sender, std::uint64_t ack);
 
-  /// Switches to a new view: drops the rows of nodes outside `members`
+  /// Switches to a new view: from now on the rows of `members` count and the
+  /// minima of `senders` are kept. Drops the rows of nodes outside `members`
   /// (except `self`'s own row) and re-derives every minimum.
-  void set_view(const std::vector<net::NodeId>& members, net::NodeId self);
+  void set_view(const std::vector<net::NodeId>& members,
+                const std::vector<net::NodeId>& senders, net::NodeId self);
 
-  /// Highest seq of `sender` that every view member has delivered. 0 when
-  /// the view is empty or some view member has no row yet; a sender missing
-  /// from a row counts as 0. O(log n) for a view member, O(n log n) for a
-  /// sender outside the view.
+  /// Highest seq of `sender` that every counted member has delivered. 0
+  /// when no row counts or some counted member has no row yet; a sender
+  /// missing from a row counts as 0. O(log n) for a tracked sender, O(n log
+  /// n) for any other.
   std::uint64_t stable(net::NodeId sender) const;
 
  private:
-  static constexpr std::size_t kNotInView = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
-  /// Index of `node` in members_, or kNotInView.
-  std::size_t view_index(net::NodeId node) const;
-  /// A present row's cell for view sender `j` entered / left column j.
+  /// Index of `node` in the sorted `nodes`, or kAbsent.
+  static std::size_t index_of(const std::vector<net::NodeId>& nodes,
+                              net::NodeId node);
+  /// A counted row's cell for sender `j` entered / left column j.
   void include(std::size_t j, std::uint64_t ack);
   void exclude(std::size_t j, std::uint64_t ack);
-  /// Folds a new view row into every column.
+  /// Folds a newly counted row into every column.
   void include_row(const Row& row);
-  /// Re-derives column j's minimum from the view's rows.
+  /// Re-derives column j's minimum from the counted rows.
   void recompute(std::size_t j);
 
-  /// All rows, by member. Node-based, so view_rows_ pointers stay valid.
+  /// All rows, by member. Node-based, so counted_ pointers stay valid.
   std::map<net::NodeId, Row> rows_;
-  /// The current view's members, sorted, and each one's row (or nullptr).
+  /// The members whose rows count, sorted, and each one's row (or nullptr).
   std::vector<net::NodeId> members_;
-  std::vector<const Row*> view_rows_;
+  std::vector<const Row*> counted_;
   std::size_t missing_rows_ = 0;
-  /// Per view sender (indexed like members_): the minimum over the present
-  /// view rows (UINT64_MAX when none), and how many rows hold it.
+  /// The tracked senders, sorted, and per sender (same index): the minimum
+  /// over the present counted rows (UINT64_MAX when none), and how many
+  /// rows hold it.
+  std::vector<net::NodeId> senders_;
   std::vector<std::uint64_t> min_;
   std::vector<std::size_t> at_min_;
 };

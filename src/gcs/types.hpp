@@ -34,6 +34,13 @@ inline std::ostream& operator<<(std::ostream& os, GroupId id) {
 /// Monotonically increasing view identifier within a group.
 using ViewId = std::uint64_t;
 
+/// How a process takes part in a group, fixed when it joins. A full member
+/// multicasts, heartbeats to every other member and monitors all of them. A
+/// listener never multicasts; it heartbeats to and monitors the full members
+/// only, so two listeners never exchange heartbeats (member.hpp lists the
+/// two exceptions).
+enum class Role : std::uint8_t { kMember = 0, kListener = 1 };
+
 /// A group view: the agreed membership at a point in the group's history.
 /// Member order is significant — it defines rank, and the member at rank 0
 /// is the leader (as with Ensemble's rank-based leader election).
@@ -41,9 +48,25 @@ struct View {
   GroupId group;
   ViewId id = 0;
   std::vector<net::NodeId> members;
+  /// The members that joined as listeners, sorted; every other member is a
+  /// full member.
+  std::vector<net::NodeId> listeners;
 
   bool contains(net::NodeId node) const {
     return std::find(members.begin(), members.end(), node) != members.end();
+  }
+
+  bool is_listener(net::NodeId node) const {
+    return std::binary_search(listeners.begin(), listeners.end(), node);
+  }
+
+  /// The members that are not listeners, in rank order.
+  std::vector<net::NodeId> full_members() const {
+    std::vector<net::NodeId> full;
+    for (const net::NodeId m : members) {
+      if (!is_listener(m)) full.push_back(m);
+    }
+    return full;
   }
 
   /// Rank of `node` in this view; requires contains(node).

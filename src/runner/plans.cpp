@@ -866,9 +866,19 @@ SeedRecord run_open_loop(const Unit& unit, std::size_t requests) {
   return rec;
 }
 
-/// Message and byte cost by message type for the standard workload.
+/// Client counts of the protocol_overhead points. Clients alternate the
+/// standard workload's two QoS classes, so the first point is that workload.
+constexpr std::size_t kOverheadClients[] = {2, 8, 16, 32};
+
+/// Message and byte cost by message type for the standard workload, as the
+/// client count grows.
 SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
-  harness::Scenario scenario(standard_config(unit.seed, requests));
+  const std::size_t clients = kOverheadClients[unit.point];
+  harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  while (config.clients.size() < clients) {
+    config.clients.push_back(config.clients[config.clients.size() % 2]);
+  }
+  harness::Scenario scenario(std::move(config));
   struct CostSink final : obs::TraceSink {
     std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_type;
     void on_message(const obs::MessageEvent& event) override {
@@ -892,11 +902,13 @@ SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
     messages += cost.first;
     bytes += cost.second;
   }
-  const std::uint64_t reads =
-      results[0].stats.reads_completed + results[1].stats.reads_completed;
-  const std::uint64_t updates =
-      results[0].stats.updates_completed + results[1].stats.updates_completed;
+  std::uint64_t reads = 0, updates = 0;
+  for (const auto& r : results) {
+    reads += r.stats.reads_completed;
+    updates += r.stats.updates_completed;
+  }
   SeedRecord rec;
+  rec.value("clients", static_cast<double>(clients));
   rec.value("msgs_per_request", ratio(messages, reads + updates));
   for (const auto& [type, cost] : by_type) {
     rec.value("share_of_msgs_pct." + type, 100.0 * ratio(cost.first, messages));
@@ -1301,9 +1313,9 @@ std::vector<Plan> build_plans() {
        .check = no_ryw_violations},
       {.name = "protocol_overhead",
        .description = "messages and bytes by message type for the standard "
-                      "workload",
+                      "workload at 2/8/16/32 clients",
        .default_requests = 1000,
-       .points = {"standard"},
+       .points = {"2 clients", "8 clients", "16 clients", "32 clients"},
        .run = run_protocol_overhead},
   };
   // Every gate starts with the shared one.

@@ -66,6 +66,7 @@ std::vector<net::MessagePtr> exemplars() {
   {
     auto m = std::make_shared<gcs::JoinMsg>();
     m->group = gcs::GroupId{19};
+    m->role = gcs::Role::kListener;
     out.push_back(m);
   }
   {
@@ -101,6 +102,7 @@ std::vector<net::MessagePtr> exemplars() {
     m->view.group = gcs::GroupId{17};
     m->view.id = 10;
     m->view.members = {net::NodeId{1}, net::NodeId{3}};
+    m->view.listeners = {net::NodeId{3}};
     m->deliver_up_to = {{net::NodeId{1}, 12}};
     m->resolution = {make_data_msg()};
     out.push_back(m);
@@ -339,6 +341,44 @@ TEST_F(CodecTest, DataAndHeartbeatFieldsSurviveTheRoundTrip) {
   gcs::HeartbeatMsg empty;
   empty.group = gcs::GroupId{18};
   EXPECT_EQ(empty.wire_size(), net::kFrameHeaderSize + 4 + 8 + 3 * 4);
+}
+
+TEST_F(CodecTest, JoinRoleAndViewListenersSurviveTheRoundTrip) {
+  for (const gcs::Role role : {gcs::Role::kMember, gcs::Role::kListener}) {
+    gcs::JoinMsg join;
+    join.group = gcs::GroupId{19};
+    join.role = role;
+    const std::vector<std::uint8_t> bytes = net::encode_frame(join);
+    net::Reader r(bytes);
+    const auto back = net::message_cast<gcs::JoinMsg>(net::decode_frame(r));
+    ASSERT_TRUE(back);
+    EXPECT_EQ(back->group, join.group);
+    EXPECT_EQ(back->role, role);
+  }
+  // A role byte past the last role is malformed input, not a new role.
+  gcs::JoinMsg join;
+  join.group = gcs::GroupId{19};
+  std::vector<std::uint8_t> bytes = net::encode_frame(join);
+  bytes.back() = 2;
+  net::Reader bad(bytes);
+  EXPECT_THROW(net::decode_frame(bad), net::CodecError);
+
+  gcs::InstallMsg install;
+  install.group = gcs::GroupId{17};
+  install.proposal = 4;
+  install.view.group = gcs::GroupId{17};
+  install.view.id = 4;
+  install.view.members = {net::NodeId{5}, net::NodeId{2}, net::NodeId{9}};
+  install.view.listeners = {net::NodeId{2}, net::NodeId{9}};
+  const std::vector<std::uint8_t> install_bytes = net::encode_frame(install);
+  net::Reader ir(install_bytes);
+  const auto got = net::message_cast<gcs::InstallMsg>(net::decode_frame(ir));
+  ASSERT_TRUE(got);
+  EXPECT_EQ(got->view.members, install.view.members);
+  EXPECT_EQ(got->view.listeners, install.view.listeners);
+  EXPECT_TRUE(got->view.is_listener(net::NodeId{9}));
+  EXPECT_FALSE(got->view.is_listener(net::NodeId{5}));
+  EXPECT_EQ(got->view.full_members(), std::vector<net::NodeId>{net::NodeId{5}});
 }
 
 TEST_F(CodecTest, WireSizeIsTheEncodedFrameSize) {

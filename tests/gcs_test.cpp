@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "gcs/stability.hpp"
 #include "net/chaos.hpp"
 #include "net/loopback.hpp"
+#include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -50,7 +52,7 @@ class HeartbeatTap final : public net::Transport {
   bool is_attached(net::NodeId id) const override { return inner_->is_attached(id); }
   void send(net::NodeId from, net::NodeId to, net::MessagePtr msg) override {
     if (recording) {
-      if (auto hb = net::message_cast<HeartbeatMsg>(msg)) sent.emplace_back(from, hb);
+      if (auto hb = net::message_cast<HeartbeatMsg>(msg)) sent.push_back({from, to, hb});
     }
     inner_->send(from, to, std::move(msg));
   }
@@ -58,8 +60,13 @@ class HeartbeatTap final : public net::Transport {
   obs::Observability& observability() override { return inner_->observability(); }
   runtime::Executor& executor() override { return inner_->executor(); }
 
+  struct Sent {
+    net::NodeId from;
+    net::NodeId to;
+    std::shared_ptr<const HeartbeatMsg> hb;
+  };
   bool recording = false;
-  std::vector<std::pair<net::NodeId, std::shared_ptr<const HeartbeatMsg>>> sent;
+  std::vector<Sent> sent;
 
  private:
   std::unique_ptr<net::Transport> inner_;
@@ -82,10 +89,13 @@ struct Fixture {
     }
   }
 
-  /// Joins all members, staggered, and settles.
-  void join_all() {
+  /// Joins all members, staggered, and settles. Member i joins in
+  /// roles[i] (a full member when `roles` is shorter).
+  void join_all(const std::vector<Role>& roles = {}) {
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      sim.after(milliseconds(5), [this, i] { endpoints[i]->member(kGroup).join(); });
+      const Role role = i < roles.size() ? roles[i] : Role::kMember;
+      sim.after(milliseconds(5),
+                [this, i, role] { endpoints[i]->member(kGroup).join(role); });
       sim.run_for(milliseconds(50));
     }
     settle();
@@ -400,7 +410,7 @@ TEST(GcsAckMatrix, EmptyRowsAndMissingCells) {
   AckMatrix acks;
   const net::NodeId a{1}, b{2}, c{3};
   EXPECT_EQ(acks.stable(a), 0u) << "no view yet";
-  acks.set_view({a, b}, a);
+  acks.set_view({a, b}, {a, b}, a);
   acks.set_row(a, {{a, 4}, {b, 7}});
   EXPECT_EQ(acks.stable(a), 0u) << "b has no row";
   acks.set_row(b, {{a, 3}});
@@ -411,15 +421,44 @@ TEST(GcsAckMatrix, EmptyRowsAndMissingCells) {
   // A row of a node outside the view is kept and counts once it joins.
   acks.set_row(c, {{a, 1}, {b, 8}});
   EXPECT_EQ(acks.stable(b), 7u);
-  acks.set_view({a, b, c}, a);
+  acks.set_view({a, b, c}, {a, b, c}, a);
   EXPECT_EQ(acks.stable(a), 1u);
   // Dropping c: its row goes with it.
-  acks.set_view({a, b}, a);
-  acks.set_view({a, b, c}, a);
+  acks.set_view({a, b}, {a, b}, a);
+  acks.set_view({a, b, c}, {a, b, c}, a);
   EXPECT_EQ(acks.stable(a), 0u) << "c's row was dropped";
 }
 
+TEST(GcsAckMatrix, OnlyCountedRowsPinStability) {
+  // A listener's matrix: b and c are full members, a (self) and d are
+  // listeners; d's row never counts.
+  AckMatrix acks;
+  const net::NodeId a{1}, b{2}, c{3}, d{4};
+  acks.set_view({a, b, c}, {b, c}, a);
+  acks.set_row(b, {{b, 5}, {c, 2}});
+  acks.set_row(c, {{b, 4}, {c, 2}});
+  acks.set_row(d, {});
+  EXPECT_EQ(acks.stable(b), 0u) << "a's own row is still missing";
+  acks.set_cell(a, b, 6);
+  acks.set_cell(a, c, 3);
+  EXPECT_EQ(acks.stable(b), 4u);
+  EXPECT_EQ(acks.stable(c), 2u);
+  // A full member's matrix over the same view counts d too.
+  acks.set_view({a, b, c, d}, {b, c}, b);
+  acks.set_row(d, {});
+  acks.set_row(a, {{b, 6}, {c, 3}});
+  EXPECT_EQ(acks.stable(b), 0u);
+  acks.set_row(d, {{b, 9}, {c, 9}});
+  EXPECT_EQ(acks.stable(b), 4u);
+  EXPECT_EQ(acks.stable(c), 2u);
+}
+
+// The stability rule never depends on which senders the matrix tracks, so
+// half the views track a strict subset of the counted members (a listener
+// view: its full members, whose rows count, and the listeners, whose rows
+// count only at a full member) and must still match the reference.
 TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
+  std::size_t strict_subsets = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
     sim::Rng rng(seed);
@@ -441,7 +480,13 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
           return kv.first != self &&
                  std::find(view.begin(), view.end(), kv.first) == view.end();
         });
-        acks.set_view(view, self);
+        std::vector<net::NodeId> senders = view;
+        if (rng.bernoulli(0.5)) {
+          std::erase_if(senders, [&](net::NodeId) { return rng.bernoulli(0.4); });
+          if (senders.size() == view.size()) senders.pop_back();
+          ++strict_subsets;
+        }
+        acks.set_view(view, senders, self);
       } else if (dice < 0.5) {
         const net::NodeId member = node();
         std::map<net::NodeId, std::uint64_t> row;
@@ -464,6 +509,7 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
       }
     }
   }
+  EXPECT_GT(strict_subsets, 0u);
 }
 
 bool names(const net::NodeU64Pairs& pairs, net::NodeId node) {
@@ -485,7 +531,7 @@ TEST(GcsHeartbeat, DepartedMemberDropsOutOfEveryField) {
   f.tap().recording = true;
   f.settle(milliseconds(300));
   std::size_t naming = 0;
-  for (const auto& [from, hb] : f.tap().sent) {
+  for (const auto& [from, to, hb] : f.tap().sent) {
     if (from == departing) continue;
     naming += names(hb->my_p2p_seq, departing) && names(hb->mcast_acks, departing) &&
               names(hb->p2p_acks, departing);
@@ -500,7 +546,7 @@ TEST(GcsHeartbeat, DepartedMemberDropsOutOfEveryField) {
   f.tap().sent.clear();
   f.settle(seconds(1));
   ASSERT_FALSE(f.tap().sent.empty());
-  for (const auto& [from, hb] : f.tap().sent) {
+  for (const auto& [from, to, hb] : f.tap().sent) {
     EXPECT_FALSE(names(hb->my_p2p_seq, departing)) << "from " << from;
     EXPECT_FALSE(names(hb->mcast_acks, departing)) << "from " << from;
     EXPECT_FALSE(names(hb->p2p_acks, departing)) << "from " << from;
@@ -518,7 +564,7 @@ TEST(GcsHeartbeat, SilentMemberHeartbeatsEmptyVectors) {
   f.settle(seconds(1));
   const net::NodeId silent = f.member(2).self();
   std::size_t from_silent = 0;
-  for (const auto& [from, hb] : f.tap().sent) {
+  for (const auto& [from, to, hb] : f.tap().sent) {
     // Nobody multicast, so no heartbeat carries an mcast ack.
     EXPECT_TRUE(hb->mcast_acks.empty()) << "from " << from;
     EXPECT_FALSE(names(hb->my_p2p_seq, silent)) << "from " << from;
@@ -531,6 +577,157 @@ TEST(GcsHeartbeat, SilentMemberHeartbeatsEmptyVectors) {
   EXPECT_GT(from_silent, 0u);
   EXPECT_EQ(f.member(2).stats().p2p_sent, 0u);
   EXPECT_EQ(f.member(2).stats().mcasts_sent, 0u);
+}
+
+// --- Listeners ----------------------------------------------------------------
+
+constexpr Role kFull = Role::kMember;
+constexpr Role kListen = Role::kListener;
+
+TEST(GcsListener, HeartbeatsFlowOnlyAlongPairsWithAFullMember) {
+  Fixture f(5);
+  f.join_all({kFull, kFull, kListen, kListen, kListen});
+  const std::vector<net::NodeId> listeners = {f.member(2).self(), f.member(3).self(),
+                                              f.member(4).self()};
+  for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(f.member(i).view().size(), 5u) << "member " << i;
+    EXPECT_EQ(f.member(i).view().listeners, listeners) << "member " << i;
+  }
+  const ViewId settled = f.member(0).view().id;
+  f.tap().recording = true;
+  f.settle(seconds(5));
+  std::set<std::pair<net::NodeId, net::NodeId>> pairs;
+  for (const auto& [from, to, hb] : f.tap().sent) {
+    EXPECT_FALSE(f.member(0).view().is_listener(from) &&
+                 f.member(0).view().is_listener(to))
+        << "listener " << from << " heartbeat listener " << to;
+    pairs.emplace(from, to);
+  }
+  // Every ordered pair with a full member in it heartbeats: 2 * 4 + 3 * 2.
+  EXPECT_EQ(pairs.size(), 14u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(f.member(i).view().id, settled)
+        << "member " << i << ": a silent listener pair is not a failure";
+  }
+}
+
+TEST(GcsListener, CrashedListenerLeavesTheViewAndBuffersDrain) {
+  Fixture f(5);
+  f.join_all({kFull, kFull, kListen, kListen, kListen});
+  const net::NodeId crashed = f.member(4).self();
+  f.endpoints[4]->crash();
+  for (int i = 0; i < 3; ++i) {
+    f.member(0).multicast(text("a" + std::to_string(i)));
+    f.member(1).multicast(text("b" + std::to_string(i)));
+  }
+  f.settle(milliseconds(800));
+  // Still in the view and never acking: the crashed listener pins the full
+  // members' copies, but not the other listeners' ones.
+  ASSERT_TRUE(f.member(0).view().contains(crashed));
+  EXPECT_EQ(f.member(0).buffer_sizes().sent, 3u);
+  EXPECT_EQ(f.member(2).buffer_sizes().retained, 0u);
+
+  f.settle(seconds(3));
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_FALSE(f.member(i).view().contains(crashed)) << "member " << i;
+    EXPECT_EQ(f.member(i).view().size(), 4u) << "member " << i;
+    EXPECT_EQ(f.from_sender(i, f.member(0).self()).size(), 3u) << "member " << i;
+    EXPECT_EQ(f.from_sender(i, f.member(1).self()).size(), 3u) << "member " << i;
+  }
+  f.settle(seconds(1));
+  expect_no_unstable_copies(f, 4);
+}
+
+TEST(GcsListener, ListenerFreesCopiesOnceEveryFullMemberHasThem) {
+  Fixture f(4);
+  f.join_all({kFull, kFull, kListen, kListen});
+  // Listener 3 keeps delivering, but its heartbeats (its acks) are lost for
+  // less than the suspect timeout.
+  f.network.set_outbound_loss(f.member(3).self(), 1.0);
+  for (int i = 0; i < 4; ++i) f.member(0).multicast(text("s" + std::to_string(i)));
+  f.settle(milliseconds(900));
+  EXPECT_EQ(f.from_sender(3, f.member(0).self()).size(), 4u);
+  EXPECT_EQ(f.member(0).buffer_sizes().sent, 4u);
+  EXPECT_EQ(f.member(1).buffer_sizes().retained, 4u);
+  EXPECT_EQ(f.member(2).buffer_sizes().retained, 0u) << "a listener waits for full members only";
+
+  f.network.set_outbound_loss(f.member(3).self(), 0.0);
+  f.settle(milliseconds(600));
+  EXPECT_EQ(f.member(0).view().size(), 4u) << "nobody may have been suspected";
+  expect_no_unstable_copies(f, 4);
+}
+
+TEST(GcsListener, ListenerThatBootstrapsLeadsFullMembersThroughLoss) {
+  Fixture f(4, /*seed=*/7);
+  f.member(0).join(kListen);
+  f.settle(milliseconds(50));
+  ASSERT_TRUE(f.member(0).is_leader());
+  f.network.set_loss_probability(0.1);
+  for (std::size_t i = 1; i < 4; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle(seconds(5));
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(f.member(i).view().size(), 4u) << "member " << i;
+    EXPECT_EQ(f.member(i).view().listeners, std::vector<net::NodeId>{f.member(0).self()});
+  }
+  for (std::size_t s = 1; s < 4; ++s) {
+    for (int i = 0; i < 10; ++i) {
+      f.member(s).multicast(text(std::to_string(s) + ":" + std::to_string(i)));
+    }
+  }
+  f.settle(seconds(10));
+  for (std::size_t m = 0; m < 4; ++m) {
+    for (std::size_t s = 1; s < 4; ++s) {
+      const auto msgs = f.from_sender(m, f.member(s).self());
+      ASSERT_EQ(msgs.size(), 10u) << "member " << m << " sender " << s;
+      for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(msgs[i], std::to_string(s) + ":" + std::to_string(i));
+      }
+    }
+  }
+  EXPECT_GT(f.member(0).stats().p2p_sent, 0u) << "the leader sent membership control";
+  f.network.set_loss_probability(0.0);
+  f.settle(seconds(2));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(f.member(i).buffer_sizes().p2p, 0u) << "member " << i;
+  }
+  expect_no_unstable_copies(f, 4);
+}
+
+TEST(GcsListener, ListenersDetectTheirListenerLeadersCrash) {
+  Fixture f(3);
+  f.join_all({kListen, kListen, kListen});
+  ASSERT_EQ(f.member(1).view().size(), 3u);
+  f.endpoints[0]->crash();
+  f.settle(seconds(4));
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(f.member(i).view().size(), 2u) << "member " << i;
+    EXPECT_EQ(f.member(i).view().leader(), f.member(1).self()) << "member " << i;
+  }
+}
+
+TEST(GcsListener, P2pStreamBetweenListenersRecoversATrailingLoss) {
+  Fixture f(3);
+  f.join_all({kFull, kListen, kListen});
+  const net::NodeId from = f.member(1).self(), to = f.member(2).self();
+  f.network.set_link_loss(from, to, 1.0);
+  for (int i = 0; i < 3; ++i) f.member(1).send_to(to, text("q" + std::to_string(i)));
+  f.settle(milliseconds(50));
+  f.network.clear_link_loss(from, to);
+  // Only a heartbeat from the sender announces the lost tail.
+  f.settle(seconds(2));
+  EXPECT_EQ(f.from_sender(2, from), (std::vector<std::string>{"q0", "q1", "q2"}));
+  EXPECT_EQ(f.member(1).buffer_sizes().p2p, 0u) << "the receiver's heartbeats ack";
+  EXPECT_EQ(f.member(0).view().size(), 3u);
+}
+
+TEST(GcsListener, ListenerMulticastFailsItsCheck) {
+  Fixture f(2);
+  f.join_all({kFull, kListen});
+  EXPECT_THROW(f.member(1).multicast(text("no")), InvariantViolation);
+  EXPECT_EQ(f.member(1).stats().mcasts_sent, 0u);
 }
 
 TEST(GcsLeave, GracefulLeaveShrinksView) {

@@ -35,6 +35,11 @@ Gated metrics:
                     the steady Pc(d) lower bound, zero safety-invariant
                     violations (absolute), and 16 rack restarts per seed
                     at the correlated-rack point (absolute);
+  protocol_overhead — network messages and bytes per completed request at
+                    each client-count point (2/8/16/32), with zero
+                    tolerance upward (a fall passes; commit it as the new
+                    baseline), plus zero safety-invariant violations
+                    (absolute);
   obs_overhead    — telemetry cost: overhead_percent against the absolute
                     <2% budget (the one wall-clock-derived exception — it
                     is a ratio of two runs on the same machine, so the
@@ -64,19 +69,26 @@ class Gate:
     With absolute_limit set, the baseline value is ignored for the verdict:
     fresh is compared directly against the fixed limit (a budget gate, e.g.
     "telemetry overhead stays under 2%"), tolerance and slack unused.
+
+    With tolerance set, it replaces the command line's --tolerance for this
+    gate (0.0 gates a deterministic count exactly).
     """
 
     def __init__(self, name: str, extract: Callable[[dict], float],
                  direction: str, slack: float = 0.0,
-                 absolute_limit: float | None = None):
+                 absolute_limit: float | None = None,
+                 tolerance: float | None = None):
         assert direction in ("max", "min")
         self.name = name
         self.extract = extract
         self.direction = direction
         self.slack = slack
         self.absolute_limit = absolute_limit
+        self.tolerance = tolerance
 
     def check(self, baseline: dict, fresh: dict, tolerance: float):
+        if self.tolerance is not None:
+            tolerance = self.tolerance
         base = self.extract(baseline)
         new = self.extract(fresh)
         if self.absolute_limit is not None:
@@ -297,6 +309,30 @@ def hot_shard_gates(_baseline: dict) -> list[Gate]:
     ]
 
 
+def protocol_overhead_gates(baseline: dict) -> list[Gate]:
+    # protocol_overhead plan: the standard workload at 2/8/16/32 clients.
+    # Message and byte counts are deterministic per seed set (on the
+    # toolchain that wrote the baseline), so any rise is a real change.
+    def per_request(doc: dict, point: int, key: str) -> float:
+        requests = point_sum(doc, point, ("reads", "updates"))
+        if requests == 0:
+            raise KeyError(f"no completed requests at overhead point {point}")
+        return point_sum(doc, point, (key,)) / requests
+
+    points = sorted({(r["point"], r["clients"]) for r in baseline["runs"]})
+    gates = []
+    for point, clients in points:
+        for key in ("messages", "bytes"):
+            gates.append(Gate(f"{key}/request @{int(clients)} clients "
+                              "(no rise)",
+                              lambda d, p=point, k=key: per_request(d, p, k),
+                              "max", tolerance=0.0))
+    gates.append(Gate("safety-invariant violations",
+                      lambda d: float(d["pooled"]["violations"]),
+                      "max", absolute_limit=0.0))
+    return gates
+
+
 def obs_overhead_gates(baseline: dict) -> list[Gate]:
     budget = float(baseline.get("budget_percent", 2.0))
     return [
@@ -323,6 +359,7 @@ GATE_BUILDERS = {
     "obs_overhead": obs_overhead_gates,
     "shard_scaling": shard_scaling_gates,
     "hot_shard": hot_shard_gates,
+    "protocol_overhead": protocol_overhead_gates,
 }
 
 
@@ -375,7 +412,7 @@ def main() -> int:
 
     if failures:
         print(f"bench_compare: {failures} gated metric(s) regressed beyond "
-              f"{args.tolerance:.0%}", file=sys.stderr)
+              f"their tolerance", file=sys.stderr)
         return 1
     print("bench_compare: all gated metrics within tolerance")
     return 0
