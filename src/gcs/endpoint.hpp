@@ -3,10 +3,18 @@
 // One Endpoint per process. It owns the process's network identity,
 // demultiplexes incoming messages to the process's group Members, and
 // models fail-stop crashes.
+//
+// It also owns the process's one heartbeat timer. Every heartbeat_period it
+// collects each joined member's heartbeat section and destinations and sends
+// one HeartbeatMsg per destination node: the section of the lowest GroupId
+// that goes there, carrying the other groups' sections for that node as
+// riders. Destinations that receive the same set of sections share one
+// message. On receipt each section goes to its own member, so a process in
+// three groups with a peer sends it one heartbeat per period, not three.
 #pragma once
 
+#include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "gcs/config.hpp"
 #include "gcs/directory.hpp"
@@ -14,6 +22,7 @@
 #include "gcs/types.hpp"
 #include "net/transport.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/periodic_task.hpp"
 
 namespace aqueduct::gcs {
 
@@ -28,8 +37,9 @@ class Endpoint final : public net::Endpoint {
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
-  /// The member object for `group`, creating it on first use. Call
-  /// Member::join() to actually enter the group.
+  /// The member object for `group`, creating it on first use (and starting
+  /// the heartbeat tick if it is idle). Call Member::join() to actually
+  /// enter the group.
   Member& member(GroupId group);
 
   /// True if this process participates in `group` (join() was called).
@@ -66,6 +76,11 @@ class Endpoint final : public net::Endpoint {
   void on_message(net::NodeId from, net::MessagePtr msg) override;
 
  private:
+  /// One heartbeat period: sends every member's section, bundled per
+  /// destination node, then runs each member's failure detector. Stops the
+  /// tick once every member has stopped.
+  void heartbeat_tick();
+
   runtime::Executor& exec_;
   net::Transport& transport_;
   Directory& directory_;
@@ -73,7 +88,9 @@ class Endpoint final : public net::Endpoint {
   net::NodeId id_;
   bool crashed_ = false;
   std::uint32_t incarnation_ = 0;
-  std::unordered_map<GroupId, std::unique_ptr<Member>> members_;
+  /// In GroupId order, which is the order of a bundle's sections.
+  std::map<GroupId, std::unique_ptr<Member>> members_;
+  runtime::PeriodicTask heartbeat_task_;
 };
 
 }  // namespace aqueduct::gcs

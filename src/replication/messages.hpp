@@ -197,6 +197,8 @@ struct PerfPublication final : net::Message {
 /// group so clients learn the current roles (stand-in for the AQuA
 /// dependability manager's configuration distribution).
 struct GroupInfo final : net::Message {
+  /// Clients drop a role map whose epoch is not above the last one's. It
+  /// grows with the QoS view id first (see ReplicaServer::publish_group_info).
   std::uint64_t epoch = 0;
   /// Invalid when the service is FIFO-ordered (there is no sequencer);
   /// that is how clients learn the ordering.

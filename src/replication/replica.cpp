@@ -265,8 +265,12 @@ void ReplicaServer::publish_group_info() {
   if (primary_member_ == nullptr || !primary_member_->joined()) return;
   if (replication_member_ == nullptr || !replication_member_->joined()) return;
 
+  // Epochs order by the QoS view id first: a reborn sole replica starts
+  // its count afresh, but it rejoins a QoS group its clients kept alive, in
+  // a higher view, so its role maps still supersede its predecessor's.
+  group_info_epoch_ = std::max(group_info_epoch_ + 1, qos_member_->view().id << 32);
   auto info = std::make_shared<GroupInfo>();
-  info->epoch = ++group_info_epoch_;
+  info->epoch = group_info_epoch_;
   // No sequencer tells clients the service is FIFO-ordered; the leader is
   // then an ordinary serving primary.
   if (!fifo()) info->sequencer = id();

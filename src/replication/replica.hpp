@@ -258,6 +258,8 @@ class ReplicaServer {
   /// assigned (no GSN reuse).
   std::optional<net::NodeId> sequencer_barrier_;
   net::NodeId last_primary_leader_;  // previous primary-group leader
+  /// Newest role-map epoch published or seen: the QoS view id in the high
+  /// 32 bits, a count within that view below.
   std::uint64_t group_info_epoch_ = 0;
   /// Newest role map seen on the QoS group; used to pick a state-transfer
   /// responder when rejoining.

@@ -866,15 +866,21 @@ SeedRecord run_open_loop(const Unit& unit, std::size_t requests) {
   return rec;
 }
 
-/// Client counts of the protocol_overhead points. Clients alternate the
-/// standard workload's two QoS classes, so the first point is that workload.
-constexpr std::size_t kOverheadClients[] = {2, 8, 16, 32};
+/// Client and shard counts of the protocol_overhead points. Clients
+/// alternate the standard workload's two QoS classes, so the first point is
+/// that workload; every shard gets the standard pool.
+struct OverheadPoint {
+  std::size_t clients;
+  std::size_t shards;
+};
+constexpr OverheadPoint kOverheadPoints[] = {{2, 1}, {8, 1}, {16, 1}, {32, 1}, {16, 4}};
 
 /// Message and byte cost by message type for the standard workload, as the
-/// client count grows.
+/// client and shard counts grow.
 SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
-  const std::size_t clients = kOverheadClients[unit.point];
+  const auto [clients, shards] = kOverheadPoints[unit.point];
   harness::ScenarioConfig config = standard_config(unit.seed, requests);
+  config.num_shards = shards;
   while (config.clients.size() < clients) {
     config.clients.push_back(config.clients[config.clients.size() % 2]);
   }
@@ -909,6 +915,7 @@ SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
   }
   SeedRecord rec;
   rec.value("clients", static_cast<double>(clients));
+  rec.value("shards", static_cast<double>(shards));
   rec.value("msgs_per_request", ratio(messages, reads + updates));
   for (const auto& [type, cost] : by_type) {
     rec.value("share_of_msgs_pct." + type, 100.0 * ratio(cost.first, messages));
@@ -1313,9 +1320,11 @@ std::vector<Plan> build_plans() {
        .check = no_ryw_violations},
       {.name = "protocol_overhead",
        .description = "messages and bytes by message type for the standard "
-                      "workload at 2/8/16/32 clients",
+                      "workload at 2/8/16/32 clients, and 16 clients over "
+                      "4 shards",
        .default_requests = 1000,
-       .points = {"2 clients", "8 clients", "16 clients", "32 clients"},
+       .points = {"2 clients", "8 clients", "16 clients", "32 clients",
+                  "16 clients x 4 shards"},
        .run = run_protocol_overhead},
   };
   // Every gate starts with the shared one.

@@ -53,6 +53,10 @@ std::vector<net::MessagePtr> exemplars() {
     m->my_p2p_seq = {{net::NodeId{2}, 7}, {net::NodeId{5}, 0}};
     m->mcast_acks = {{net::NodeId{1}, 99}};
     m->p2p_acks = {{net::NodeId{4}, 3}};
+    auto rider = std::make_shared<gcs::HeartbeatSection>();
+    rider->group = gcs::GroupId{20};
+    rider->mcast_acks = {{net::NodeId{2}, 8}};
+    m->riders = {rider};
     out.push_back(m);
   }
   {
@@ -341,6 +345,63 @@ TEST_F(CodecTest, DataAndHeartbeatFieldsSurviveTheRoundTrip) {
   gcs::HeartbeatMsg empty;
   empty.group = gcs::GroupId{18};
   EXPECT_EQ(empty.wire_size(), net::kFrameHeaderSize + 4 + 8 + 3 * 4);
+}
+
+gcs::HeartbeatSectionPtr section(std::uint32_t group, std::uint64_t seq,
+                                 std::uint32_t acks) {
+  auto s = std::make_shared<gcs::HeartbeatSection>();
+  s->group = gcs::GroupId{group};
+  s->my_mcast_seq = seq;
+  for (std::uint32_t i = 1; i <= acks; ++i) {
+    s->mcast_acks.emplace_back(net::NodeId{i}, seq + i);
+    s->p2p_acks.emplace_back(net::NodeId{i + 10}, i);
+  }
+  s->my_p2p_seq = {{net::NodeId{4}, seq}};
+  return s;
+}
+
+TEST_F(CodecTest, HeartbeatBundleRoundTripsEverySection) {
+  gcs::HeartbeatMsg bundle;
+  static_cast<gcs::HeartbeatSection&>(bundle) = *section(3, 10, 1);
+  const std::vector<gcs::HeartbeatSectionPtr> riders = {section(5, 20, 2),
+                                                        section(9, 0, 0)};
+  // The riders add their sections' bytes and nothing else.
+  std::size_t expected = net::kFrameHeaderSize + bundle.encoded_size();
+  for (std::size_t n = 0; n <= riders.size(); ++n) {
+    bundle.riders.assign(riders.begin(), riders.begin() + static_cast<std::ptrdiff_t>(n));
+    if (n > 0) expected += riders[n - 1]->encoded_size();
+    EXPECT_EQ(bundle.wire_size(), net::encode_frame(bundle).size()) << n << " riders";
+    EXPECT_EQ(bundle.wire_size(), expected) << n << " riders";
+  }
+
+  const std::vector<std::uint8_t> bytes = net::encode_frame(bundle);
+  net::Reader r(bytes);
+  const auto back = net::message_cast<gcs::HeartbeatMsg>(net::decode_frame(r));
+  ASSERT_TRUE(back);
+  EXPECT_EQ(static_cast<const gcs::HeartbeatSection&>(*back),
+            static_cast<const gcs::HeartbeatSection&>(bundle));
+  ASSERT_EQ(back->riders.size(), 2u);
+  for (std::size_t i = 0; i < riders.size(); ++i) {
+    EXPECT_EQ(*back->riders[i], *riders[i]) << "rider " << i;
+  }
+  EXPECT_EQ(net::encode_frame(*back), bytes);
+}
+
+TEST_F(CodecTest, TruncatedHeartbeatRiderThrows) {
+  gcs::HeartbeatMsg bundle;
+  static_cast<gcs::HeartbeatSection&>(bundle) = *section(3, 10, 1);
+  bundle.riders = {section(5, 20, 2)};
+  const std::vector<std::uint8_t> whole = net::encode_frame(bundle);
+  // Cut the rider short by `cut` bytes and fix the frame length, so the
+  // frame itself is well formed and only the rider is truncated.
+  for (std::size_t cut = 1; cut < bundle.riders[0]->encoded_size(); ++cut) {
+    std::vector<std::uint8_t> bytes(whole.begin(), whole.end() - static_cast<std::ptrdiff_t>(cut));
+    net::Writer len;
+    len.u32(static_cast<std::uint32_t>(bytes.size() - net::kFrameHeaderSize));
+    std::copy(len.bytes().begin(), len.bytes().end(), bytes.begin() + 9);
+    net::Reader r(bytes);
+    EXPECT_THROW(net::decode_frame(r), net::CodecError) << "cut " << cut;
+  }
 }
 
 TEST_F(CodecTest, JoinRoleAndViewListenersSurviveTheRoundTrip) {

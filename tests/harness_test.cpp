@@ -130,6 +130,8 @@ TEST(TestbedRestart, QosEntrySurvivesWhileABareClientIsAttached) {
   ASSERT_TRUE(client.ready());
   const net::NodeId old_id = bed.replica_node(0);
   ASSERT_EQ(bed.directory().lookup(groups.qos), old_id);
+  ASSERT_EQ(client.repository().roles().sequencer, old_id);
+  const std::uint64_t old_epoch = client.repository().roles().epoch;
 
   bed.restart_replica(0);
   const net::NodeId new_id = bed.replica_node(0);
@@ -144,6 +146,11 @@ TEST(TestbedRestart, QosEntrySurvivesWhileABareClientIsAttached) {
   // The client's failover, not a second QoS view, takes the entry over.
   bed.executor().run_for(seconds(10));
   EXPECT_EQ(bed.directory().lookup(groups.qos), client.id());
+
+  // The rebirth counts its role-map epochs afresh, but in a later QoS view:
+  // the client takes its role map and addresses the new sequencer.
+  EXPECT_EQ(client.repository().roles().sequencer, new_id);
+  EXPECT_GT(client.repository().roles().epoch, old_epoch);
 }
 
 // The QoS rule is judged per service: a client of one service does not

@@ -118,12 +118,17 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
   fifo_handler.update(append("fifo-doc"), {});
   sim.run_for(seconds(1));
 
+  // Threshold 0: a secondary one update behind is a legal answer at any
+  // higher threshold, and it would return the empty document.
+  constexpr core::Staleness kThreshold = 0;
   std::string total_line, fifo_line;
+  core::Staleness total_staleness = 0;
   total_handler.read(std::make_shared<replication::DocRead>(),
-                     {.staleness_threshold = 2,
+                     {.staleness_threshold = kThreshold,
                       .deadline = seconds(1),
                       .min_probability = 0.5},
                      [&](const client::ReadOutcome& o) {
+                       total_staleness = o.staleness;
                        auto doc = net::message_cast<replication::DocContents>(o.result);
                        if (doc && !doc->lines.empty()) total_line = doc->lines[0];
                      });
@@ -137,6 +142,7 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
                     });
   sim.run_for(seconds(2));
 
+  EXPECT_LE(total_staleness, kThreshold);
   EXPECT_EQ(total_line, "sequential-doc");
   EXPECT_EQ(fifo_line, "fifo-doc");
 }
