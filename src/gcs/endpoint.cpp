@@ -1,6 +1,7 @@
 #include "gcs/endpoint.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,8 +18,9 @@ GroupId group_field(const net::Message& msg) {
 }
 
 /// Every gcs wire message carries its GroupId; extract it for demux. The
-/// stable wire id names the concrete type, so no downcast is tried.
-GroupId group_of(const net::Message& msg) {
+/// stable wire id names the concrete type, so no downcast is tried. Any
+/// other type has no group: nullopt.
+std::optional<GroupId> group_of(const net::Message& msg) {
   switch (msg.wire_type()) {
     case kWireData: return group_field<DataMsg>(msg);
     case kWireHeartbeat: return group_field<HeartbeatMsg>(msg);
@@ -29,7 +31,7 @@ GroupId group_of(const net::Message& msg) {
     case kWirePropose: return group_field<ProposeMsg>(msg);
     case kWireFlush: return group_field<FlushMsg>(msg);
     case kWireInstall: return group_field<InstallMsg>(msg);
-    default: return GroupId{};
+    default: return std::nullopt;
   }
 }
 
@@ -150,8 +152,11 @@ net::NodeId Endpoint::reincarnate() {
 
 void Endpoint::on_message(net::NodeId from, net::MessagePtr msg) {
   if (crashed_) return;
-  const GroupId group = group_of(*msg);
-  AQUEDUCT_CHECK_MSG(group.valid(), "non-gcs message on gcs endpoint");
+  // A socket can deliver a well-formed frame of another layer's type (say
+  // a stray kv.put datagram); it is not for any member, so it is dropped.
+  const std::optional<GroupId> group = group_of(*msg);
+  if (!group) return;
+  AQUEDUCT_CHECK_MSG(group->valid(), "gcs message without a group");
   if (msg->wire_type() == kWireHeartbeat) {
     const auto& hb = static_cast<const HeartbeatMsg&>(*msg);
     const auto deliver = [&](const HeartbeatSection& section) {
@@ -162,7 +167,7 @@ void Endpoint::on_message(net::NodeId from, net::MessagePtr msg) {
     for (const HeartbeatSectionPtr& rider : hb.riders) deliver(*rider);
     return;
   }
-  auto it = members_.find(group);
+  auto it = members_.find(*group);
   if (it == members_.end()) return;  // no member for this group (e.g. left)
   it->second->handle(from, msg);
 }

@@ -2,10 +2,11 @@
 //
 // In the simulator they travel as immutable heap objects shared between
 // sender buffers and receivers; over a socket transport they are framed by
-// the wire codec. Each type carries a stable wire id (kWire* below) and an
-// encode() override; the matching decoders are registered by
-// gcs::register_wire_codecs() (gcs/codec.cpp). Wire ids are append-only:
-// never renumber, never reuse.
+// the wire codec. Each type derives from net::Wire with its stable wire id
+// (kWire* below) and name, and lists its fields once, in wire order, in
+// fields(); the codec's walkers encode, decode and size it from that list
+// (net/codec.hpp). gcs::register_wire_codecs() (gcs/codec.cpp) registers
+// the types. Wire ids are append-only: never renumber, never reuse.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,7 @@ inline constexpr net::WireTypeId kWirePropose = 0x17;
 inline constexpr net::WireTypeId kWireFlush = 0x18;
 inline constexpr net::WireTypeId kWireInstall = 0x19;
 
-/// Registers every gcs decoder in the global net::CodecRegistry.
+/// Registers every gcs message type in the global net::CodecRegistry.
 /// Idempotent; composition roots that receive serialized frames call it
 /// once at startup.
 void register_wire_codecs();
@@ -42,7 +43,7 @@ void register_wire_codecs();
 /// deduplicate and order by (sender, seq) alone; a message carries no view
 /// id. `is_mcast` selects the stream: the group-wide multicast stream, or
 /// the per-destination point-to-point stream.
-struct DataMsg final : net::Message {
+struct DataMsg final : net::Wire<DataMsg, kWireData, "gcs.data"> {
   GroupId group;
   bool is_mcast = true;
   net::NodeId sender;
@@ -50,9 +51,10 @@ struct DataMsg final : net::Message {
   std::uint64_t seq = 0;
   net::MessagePtr payload;
 
-  std::string type_name() const override { return "gcs.data"; }
-  net::WireTypeId wire_type() const override { return kWireData; }
-  void encode(net::Writer& w) const override;
+  template <typename V>
+  void fields(V& v) {
+    v(group, is_mcast, sender, dest, seq, payload);
+  }
 };
 
 using DataMsgPtr = std::shared_ptr<const DataMsg>;
@@ -77,9 +79,10 @@ struct HeartbeatSection {
   /// member has delivered.
   net::NodeU64Pairs p2p_acks;
 
-  /// Encoded length of the section in bytes, without encoding it.
-  std::size_t encoded_size() const;
-  void encode_section(net::Writer& w) const;
+  template <typename V>
+  void fields(V& v) {
+    v(group, my_mcast_seq, my_p2p_seq, mcast_acks, p2p_acks);
+  }
 
   friend bool operator==(const HeartbeatSection&, const HeartbeatSection&) = default;
 };
@@ -91,71 +94,81 @@ using HeartbeatSectionPtr = std::shared_ptr<const HeartbeatSection>;
 /// riders. The riders fill the rest of the frame body with no count, so a
 /// single-group heartbeat has the same bytes as a bare section. A rider
 /// carries no riders of its own.
-struct HeartbeatMsg final : net::Message, HeartbeatSection {
+struct HeartbeatMsg final : net::Wire<HeartbeatMsg, kWireHeartbeat, "gcs.heartbeat">,
+                            HeartbeatSection {
   std::vector<HeartbeatSectionPtr> riders;
 
-  std::string type_name() const override { return "gcs.heartbeat"; }
-  net::WireTypeId wire_type() const override { return kWireHeartbeat; }
-  void encode(net::Writer& w) const override;
-  /// The frame header plus every section's encoded_size(): a bundle shared
-  /// by many destinations is sized without being encoded.
-  std::size_t wire_size() const override;
+  template <typename V>
+  void fields(V& v) {
+    HeartbeatSection::fields(v);
+    v(net::rest(riders));
+  }
 };
 
 /// Retransmission request: "re-send your {mcast|p2p} messages in
 /// [from_seq, to_seq] to me".
-struct NackMsg final : net::Message {
+struct NackMsg final : net::Wire<NackMsg, kWireNack, "gcs.nack"> {
   GroupId group;
   bool is_mcast = true;
   std::uint64_t from_seq = 0;
   std::uint64_t to_seq = 0;
 
-  std::string type_name() const override { return "gcs.nack"; }
-  net::WireTypeId wire_type() const override { return kWireNack; }
-  void encode(net::Writer& w) const override;
+  template <typename V>
+  void fields(V& v) {
+    v(group, is_mcast, from_seq, to_seq);
+  }
 };
 
 /// Sent by a process that wants to join the group, to the coordinator.
-struct JoinMsg final : net::Message {
+struct JoinMsg final : net::Wire<JoinMsg, kWireJoin, "gcs.join"> {
   GroupId group;
   Role role = Role::kMember;  // the joiner's role in every view it is in
-  std::string type_name() const override { return "gcs.join"; }
-  net::WireTypeId wire_type() const override { return kWireJoin; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, role);
+    v.check(role <= Role::kListener, "gcs.join: unknown role");
+  }
 };
 
 /// Graceful leave notice, to the coordinator.
-struct LeaveMsg final : net::Message {
+struct LeaveMsg final : net::Wire<LeaveMsg, kWireLeave, "gcs.leave"> {
   GroupId group;
-  std::string type_name() const override { return "gcs.leave"; }
-  net::WireTypeId wire_type() const override { return kWireLeave; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group);
+  }
 };
 
 /// Failure notification: "I suspect `suspect` has crashed", sent to the
 /// acting coordinator.
-struct SuspectMsg final : net::Message {
+struct SuspectMsg final : net::Wire<SuspectMsg, kWireSuspect, "gcs.suspect"> {
   GroupId group;
   net::NodeId suspect;
-  std::string type_name() const override { return "gcs.suspect"; }
-  net::WireTypeId wire_type() const override { return kWireSuspect; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, suspect);
+  }
 };
 
 /// Phase 1 of the view change: the coordinator proposes a new membership.
 /// Receivers block new application sends and reply with FlushMsg.
-struct ProposeMsg final : net::Message {
+struct ProposeMsg final : net::Wire<ProposeMsg, kWirePropose, "gcs.propose"> {
   GroupId group;
   std::uint64_t proposal = 0;  // monotone per group; becomes the new ViewId
   std::vector<net::NodeId> members;
-  std::string type_name() const override { return "gcs.propose"; }
-  net::WireTypeId wire_type() const override { return kWirePropose; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, proposal, members);
+  }
 };
 
 /// Phase 1 reply: everything this member knows about the multicast streams,
 /// so the coordinator can compute the virtually synchronous cut.
-struct FlushMsg final : net::Message {
+struct FlushMsg final : net::Wire<FlushMsg, kWireFlush, "gcs.flush"> {
   GroupId group;
   std::uint64_t proposal = 0;
   /// Highest contiguously delivered mcast seq per sender; senders with
@@ -164,15 +177,17 @@ struct FlushMsg final : net::Message {
   /// All unstable messages this member holds copies of: retained delivered
   /// messages, buffered out-of-order messages, and its own unstable sends.
   std::vector<DataMsgPtr> held;
-  std::string type_name() const override { return "gcs.flush"; }
-  net::WireTypeId wire_type() const override { return kWireFlush; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, proposal, delivered, held);
+  }
 };
 
 /// Phase 2: the coordinator installs the new view. Members first deliver
 /// the resolution messages they are missing (up to deliver_up_to per
 /// sender), then switch to the new view and unblock sends.
-struct InstallMsg final : net::Message {
+struct InstallMsg final : net::Wire<InstallMsg, kWireInstall, "gcs.install"> {
   GroupId group;
   std::uint64_t proposal = 0;
   View view;
@@ -181,9 +196,11 @@ struct InstallMsg final : net::Message {
   std::map<net::NodeId, std::uint64_t> deliver_up_to;
   /// Copies of every unstable message known to any flushed member.
   std::vector<DataMsgPtr> resolution;
-  std::string type_name() const override { return "gcs.install"; }
-  net::WireTypeId wire_type() const override { return kWireInstall; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, proposal, view, deliver_up_to, resolution);
+  }
 };
 
 }  // namespace aqueduct::gcs

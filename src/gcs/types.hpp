@@ -23,6 +23,14 @@ class GroupId {
   constexpr bool valid() const { return value_ != 0; }
   friend constexpr auto operator<=>(GroupId, GroupId) = default;
 
+  /// Wire layout (net/codec.hpp). Every gcs message names a real group, so
+  /// a frame naming group 0 is malformed.
+  template <typename V>
+  void fields(V& v) {
+    v(value_);
+    v.check(valid(), "gcs: group id 0");
+  }
+
  private:
   std::uint32_t value_ = 0;
 };
@@ -51,6 +59,11 @@ struct View {
   /// The members that joined as listeners, sorted; every other member is a
   /// full member.
   std::vector<net::NodeId> listeners;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, id, members, listeners);
+  }
 
   bool contains(net::NodeId node) const {
     return std::find(members.begin(), members.end(), node) != members.end();

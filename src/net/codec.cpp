@@ -1,7 +1,5 @@
 #include "net/codec.hpp"
 
-#include <algorithm>
-
 #include "sim/check.hpp"
 
 namespace aqueduct::net {
@@ -10,18 +8,21 @@ void Message::encode(Writer&) const {
   throw CodecError("message type '" + type_name() + "' is not codec-enabled");
 }
 
+std::size_t Message::body_size() const {
+  throw CodecError("message type '" + type_name() + "' is not codec-enabled");
+}
+
 namespace {
 
 std::uint32_t frame_size(const Message& msg) {
   if (msg.wire_type() == 0) return 64;  // nominal size for non-wire types
   try {
-    Writer w;
-    encode_frame(msg, w);
-    return static_cast<std::uint32_t>(w.size());
+    return static_cast<std::uint32_t>(kFrameHeaderSize + msg.body_size());
   } catch (const CodecError&) {
-    // A codec-enabled envelope carrying a non-encodable payload (tests
-    // wrap ad-hoc local messages in gcs frames): fall back to the nominal
-    // estimate rather than poison bandwidth accounting.
+    // A codec-enabled envelope carrying a non-encodable payload, at any
+    // depth (tests wrap ad-hoc local messages in gcs frames): fall back to
+    // the nominal estimate for the whole frame rather than poison
+    // bandwidth accounting.
     return 64;
   }
 }
@@ -42,22 +43,21 @@ CodecRegistry& CodecRegistry::global() {
   return registry;
 }
 
-void CodecRegistry::add(WireTypeId id, std::string type_name, DecodeFn decode) {
+void CodecRegistry::add(WireTypeId id, DecodeFn decode) {
   AQUEDUCT_CHECK_MSG(id != 0, "wire type id 0 is reserved");
-  auto [it, inserted] = entries_.emplace(id, Entry{std::move(type_name), decode});
+  auto [it, inserted] = decoders_.emplace(id, decode);
   if (!inserted) {
     // Idempotent re-registration (several composition roots may register
     // the same layer); a *different* decoder under the same id is a
     // protocol-definition bug.
-    AQUEDUCT_CHECK_MSG(it->second.decode == decode,
-                       "conflicting decoder for wire type id");
+    AQUEDUCT_CHECK_MSG(it->second == decode, "conflicting decoder for wire type id");
   }
 }
 
 std::vector<WireTypeId> CodecRegistry::ids() const {
   std::vector<WireTypeId> out;
-  out.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) out.push_back(id);
+  out.reserve(decoders_.size());
+  for (const auto& [id, decode] : decoders_) out.push_back(id);
   return out;
 }
 
@@ -101,16 +101,6 @@ MessagePtr decode_frame(Reader& r, const CodecRegistry& registry) {
   AQUEDUCT_CHECK(msg != nullptr);
   if (!body.done()) throw CodecError("decoder left trailing payload bytes");
   return msg;
-}
-
-void encode_nested(Writer& w, const MessagePtr& msg) {
-  w.boolean(msg != nullptr);
-  if (msg) encode_frame(*msg, w);
-}
-
-MessagePtr decode_nested(Reader& r, const CodecRegistry& registry) {
-  if (!r.boolean()) return nullptr;
-  return decode_frame(r, registry);
 }
 
 }  // namespace aqueduct::net

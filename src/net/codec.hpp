@@ -6,27 +6,43 @@
 //   u8   version kWireVersion (bumped on any incompatible layout change)
 //   u32  type id (stable per concrete message type; see CodecRegistry)
 //   u32  payload length in bytes
-//   ...  payload (exactly `length` bytes, produced by Message::encode)
+//   ...  payload (exactly `length` bytes, the message's fields)
 //
-// Encoding needs no registry — a message that overrides wire_type() and
-// encode() can always be framed. Decoding resolves the type id through the
+// A codec-enabled message derives from net::Wire<Self, id, "name">, which
+// states its type id and name once, and declares its layout once, as a
+// field list: a member `template <typename V> void fields(V& v)` that hands
+// its fields to `v` in wire order. Three walkers read that one list:
+// FieldEncoder<Writer> writes the payload, FieldDecoder reads it back
+// through a Reader, and FieldSizer counts its bytes without writing them.
+// So encode(), the registered decoder and Message::wire_size() cannot
+// disagree. The walkers below spell out each field kind's encoding. A
+// field list may also call v.check(ok, what): the decoder throws CodecError
+// when `ok` is false, the encoder and the sizer ignore it.
+//
+// Encoding needs no registry. Decoding resolves the type id through the
 // process-wide CodecRegistry, so a receiving composition root must first
-// call its layers' register_wire_codecs() functions. Every decode failure
-// (bad magic, unknown version or type, truncation, trailing bytes) throws
-// CodecError; transports catch it, count net.decode_errors, and drop the
-// datagram — malformed input can never reach protocol code.
+// call its layers' register_wire_codecs() functions, which register their
+// Wire types. Every decode failure (bad magic, unknown version or type,
+// truncation, trailing bytes, a failed check) throws CodecError;
+// transports catch it, count net.decode_errors, and drop the datagram —
+// malformed input can never reach protocol code.
 //
 // Round-trip guarantee: for every registered type, encode(decode(bytes))
-// reproduces `bytes` exactly (tests/codec_test.cpp enforces it per type).
+// reproduces `bytes` exactly (tests/codec_test.cpp enforces it per type,
+// and pins every exemplar's frame bytes).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/message.hpp"
@@ -51,7 +67,6 @@ class CodecError : public std::runtime_error {
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }
   void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
@@ -102,7 +117,6 @@ class Reader {
       : Reader(buf.data(), buf.size()) {}
 
   std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() { return le<std::uint16_t>(); }
   std::uint32_t u32() { return le<std::uint32_t>(); }
   std::uint64_t u64() { return le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(le<std::uint64_t>()); }
@@ -168,29 +182,20 @@ class CodecRegistry {
   /// Registers `decode` for `id`. Re-registering the same id is a no-op
   /// if the decoder matches, and an error otherwise (two message types
   /// must never share a wire id).
-  void add(WireTypeId id, std::string type_name, DecodeFn decode);
+  void add(WireTypeId id, DecodeFn decode);
 
-  bool contains(WireTypeId id) const { return entries_.contains(id); }
   /// nullptr when the id is unknown.
   DecodeFn find(WireTypeId id) const {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : it->second.decode;
-  }
-  const std::string* type_name(WireTypeId id) const {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second.type_name;
+    auto it = decoders_.find(id);
+    return it == decoders_.end() ? nullptr : it->second;
   }
   /// All registered ids, ascending (the codec round-trip suite iterates
   /// this to prove coverage).
   std::vector<WireTypeId> ids() const;
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return decoders_.size(); }
 
  private:
-  struct Entry {
-    std::string type_name;
-    DecodeFn decode;
-  };
-  std::map<WireTypeId, Entry> entries_;
+  std::map<WireTypeId, DecodeFn> decoders_;
 };
 
 /// Frames `msg` into `w`: header + encode()d payload. Throws CodecError if
@@ -208,85 +213,13 @@ inline MessagePtr decode_frame(Reader& r) {
   return decode_frame(r, CodecRegistry::global());
 }
 
-/// Nested-payload helpers: protocol messages carry application payloads as
-/// MessagePtr fields. On the wire these are a presence byte plus (when
-/// present) a complete nested frame, so payload types resolve through the
-/// registry exactly like top-level messages.
-void encode_nested(Writer& w, const MessagePtr& msg);
-MessagePtr decode_nested(Reader& r, const CodecRegistry& registry);
-inline MessagePtr decode_nested(Reader& r) {
-  return decode_nested(r, CodecRegistry::global());
-}
-
 // ---------------------------------------------------------------------------
-// Aggregate helpers shared by the per-layer codecs
+// Field walkers
 // ---------------------------------------------------------------------------
-
-inline void encode_node_vector(Writer& w, const std::vector<NodeId>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (NodeId n : v) w.node(n);
-}
-
-inline std::vector<NodeId> decode_node_vector(Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<NodeId> v;
-  v.reserve(std::min<std::size_t>(n, r.remaining() / 4 + 1));
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.node());
-  return v;
-}
 
 /// NodeId-sorted (node, value) pairs, unique by node: the flat form of a
 /// std::map<NodeId, std::uint64_t>, with the same wire encoding.
 using NodeU64Pairs = std::vector<std::pair<NodeId, std::uint64_t>>;
-
-/// Writes a count and then the (node, value) pairs in iteration order —
-/// ascending by node for both a std::map and a NodeU64Pairs.
-template <typename Pairs>
-void encode_node_u64_map(Writer& w, const Pairs& m) {
-  w.u32(static_cast<std::uint32_t>(m.size()));
-  for (const auto& [node, seq] : m) {
-    w.node(node);
-    w.u64(seq);
-  }
-}
-
-/// The length encode_node_u64_map() writes for `n` pairs: the count, then
-/// a node id and a value per pair.
-inline constexpr std::size_t node_u64_map_size(std::size_t n) {
-  return sizeof(std::uint32_t) + n * (sizeof(std::uint32_t) + sizeof(std::uint64_t));
-}
-
-inline std::map<NodeId, std::uint64_t> decode_node_u64_map(Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::map<NodeId, std::uint64_t> m;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const NodeId node = r.node();
-    m[node] = r.u64();
-  }
-  return m;
-}
-
-/// decode_node_u64_map() into the flat form. A well-formed encoder writes
-/// the pairs sorted and unique; other input is normalized exactly as the
-/// map decoder would (sorted by node, last value wins).
-inline NodeU64Pairs decode_node_u64_pairs(Reader& r) {
-  const std::uint32_t n = r.u32();
-  NodeU64Pairs v;
-  v.reserve(std::min<std::size_t>(n, r.remaining() / 12 + 1));
-  bool sorted = true;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const NodeId node = r.node();
-    const std::uint64_t value = r.u64();
-    sorted = sorted && (v.empty() || v.back().first < node);
-    v.emplace_back(node, value);
-  }
-  if (!sorted) {
-    std::map<NodeId, std::uint64_t> m;
-    for (const auto& [node, value] : v) m[node] = value;
-    v.assign(m.begin(), m.end());
-  }
-  return v;
-}
 
 /// Value of `node` in sorted pairs, or nullptr.
 inline const std::uint64_t* find_node(const NodeU64Pairs& v, NodeId node) {
@@ -296,14 +229,274 @@ inline const std::uint64_t* find_node(const NodeU64Pairs& v, NodeId node) {
   return it != v.end() && it->first == node ? &it->second : nullptr;
 }
 
-inline void encode_optional_str(Writer& w, const std::optional<std::string>& s) {
-  w.boolean(s.has_value());
-  if (s) w.str(*s);
+/// The last field of a message: items with no count in front, running to
+/// the end of the payload. Used as `v(net::rest(items))`.
+template <typename T>
+struct Rest {
+  std::vector<T>& items;
+};
+
+template <typename T>
+Rest<T> rest(std::vector<T>& items) {
+  return {items};
 }
 
-inline std::optional<std::string> decode_optional_str(Reader& r) {
-  if (!r.boolean()) return std::nullopt;
-  return r.str();
+/// The sink of FieldSizer: counts the bytes a Writer would append.
+class ByteCount {
+ public:
+  void u8(std::uint8_t) { bytes_ += 1; }
+  void u32(std::uint32_t) { bytes_ += 4; }
+  void u64(std::uint64_t) { bytes_ += 8; }
+  void f64(double) { bytes_ += 8; }
+  void boolean(bool) { bytes_ += 1; }
+  void str(const std::string& s) { bytes_ += 4 + s.size(); }
+  void node(NodeId) { bytes_ += 4; }
+  void duration(sim::Duration) { bytes_ += 8; }
+  /// A nested frame, sized by its own field list.
+  void frame(const Message& msg) { bytes_ += kFrameHeaderSize + msg.body_size(); }
+
+  std::size_t size() const { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+namespace detail {
+
+template <typename T> inline constexpr bool kOptional = false;
+template <typename T> inline constexpr bool kOptional<std::optional<T>> = true;
+template <typename T> inline constexpr bool kVector = false;
+template <typename T> inline constexpr bool kVector<std::vector<T>> = true;
+template <typename T> inline constexpr bool kMap = false;
+template <typename K, typename V> inline constexpr bool kMap<std::map<K, V>> = true;
+template <typename T> inline constexpr bool kPair = false;
+template <typename A, typename B> inline constexpr bool kPair<std::pair<A, B>> = true;
+template <typename T> inline constexpr bool kRest = false;
+template <typename T> inline constexpr bool kRest<Rest<T>> = true;
+template <typename T> inline constexpr bool kShared = false;
+template <typename T> inline constexpr bool kShared<std::shared_ptr<const T>> = true;
+
+inline void write_frame(Writer& w, const Message& msg) { encode_frame(msg, w); }
+inline void write_frame(ByteCount& c, const Message& msg) { c.frame(msg); }
+
+}  // namespace detail
+
+/// Walks a field list into `Sink`: a Writer (encoding) or a ByteCount
+/// (sizing). A field of type
+///   bool, std::uint8_t/32/64, double  is fixed-width, little-endian;
+///   an enum                           is its underlying type;
+///   NodeId, sim::Duration             is a u32, an i64;
+///   std::string                       is a u32 length and the bytes;
+///   std::optional<T>                  is a presence byte, then T;
+///   std::vector<T>, std::map<K, V>    is a u32 count, then each item;
+///   MessagePtr                        is a presence byte, then a nested frame;
+///   shared_ptr<const M>, M a message  is a nested frame that must be an M;
+///   shared_ptr<const S>, S a struct   is S;
+///   Rest<T>                           is each item, with no count;
+///   any other struct                  is the list of its own fields().
+template <typename Sink>
+class FieldEncoder {
+ public:
+  explicit FieldEncoder(Sink& out) : out_(out) {}
+
+  template <typename... F>
+  void operator()(const F&... fields) {
+    (put(fields), ...);
+  }
+  void check(bool, const char*) {}
+
+ private:
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out_.boolean(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      out_.u8(v);
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      out_.u32(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      out_.u64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      out_.f64(v);
+    } else if constexpr (std::is_same_v<T, NodeId>) {
+      out_.node(v);
+    } else if constexpr (std::is_same_v<T, sim::Duration>) {
+      out_.duration(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out_.str(v);
+    } else if constexpr (detail::kOptional<T>) {
+      out_.boolean(v.has_value());
+      if (v) put(*v);
+    } else if constexpr (detail::kVector<T> || detail::kMap<T>) {
+      out_.u32(static_cast<std::uint32_t>(v.size()));
+      for (const auto& item : v) put(item);
+    } else if constexpr (detail::kPair<T>) {
+      put(v.first);
+      put(v.second);
+    } else if constexpr (detail::kRest<T>) {
+      for (const auto& item : v.items) put(item);
+    } else if constexpr (std::is_same_v<T, MessagePtr>) {
+      out_.boolean(v != nullptr);
+      if (v) detail::write_frame(out_, *v);
+    } else if constexpr (detail::kShared<T>) {
+      if constexpr (std::is_base_of_v<Message, typename T::element_type>) {
+        detail::write_frame(out_, *v);
+      } else {
+        put(*v);
+      }
+    } else {
+      // Walking never changes a field; fields() is non-const only so that
+      // the decoder can fill the same list.
+      const_cast<T&>(v).fields(*this);
+    }
+  }
+
+  Sink& out_;
+};
+
+using FieldSizer = FieldEncoder<ByteCount>;
+
+/// Walks a field list out of a Reader: the inverse of FieldEncoder<Writer>.
+class FieldDecoder {
+ public:
+  explicit FieldDecoder(Reader& in) : in_(in) {}
+
+  template <typename... F>
+  void operator()(F&&... fields) {
+    (get(fields), ...);
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) throw CodecError(what);
+  }
+
+ private:
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = in_.boolean();
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw{};
+      get(raw);
+      v = static_cast<T>(raw);
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      v = in_.u8();
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      v = in_.u32();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      v = in_.u64();
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = in_.f64();
+    } else if constexpr (std::is_same_v<T, NodeId>) {
+      v = in_.node();
+    } else if constexpr (std::is_same_v<T, sim::Duration>) {
+      v = in_.duration();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = in_.str();
+    } else if constexpr (detail::kOptional<T>) {
+      v.reset();
+      if (in_.boolean()) get(v.emplace());
+    } else if constexpr (detail::kVector<T>) {
+      const std::uint32_t n = in_.u32();
+      v.clear();
+      v.reserve(std::min<std::size_t>(n, in_.remaining()));
+      for (std::uint32_t i = 0; i < n; ++i) get(v.emplace_back());
+      if constexpr (std::is_same_v<T, NodeU64Pairs>) sort_unique(v);
+    } else if constexpr (detail::kMap<T>) {
+      const std::uint32_t n = in_.u32();
+      v.clear();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        typename T::key_type key{};
+        typename T::mapped_type value{};
+        get(key);
+        get(value);
+        v.insert_or_assign(std::move(key), std::move(value));
+      }
+    } else if constexpr (detail::kPair<T>) {
+      get(v.first);
+      get(v.second);
+    } else if constexpr (detail::kRest<T>) {
+      v.items.clear();
+      while (!in_.done()) get(v.items.emplace_back());
+    } else if constexpr (std::is_same_v<T, MessagePtr>) {
+      v = in_.boolean() ? decode_frame(in_) : nullptr;
+    } else if constexpr (detail::kShared<T>) {
+      using U = std::remove_const_t<typename T::element_type>;
+      if constexpr (std::is_base_of_v<Message, U>) {
+        v = message_cast<U>(decode_frame(in_));
+        if (!v) throw CodecError("nested frame is not " + std::string(U::kTypeName));
+      } else {
+        auto item = std::make_shared<U>();
+        get(*item);
+        v = std::move(item);
+      }
+    } else {
+      v.fields(*this);
+    }
+  }
+
+  /// A well-formed encoder writes NodeU64Pairs sorted and unique; other
+  /// input is normalized exactly as decoding it into a std::map would be
+  /// (sorted by node, the last value winning).
+  static void sort_unique(NodeU64Pairs& v) {
+    const bool sorted = std::adjacent_find(v.begin(), v.end(), [](const auto& a, const auto& b) {
+                          return !(a.first < b.first);
+                        }) == v.end();
+    if (sorted) return;
+    std::map<NodeId, std::uint64_t> m;
+    for (const auto& [node, value] : v) m[node] = value;
+    v.assign(m.begin(), m.end());
+  }
+
+  Reader& in_;
+};
+
+// ---------------------------------------------------------------------------
+// Codec-enabled messages
+// ---------------------------------------------------------------------------
+
+/// A string literal as a template argument: a wire type's name.
+template <std::size_t N>
+struct WireName {
+  constexpr WireName(const char (&s)[N]) { std::copy_n(s, N, chars); }
+  char chars[N];
+};
+
+/// Base of every codec-enabled message: `Self` states its wire id and name
+/// here, and its layout as a `template <typename V> void fields(V& v)`
+/// member. encode(), body_size() (hence wire_size()) and the registered
+/// decoder all walk that one field list.
+template <typename Self, WireTypeId Id, WireName Name>
+class Wire : public Message {
+ public:
+  static constexpr WireTypeId kWireType = Id;
+  static constexpr std::string_view kTypeName{Name.chars, sizeof(Name.chars) - 1};
+
+  std::string type_name() const final { return std::string(kTypeName); }
+  WireTypeId wire_type() const final { return Id; }
+  void encode(Writer& w) const final { FieldEncoder<Writer>{w}(self()); }
+  std::size_t body_size() const final {
+    ByteCount count;
+    FieldSizer{count}(self());
+    return count.size();
+  }
+
+  /// The decoder registered for Id.
+  static MessagePtr decode(Reader& r) {
+    auto msg = std::make_shared<Self>();
+    FieldDecoder{r}(*msg);
+    return msg;
+  }
+
+ private:
+  const Self& self() const { return static_cast<const Self&>(*this); }
+};
+
+/// Registers the decoders of the Wire types `M...` in the global registry.
+template <typename... M>
+void register_wire_types() {
+  (CodecRegistry::global().add(M::kWireType, &M::decode), ...);
 }
 
 }  // namespace aqueduct::net

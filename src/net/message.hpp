@@ -5,13 +5,14 @@
 // from the stable wire_type() where one id names exactly one type.
 // Messages are immutable after send (shared by sender-side retransmission
 // buffers and receivers), hence they travel as shared_ptr<const Message> —
-// which is also what lets wire_size() encode a frame once and remember it.
+// which is also what lets wire_size() size a frame once and remember it.
 //
-// Codec surface: a message that can cross a process boundary declares a
-// stable wire type id (wire_type()) and a body encoder (encode()); its
-// decoder is registered in the net::CodecRegistry by the owning layer's
-// register_wire_codecs(). In-process transports never serialize — the
-// codec is exercised only by socket transports and the round-trip tests.
+// Codec surface: a message that can cross a process boundary derives from
+// net::Wire (net/codec.hpp), which supplies wire_type(), encode(),
+// body_size() and the registered decoder from the one field list the type
+// declares. In-process transports never serialize — the codec is
+// exercised only by socket transports and the round-trip tests; the
+// simulator only sizes frames.
 #pragma once
 
 #include <atomic>
@@ -41,18 +42,22 @@ class Message {
   virtual WireTypeId wire_type() const { return 0; }
 
   /// Appends the message body (no frame header) to `w`. The default
-  /// throws CodecError; every type with a non-zero wire_type() overrides
-  /// it. Must be the exact inverse of the decoder registered for
-  /// wire_type().
+  /// throws CodecError; net::Wire overrides it with a walk of the type's
+  /// field list.
   virtual void encode(Writer& w) const;
+
+  /// Length of the body encode() writes, computed by walking the same
+  /// field list without writing. The default throws CodecError.
+  virtual std::size_t body_size() const;
 
   /// Wire size in bytes, used for bandwidth accounting in traces and the
   /// protocol-overhead benches; delivery latency is governed by the
-  /// link's latency model. For codec-enabled messages the default derives
-  /// it from the real encoded frame length; types outside the codec fall
-  /// back to a nominal 64 bytes. The default computes the size on its first
-  /// call and returns the memoized value afterwards, so a multicast shared
-  /// by every destination is encoded once, not once per send.
+  /// link's latency model. For codec-enabled messages the default is the
+  /// frame header plus body_size(); types outside the codec, and frames
+  /// with a nested payload outside it, fall back to a nominal 64 bytes.
+  /// The default computes the size on its first call and returns the
+  /// memoized value afterwards, so a multicast shared by every destination
+  /// is sized once, not once per send.
   virtual std::size_t wire_size() const;
 
  private:

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/qos.hpp"
+#include "net/codec.hpp"
 #include "net/message.hpp"
 #include "net/node.hpp"
 #include "obs/trace.hpp"
@@ -31,9 +32,9 @@ inline constexpr net::WireTypeId kWireStateSnapshot = 0x27;
 inline constexpr net::WireTypeId kWirePerf = 0x28;
 inline constexpr net::WireTypeId kWireGroupInfo = 0x29;
 
-/// Registers every replication-layer decoder (replication protocol,
-/// example objects) in the global net::CodecRegistry, plus the
-/// gcs decoders the transport needs below them. Idempotent.
+/// Registers every replication-layer message type (replication protocol,
+/// example objects) in the global net::CodecRegistry, plus the gcs types
+/// the transport needs below them. Idempotent.
 void register_wire_codecs();
 
 /// Globally unique request identity: issuing client plus a per-client
@@ -42,6 +43,11 @@ void register_wire_codecs();
 struct RequestId {
   net::NodeId client;
   std::uint64_t seq = 0;
+
+  template <typename V>
+  void fields(V& v) {
+    v(client, seq);
+  }
 
   friend constexpr auto operator<=>(const RequestId&, const RequestId&) = default;
 };
@@ -59,17 +65,19 @@ constexpr obs::TraceId trace_of(const RequestId& id) {
 /// Update operation, sent point-to-point to every member of the primary
 /// group (including the sequencer, which assigns the GSN, under sequential
 /// ordering).
-struct UpdateRequest final : net::Message {
+struct UpdateRequest final : net::Wire<UpdateRequest, kWireUpdate, "repl.update"> {
   RequestId id;
   net::MessagePtr op;
-  std::string type_name() const override { return "repl.update"; }
-  net::WireTypeId wire_type() const override { return kWireUpdate; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(id, op);
+  }
 };
 
 /// Read-only operation, sent to the selected replica subset K (plus the
 /// sequencer, under sequential ordering).
-struct ReadRequest final : net::Message {
+struct ReadRequest final : net::Wire<ReadRequest, kWireRead, "repl.read"> {
   RequestId id;
   net::MessagePtr op;
   /// The read's freshness bound; its meaning is the service's ordering.
@@ -79,27 +87,31 @@ struct ReadRequest final : net::Message {
   ///     (read-your-writes); the replica serves only once it has applied
   ///     that client's updates up to it. 0 = no session bound.
   std::uint64_t bound = 0;
-  std::string type_name() const override { return "repl.read"; }
-  net::WireTypeId wire_type() const override { return kWireRead; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(id, op, bound);
+  }
 };
 
 /// Sequencer broadcast on the replication group. For an update the GSN was
 /// advanced; for a read it is the current GSN (not advanced) that replicas
 /// use to measure their staleness.
-struct GsnAssign final : net::Message {
+struct GsnAssign final : net::Wire<GsnAssign, kWireGsnAssign, "repl.gsn"> {
   RequestId id;
   core::Gsn gsn = 0;
   bool is_update = false;
-  std::string type_name() const override { return "repl.gsn"; }
-  net::WireTypeId wire_type() const override { return kWireGsnAssign; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(id, gsn, is_update);
+  }
 };
 
 /// Reply from a replica to the issuing client. Carries the piggybacked
 /// server-side latency t1 = ts + tq + tb used by the client to compute the
 /// two-way gateway delay tg = tp - tm - t1 (Section 5.4).
-struct Reply final : net::Message {
+struct Reply final : net::Wire<Reply, kWireReply, "repl.reply"> {
   RequestId id;
   bool is_update = false;
   net::MessagePtr result;
@@ -118,29 +130,32 @@ struct Reply final : net::Message {
   /// (my_GSN - my_CSN at service time); lets clients and tests verify the
   /// staleness bound end to end.
   core::Staleness staleness = 0;
-  std::string type_name() const override { return "repl.reply"; }
-  net::WireTypeId wire_type() const override { return kWireReply; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(id, is_update, result, replica, t1, ts, tq, tb, deferred, staleness);
+  }
 };
 
 /// Lazy state propagation from the lazy publisher to the secondary group
 /// (multicast on the replication group; primaries ignore it).
-struct LazyUpdate final : net::Message {
+struct LazyUpdate final : net::Wire<LazyUpdate, kWireLazyUpdate, "repl.lazy"> {
   core::Csn csn = 0;
   net::MessagePtr snapshot;
   std::uint64_t lazy_seq = 0;  // ordinal of this propagation
-  std::string type_name() const override { return "repl.lazy"; }
-  net::WireTypeId wire_type() const override { return kWireLazyUpdate; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(csn, snapshot, lazy_seq);
+  }
 };
 
 /// Recovery: a rejoining primary asks a live primary for its state
 /// (point-to-point on the replication group). The responder is chosen from
 /// the latest GroupInfo role map; any non-recovering primary may answer.
-struct StateRequest final : net::Message {
-  std::string type_name() const override { return "repl.state_req"; }
-  net::WireTypeId wire_type() const override { return kWireStateRequest; }
-  void encode(net::Writer& w) const override;
+struct StateRequest final : net::Wire<StateRequest, kWireStateRequest, "repl.state_req"> {
+  template <typename V>
+  void fields(V&) {}
 };
 
 /// Recovery: full state handed to a rejoining primary. Carries everything
@@ -154,14 +169,16 @@ struct StateRequest final : net::Message {
 ///     applied update) — the whole FIFO dedup summary. FIFO's lazy
 ///     publisher also multicasts this message to the secondaries in place
 ///     of LazyUpdate, so both catch-up paths share one install (gsn is 0).
-struct StateSnapshot final : net::Message {
+struct StateSnapshot final : net::Wire<StateSnapshot, kWireStateSnapshot, "repl.state_snap"> {
   core::Csn csn = 0;
   core::Gsn gsn = 0;
   net::MessagePtr snapshot;
   std::vector<RequestId> committed;
-  std::string type_name() const override { return "repl.state_snap"; }
-  net::WireTypeId wire_type() const override { return kWireStateSnapshot; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(csn, gsn, snapshot, committed);
+  }
 };
 
 /// Extra fields in the lazy publisher's performance broadcasts
@@ -174,12 +191,17 @@ struct LazyInfo {
   std::uint32_t n_l = 0;
   sim::Duration t_l = sim::Duration::zero();
   sim::Duration period = sim::Duration::zero();  // T_L
+
+  template <typename V>
+  void fields(V& v) {
+    v(n_u, t_u, n_l, t_l, period);
+  }
 };
 
 /// Performance measurements published by a replica to all clients whenever
 /// it completes servicing a read (Section 5.4), and periodically by the
 /// lazy publisher to keep the staleness estimators fresh.
-struct PerfPublication final : net::Message {
+struct PerfPublication final : net::Wire<PerfPublication, kWirePerf, "repl.perf"> {
   net::NodeId replica;
   /// True when this publication carries a fresh (ts, tq, tb) sample.
   bool has_sample = false;
@@ -188,15 +210,17 @@ struct PerfPublication final : net::Message {
   sim::Duration tb = sim::Duration::zero();
   bool deferred = false;
   std::optional<LazyInfo> lazy;
-  std::string type_name() const override { return "repl.perf"; }
-  net::WireTypeId wire_type() const override { return kWirePerf; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(replica, has_sample, ts, tq, tb, deferred, lazy);
+  }
 };
 
 /// Service configuration published by the primary-group leader on the QoS
 /// group so clients learn the current roles (stand-in for the AQuA
 /// dependability manager's configuration distribution).
-struct GroupInfo final : net::Message {
+struct GroupInfo final : net::Wire<GroupInfo, kWireGroupInfo, "repl.groupinfo"> {
   /// Clients drop a role map whose epoch is not above the last one's. It
   /// grows with the QoS view id first (see ReplicaServer::publish_group_info).
   std::uint64_t epoch = 0;
@@ -206,9 +230,11 @@ struct GroupInfo final : net::Message {
   std::vector<net::NodeId> primaries;  // excluding the sequencer
   std::vector<net::NodeId> secondaries;
   net::NodeId lazy_publisher;
-  std::string type_name() const override { return "repl.groupinfo"; }
-  net::WireTypeId wire_type() const override { return kWireGroupInfo; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(epoch, sequencer, primaries, secondaries, lazy_publisher);
+  }
 };
 
 }  // namespace aqueduct::replication

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "net/codec.hpp"
 #include "replication/replicated_object.hpp"
 
 namespace aqueduct::replication {
@@ -32,36 +33,44 @@ inline constexpr net::WireTypeId kWireRegisterValue = 0x4e;
 // Versioned key-value store
 // ---------------------------------------------------------------------------
 
-struct KvPut final : net::Message {
+struct KvPut final : net::Wire<KvPut, kWireKvPut, "kv.put"> {
   std::string key;
   std::string value;
-  std::string type_name() const override { return "kv.put"; }
-  net::WireTypeId wire_type() const override { return kWireKvPut; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(key, value);
+  }
 };
 
-struct KvGet final : net::Message {
+struct KvGet final : net::Wire<KvGet, kWireKvGet, "kv.get"> {
   std::string key;
-  std::string type_name() const override { return "kv.get"; }
-  net::WireTypeId wire_type() const override { return kWireKvGet; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(key);
+  }
 };
 
-struct KvResult final : net::Message {
+struct KvResult final : net::Wire<KvResult, kWireKvResult, "kv.result"> {
   std::optional<std::string> value;
   /// Number of updates applied to the store when this result was produced.
   std::uint64_t version = 0;
-  std::string type_name() const override { return "kv.result"; }
-  net::WireTypeId wire_type() const override { return kWireKvResult; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(value, version);
+  }
 };
 
-struct KvSnapshot final : net::Message {
+struct KvSnapshot final : net::Wire<KvSnapshot, kWireKvSnapshot, "kv.snapshot"> {
   std::map<std::string, std::string> entries;
   std::uint64_t version = 0;
-  std::string type_name() const override { return "kv.snapshot"; }
-  net::WireTypeId wire_type() const override { return kWireKvSnapshot; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(entries, version);
+  }
 };
 
 /// A string->string store whose version counts applied updates.
@@ -87,25 +96,28 @@ class KeyValueStore final : public ReplicatedObject {
 // Shared document (the paper's Section 2 motivating example)
 // ---------------------------------------------------------------------------
 
-struct DocAppend final : net::Message {
+struct DocAppend final : net::Wire<DocAppend, kWireDocAppend, "doc.append"> {
   std::string line;
-  std::string type_name() const override { return "doc.append"; }
-  net::WireTypeId wire_type() const override { return kWireDocAppend; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(line);
+  }
 };
 
-struct DocRead final : net::Message {
-  std::string type_name() const override { return "doc.read"; }
-  net::WireTypeId wire_type() const override { return kWireDocRead; }
-  void encode(net::Writer& w) const override;
+struct DocRead final : net::Wire<DocRead, kWireDocRead, "doc.read"> {
+  template <typename V>
+  void fields(V&) {}
 };
 
-struct DocContents final : net::Message {
+struct DocContents final : net::Wire<DocContents, kWireDocContents, "doc.contents"> {
   std::vector<std::string> lines;
   std::uint64_t version = 0;
-  std::string type_name() const override { return "doc.contents"; }
-  net::WireTypeId wire_type() const override { return kWireDocContents; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(lines, version);
+  }
 };
 
 /// An append-only shared document; each append is one version.
@@ -126,36 +138,44 @@ class SharedDocument final : public ReplicatedObject {
 // Stock ticker (real-time database example from the paper's introduction)
 // ---------------------------------------------------------------------------
 
-struct TickerSet final : net::Message {
+struct TickerSet final : net::Wire<TickerSet, kWireTickerSet, "ticker.set"> {
   std::string symbol;
   double price = 0.0;
-  std::string type_name() const override { return "ticker.set"; }
-  net::WireTypeId wire_type() const override { return kWireTickerSet; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(symbol, price);
+  }
 };
 
-struct TickerGet final : net::Message {
+struct TickerGet final : net::Wire<TickerGet, kWireTickerGet, "ticker.get"> {
   std::string symbol;
-  std::string type_name() const override { return "ticker.get"; }
-  net::WireTypeId wire_type() const override { return kWireTickerGet; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(symbol);
+  }
 };
 
-struct TickerQuote final : net::Message {
+struct TickerQuote final : net::Wire<TickerQuote, kWireTickerQuote, "ticker.quote"> {
   std::string symbol;
   std::optional<double> price;
   std::uint64_t version = 0;  // updates applied when the quote was taken
-  std::string type_name() const override { return "ticker.quote"; }
-  net::WireTypeId wire_type() const override { return kWireTickerQuote; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(symbol, price, version);
+  }
 };
 
-struct TickerSnapshot final : net::Message {
+struct TickerSnapshot final : net::Wire<TickerSnapshot, kWireTickerSnapshot, "ticker.snapshot"> {
   std::map<std::string, double> prices;
   std::uint64_t version = 0;
-  std::string type_name() const override { return "ticker.snapshot"; }
-  net::WireTypeId wire_type() const override { return kWireTickerSnapshot; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(prices, version);
+  }
 };
 
 /// Latest-price table for a set of stock symbols.
@@ -177,23 +197,23 @@ class StockTicker final : public ReplicatedObject {
 // Versioned register (minimal object for tests: the value is the version)
 // ---------------------------------------------------------------------------
 
-struct RegisterBump final : net::Message {
-  std::string type_name() const override { return "reg.bump"; }
-  net::WireTypeId wire_type() const override { return kWireRegisterBump; }
-  void encode(net::Writer& w) const override;
+struct RegisterBump final : net::Wire<RegisterBump, kWireRegisterBump, "reg.bump"> {
+  template <typename V>
+  void fields(V&) {}
 };
 
-struct RegisterRead final : net::Message {
-  std::string type_name() const override { return "reg.read"; }
-  net::WireTypeId wire_type() const override { return kWireRegisterRead; }
-  void encode(net::Writer& w) const override;
+struct RegisterRead final : net::Wire<RegisterRead, kWireRegisterRead, "reg.read"> {
+  template <typename V>
+  void fields(V&) {}
 };
 
-struct RegisterValue final : net::Message {
+struct RegisterValue final : net::Wire<RegisterValue, kWireRegisterValue, "reg.value"> {
   std::uint64_t value = 0;
-  std::string type_name() const override { return "reg.value"; }
-  net::WireTypeId wire_type() const override { return kWireRegisterValue; }
-  void encode(net::Writer& w) const override;
+
+  template <typename V>
+  void fields(V& v) {
+    v(value);
+  }
 };
 
 /// Counts its own updates; reads return the count. Tests use it to verify

@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "gcs/directory.hpp"
+#include "gcs/endpoint.hpp"
 #include "gcs/messages.hpp"
 #include "net/loopback.hpp"
 #include "net/transport.hpp"
@@ -284,6 +286,49 @@ TEST(UdpTransportTest, RoundTripThroughRealSocketsPreservesNestedPayloads) {
   auto nested = net::message_cast<replication::KvPut>(got->payload);
   ASSERT_TRUE(nested);
   EXPECT_EQ(nested->value, "nested");
+}
+
+TEST(UdpTransportTest, ForeignFramesNeverReachAGcsMember) {
+  // Node 2 runs a gcs endpoint with a joined member; node 1 fires frames at
+  // it that decode (or almost decode) but belong to no gcs member.
+  replication::register_wire_codecs();
+  auto exec = runtime::make_executor(runtime::Kind::kRealTime, 7);
+  net::UdpConfig ca;
+  ca.local_id = net::NodeId{1};
+  net::UdpConfig cb;
+  cb.local_id = net::NodeId{2};
+  net::UdpTransport ta(*exec, ca);
+  net::UdpTransport tb(*exec, cb);
+  ta.add_peer({net::NodeId{2}, "127.0.0.1", tb.local_port()});
+  Recorder a;
+  const net::NodeId from = ta.attach(a);
+
+  gcs::Directory directory;
+  gcs::Endpoint endpoint(*exec, tb, directory);
+  gcs::Member& member = endpoint.member(gcs::GroupId{1});
+  int delivered = 0;
+  member.set_on_deliver([&](net::NodeId, const net::MessagePtr&) { ++delivered; });
+  member.join();
+  exec->run_until(exec->now() + std::chrono::milliseconds(150));
+  ASSERT_TRUE(member.joined());
+
+  // A well-formed object frame: it decodes, and the endpoint drops it.
+  ta.send(from, net::NodeId{2}, make_payload("k", "v"));
+  // A gcs data frame naming group 0: the group id's decoder rejects it.
+  auto data = std::make_shared<gcs::DataMsg>();
+  data->is_mcast = false;
+  data->sender = from;
+  data->dest = net::NodeId{2};
+  data->seq = 1;
+  data->payload = make_payload("k", "v");
+  ta.send(from, net::NodeId{2}, data);
+  exec->run_until(exec->now() + std::chrono::milliseconds(150));
+
+  EXPECT_EQ(tb.stats().messages_delivered, 1u);  // the object frame
+  EXPECT_EQ(tb.stats().decode_errors, 1u);       // the group-0 frame
+  EXPECT_EQ(delivered, 0);
+  EXPECT_FALSE(endpoint.crashed());
+  EXPECT_TRUE(member.joined());
 }
 
 }  // namespace

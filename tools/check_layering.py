@@ -2,7 +2,7 @@
 """Layering lint: the protocol stack must not name concrete infrastructure.
 
 Three rules keep the protocol stack substitutable; a fourth keeps pool
-wiring in one place:
+wiring in one place, and a fifth keeps each wire layout in one place:
 
 1. Executors. Everything in src/{net,gcs,replication,client,fault} (and
    src/core, which is executor-free entirely) is written against
@@ -34,12 +34,18 @@ wiring in one place:
    The one exemption is live_cli's --role path (run_multiproc), which
    builds a single node per OS process, not a pool.
 
+5. Wire layouts. A message states its layout once, as a field list that
+   the walkers in net/codec.hpp encode, decode and size. Outside src/net
+   no protocol layer names net::Reader or net::Writer, so a new message
+   type cannot bring back a hand-written encode/decode pair that the
+   field list would have to mirror.
+
 Composition roots (src/runner, tests, benches, examples) are allowed to
 name all of these; that is where executors, exporters, and transports are
 built. src/harness is a composition root for executors and exporters but
 not for transports (rule 3).
 
-Exits non-zero listing every offending include.
+Exits non-zero listing every offending include, construction, or use.
 """
 
 import pathlib
@@ -155,15 +161,40 @@ def scan_constructions():
     return violations
 
 
+# Rule 5: protocol layers above src/net, and the byte-level codec types
+# they must not name (in code; comments may).
+FIELD_LIST_DIRS = [d for d in PROTOCOL_DIRS if d != "src/net"]
+BYTE_CODEC_RE = re.compile(r'\b(?:net::)?(Reader|Writer)\b')
+
+
+def scan_byte_codec():
+    violations = []
+    for layer in FIELD_LIST_DIRS:
+        for path in sorted((REPO / layer).rglob("*")):
+            if path.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
+                continue
+            for lineno, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), start=1):
+                match = BYTE_CODEC_RE.search(line.split("//")[0])
+                if match:
+                    violations.append(
+                        f"{path.relative_to(REPO)}:{lineno}: names "
+                        f"net::{match.group(1)} (declare the layout as a "
+                        "field list; see net/codec.hpp)")
+    return violations
+
+
 def main() -> int:
     violations = scan(PROTOCOL_DIRS, FORBIDDEN, "protocol layer")
     violations += scan(TRANSPORT_AGNOSTIC_DIRS, FORBIDDEN_TRANSPORTS,
                        "transport-agnostic layer")
     violations += scan_constructions()
+    violations += scan_byte_codec()
     if violations:
         print("layering violations (protocol code must depend only on "
               "runtime/executor.hpp, net/transport.hpp, and the obs "
-              "interfaces; pools are wired only by harness::Testbed):",
+              "interfaces; pools are wired only by harness::Testbed; wire "
+              "layouts are field lists):",
               file=sys.stderr)
         for v in violations:
             print(f"  {v}", file=sys.stderr)
@@ -172,7 +203,8 @@ def main() -> int:
           "on the Executor interface and obs interfaces; "
           f"{len(TRANSPORT_AGNOSTIC_DIRS)} layers name only net::Transport; "
           f"{len(TESTBED_ONLY_DIRS)} directories build pools only through "
-          "harness::Testbed")
+          "harness::Testbed; "
+          f"{len(FIELD_LIST_DIRS)} layers name no byte-level codec type")
     return 0
 
 
