@@ -69,57 +69,46 @@ Member& Endpoint::member(GroupId group) {
 }
 
 void Endpoint::heartbeat_tick() {
-  // Each member's section, and one (destination, section index) route per
-  // node the section goes to.
-  std::vector<std::shared_ptr<const HeartbeatMsg>> sections;
-  std::vector<std::pair<net::NodeId, std::size_t>> routes;
-  std::vector<net::NodeId> dests;
+  // Each member's group and shared part, and one route per node its
+  // sections go to, tagged with the member's index in `parts`.
+  std::vector<std::pair<GroupId, std::shared_ptr<const HeartbeatShared>>> parts;
+  std::vector<std::pair<std::size_t, HeartbeatRoute>> routes;
+  std::vector<HeartbeatRoute> marks;
   bool live = false;
   for (const auto& [group, member] : members_) {
     if (member->stopped()) continue;
     live = true;
-    dests.clear();
-    auto section = member->heartbeat(dests);
-    if (!section || dests.empty()) continue;
-    for (const net::NodeId dest : dests) routes.emplace_back(dest, sections.size());
-    sections.push_back(std::move(section));
+    marks.clear();
+    auto shared = member->heartbeat(marks);
+    if (!shared || marks.empty()) continue;
+    for (const HeartbeatRoute& route : marks) routes.emplace_back(parts.size(), route);
+    parts.emplace_back(group, std::move(shared));
   }
   if (!live) {
     heartbeat_task_.stop();
     return;
   }
 
-  // Sorted, the routes give each destination a run that lists its sections
-  // in GroupId order. A lone section goes as it is; each distinct list of
-  // two or more is bundled once per tick and shared.
-  std::sort(routes.begin(), routes.end());
-  struct Bundle {
-    std::size_t begin, end;  // the run of the first destination it went to
-    net::MessagePtr msg;
+  // Sorted by destination, then member, the routes give each destination a
+  // run that lists its sections in GroupId order: one message per
+  // destination, the first section at its head and the others as riders.
+  std::sort(routes.begin(), routes.end(), [](const auto& a, const auto& b) {
+    return a.second.dest != b.second.dest ? a.second.dest < b.second.dest
+                                          : a.first < b.first;
+  });
+  const auto section = [&](const std::pair<std::size_t, HeartbeatRoute>& route) {
+    const auto& [group, shared] = parts[route.first];
+    return HeartbeatSection{group, route.second.p2p_sent, route.second.p2p_acked, shared};
   };
-  std::vector<Bundle> bundles;
   for (std::size_t begin = 0, end = 0; begin < routes.size(); begin = end) {
-    const net::NodeId dest = routes[begin].first;
+    const net::NodeId dest = routes[begin].second.dest;
     end = begin + 1;
-    while (end < routes.size() && routes[end].first == dest) ++end;
-    if (end - begin == 1) {
-      transport_.send(id_, dest, sections[routes[begin].second]);
-      continue;
-    }
-    auto it = std::find_if(bundles.begin(), bundles.end(), [&](const Bundle& b) {
-      return std::equal(routes.begin() + b.begin, routes.begin() + b.end,
-                        routes.begin() + begin, routes.begin() + end,
-                        [](const auto& x, const auto& y) { return x.second == y.second; });
-    });
-    if (it == bundles.end()) {
-      auto msg = std::make_shared<HeartbeatMsg>(*sections[routes[begin].second]);
-      msg->riders.reserve(end - begin - 1);
-      for (std::size_t k = begin + 1; k < end; ++k) {
-        msg->riders.push_back(sections[routes[k].second]);
-      }
-      it = bundles.insert(bundles.end(), Bundle{begin, end, std::move(msg)});
-    }
-    transport_.send(id_, dest, it->msg);
+    while (end < routes.size() && routes[end].second.dest == dest) ++end;
+    auto msg = std::make_shared<HeartbeatMsg>();
+    static_cast<HeartbeatSection&>(*msg) = section(routes[begin]);
+    msg->riders.reserve(end - begin - 1);
+    for (std::size_t k = begin + 1; k < end; ++k) msg->riders.push_back(section(routes[k]));
+    transport_.send(id_, dest, std::move(msg));
   }
 
   // A suspicion can run a view change whose callbacks create members; a
@@ -164,7 +153,7 @@ void Endpoint::on_message(net::NodeId from, net::MessagePtr msg) {
       if (it != members_.end()) it->second->handle_heartbeat(from, section);
     };
     deliver(hb);
-    for (const HeartbeatSectionPtr& rider : hb.riders) deliver(*rider);
+    for (const HeartbeatSection& rider : hb.riders) deliver(rider);
     return;
   }
   auto it = members_.find(*group);

@@ -5,12 +5,15 @@
 // models fail-stop crashes.
 //
 // It also owns the process's one heartbeat timer. Every heartbeat_period it
-// collects each joined member's heartbeat section and destinations and sends
+// collects each joined member's shared heartbeat part and routes, and sends
 // one HeartbeatMsg per destination node: the section of the lowest GroupId
 // that goes there, carrying the other groups' sections for that node as
-// riders. Destinations that receive the same set of sections share one
-// message. On receipt each section goes to its own member, so a process in
-// three groups with a peer sends it one heartbeat per period, not three.
+// riders. A section is the destination's two p2p marks plus a pointer to
+// its member's shared part, so the per-tick work that grows with the
+// group (the ack vector) is done once per member, not once per
+// destination. On receipt each section goes to its own member, so a
+// process in three groups with a peer sends it one heartbeat per period,
+// not three.
 #pragma once
 
 #include <map>
@@ -76,7 +79,7 @@ class Endpoint final : public net::Endpoint {
   void on_message(net::NodeId from, net::MessagePtr msg) override;
 
  private:
-  /// One heartbeat period: sends every member's section, bundled per
+  /// One heartbeat period: sends every member's sections, one message per
   /// destination node, then runs each member's failure detector. Stops the
   /// tick once every member has stopped.
   void heartbeat_tick();

@@ -49,6 +49,7 @@ void Member::stop() {
   if (stopped_) return;
   stopped_ = true;
   joined_ = false;
+  neighbors_.clear();
   exec_.cancel(flush_timeout_);
   exec_.cancel(join_retry_);
 }
@@ -74,6 +75,7 @@ void Member::bootstrap_singleton() {
   view_ = View{group_, 1, {self_}, {}};
   if (role_ == Role::kListener) view_.listeners.push_back(self_);
   reset_acks();
+  rebuild_neighbors();
   joined_ = true;
   last_proposal_seen_ = 1;
   directory_.update(group_, self_);
@@ -297,7 +299,7 @@ void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
     if (is_mcast) {
       // Retain a copy for the flush protocol until the message is stable.
       chan.retained.emplace(msg->seq, msg);
-      acks_.set_cell(self_, sender, chan.delivered);
+      stability_moved_ |= acks_.set_cell(self_, sender, chan.delivered);
     }
     if (dispatch_control(sender, msg->payload)) {
       if (stopped_) return;
@@ -362,37 +364,28 @@ void Member::handle_nack(net::NodeId from, const NackMsg& msg) {
 // Heartbeats, stability, failure detection
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const HeartbeatMsg> Member::heartbeat(
-    std::vector<net::NodeId>& dests) const {
+std::shared_ptr<const HeartbeatShared> Member::heartbeat(
+    std::vector<HeartbeatRoute>& routes) const {
   if (!joined_ || stopped_) return nullptr;
-  auto hb = std::make_shared<HeartbeatMsg>();
-  hb->group = group_;
-  hb->my_mcast_seq = mcast_send_seq_;
-  // Only streams that carry something are listed: receivers read a missing
-  // node as 0. peers_ iterates in NodeId order, so the vectors come out
-  // sorted.
+  auto shared = std::make_shared<HeartbeatShared>();
+  shared->my_mcast_seq = mcast_send_seq_;
+  // Only senders whose multicasts were delivered are listed: receivers
+  // read a missing node as 0. peers_ iterates in NodeId order, so the
+  // vector comes out sorted.
   for (const auto& [node, peer] : peers_) {
-    if (peer.p2p_send_seq > 0) {
-      hb->my_p2p_seq.emplace_back(node, peer.p2p_send_seq);
-    }
     if (peer.mcast_in.delivered > 0) {
-      hb->mcast_acks.emplace_back(node, peer.mcast_in.delivered);
-    }
-    if (peer.p2p_in.delivered > 0) {
-      hb->p2p_acks.emplace_back(node, peer.p2p_in.delivered);
+      shared->mcast_acks.emplace_back(node, peer.mcast_in.delivered);
     }
   }
   // Beyond the monitored pairs, a p2p stream between two listeners keeps
   // its heartbeats: they carry its acks and its trailing-loss detection.
-  const auto p2p_stream = [this](net::NodeId node) {
-    auto it = peers_.find(node);
-    return it != peers_.end() &&
-           (it->second.p2p_send_seq > 0 || it->second.p2p_in.delivered > 0);
-  };
-  for (const net::NodeId dest : view_.members) {
-    if (dest != self_ && (monitors(dest) || p2p_stream(dest))) dests.push_back(dest);
+  for (const Neighbor& n : neighbors_) {
+    const Peer& peer = *n.peer;
+    if (n.monitored || peer.p2p_send_seq > 0 || peer.p2p_in.delivered > 0) {
+      routes.push_back({n.node, peer.p2p_send_seq, peer.p2p_in.delivered});
+    }
   }
-  return hb;
+  return shared;
 }
 
 namespace {
@@ -412,29 +405,26 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatSection& msg) {
   Peer& peer = peers_[from];
   peer.last_heard = exec_.now();
   // Stability bookkeeping.
-  acks_.set_row(from, msg.mcast_acks);
-  collect_stability();
+  stability_moved_ |= acks_.set_row(from, msg.shared->mcast_acks);
+  if (stability_moved_) collect_stability();
 
   // Garbage-collect the p2p send buffer towards `from`.
-  if (const std::uint64_t* ack = net::find_node(msg.p2p_acks, self_)) {
-    erase_up_to(peer.sent_p2p, *ack);
-  }
+  erase_up_to(peer.sent_p2p, msg.p2p_acked);
 
   // Loss detection on the mcast stream of `from`: anything between our
   // contiguous high-water mark and the sender's announced seq might be a
   // gap (trailing or interior) worth NACKing.
-  if (msg.my_mcast_seq > peer.mcast_in.delivered) {
-    schedule_nack_check(from, /*is_mcast=*/true, msg.my_mcast_seq);
+  if (msg.shared->my_mcast_seq > peer.mcast_in.delivered) {
+    schedule_nack_check(from, /*is_mcast=*/true, msg.shared->my_mcast_seq);
   }
   // Same for the from->me p2p channel.
-  if (const std::uint64_t* sent = net::find_node(msg.my_p2p_seq, self_)) {
-    if (*sent > peer.p2p_in.delivered) {
-      schedule_nack_check(from, /*is_mcast=*/false, *sent);
-    }
+  if (msg.p2p_sent > peer.p2p_in.delivered) {
+    schedule_nack_check(from, /*is_mcast=*/false, msg.p2p_sent);
   }
 }
 
 void Member::reset_acks() {
+  stability_moved_ = true;
   const std::vector<net::NodeId> senders = view_.full_members();
   if (!view_.is_listener(self_)) {
     acks_.set_view(view_.members, senders, self_);
@@ -447,6 +437,7 @@ void Member::reset_acks() {
 
 void Member::collect_stability() {
   if (!joined_) return;
+  stability_moved_ = false;
   // A multicast (sender, seq) is stable once every member whose acks count
   // here has delivered it; stable copies can be dropped from retained logs
   // and from the sender's own buffer. The per-sender minima are maintained
@@ -462,16 +453,29 @@ void Member::collect_stability() {
 void Member::fd_tick() {
   if (!joined_ || stopped_) return;
   const sim::TimePoint now = exec_.now();
-  for (const net::NodeId m : view_.members) {
-    if (m == self_ || !monitors(m)) continue;
-    // Every view member has an entry: install_view stamps them all.
-    if (now - peers_[m].last_heard > config_.suspect_timeout) suspect(m);
+  // Collected first: a suspicion can install a view, which rebuilds the
+  // neighbor list.
+  std::vector<net::NodeId> silent;
+  for (const Neighbor& n : neighbors_) {
+    if (n.monitored && now - n.peer->last_heard > config_.suspect_timeout) {
+      silent.push_back(n.node);
+    }
   }
+  for (const net::NodeId node : silent) suspect(node);
 }
 
 bool Member::monitors(net::NodeId node) const {
   return !view_.is_listener(self_) || !view_.is_listener(node) ||
          view_.leader() == self_ || view_.leader() == node;
+}
+
+void Member::rebuild_neighbors() {
+  neighbors_.clear();
+  for (const net::NodeId m : view_.members) {
+    if (m == self_) continue;
+    // Every view member has an entry: install_view stamps them all.
+    neighbors_.push_back({m, &peers_.at(m), monitors(m)});
+  }
 }
 
 void Member::suspect(net::NodeId node) {
@@ -702,7 +706,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
       chan.delivered = std::max(chan.delivered, target);
       std::erase_if(chan.buffered,
                     [&](const auto& kv) { return kv.first <= chan.delivered; });
-      acks_.set_cell(self_, sender, chan.delivered);
+      stability_moved_ |= acks_.set_cell(self_, sender, chan.delivered);
     }
     // Messages multicast in the *new* view can race ahead of this install;
     // drain anything that became contiguous once the baseline was set.
@@ -735,7 +739,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
         ++stats_.flush_gaps;
         metrics_.flush_gaps.inc();
         chan.delivered += 1;
-        acks_.set_cell(self_, sender, chan.delivered);
+        stability_moved_ |= acks_.set_cell(self_, sender, chan.delivered);
         deliver_ready(sender, /*is_mcast=*/true);
         if (stopped_) return;
       }
@@ -780,6 +784,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
   // the lifetime of the member, and heartbeats would keep listing them.
   std::erase_if(peers_, [&](const auto& kv) { return !view_.contains(kv.first); });
   for (const net::NodeId m : view_.members) peers_[m].last_heard = exec_.now();
+  rebuild_neighbors();
 
   exec_.cancel(join_retry_);
   if (is_leader()) directory_.update(group_, self_);

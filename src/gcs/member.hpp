@@ -16,12 +16,15 @@
 //   * failure detection by heartbeat timeout.
 //
 // A Member owns no timer for heartbeats: its process's Endpoint ticks every
-// heartbeat_period, takes each joined member's heartbeat() section and the
-// nodes it goes to, sends one bundle per destination node, and hands each
-// received section to handle_heartbeat(). Each member keeps its own
-// last-heard times and suspicions, and fd_tick() (run by the same tick)
-// checks them, so the pairs that heartbeat and the suspicion rule are per
-// group; only the number of messages that carry them is per node pair.
+// heartbeat_period, takes each joined member's heartbeat() (the part shared
+// by every destination, plus each destination's two p2p marks), sends one
+// message per destination node, and hands each received section to
+// handle_heartbeat(). Each member keeps its own last-heard times and
+// suspicions, and fd_tick() (run by the same tick) checks them, so the
+// pairs that heartbeat and the suspicion rule are per group; only the
+// number of messages that carry them is per node pair. Both walk a
+// per-view neighbor list, so a tick costs no monitors() call and no
+// peer lookup.
 //
 // A process joins either as a full member or as a listener (gcs::Role). A
 // listener receives the group's multicasts and sends and receives p2p, but
@@ -39,7 +42,9 @@
 // every view member has delivered it, a listener once every full member has.
 // Full members therefore hold every message some listener still lacks, and
 // the flush redistributes every delivered message while a full member
-// survives.
+// survives. Copies are collected on a heartbeat only after an ack update
+// moved some stable() value (AckMatrix reports it), which frees exactly
+// what a collection on every heartbeat would.
 //
 // Assumed failure model: fail-stop crashes (no Byzantine behaviour); the
 // network may delay, reorder, and drop messages.
@@ -65,6 +70,14 @@
 #include "runtime/executor.hpp"
 
 namespace aqueduct::gcs {
+
+/// One destination of a member's heartbeat, with the two p2p marks of the
+/// section it gets (HeartbeatSection::p2p_sent and p2p_acked).
+struct HeartbeatRoute {
+  net::NodeId dest;
+  std::uint64_t p2p_sent = 0;
+  std::uint64_t p2p_acked = 0;
+};
 
 /// Protocol statistics used by tests and traces.
 struct MemberStats {
@@ -143,11 +156,11 @@ class Member {
   /// handle_heartbeat() instead.
   void handle(net::NodeId from, const net::MessagePtr& msg);
 
-  /// This member's heartbeat section for the current tick, or nullptr when
-  /// it is not in a view. The nodes the section goes to are appended to
-  /// `dests`: every view member it monitors(), plus the listeners it shares
-  /// a p2p stream with.
-  std::shared_ptr<const HeartbeatMsg> heartbeat(std::vector<net::NodeId>& dests) const;
+  /// This member's heartbeat for the current tick: returns the part every
+  /// destination shares, or nullptr when it is not in a view, and appends
+  /// one route per node a section goes to: every view member it
+  /// monitors(), plus the listeners it shares a p2p stream with.
+  std::shared_ptr<const HeartbeatShared> heartbeat(std::vector<HeartbeatRoute>& routes) const;
 
   /// Processes the heartbeat section `from` sent for this group: its acks
   /// (stability, p2p garbage collection), its sequence numbers (loss
@@ -226,6 +239,9 @@ class Member {
   void accept(net::NodeId sender, const DataMsgPtr& msg);
   void schedule_nack_check(net::NodeId sender, bool is_mcast, std::uint64_t up_to);
   void transmit_mcast(const DataMsgPtr& msg);
+  /// Frees the retained and sent copies that became stable. Runs on a
+  /// heartbeat only when some stable() value moved since the last run;
+  /// otherwise it would free nothing.
   void collect_stability();
   /// Points acks_ at the current view: the rows of the members whose
   /// heartbeats reach this member, and the full members' columns.
@@ -245,6 +261,9 @@ class Member {
   /// contains a full member or the view's leader. A function of the view
   /// alone, so both ends agree on it.
   bool monitors(net::NodeId node) const;
+  /// Rebuilds neighbors_ from view_ and peers_; called wherever view_ is
+  /// set, once peers_ holds every view member.
+  void rebuild_neighbors();
 
   runtime::Executor& exec_;
   Directory& directory_;
@@ -284,9 +303,24 @@ class Member {
   /// sorted).
   std::map<net::NodeId, Peer> peers_;
 
+  /// The other members of view_, in view order, with their peers_ entries
+  /// and whether this member monitors() them: what the heartbeat tick and
+  /// the failure detector walk. peers_ loses entries only when a view is
+  /// installed, and the list is rebuilt right after, so the pointers stay
+  /// valid.
+  struct Neighbor {
+    net::NodeId node;
+    Peer* peer;
+    bool monitored;
+  };
+  std::vector<Neighbor> neighbors_;
+
   // stability: every member's cumulative mcast acks, with per-sender
   // minima over the current view kept incrementally
   AckMatrix acks_;
+  /// Whether some stable() value may have moved since collect_stability()
+  /// last ran.
+  bool stability_moved_ = false;
 
   // failure detection
   std::set<net::NodeId> suspects_;

@@ -59,35 +59,56 @@ struct DataMsg final : net::Wire<DataMsg, kWireData, "gcs.data"> {
 
 using DataMsgPtr = std::shared_ptr<const DataMsg>;
 
-/// One group's share of a periodic heartbeat. Its per-node fields are
-/// NodeId-sorted flat vectors, encoded exactly like the std::maps of the
-/// other messages. They list only streams that carry something: a node
-/// missing from a vector reads as 0, so a member that never multicast or
-/// sent p2p heartbeats empty vectors, and a node that left the view drops
-/// out of all three.
-struct HeartbeatSection {
-  GroupId group;
+/// The part of a member's heartbeat that is the same for every destination:
+/// built once per member per tick and shared by all of its sections. The
+/// acks are a NodeId-sorted flat vector, encoded exactly like the std::maps
+/// of the other messages, and list only senders whose multicasts this
+/// member has delivered: a sender missing from it reads as 0, so a member
+/// that delivered nothing heartbeats an empty vector, and a node that left
+/// the view drops out of it.
+struct HeartbeatShared {
   /// Sender's own multicast stream high-water mark (for trailing-loss
   /// detection at receivers).
   std::uint64_t my_mcast_seq = 0;
-  /// Sender's p2p stream high-water mark per destination it has sent to.
-  net::NodeU64Pairs my_p2p_seq;
   /// Cumulative contiguous-delivery acknowledgements: for each sender whose
   /// multicasts this member has delivered, the highest delivered seq.
   net::NodeU64Pairs mcast_acks;
-  /// For each sender, the highest p2p seq (on the sender->me channel) this
-  /// member has delivered.
-  net::NodeU64Pairs p2p_acks;
 
   template <typename V>
   void fields(V& v) {
-    v(group, my_mcast_seq, my_p2p_seq, mcast_acks, p2p_acks);
+    v(my_mcast_seq, mcast_acks);
   }
 
-  friend bool operator==(const HeartbeatSection&, const HeartbeatSection&) = default;
+  friend bool operator==(const HeartbeatShared&, const HeartbeatShared&) = default;
 };
 
-using HeartbeatSectionPtr = std::shared_ptr<const HeartbeatSection>;
+/// One group's share of a periodic heartbeat to one destination: the two
+/// marks of the p2p streams between the sender and that destination, and
+/// the member's shared part. A stream that carries nothing has 0 marks. So
+/// a section's size depends on the number of senders in mcast_acks alone,
+/// not on how many other nodes the member exchanges p2p messages with.
+struct HeartbeatSection {
+  GroupId group;
+  /// The sender's p2p stream high-water mark towards the destination
+  /// (trailing-loss detection on that stream).
+  std::uint64_t p2p_sent = 0;
+  /// The highest p2p seq on the destination->sender stream that the sender
+  /// has delivered (garbage-collects the destination's send buffer).
+  std::uint64_t p2p_acked = 0;
+  /// Never null; encoded inline, so a decoded section owns its own copy.
+  std::shared_ptr<const HeartbeatShared> shared;
+
+  template <typename V>
+  void fields(V& v) {
+    v(group, p2p_sent, p2p_acked, shared);
+  }
+
+  /// Compares the shared parts by value.
+  friend bool operator==(const HeartbeatSection& a, const HeartbeatSection& b) {
+    return a.group == b.group && a.p2p_sent == b.p2p_sent && a.p2p_acked == b.p2p_acked &&
+           (a.shared == b.shared || (a.shared && b.shared && *a.shared == *b.shared));
+  }
+};
 
 /// The periodic heartbeat from one process to another: the section of the
 /// lowest GroupId the two share, plus the other shared groups' sections as
@@ -96,7 +117,7 @@ using HeartbeatSectionPtr = std::shared_ptr<const HeartbeatSection>;
 /// carries no riders of its own.
 struct HeartbeatMsg final : net::Wire<HeartbeatMsg, kWireHeartbeat, "gcs.heartbeat">,
                             HeartbeatSection {
-  std::vector<HeartbeatSectionPtr> riders;
+  std::vector<HeartbeatSection> riders;
 
   template <typename V>
   void fields(V& v) {

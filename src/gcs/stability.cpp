@@ -29,79 +29,91 @@ std::size_t AckMatrix::index_of(const std::vector<net::NodeId>& nodes,
   return static_cast<std::size_t>(it - nodes.begin());
 }
 
-void AckMatrix::include(std::size_t j, std::uint64_t ack) {
-  if (ack < min_[j]) {
+bool AckMatrix::set_cell_at(std::size_t j, std::size_t k, std::uint64_t ack) {
+  std::uint64_t& slot = cells_[j * members_.size() + k];
+  const std::uint64_t old = slot;
+  if (ack == old) return false;
+  slot = ack;
+  const std::uint64_t before = min_[j];
+  if (ack < before) {
     min_[j] = ack;
     at_min_[j] = 1;
-  } else if (ack == min_[j]) {
+  } else if (ack == before) {
     ++at_min_[j];
+  } else if (old == before && --at_min_[j] == 0) {
+    recompute(j);  // the last cell at the minimum rose
   }
+  return min_[j] != before;
 }
 
-void AckMatrix::exclude(std::size_t j, std::uint64_t ack) {
-  // Leaves at_min_[j] == 0 when the last cell at the minimum moved away; the
-  // caller recomputes the column once the row holds its new value.
-  if (ack == min_[j]) --at_min_[j];
-}
-
-void AckMatrix::include_row(const Row& row) {
+bool AckMatrix::count_row(std::size_t k, const Row& row) {
+  counted_[k] = &row;
+  --missing_rows_;
   auto cursor = row.begin();
   for (std::size_t j = 0; j < senders_.size(); ++j) {
     while (cursor != row.end() && cursor->first < senders_[j]) ++cursor;
-    include(j, cursor != row.end() && cursor->first == senders_[j]
-                   ? cursor->second
-                   : 0);
+    const bool listed = cursor != row.end() && cursor->first == senders_[j];
+    set_cell_at(j, k, listed ? cursor->second : 0);
   }
+  // Until the last missing row arrives, every stable() is 0.
+  return missing_rows_ == 0;
 }
 
 void AckMatrix::recompute(std::size_t j) {
-  min_[j] = kNoRows;
-  at_min_[j] = 0;
-  for (const Row* row : counted_) {
-    if (row != nullptr) include(j, cell(*row, senders_[j]));
+  const std::uint64_t* column = cells_.data() + j * members_.size();
+  std::uint64_t min = kNoRows;
+  std::size_t at_min = 0;
+  for (std::size_t k = 0; k < members_.size(); ++k) {
+    if (column[k] < min) {
+      min = column[k];
+      at_min = 1;
+    } else if (column[k] == min) {
+      ++at_min;
+    }
   }
+  min_[j] = min;
+  at_min_[j] = at_min;
 }
 
-void AckMatrix::set_row(net::NodeId member, const Row& acks) {
+bool AckMatrix::set_row(net::NodeId member, const Row& acks) {
   auto [it, inserted] = rows_.try_emplace(member);
   Row& row = it->second;
   const std::size_t k = index_of(members_, member);
-  if (k == kAbsent) {
+  if (k == kAbsent || inserted) {
     row = acks;
-    return;
+    return k != kAbsent && count_row(k, row);
   }
-  if (inserted) {
-    row = acks;
-    counted_[k] = &row;
-    --missing_rows_;
-    include_row(row);
-    return;
-  }
-  // One merge walk over the tracked senders, the old row and the new one.
+  // One merge walk over the old row, the new one and the tracked senders.
+  // A tracked cell already holds its old value; any other cell moves only
+  // the stable() of an untracked sender, which is derived from the rows.
+  bool changed = false;
+  bool moved = false;
   auto before = row.begin();
   auto after = acks.begin();
-  bool stale = false;
-  for (std::size_t j = 0; j < senders_.size(); ++j) {
-    const net::NodeId sender = senders_[j];
-    while (before != row.end() && before->first < sender) ++before;
-    while (after != acks.end() && after->first < sender) ++after;
-    const std::uint64_t old_ack =
-        before != row.end() && before->first == sender ? before->second : 0;
-    const std::uint64_t new_ack =
-        after != acks.end() && after->first == sender ? after->second : 0;
+  std::size_t j = 0;
+  while (before != row.end() || after != acks.end()) {
+    const bool in_old = after == acks.end() ||
+                        (before != row.end() && before->first <= after->first);
+    const bool in_new = before == row.end() ||
+                        (after != acks.end() && after->first <= before->first);
+    const net::NodeId node = in_old ? before->first : after->first;
+    const std::uint64_t old_ack = in_old ? (before++)->second : 0;
+    const std::uint64_t new_ack = in_new ? (after++)->second : 0;
     if (old_ack == new_ack) continue;
-    exclude(j, old_ack);
-    include(j, new_ack);
-    stale = stale || at_min_[j] == 0;
+    changed = true;
+    while (j < senders_.size() && senders_[j] < node) ++j;
+    if (j < senders_.size() && senders_[j] == node) {
+      moved = set_cell_at(j, k, new_ack) || moved;
+    } else {
+      moved = true;
+    }
   }
+  if (!changed) return false;
   row = acks;
-  if (!stale) return;
-  for (std::size_t j = 0; j < senders_.size(); ++j) {
-    if (at_min_[j] == 0) recompute(j);
-  }
+  return moved && missing_rows_ == 0;
 }
 
-void AckMatrix::set_cell(net::NodeId member, net::NodeId sender,
+bool AckMatrix::set_cell(net::NodeId member, net::NodeId sender,
                          std::uint64_t ack) {
   auto [it, inserted] = rows_.try_emplace(member);
   Row& row = it->second;
@@ -116,18 +128,12 @@ void AckMatrix::set_cell(net::NodeId member, net::NodeId sender,
     row.insert(pos, {sender, ack});
   }
   const std::size_t k = index_of(members_, member);
-  if (k == kAbsent) return;
-  if (inserted) {
-    counted_[k] = &row;
-    --missing_rows_;
-    include_row(row);
-    return;
-  }
+  if (k == kAbsent) return false;
+  if (inserted) return count_row(k, row);
+  if (old_ack == ack) return false;
   const std::size_t j = index_of(senders_, sender);
-  if (j == kAbsent || old_ack == ack) return;
-  exclude(j, old_ack);
-  include(j, ack);
-  if (at_min_[j] == 0) recompute(j);
+  const bool moved = j == kAbsent || set_cell_at(j, k, ack);
+  return moved && missing_rows_ == 0;
 }
 
 void AckMatrix::set_view(const std::vector<net::NodeId>& members,
@@ -139,17 +145,13 @@ void AckMatrix::set_view(const std::vector<net::NodeId>& members,
     return kv.first != self && index_of(members_, kv.first) == kAbsent;
   });
   counted_.assign(members_.size(), nullptr);
-  missing_rows_ = 0;
+  missing_rows_ = members_.size();
+  cells_.assign(senders_.size() * members_.size(), kNoRows);
   min_.assign(senders_.size(), kNoRows);
-  at_min_.assign(senders_.size(), 0);
+  at_min_.assign(senders_.size(), members_.size());
   for (std::size_t k = 0; k < members_.size(); ++k) {
     auto it = rows_.find(members_[k]);
-    if (it == rows_.end()) {
-      ++missing_rows_;
-      continue;
-    }
-    counted_[k] = &it->second;
-    include_row(it->second);
+    if (it != rows_.end()) count_row(k, it->second);
   }
 }
 

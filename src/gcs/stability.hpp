@@ -12,12 +12,17 @@
 // member; the full members plus itself at a listener), and the *columns*
 // are the view's senders, its full members (listeners never multicast).
 //
-// AckMatrix keeps the rows as NodeId-sorted flat vectors and maintains, for
-// every column, the minimum over the counted rows plus how many rows sit at
-// that minimum. A row change then costs one merge walk over the old and new
-// row: a minimum moves only when a cell at it changes, and is re-derived
-// from the rows only when the last cell at it rises. The view-change path
-// rebuilds everything from the rows.
+// AckMatrix keeps the rows as NodeId-sorted flat vectors, and a copy of the
+// counted rows' cells of the tracked columns in one column-major array, so
+// a column is contiguous. For every column it maintains the minimum plus
+// how many cells sit at that minimum. A row change then costs one merge
+// walk over the old and new row: a minimum moves only when a cell at it
+// changes, and is re-derived by one scan of its column only when the last
+// cell at it rises. The view-change path rebuilds everything from the rows.
+//
+// Every update reports whether some stable() value may have moved, so the
+// member frees copies only after an update that can have made some stable:
+// when an update returns false, every sender's stable() is what it was.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +40,13 @@ class AckMatrix {
 
   /// Replaces `member`'s row with `acks` (its latest heartbeat). A row that
   /// does not count is kept until the next set_view(): a joiner's row counts
-  /// once the view that admits it is set.
-  void set_row(net::NodeId member, const Row& acks);
+  /// once the view that admits it is set. Returns false when no sender's
+  /// stable() changed.
+  bool set_row(net::NodeId member, const Row& acks);
 
   /// Sets one cell of `member`'s row, creating the row if it has none.
-  void set_cell(net::NodeId member, net::NodeId sender, std::uint64_t ack);
+  /// Returns false when no sender's stable() changed.
+  bool set_cell(net::NodeId member, net::NodeId sender, std::uint64_t ack);
 
   /// Switches to a new view: from now on the rows of `members` count and the
   /// minima of `senders` are kept. Drops the rows of nodes outside `members`
@@ -59,12 +66,13 @@ class AckMatrix {
   /// Index of `node` in the sorted `nodes`, or kAbsent.
   static std::size_t index_of(const std::vector<net::NodeId>& nodes,
                               net::NodeId node);
-  /// A counted row's cell for sender `j` entered / left column j.
-  void include(std::size_t j, std::uint64_t ack);
-  void exclude(std::size_t j, std::uint64_t ack);
-  /// Folds a newly counted row into every column.
-  void include_row(const Row& row);
-  /// Re-derives column j's minimum from the counted rows.
+  /// Sets counted row k's cell in column j to `ack`, keeping the column's
+  /// minimum; returns whether the minimum moved.
+  bool set_cell_at(std::size_t j, std::size_t k, std::uint64_t ack);
+  /// Row k becomes counted with `row` as its cells; returns whether some
+  /// stable() value may have moved.
+  bool count_row(std::size_t k, const Row& row);
+  /// Re-derives column j's minimum from its cells.
   void recompute(std::size_t j);
 
   /// All rows, by member. Node-based, so counted_ pointers stay valid.
@@ -73,10 +81,13 @@ class AckMatrix {
   std::vector<net::NodeId> members_;
   std::vector<const Row*> counted_;
   std::size_t missing_rows_ = 0;
-  /// The tracked senders, sorted, and per sender (same index): the minimum
-  /// over the present counted rows (UINT64_MAX when none), and how many
-  /// rows hold it.
+  /// The tracked senders, sorted.
   std::vector<net::NodeId> senders_;
+  /// Column j (sender senders_[j]) holds counted row k's ack at
+  /// cells_[j * members_.size() + k], or UINT64_MAX while row k is missing.
+  std::vector<std::uint64_t> cells_;
+  /// Per column: the minimum of its cells (so of the present rows;
+  /// UINT64_MAX when none is), and how many cells hold it.
   std::vector<std::uint64_t> min_;
   std::vector<std::size_t> at_min_;
 };

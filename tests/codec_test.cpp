@@ -40,6 +40,12 @@ std::shared_ptr<const gcs::DataMsg> make_data_msg() {
   return data;
 }
 
+std::shared_ptr<const gcs::HeartbeatShared> shared_part(std::uint64_t my_mcast_seq,
+                                                        net::NodeU64Pairs mcast_acks) {
+  return std::make_shared<const gcs::HeartbeatShared>(
+      gcs::HeartbeatShared{my_mcast_seq, std::move(mcast_acks)});
+}
+
 /// One fully populated exemplar per registered wire type. Coverage is
 /// enforced against CodecRegistry::global().ids(): adding a codec-enabled
 /// message without extending this list fails the suite.
@@ -51,14 +57,11 @@ std::vector<net::MessagePtr> exemplars() {
   {
     auto m = std::make_shared<gcs::HeartbeatMsg>();
     m->group = gcs::GroupId{18};
-    m->my_mcast_seq = 100;
-    m->my_p2p_seq = {{net::NodeId{2}, 7}, {net::NodeId{5}, 0}};
-    m->mcast_acks = {{net::NodeId{1}, 99}};
-    m->p2p_acks = {{net::NodeId{4}, 3}};
-    auto rider = std::make_shared<gcs::HeartbeatSection>();
-    rider->group = gcs::GroupId{20};
-    rider->mcast_acks = {{net::NodeId{2}, 8}};
-    m->riders = {rider};
+    m->p2p_sent = 7;
+    m->p2p_acked = 3;
+    m->shared = shared_part(100, {{net::NodeId{1}, 99}});
+    m->riders = {gcs::HeartbeatSection{gcs::GroupId{20}, 0, 0,
+                                       shared_part(0, {{net::NodeId{2}, 8}})}};
     out.push_back(m);
   }
   {
@@ -312,110 +315,115 @@ TEST_F(CodecTest, EncodeDecodeEncodeIsByteIdentical) {
 
 // The round trip above cannot see a layout change made the same way in
 // encode and decode. These frames pin the bytes of every exemplar, and
-// its wire_size(), at wire version 3.
+// its wire_size(). Each is written at the wire version it was last
+// changed in: gcs.heartbeat at version 4, which gave a section per-
+// destination p2p marks, and every other type at version 3. A version-3
+// frame must encode today exactly as it did then, save the version byte of
+// each frame header in it (offset 4 of the frame, and of a nested frame).
 struct GoldenFrame {
   const char* type_name;
   std::size_t wire_size;
+  std::uint8_t version;
   const char* hex;
 };
 
 const GoldenFrame kGoldenFrames[] = {
-    {"gcs.data", 73,
+    {"gcs.data", 73, 3,
       "4657514103110000003c00000011000000000300000009000000290000000000"
       "00000146575141034100000019000000020000006b330f000000762d01022077"
       "697468206279746573"},
-    {"gcs.heartbeat", 121,
-      "4657514103120000006c00000012000000640000000000000002000000020000"
-      "0007000000000000000500000000000000000000000100000001000000630000"
-      "0000000000010000000400000003000000000000001400000000000000000000"
-      "00000000000100000002000000080000000000000000000000"},
-    {"gcs.nack", 34,
+    {"gcs.heartbeat", 101, 4,
+      "4657514104120000005800000012000000070000000000000003000000000000"
+      "0064000000000000000100000001000000630000000000000014000000000000"
+      "0000000000000000000000000000000000000000000100000002000000080000"
+      "0000000000"},
+    {"gcs.nack", 34, 3,
       "4657514103130000001500000012000000000a000000000000000f0000000000"
       "0000"},
-    {"gcs.join", 18,
+    {"gcs.join", 18, 3,
       "465751410314000000050000001300000001"},
-    {"gcs.leave", 17,
+    {"gcs.leave", 17, 3,
       "4657514103150000000400000013000000"},
-    {"gcs.suspect", 21,
+    {"gcs.suspect", 21, 3,
       "46575141031600000008000000110000000b000000"},
-    {"gcs.propose", 41,
+    {"gcs.propose", 41, 3,
       "4657514103170000001c00000011000000090000000000000003000000010000"
       "000200000003000000"},
-    {"gcs.flush", 130,
+    {"gcs.flush", 130, 3,
       "4657514103180000007500000011000000090000000000000002000000010000"
       "000c000000000000000200000000000000000000000100000046575141031100"
       "00003c0000001100000000030000000900000029000000000000000146575141"
       "034100000019000000020000006b330f000000762d0102207769746820627974"
       "6573"},
-    {"gcs.install", 150,
+    {"gcs.install", 150, 3,
       "46575141031900000089000000110000000a00000000000000110000000a0000"
       "0000000000020000000100000003000000010000000300000001000000010000"
       "000c00000000000000010000004657514103110000003c000000110000000003"
       "0000000900000029000000000000000146575141034100000019000000020000"
       "006b330f000000762d01022077697468206279746573"},
-    {"repl.update", 64,
+    {"repl.update", 64, 3,
       "4657514103210000003300000015000000050000000000000001465751410341"
       "00000019000000020000006b330f000000762d01022077697468206279746573"},
-    {"repl.read", 53,
+    {"repl.read", 53, 3,
       "4657514103220000002800000015000000060000000000000001465751410342"
       "00000006000000020000006b330400000000000000"},
-    {"repl.gsn", 34,
+    {"repl.gsn", 34, 3,
       "465751410323000000150000001500000005000000000000004d000000000000"
       "0001"},
-    {"repl.reply", 99,
+    {"repl.reply", 99, 3,
       "4657514103240000005600000015000000060000000000000000014657514103"
       "430000000e00000001010000007608000000000000000c00000040787d010000"
       "0000002d310100000000404b4c00000000000000000000000000010200000000"
       "000000"},
-    {"repl.lazy", 75,
+    {"repl.lazy", 75, 3,
       "4657514103250000003e00000008000000000000000146575141034400000020"
       "0000000200000001000000610100000031010000006201000000320800000000"
       "0000000300000000000000"},
-    {"repl.state_req", 13,
+    {"repl.state_req", 13, 3,
       "46575141032600000000000000"},
-    {"repl.state_snap", 83,
+    {"repl.state_snap", 83, 3,
       "4657514103270000004600000008000000000000000900000000000000014657"
       "514103440000000c000000000000000800000000000000020000001500000005"
       "00000000000000160000000100000000000000"},
-    {"repl.perf", 76,
+    {"repl.perf", 76, 3,
       "4657514103280000003f0000000c00000001002d310100000000404b4c000000"
       "000040420f00000000000101030000000065cd1d000000000200000000e9a435"
       "000000000065cd1d00000000"},
-    {"repl.groupinfo", 53,
+    {"repl.groupinfo", 53, 3,
       "4657514103290000002800000004000000000000000100000002000000020000"
       "0003000000020000000b0000000c00000003000000"},
-    {"kv.put", 38,
+    {"kv.put", 38, 3,
       "46575141034100000019000000020000006b330f000000762d01022077697468"
       "206279746573"},
-    {"kv.get", 19,
+    {"kv.get", 19, 3,
       "46575141034200000006000000020000006b33"},
-    {"kv.result", 22,
+    {"kv.result", 22, 3,
       "46575141034300000009000000000900000000000000"},
-    {"kv.snapshot", 43,
+    {"kv.snapshot", 43, 3,
       "4657514103440000001e00000002000000000000000100000079010000007800"
       "0000000200000000000000"},
-    {"doc.append", 25,
+    {"doc.append", 25, 3,
       "4657514103450000000c000000080000006c696e65206f6e65"},
-    {"doc.read", 13,
+    {"doc.read", 13, 3,
       "46575141034600000000000000"},
-    {"doc.contents", 40,
+    {"doc.contents", 40, 3,
       "4657514103470000001b00000003000000010000006101000000620100000063"
       "0300000000000000"},
-    {"ticker.set", 29,
+    {"ticker.set", 29, 3,
       "465751410348000000100000000400000041434d450000000000505940"},
-    {"ticker.get", 21,
+    {"ticker.get", 21, 3,
       "465751410349000000080000000400000041434d45"},
-    {"ticker.quote", 38,
+    {"ticker.quote", 38, 3,
       "46575141034a000000190000000400000041434d450100000000005059400100"
       "000000000000"},
-    {"ticker.snapshot", 56,
+    {"ticker.snapshot", 56, 3,
       "46575141034b0000002b000000020000000400000041434d4500000000005059"
       "40030000005a5a5a000000000000e03f0200000000000000"},
-    {"reg.bump", 13,
+    {"reg.bump", 13, 3,
       "46575141034c00000000000000"},
-    {"reg.read", 13,
+    {"reg.read", 13, 3,
       "46575141034d00000000000000"},
-    {"reg.value", 21,
+    {"reg.value", 21, 3,
       "46575141034e000000080000000500000000000000"},
 };
 
@@ -429,16 +437,36 @@ std::string to_hex(const std::vector<std::uint8_t>& bytes) {
   return hex;
 }
 
+/// `hex` with the version byte of every frame header in it (the byte after
+/// each "AQWF" magic) set to `version`.
+std::string with_version(std::string hex, std::uint8_t version) {
+  const std::string magic = "46575141";
+  const std::string byte = to_hex({version});
+  for (std::size_t at = hex.find(magic); at != std::string::npos; at = hex.find(magic, at + 1)) {
+    if (at % 2 == 0) hex.replace(at + magic.size(), 2, byte);
+  }
+  return hex;
+}
+
 TEST_F(CodecTest, GoldenFramesPinEveryExemplar) {
-  ASSERT_EQ(net::kWireVersion, 3);
+  ASSERT_EQ(net::kWireVersion, 4);
   const auto all = exemplars();
   ASSERT_EQ(all.size(), std::size(kGoldenFrames));
   for (std::size_t i = 0; i < all.size(); ++i) {
     const GoldenFrame& golden = kGoldenFrames[i];
     SCOPED_TRACE(golden.type_name);
     EXPECT_EQ(all[i]->type_name(), golden.type_name);
-    EXPECT_EQ(to_hex(net::encode_frame(*all[i])), golden.hex);
+    const std::string hex = to_hex(net::encode_frame(*all[i]));
+    EXPECT_EQ(hex, with_version(golden.hex, net::kWireVersion));
     EXPECT_EQ(all[i]->wire_size(), golden.wire_size);
+    if (golden.version == net::kWireVersion) continue;
+    // The frames of earlier versions differ only in the version bytes.
+    ASSERT_EQ(hex.size(), std::string(golden.hex).size());
+    for (std::size_t at = 0; at < hex.size(); at += 2) {
+      if (hex.compare(at, 2, golden.hex, at, 2) == 0) continue;
+      EXPECT_EQ(hex.substr(at >= 8 ? at - 8 : 0, 8), "46575141")
+          << "byte " << at / 2 << " is not a version byte";
+    }
   }
 }
 
@@ -460,38 +488,32 @@ TEST_F(CodecTest, DataAndHeartbeatFieldsSurviveTheRoundTrip) {
 
   gcs::HeartbeatMsg hb;
   hb.group = gcs::GroupId{18};
-  hb.my_mcast_seq = 100;
-  hb.my_p2p_seq = {{net::NodeId{2}, 7}};
-  hb.mcast_acks = {{net::NodeId{1}, 99}, {net::NodeId{6}, 4}};
-  hb.p2p_acks = {{net::NodeId{4}, 3}};
+  hb.p2p_sent = 7;
+  hb.p2p_acked = 3;
+  hb.shared = shared_part(100, {{net::NodeId{1}, 99}, {net::NodeId{6}, 4}});
   const std::vector<std::uint8_t> hb_bytes = net::encode_frame(hb);
   net::Reader hr(hb_bytes);
   const auto back = net::message_cast<gcs::HeartbeatMsg>(net::decode_frame(hr));
   ASSERT_TRUE(back);
   EXPECT_EQ(back->group, hb.group);
-  EXPECT_EQ(back->my_mcast_seq, hb.my_mcast_seq);
-  EXPECT_EQ(back->my_p2p_seq, hb.my_p2p_seq);
-  EXPECT_EQ(back->mcast_acks, hb.mcast_acks);
-  EXPECT_EQ(back->p2p_acks, hb.p2p_acks);
+  EXPECT_EQ(back->p2p_sent, hb.p2p_sent);
+  EXPECT_EQ(back->p2p_acked, hb.p2p_acked);
+  ASSERT_TRUE(back->shared);
+  EXPECT_EQ(back->shared->my_mcast_seq, hb.shared->my_mcast_seq);
+  EXPECT_EQ(back->shared->mcast_acks, hb.shared->mcast_acks);
 
-  // A heartbeat with nothing to list is the group id, the mcast seq and
-  // three empty vector counts.
+  // A heartbeat with nothing to list is the group id, the two p2p marks,
+  // the mcast seq and an empty ack vector's count.
   gcs::HeartbeatMsg empty;
   empty.group = gcs::GroupId{18};
-  EXPECT_EQ(empty.wire_size(), net::kFrameHeaderSize + 4 + 8 + 3 * 4);
+  empty.shared = shared_part(0, {});
+  EXPECT_EQ(empty.wire_size(), net::kFrameHeaderSize + 4 + 8 + 8 + 8 + 4);
 }
 
-gcs::HeartbeatSectionPtr section(std::uint32_t group, std::uint64_t seq,
-                                 std::uint32_t acks) {
-  auto s = std::make_shared<gcs::HeartbeatSection>();
-  s->group = gcs::GroupId{group};
-  s->my_mcast_seq = seq;
-  for (std::uint32_t i = 1; i <= acks; ++i) {
-    s->mcast_acks.emplace_back(net::NodeId{i}, seq + i);
-    s->p2p_acks.emplace_back(net::NodeId{i + 10}, i);
-  }
-  s->my_p2p_seq = {{net::NodeId{4}, seq}};
-  return s;
+gcs::HeartbeatSection section(std::uint32_t group, std::uint64_t seq, std::uint32_t acks) {
+  net::NodeU64Pairs mcast_acks;
+  for (std::uint32_t i = 1; i <= acks; ++i) mcast_acks.emplace_back(net::NodeId{i}, seq + i);
+  return {gcs::GroupId{group}, seq + 1, seq + 2, shared_part(seq, std::move(mcast_acks))};
 }
 
 /// Encoded length of one section: a frame carrying only it, without the
@@ -504,14 +526,13 @@ std::size_t section_bytes(const gcs::HeartbeatSection& s) {
 
 TEST_F(CodecTest, HeartbeatBundleRoundTripsEverySection) {
   gcs::HeartbeatMsg bundle;
-  static_cast<gcs::HeartbeatSection&>(bundle) = *section(3, 10, 1);
-  const std::vector<gcs::HeartbeatSectionPtr> riders = {section(5, 20, 2),
-                                                        section(9, 0, 0)};
+  static_cast<gcs::HeartbeatSection&>(bundle) = section(3, 10, 1);
+  const std::vector<gcs::HeartbeatSection> riders = {section(5, 20, 2), section(9, 0, 0)};
   // The riders add their sections' bytes and nothing else.
   std::size_t expected = net::kFrameHeaderSize + section_bytes(bundle);
   for (std::size_t n = 0; n <= riders.size(); ++n) {
     bundle.riders.assign(riders.begin(), riders.begin() + static_cast<std::ptrdiff_t>(n));
-    if (n > 0) expected += section_bytes(*riders[n - 1]);
+    if (n > 0) expected += section_bytes(riders[n - 1]);
     // wire_size() is memoized per message; a copy is sized afresh.
     const gcs::HeartbeatMsg sized = bundle;
     EXPECT_EQ(sized.wire_size(), net::encode_frame(bundle).size()) << n << " riders";
@@ -526,19 +547,19 @@ TEST_F(CodecTest, HeartbeatBundleRoundTripsEverySection) {
             static_cast<const gcs::HeartbeatSection&>(bundle));
   ASSERT_EQ(back->riders.size(), 2u);
   for (std::size_t i = 0; i < riders.size(); ++i) {
-    EXPECT_EQ(*back->riders[i], *riders[i]) << "rider " << i;
+    EXPECT_EQ(back->riders[i], riders[i]) << "rider " << i;
   }
   EXPECT_EQ(net::encode_frame(*back), bytes);
 }
 
 TEST_F(CodecTest, TruncatedHeartbeatRiderThrows) {
   gcs::HeartbeatMsg bundle;
-  static_cast<gcs::HeartbeatSection&>(bundle) = *section(3, 10, 1);
+  static_cast<gcs::HeartbeatSection&>(bundle) = section(3, 10, 1);
   bundle.riders = {section(5, 20, 2)};
   const std::vector<std::uint8_t> whole = net::encode_frame(bundle);
   // Cut the rider short by `cut` bytes and fix the frame length, so the
   // frame itself is well formed and only the rider is truncated.
-  for (std::size_t cut = 1; cut < section_bytes(*bundle.riders[0]); ++cut) {
+  for (std::size_t cut = 1; cut < section_bytes(bundle.riders[0]); ++cut) {
     std::vector<std::uint8_t> bytes(whole.begin(), whole.end() - static_cast<std::ptrdiff_t>(cut));
     net::Writer len;
     len.u32(static_cast<std::uint32_t>(bytes.size() - net::kFrameHeaderSize));
@@ -642,9 +663,10 @@ TEST_F(CodecTest, WireSizeFallbacksSurviveTheMemo) {
 TEST_F(CodecTest, CopiedMessageDoesNotInheritTheWireSizeMemo) {
   gcs::HeartbeatMsg original;
   original.group = gcs::GroupId{2};
+  original.shared = shared_part(0, {});
   const std::size_t before = original.wire_size();
   gcs::HeartbeatMsg copy = original;  // may be mutated before it is sent
-  copy.mcast_acks = {{net::NodeId{1}, 5}, {net::NodeId{2}, 6}};
+  copy.shared = shared_part(0, {{net::NodeId{1}, 5}, {net::NodeId{2}, 6}});
   EXPECT_EQ(copy.wire_size(), net::encode_frame(copy).size());
   EXPECT_EQ(copy.wire_size(), before + 2 * (4 + 8));
   EXPECT_EQ(original.wire_size(), before);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gcs/endpoint.hpp"
@@ -460,6 +461,8 @@ TEST(GcsAckMatrix, OnlyCountedRowsPinStability) {
 // count only at a full member) and must still match the reference.
 TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
   std::size_t strict_subsets = 0;
+  std::size_t updates = 0;
+  std::size_t unreported = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
     sim::Rng rng(seed);
@@ -470,7 +473,15 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
     AckMatrix acks;
     std::map<net::NodeId, std::map<net::NodeId, std::uint64_t>> rows;
     std::vector<net::NodeId> view;
+    const auto all_stable = [&] {
+      std::vector<std::uint64_t> out;
+      for (std::uint32_t n = 1; n <= 9; ++n) out.push_back(acks.stable(net::NodeId{n}));
+      return out;
+    };
     for (int step = 0; step < 2000; ++step) {
+      // An update that reports no change left every sender's stable().
+      const std::vector<std::uint64_t> before = all_stable();
+      bool reported = true;
       const double dice = rng.uniform();
       if (dice < 0.05) {
         view.clear();
@@ -495,13 +506,19 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
           if (rng.bernoulli(0.8)) row[net::NodeId{n}] = rng.uniform_int(6);
         }
         rows[member] = row;
-        acks.set_row(member, AckMatrix::Row(row.begin(), row.end()));
+        reported = acks.set_row(member, AckMatrix::Row(row.begin(), row.end()));
+        ++updates;
       } else {
         const net::NodeId member = rng.bernoulli(0.5) ? self : node();
         const net::NodeId sender = node();
         const std::uint64_t ack = rng.uniform_int(6);
         rows[member][sender] = ack;
-        acks.set_cell(member, sender, ack);
+        reported = acks.set_cell(member, sender, ack);
+        ++updates;
+      }
+      if (!reported) {
+        ++unreported;
+        ASSERT_EQ(all_stable(), before) << "step " << step;
       }
       for (std::uint32_t n = 1; n <= 9; ++n) {
         ASSERT_EQ(acks.stable(net::NodeId{n}),
@@ -511,6 +528,9 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
     }
   }
   EXPECT_GT(strict_subsets, 0u);
+  // Both outcomes occur, so the check above is not vacuous.
+  EXPECT_GT(unreported, 0u);
+  EXPECT_LT(unreported, updates);
 }
 
 bool names(const net::NodeU64Pairs& pairs, net::NodeId node) {
@@ -534,8 +554,8 @@ TEST(GcsHeartbeat, DepartedMemberDropsOutOfEveryField) {
   std::size_t naming = 0;
   for (const auto& [from, to, hb] : f.tap().sent) {
     if (from == departing) continue;
-    naming += names(hb->my_p2p_seq, departing) && names(hb->mcast_acks, departing) &&
-              names(hb->p2p_acks, departing);
+    naming += names(hb->shared->mcast_acks, departing) &&
+              (to != departing || (hb->p2p_sent > 0 && hb->p2p_acked > 0));
   }
   ASSERT_GT(naming, 0u) << "before the departure every survivor names it";
 
@@ -548,9 +568,8 @@ TEST(GcsHeartbeat, DepartedMemberDropsOutOfEveryField) {
   f.settle(seconds(1));
   ASSERT_FALSE(f.tap().sent.empty());
   for (const auto& [from, to, hb] : f.tap().sent) {
-    EXPECT_FALSE(names(hb->my_p2p_seq, departing)) << "from " << from;
-    EXPECT_FALSE(names(hb->mcast_acks, departing)) << "from " << from;
-    EXPECT_FALSE(names(hb->p2p_acks, departing)) << "from " << from;
+    EXPECT_NE(to, departing) << "from " << from;
+    EXPECT_FALSE(names(hb->shared->mcast_acks, departing)) << "from " << from;
   }
 }
 
@@ -567,17 +586,103 @@ TEST(GcsHeartbeat, SilentMemberHeartbeatsEmptyVectors) {
   std::size_t from_silent = 0;
   for (const auto& [from, to, hb] : f.tap().sent) {
     // Nobody multicast, so no heartbeat carries an mcast ack.
-    EXPECT_TRUE(hb->mcast_acks.empty()) << "from " << from;
-    EXPECT_FALSE(names(hb->my_p2p_seq, silent)) << "from " << from;
+    EXPECT_TRUE(hb->shared->mcast_acks.empty()) << "from " << from;
+    if (from != silent && to != silent) continue;
+    // No p2p stream runs between the silent member and anyone.
+    EXPECT_EQ(hb->p2p_sent, 0u) << from << " -> " << to;
+    EXPECT_EQ(hb->p2p_acked, 0u) << from << " -> " << to;
     if (from != silent) continue;
     ++from_silent;
-    EXPECT_EQ(hb->my_mcast_seq, 0u);
-    EXPECT_TRUE(hb->my_p2p_seq.empty());
-    EXPECT_TRUE(hb->p2p_acks.empty());
+    EXPECT_EQ(hb->shared->my_mcast_seq, 0u);
   }
   EXPECT_GT(from_silent, 0u);
   EXPECT_EQ(f.member(2).stats().p2p_sent, 0u);
   EXPECT_EQ(f.member(2).stats().mcasts_sent, 0u);
+}
+
+// A section carries the sender's multicast acks and two p2p marks for its
+// destination, so a full member's heartbeat to a listener is, by the field
+// list (group, p2p_sent, p2p_acked, shared{my_mcast_seq, mcast_acks}),
+//   frame header + 4 + 8 + 8 + 8 + (4 + 12 * senders)
+// where `senders` counts the full members whose multicasts it delivered:
+// it grows with m and not with the listeners, even when every listener has
+// a p2p stream with it.
+TEST(GcsHeartbeat, FullMemberToListenerSizeDependsOnFullMembersOnly) {
+  for (const auto& [full, listeners] : {std::pair{2, 1}, std::pair{2, 4}, std::pair{3, 1},
+                                        std::pair{3, 3}}) {
+    SCOPED_TRACE(std::to_string(full) + " full, " + std::to_string(listeners) + " listeners");
+    const std::size_t n = static_cast<std::size_t>(full + listeners);
+    Fixture f(n);
+    std::vector<Role> roles(n, Role::kListener);
+    std::fill(roles.begin(), roles.begin() + full, Role::kMember);
+    f.join_all(roles);
+    // Every full member multicasts; every listener exchanges p2p with each
+    // full member.
+    for (int i = 0; i < full; ++i) f.member(static_cast<std::size_t>(i)).multicast(text("m"));
+    for (std::size_t l = static_cast<std::size_t>(full); l < n; ++l) {
+      for (int i = 0; i < full; ++i) {
+        const auto fm = static_cast<std::size_t>(i);
+        f.member(l).send_to(f.member(fm).self(), text("request"));
+        f.member(fm).send_to(f.member(l).self(), text("reply"));
+      }
+    }
+    f.settle(milliseconds(600));
+    f.tap().recording = true;
+    f.settle(milliseconds(500));
+    const std::size_t expected =
+        net::kFrameHeaderSize + 4 + 8 + 8 + 8 + 4 + 12 * static_cast<std::size_t>(full);
+    std::size_t checked = 0;
+    for (const auto& [from, to, hb] : f.tap().sent) {
+      const View& view = f.member(0).view();
+      if (view.is_listener(from) || !view.is_listener(to)) continue;
+      ++checked;
+      EXPECT_EQ(hb->shared->mcast_acks.size(), static_cast<std::size_t>(full));
+      EXPECT_GT(hb->p2p_sent, 0u);
+      EXPECT_GT(hb->p2p_acked, 0u);
+      EXPECT_EQ(hb->wire_size(), expected) << from << " -> " << to;
+    }
+    EXPECT_GE(checked, static_cast<std::size_t>(full * listeners));
+  }
+}
+
+// The failure detector walks a neighbor list rebuilt on every install: a
+// member added by a later view is monitored, and an earlier view's member,
+// whose entry is gone, is never looked at again.
+TEST(GcsFailureDetector, MemberAddedByALaterViewIsSuspectedWhenSilent) {
+  Fixture f(4);
+  for (std::size_t i = 0; i < 3; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle();
+  const net::NodeId departed = f.member(2).self();
+  f.endpoints[2]->crash();
+  f.settle(seconds(3));
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(f.member(i).view().size(), 2u) << "member " << i;
+  }
+  f.member(3).join();
+  f.settle(milliseconds(500));
+  ASSERT_EQ(f.member(0).view().size(), 3u);
+  ASSERT_TRUE(f.member(0).view().contains(f.member(3).self()));
+  const ViewId admitted = f.member(0).view().id;
+
+  const net::NodeId silent = f.member(3).self();
+  const Config config;
+  const sim::TimePoint crashed_at = f.sim.now();
+  f.endpoints[3]->crash();
+  f.sim.run_until(crashed_at + config.suspect_timeout + config.heartbeat_period +
+                  milliseconds(100));
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_FALSE(f.member(i).view().contains(silent)) << "member " << i;
+    EXPECT_EQ(f.member(i).view().size(), 2u) << "member " << i;
+    EXPECT_EQ(f.member(i).view().id, admitted + 1) << "member " << i;
+  }
+  f.settle(seconds(3));
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(f.member(i).view().id, admitted + 1) << "member " << i << ": nothing left to suspect";
+    EXPECT_FALSE(f.member(i).view().contains(departed)) << "member " << i;
+  }
 }
 
 // --- Listeners ----------------------------------------------------------------
@@ -868,7 +973,7 @@ struct SharedGroups {
   /// The groups of a heartbeat's sections, outer first.
   static std::vector<GroupId> groups_of(const HeartbeatMsg& hb) {
     std::vector<GroupId> out = {hb.group};
-    for (const HeartbeatSectionPtr& rider : hb.riders) out.push_back(rider->group);
+    for (const HeartbeatSection& rider : hb.riders) out.push_back(rider.group);
     return out;
   }
 
@@ -885,31 +990,75 @@ TEST(GcsBundle, OneHeartbeatPerOrderedPairCarriesEveryGroupsSection) {
       ASSERT_EQ(f.member(i, g).view().size(), 3u) << "member " << i << " of " << g;
     }
   }
+  // The p2p marks of each section, by (from, to, group).
+  using Key = std::tuple<net::NodeId, net::NodeId, GroupId>;
+  const auto marks_of = [](const std::vector<HeartbeatTap::Sent>& sent) {
+    std::map<Key, std::pair<std::uint64_t, std::uint64_t>> marks;
+    for (const auto& [from, to, hb] : sent) {
+      marks[{from, to, hb->group}] = {hb->p2p_sent, hb->p2p_acked};
+      for (const HeartbeatSection& rider : hb->riders) {
+        marks[{from, to, rider.group}] = {rider.p2p_sent, rider.p2p_acked};
+      }
+    }
+    return marks;
+  };
+  const auto before = marks_of(f.one_tick());
+  // Node 0 sends node 1 one, two and three more p2p messages in the three
+  // groups; it all arrives within the period.
+  const net::NodeId a = f.endpoints[0]->id();
+  const net::NodeId b = f.endpoints[1]->id();
+  for (std::size_t k = 0; k < SharedGroups::kGroups.size(); ++k) {
+    for (std::size_t n = 0; n <= k; ++n) {
+      f.member(0, SharedGroups::kGroups[k]).send_to(b, text("p"));
+    }
+  }
+  f.sim.run_for(Config{}.heartbeat_period);
+
   const auto sent = f.one_tick();
+  const auto after = marks_of(sent);
   std::map<std::pair<net::NodeId, net::NodeId>, int> per_pair;
-  std::map<net::NodeId, std::set<const HeartbeatMsg*>> bundles_from;
+  std::map<net::NodeId, std::set<const HeartbeatMsg*>> messages_from;
+  std::map<std::pair<net::NodeId, GroupId>, std::set<const HeartbeatShared*>> shared_of;
   for (const auto& [from, to, hb] : sent) {
     ++per_pair[{from, to}];
-    bundles_from[from].insert(hb.get());
+    messages_from[from].insert(hb.get());
     ASSERT_EQ(SharedGroups::groups_of(*hb),
               std::vector<GroupId>(SharedGroups::kGroups.begin(), SharedGroups::kGroups.end()));
-    // Each section is what its member hands the tick.
+    // Each section is what its member hands the tick for this destination.
     const std::size_t sender = f.index_of(from);
     const auto expect = [&](const HeartbeatSection& section) {
-      std::vector<net::NodeId> dests;
-      const auto own = f.member(sender, section.group).heartbeat(dests);
+      shared_of[{from, section.group}].insert(section.shared.get());
+      std::vector<HeartbeatRoute> routes;
+      const auto own = f.member(sender, section.group).heartbeat(routes);
       ASSERT_TRUE(own);
-      EXPECT_EQ(section, static_cast<const HeartbeatSection&>(*own)) << section.group;
+      EXPECT_EQ(*section.shared, *own) << section.group;
+      const auto route = std::find_if(routes.begin(), routes.end(),
+                                      [&](const HeartbeatRoute& r) { return r.dest == to; });
+      ASSERT_NE(route, routes.end()) << section.group;
+      EXPECT_EQ(section.p2p_sent, route->p2p_sent) << section.group;
+      EXPECT_EQ(section.p2p_acked, route->p2p_acked) << section.group;
+      // Nothing is in flight: what one end sent, the other end acks.
+      EXPECT_EQ(section.p2p_sent, after.at({to, from, section.group}).second) << section.group;
     };
     expect(*hb);
-    for (const HeartbeatSectionPtr& rider : hb->riders) expect(*rider);
+    for (const HeartbeatSection& rider : hb->riders) expect(rider);
   }
   EXPECT_EQ(per_pair.size(), 6u);
   for (const auto& [pair, count] : per_pair) {
     EXPECT_EQ(count, 1) << pair.first << " -> " << pair.second;
   }
-  // Both destinations get the same three sections: one shared message.
-  for (const auto& [from, bundles] : bundles_from) EXPECT_EQ(bundles.size(), 1u);
+  // Each destination gets its own message, and all of one member's
+  // sections in a tick share one HeartbeatShared.
+  for (const auto& [from, messages] : messages_from) EXPECT_EQ(messages.size(), 2u);
+  EXPECT_EQ(shared_of.size(), 9u);
+  for (const auto& [key, shared] : shared_of) EXPECT_EQ(shared.size(), 1u) << key.second;
+  // The marks count exactly the p2p messages sent and delivered.
+  for (std::size_t k = 0; k < SharedGroups::kGroups.size(); ++k) {
+    const GroupId g = SharedGroups::kGroups[k];
+    EXPECT_EQ(after.at({a, b, g}).first, before.at({a, b, g}).first + k + 1) << g;
+    EXPECT_EQ(after.at({b, a, g}).second, before.at({b, a, g}).second + k + 1) << g;
+    EXPECT_EQ(after.at({b, a, g}).first, before.at({b, a, g}).first) << g;
+  }
 }
 
 TEST(GcsBundle, LeftGroupDropsOutWhileTheOtherSectionsFlow) {

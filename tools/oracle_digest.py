@@ -24,6 +24,14 @@ Usage:
       Regenerate the baseline. Each plan runs twice; only plans whose
       JSON is byte-identical across both runs are recorded (the others
       are listed under "unstable" and skipped by the check).
+  oracle_digest.py --against PARENT_BUILD_DIR [--build-dir build]
+      Compare two builds directly, for a change whose digests move on
+      purpose: runs both sweep_cli binaries on every plan with the same
+      arguments and labels each plan "identical" (byte-equal JSON),
+      "bytes-only" (equal once every key starting "bytes" and
+      telemetry_bytes/telemetry_digest are masked: only wire sizes moved)
+      or "differs". Exit 1 if any plan differs. No baseline is read, so
+      the toolchain check does not apply.
 """
 import argparse
 import glob
@@ -90,9 +98,9 @@ def toolchain(build_dir):
     }
 
 
-def run_plan(sweep_cli, plan, requests, workdir):
-    """Runs one plan and returns the sha256 of its merged JSON."""
-    out = os.path.join(workdir, plan + ".json")
+def sweep_json(sweep_cli, plan, requests, workdir, name=None):
+    """Runs one plan and returns the bytes of its merged JSON."""
+    out = os.path.join(workdir, (name or plan) + ".json")
     cmd = [sweep_cli, "--plan", plan, "--seed", str(SEED), "--seeds", str(SEEDS),
            "--threads", str(THREADS), "--requests", str(requests),
            "--json-out", out]
@@ -102,7 +110,44 @@ def run_plan(sweep_cli, plan, requests, workdir):
         raise RuntimeError("%s failed (exit %d):\n%s" %
                            (" ".join(cmd), result.returncode, result.stderr))
     with open(out, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        return f.read()
+
+
+def run_plan(sweep_cli, plan, requests, workdir):
+    """Runs one plan and returns the sha256 of its merged JSON."""
+    return hashlib.sha256(sweep_json(sweep_cli, plan, requests, workdir)).hexdigest()
+
+
+def mask_bytes(value):
+    """`value` with every byte count replaced by None: the values of keys
+    starting "bytes", and of telemetry_bytes and telemetry_digest."""
+    if isinstance(value, dict):
+        return {k: None if k.startswith("bytes") or k in ("telemetry_bytes", "telemetry_digest")
+                else mask_bytes(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [mask_bytes(v) for v in value]
+    return value
+
+
+def compare_builds(sweep_cli, parent_cli, workdir):
+    differs = 0
+    for plan, requests in PLANS:
+        start = time.time()
+        ours = sweep_json(sweep_cli, plan, requests, workdir)
+        theirs = sweep_json(parent_cli, plan, requests, workdir, plan + ".parent")
+        if ours == theirs:
+            label = "identical"
+        elif mask_bytes(json.loads(ours)) == mask_bytes(json.loads(theirs)):
+            label = "bytes-only"
+        else:
+            label = "differs"
+            differs += 1
+        print("%-22s %-10s (%.1f s)" % (plan, label, time.time() - start))
+    if differs:
+        print("%d plan(s) differ beyond their byte counts" % differs)
+        return 1
+    print("no plan differs beyond its byte counts")
+    return 0
 
 
 def write_baseline(sweep_cli, tools, workdir):
@@ -165,15 +210,23 @@ def check_baseline(sweep_cli, tools, workdir):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default=os.path.join(ROOT, "build"))
-    parser.add_argument("--write", action="store_true",
-                        help="regenerate the baseline instead of checking it")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true",
+                      help="regenerate the baseline instead of checking it")
+    mode.add_argument("--against", metavar="PARENT_BUILD_DIR",
+                      help="compare with another build's sweep_cli instead")
     args = parser.parse_args()
+    clis = [os.path.join(os.path.abspath(d), "bench", "sweep_cli")
+            for d in [args.build_dir] + ([args.against] if args.against else [])]
+    for cli in clis:
+        if not os.access(cli, os.X_OK):
+            print("no sweep_cli at %s; build first" % cli)
+            return 2
+    sweep_cli = clis[0]
     build_dir = os.path.abspath(args.build_dir)
-    sweep_cli = os.path.join(build_dir, "bench", "sweep_cli")
-    if not os.access(sweep_cli, os.X_OK):
-        print("no sweep_cli at %s; build first" % sweep_cli)
-        return 2
     with tempfile.TemporaryDirectory() as workdir:
+        if args.against:
+            return compare_builds(sweep_cli, clis[1], workdir)
         if args.write:
             return write_baseline(sweep_cli, toolchain(build_dir), workdir)
         return check_baseline(sweep_cli, toolchain(build_dir), workdir)
