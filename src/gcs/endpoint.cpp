@@ -69,36 +69,32 @@ Member& Endpoint::member(GroupId group) {
 }
 
 void Endpoint::heartbeat_tick() {
-  // Each member's group and shared part, and one route per node its
-  // sections go to, tagged with the member's index in `parts`.
-  std::vector<std::pair<GroupId, std::shared_ptr<const HeartbeatShared>>> parts;
-  std::vector<std::pair<std::size_t, HeartbeatRoute>> routes;
+  // One route per section: the member's group and where the section goes.
+  std::vector<std::pair<GroupId, HeartbeatRoute>> routes;
   std::vector<HeartbeatRoute> marks;
   bool live = false;
   for (const auto& [group, member] : members_) {
     if (member->stopped()) continue;
     live = true;
     marks.clear();
-    auto shared = member->heartbeat(marks);
-    if (!shared || marks.empty()) continue;
-    for (const HeartbeatRoute& route : marks) routes.emplace_back(parts.size(), route);
-    parts.emplace_back(group, std::move(shared));
+    member->heartbeat(marks);
+    for (HeartbeatRoute& route : marks) routes.emplace_back(group, std::move(route));
   }
   if (!live) {
     heartbeat_task_.stop();
     return;
   }
 
-  // Sorted by destination, then member, the routes give each destination a
+  // Sorted by destination, then group, the routes give each destination a
   // run that lists its sections in GroupId order: one message per
   // destination, the first section at its head and the others as riders.
   std::sort(routes.begin(), routes.end(), [](const auto& a, const auto& b) {
     return a.second.dest != b.second.dest ? a.second.dest < b.second.dest
                                           : a.first < b.first;
   });
-  const auto section = [&](const std::pair<std::size_t, HeartbeatRoute>& route) {
-    const auto& [group, shared] = parts[route.first];
-    return HeartbeatSection{group, route.second.p2p_sent, route.second.p2p_acked, shared};
+  const auto section = [](std::pair<GroupId, HeartbeatRoute>& route) {
+    HeartbeatRoute& r = route.second;
+    return HeartbeatSection{route.first, r.p2p_sent, r.p2p_acked, std::move(r.shared)};
   };
   for (std::size_t begin = 0, end = 0; begin < routes.size(); begin = end) {
     const net::NodeId dest = routes[begin].second.dest;

@@ -5,13 +5,13 @@
 // models fail-stop crashes.
 //
 // It also owns the process's one heartbeat timer. Every heartbeat_period it
-// collects each joined member's shared heartbeat part and routes, and sends
-// one HeartbeatMsg per destination node: the section of the lowest GroupId
+// collects each joined member's heartbeat routes, and sends one
+// HeartbeatMsg per destination node: the section of the lowest GroupId
 // that goes there, carrying the other groups' sections for that node as
 // riders. A section is the destination's two p2p marks plus a pointer to
-// its member's shared part, so the per-tick work that grows with the
-// group (the ack vector) is done once per member, not once per
-// destination. On receipt each section goes to its own member, so a
+// a shared part its member built for the tick, so the per-tick work that
+// grows with the group (the ack vector) is done once or twice per member,
+// not once per destination. On receipt each section goes to its own member, so a
 // process in three groups with a peer sends it one heartbeat per period,
 // not three.
 #pragma once

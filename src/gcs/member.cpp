@@ -182,6 +182,7 @@ void Member::send_p2p(net::NodeId dest, net::MessagePtr payload) {
   msg->seq = ++peer.p2p_send_seq;
   msg->payload = std::move(payload);
   const DataMsgPtr frozen = msg;
+  if (peer.sent_p2p.empty()) peer.asked_since = exec_.now();
   peer.sent_p2p.emplace(frozen->seq, frozen);
   ++stats_.p2p_sent;
   metrics_.p2p_sent.inc();
@@ -299,7 +300,7 @@ void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
     if (is_mcast) {
       // Retain a copy for the flush protocol until the message is stable.
       chan.retained.emplace(msg->seq, msg);
-      stability_moved_ |= acks_.set_cell(self_, sender, chan.delivered);
+      ack_own(sender, chan.delivered);
     }
     if (dispatch_control(sender, msg->payload)) {
       if (stopped_) return;
@@ -364,28 +365,51 @@ void Member::handle_nack(net::NodeId from, const NackMsg& msg) {
 // Heartbeats, stability, failure detection
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const HeartbeatShared> Member::heartbeat(
-    std::vector<HeartbeatRoute>& routes) const {
-  if (!joined_ || stopped_) return nullptr;
-  auto shared = std::make_shared<HeartbeatShared>();
-  shared->my_mcast_seq = mcast_send_seq_;
+void Member::heartbeat(std::vector<HeartbeatRoute>& routes) {
+  if (!joined_ || stopped_) return;
+  const auto part = [&](net::NodeU64Pairs acks) {
+    auto shared = std::make_shared<HeartbeatShared>();
+    shared->my_mcast_seq = mcast_send_seq_;
+    shared->mcast_acks = std::move(acks);
+    return std::shared_ptr<const HeartbeatShared>(std::move(shared));
+  };
+  // The leader's row stands for the listeners towards the full members, and
+  // for the full members towards the listeners; any other member's row is
+  // its own delivery.
+  std::shared_ptr<const HeartbeatShared> to_full, to_listeners;
+  if (leads_listeners_) {
+    to_full = part(listener_acks_.stable_row());
+    to_listeners = part(acks_.stable_row());
+  } else {
+    to_full = to_listeners = part(own_acks());
+  }
+  for (const Neighbor& n : neighbors_) {
+    Peer& peer = *n.peer;
+    const bool unacked = !peer.sent_p2p.empty();
+    if (!n.monitored && !unacked && !peer.answer) continue;
+    peer.answer = false;
+    routes.push_back({n.node, unacked ? peer.p2p_send_seq : 0, peer.p2p_in.delivered,
+                      n.listener ? to_listeners : to_full});
+  }
+}
+
+net::NodeU64Pairs Member::own_acks() const {
   // Only senders whose multicasts were delivered are listed: receivers
   // read a missing node as 0. peers_ iterates in NodeId order, so the
   // vector comes out sorted.
+  net::NodeU64Pairs acks;
   for (const auto& [node, peer] : peers_) {
-    if (peer.mcast_in.delivered > 0) {
-      shared->mcast_acks.emplace_back(node, peer.mcast_in.delivered);
-    }
+    if (peer.mcast_in.delivered > 0) acks.emplace_back(node, peer.mcast_in.delivered);
   }
-  // Beyond the monitored pairs, a p2p stream between two listeners keeps
-  // its heartbeats: they carry its acks and its trailing-loss detection.
-  for (const Neighbor& n : neighbors_) {
-    const Peer& peer = *n.peer;
-    if (n.monitored || peer.p2p_send_seq > 0 || peer.p2p_in.delivered > 0) {
-      routes.push_back({n.node, peer.p2p_send_seq, peer.p2p_in.delivered});
-    }
-  }
-  return shared;
+  return acks;
+}
+
+AckMatrix* Member::rows_of(net::NodeId from) {
+  if (!joined_) return &acks_;
+  const bool listener = view_.is_listener(from);
+  if (leads_listeners_) return listener ? &listener_acks_ : &acks_;
+  if (from == view_.leader()) return &acks_;
+  return listener || view_.is_listener(self_) ? nullptr : &acks_;
 }
 
 namespace {
@@ -404,8 +428,11 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatSection& msg) {
   if (stopped_) return;
   Peer& peer = peers_[from];
   peer.last_heard = exec_.now();
+  peer.answer |= msg.p2p_sent > 0;
   // Stability bookkeeping.
-  stability_moved_ |= acks_.set_row(from, msg.shared->mcast_acks);
+  if (AckMatrix* rows = rows_of(from)) {
+    stability_moved_ |= rows->set_row(from, msg.shared->mcast_acks);
+  }
   if (stability_moved_) collect_stability();
 
   // Garbage-collect the p2p send buffer towards `from`.
@@ -421,17 +448,34 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatSection& msg) {
   if (msg.p2p_sent > peer.p2p_in.delivered) {
     schedule_nack_check(from, /*is_mcast=*/false, msg.p2p_sent);
   }
+  // A listener hears no other sender: every full member has delivered what
+  // the leader announces, and the sender still holds it.
+  if (joined_ && view_.leader() == from && view_.is_listener(self_)) {
+    for (const auto& [sender, ack] : msg.shared->mcast_acks) {
+      auto it = peers_.find(sender);
+      if (it != peers_.end() && ack > it->second.mcast_in.delivered) {
+        schedule_nack_check(sender, /*is_mcast=*/true, ack);
+      }
+    }
+  }
 }
 
 void Member::reset_acks() {
   stability_moved_ = true;
   const std::vector<net::NodeId> senders = view_.full_members();
-  if (!view_.is_listener(self_)) {
-    acks_.set_view(view_.members, senders, self_);
-    return;
-  }
+  const net::NodeId leader = view_.leader();
+  leads_listeners_ = leader == self_ && !view_.listeners.empty();
   std::vector<net::NodeId> rows = senders;
-  rows.push_back(self_);
+  if (leads_listeners_) {
+    std::vector<net::NodeId> listener_rows = view_.listeners;
+    listener_rows.push_back(self_);
+    listener_acks_.set_view(listener_rows, senders, self_);
+    listener_acks_.set_row(self_, own_acks());
+  } else {
+    listener_acks_.set_view({}, {}, self_);
+    if (view_.is_listener(self_)) rows = {self_};
+    rows.push_back(leader);
+  }
   acks_.set_view(rows, senders, self_);
 }
 
@@ -445,9 +489,21 @@ void Member::collect_stability() {
   // sender; only a buffer whose oldest copy became stable is trimmed.
   for (auto& [sender, peer] : peers_) {
     auto& retained = peer.mcast_in.retained;
-    if (!retained.empty()) erase_up_to(retained, acks_.stable(sender));
+    if (!retained.empty()) erase_up_to(retained, stable(sender));
   }
-  if (!sent_mcast_.empty()) erase_up_to(sent_mcast_, acks_.stable(self_));
+  if (!sent_mcast_.empty()) erase_up_to(sent_mcast_, stable(self_));
+}
+
+std::uint64_t Member::stable(net::NodeId sender) const {
+  const std::uint64_t full = acks_.stable(sender);
+  return leads_listeners_ ? std::min(full, listener_acks_.stable(sender)) : full;
+}
+
+void Member::ack_own(net::NodeId sender, std::uint64_t delivered) {
+  stability_moved_ |= acks_.set_cell(self_, sender, delivered);
+  if (leads_listeners_) {
+    stability_moved_ |= listener_acks_.set_cell(self_, sender, delivered);
+  }
 }
 
 void Member::fd_tick() {
@@ -457,15 +513,19 @@ void Member::fd_tick() {
   // neighbor list.
   std::vector<net::NodeId> silent;
   for (const Neighbor& n : neighbors_) {
-    if (n.monitored && now - n.peer->last_heard > config_.suspect_timeout) {
-      silent.push_back(n.node);
-    }
+    const Peer& peer = *n.peer;
+    // A neighbor it does not monitor owes it a section only while it asks:
+    // one that answers none of its asks for suspect_timeout is silent too.
+    if (!n.monitored && peer.sent_p2p.empty()) continue;
+    const sim::TimePoint since =
+        n.monitored ? peer.last_heard : std::max(peer.last_heard, peer.asked_since);
+    if (now - since > config_.suspect_timeout) silent.push_back(n.node);
   }
   for (const net::NodeId node : silent) suspect(node);
 }
 
 bool Member::monitors(net::NodeId node) const {
-  return !view_.is_listener(self_) || !view_.is_listener(node) ||
+  return (!view_.is_listener(self_) && !view_.is_listener(node)) ||
          view_.leader() == self_ || view_.leader() == node;
 }
 
@@ -474,7 +534,7 @@ void Member::rebuild_neighbors() {
   for (const net::NodeId m : view_.members) {
     if (m == self_) continue;
     // Every view member has an entry: install_view stamps them all.
-    neighbors_.push_back({m, &peers_.at(m), monitors(m)});
+    neighbors_.push_back({m, &peers_.at(m), monitors(m), view_.is_listener(m)});
   }
 }
 
@@ -706,7 +766,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
       chan.delivered = std::max(chan.delivered, target);
       std::erase_if(chan.buffered,
                     [&](const auto& kv) { return kv.first <= chan.delivered; });
-      stability_moved_ |= acks_.set_cell(self_, sender, chan.delivered);
+      ack_own(sender, chan.delivered);
     }
     // Messages multicast in the *new* view can race ahead of this install;
     // drain anything that became contiguous once the baseline was set.
@@ -739,7 +799,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
         ++stats_.flush_gaps;
         metrics_.flush_gaps.inc();
         chan.delivered += 1;
-        stability_moved_ |= acks_.set_cell(self_, sender, chan.delivered);
+        ack_own(sender, chan.delivered);
         deliver_ready(sender, /*is_mcast=*/true);
         if (stopped_) return;
       }

@@ -16,8 +16,8 @@
 //   * failure detection by heartbeat timeout.
 //
 // A Member owns no timer for heartbeats: its process's Endpoint ticks every
-// heartbeat_period, takes each joined member's heartbeat() (the part shared
-// by every destination, plus each destination's two p2p marks), sends one
+// heartbeat_period, takes each joined member's heartbeat() (one route per
+// destination: its two p2p marks and the shared part it gets), sends one
 // message per destination node, and hands each received section to
 // handle_heartbeat(). Each member keeps its own last-heard times and
 // suspicions, and fd_tick() (run by the same tick) checks them, so the
@@ -28,23 +28,42 @@
 //
 // A process joins either as a full member or as a listener (gcs::Role). A
 // listener receives the group's multicasts and sends and receives p2p, but
-// never multicasts. Heartbeats flow along every pair that has a full member
-// in it and never between two listeners, so a group of m full members and
-// l listeners sends O(m * (m + l)) heartbeats per period instead of
-// O((m + l)^2). Clients join their service's QoS group as listeners. Two
-// exceptions keep a listener-only corner live: the view's leader exchanges
-// heartbeats with everyone, whatever the roles (a listener that bootstrapped
-// the group heads its view until it leaves), and two listeners with a p2p
-// stream between them heartbeat each other so that the stream's acks and
-// trailing-loss detection work. See monitors().
+// never multicasts. Standing heartbeats flow between full members and
+// between the view's leader and everyone else, so a group of m full members
+// and l listeners sends O(m^2 + l) heartbeats per period. Only the leader
+// monitors the listeners, because it installs the view that removes one;
+// the other members learn of a listener's departure from that view.
+// Clients join their service's QoS group as listeners.
 //
-// Stability follows the heartbeats: a full member frees a retained copy once
-// every view member has delivered it, a listener once every full member has.
-// Full members therefore hold every message some listener still lacks, and
-// the flush redistributes every delivered message while a full member
-// survives. Copies are collected on a heartbeat only after an ack update
-// moved some stable() value (AckMatrix reports it), which frees exactly
-// what a collection on every heartbeat would.
+// Any other pair sends sections only while its p2p streams have something
+// to ack. A section's p2p_sent is the sender's p2p high-water mark while it
+// holds an unacked copy for the destination, and 0 otherwise. A member asks
+// a non-monitored neighbor (sends it a section) on every tick while it holds
+// an unacked copy for it, and answers once for each section with
+// p2p_sent > 0 that the neighbor sent it since the last tick. An answer with
+// nothing to ask ends the exchange; a lost ask or answer is repaired by the
+// next ask, which also announces the mark a trailing loss is NACKed up to.
+// A member suspects a neighbor that has answered none of its asks for
+// suspect_timeout, so a copy to a crashed or unreachable listener is freed
+// by the view change that follows even when the leader still hears it, and
+// a coordinator that is not the leader learns that a listener is gone from
+// the propose it asks about (so a view change never waits on a crashed
+// listener that nobody monitors).
+//
+// Stability goes through the leader: a full member frees a retained copy
+// once every view member has delivered it, a listener once every full
+// member has. A full member counts the rows of the full members and the
+// leader. The leader counts the full members in acks_ and, when its view
+// has listeners, itself and the listeners in listener_acks_; its section to
+// a full member carries listener_acks_'s stable() values as its row, so that
+// row stands for the listeners too, and its section to a listener carries
+// acks_'s stable() values. A listener counts itself and the leader, and
+// NACK-checks every sender up to the leader's announced value, which the
+// sender still holds. Full members therefore hold every message some
+// listener still lacks, and the flush redistributes every delivered message
+// while a full member survives. Copies are collected on a heartbeat only
+// after an ack update moved some stable() value (AckMatrix reports it),
+// which frees exactly what a collection on every heartbeat would.
 //
 // Assumed failure model: fail-stop crashes (no Byzantine behaviour); the
 // network may delay, reorder, and drop messages.
@@ -71,12 +90,13 @@
 
 namespace aqueduct::gcs {
 
-/// One destination of a member's heartbeat, with the two p2p marks of the
-/// section it gets (HeartbeatSection::p2p_sent and p2p_acked).
+/// One destination of a member's heartbeat: the fields of the section it
+/// gets, but the group.
 struct HeartbeatRoute {
   net::NodeId dest;
   std::uint64_t p2p_sent = 0;
   std::uint64_t p2p_acked = 0;
+  std::shared_ptr<const HeartbeatShared> shared;
 };
 
 /// Protocol statistics used by tests and traces.
@@ -156,11 +176,12 @@ class Member {
   /// handle_heartbeat() instead.
   void handle(net::NodeId from, const net::MessagePtr& msg);
 
-  /// This member's heartbeat for the current tick: returns the part every
-  /// destination shares, or nullptr when it is not in a view, and appends
-  /// one route per node a section goes to: every view member it
-  /// monitors(), plus the listeners it shares a p2p stream with.
-  std::shared_ptr<const HeartbeatShared> heartbeat(std::vector<HeartbeatRoute>& routes) const;
+  /// This member's heartbeat for the current tick: appends one route per
+  /// node a section goes to, none when it is not in a view. Those are every
+  /// view member it monitors(), plus each other view member it holds an
+  /// unacked p2p copy for or owes an answer. A member builds one shared
+  /// part per tick, the leader of a view with listeners two.
+  void heartbeat(std::vector<HeartbeatRoute>& routes);
 
   /// Processes the heartbeat section `from` sent for this group: its acks
   /// (stability, p2p garbage collection), its sequence numbers (loss
@@ -168,7 +189,8 @@ class Member {
   void handle_heartbeat(net::NodeId from, const HeartbeatSection& section);
 
   /// The failure detector: suspects every monitored view member not heard
-  /// from for suspect_timeout. Run on every heartbeat tick.
+  /// from for suspect_timeout, and every other one it has asked for that
+  /// long without a section back. Run on every heartbeat tick.
   void fd_tick();
 
   bool joined() const { return joined_; }
@@ -212,6 +234,12 @@ class Member {
     std::uint64_t p2p_send_seq = 0;
     std::map<std::uint64_t, DataMsgPtr> sent_p2p;  // unacked copies to it
     sim::TimePoint last_heard = sim::kEpoch;
+    /// When sent_p2p last went from empty to holding a copy: where the
+    /// asks of a non-monitored neighbor start.
+    sim::TimePoint asked_since = sim::kEpoch;
+    /// It sent a section with p2p_sent > 0 since the last tick, so the next
+    /// tick sends it one.
+    bool answer = false;
 
     InChannel& in(bool is_mcast) { return is_mcast ? mcast_in : p2p_in; }
   };
@@ -243,8 +271,21 @@ class Member {
   /// heartbeat only when some stable() value moved since the last run;
   /// otherwise it would free nothing.
   void collect_stability();
-  /// Points acks_ at the current view: the rows of the members whose
-  /// heartbeats reach this member, and the full members' columns.
+  /// Highest seq of `sender` this member may free: every row it counts has
+  /// delivered it.
+  std::uint64_t stable(net::NodeId sender) const;
+  /// Records this member's own delivery of `sender` up to `delivered`.
+  void ack_own(net::NodeId sender, std::uint64_t delivered);
+  /// This member's delivery acks: each sender it delivered from, with the
+  /// highest delivered seq, in NodeId order.
+  net::NodeU64Pairs own_acks() const;
+  /// The matrix that counts `from`'s acks here, or nullptr when none does.
+  /// Before the first view every row is kept, to count once a view admits
+  /// its node.
+  AckMatrix* rows_of(net::NodeId from);
+  /// Points acks_ (and, at a leader of listeners, listener_acks_) at the
+  /// current view: the rows this member counts and the full members'
+  /// columns.
   void reset_acks();
 
   // ---- membership / flush ----
@@ -257,8 +298,8 @@ class Member {
   void suspect(net::NodeId node);
   net::NodeId acting_coordinator() const;
   /// Whether this member and `node` heartbeat each other and each suspects
-  /// the other when it falls silent: every pair of the current view that
-  /// contains a full member or the view's leader. A function of the view
+  /// the other when it falls silent: every pair of the current view of two
+  /// full members or with the view's leader in it. A function of the view
   /// alone, so both ends agree on it.
   bool monitors(net::NodeId node) const;
   /// Rebuilds neighbors_ from view_ and peers_; called wherever view_ is
@@ -303,21 +344,26 @@ class Member {
   /// sorted).
   std::map<net::NodeId, Peer> peers_;
 
-  /// The other members of view_, in view order, with their peers_ entries
-  /// and whether this member monitors() them: what the heartbeat tick and
-  /// the failure detector walk. peers_ loses entries only when a view is
-  /// installed, and the list is rebuilt right after, so the pointers stay
-  /// valid.
+  /// The other members of view_, in view order, with their peers_ entries,
+  /// whether this member monitors() them and whether they are listeners:
+  /// what the heartbeat tick and the failure detector walk. peers_ loses
+  /// entries only when a view is installed, and the list is rebuilt right
+  /// after, so the pointers stay valid.
   struct Neighbor {
     net::NodeId node;
     Peer* peer;
     bool monitored;
+    bool listener;
   };
   std::vector<Neighbor> neighbors_;
 
-  // stability: every member's cumulative mcast acks, with per-sender
-  // minima over the current view kept incrementally
+  // stability: the counted members' cumulative mcast acks, with per-sender
+  // minima kept incrementally
   AckMatrix acks_;
+  /// Whether this member leads a view with listeners; only then does
+  /// listener_acks_ count {self, listeners}.
+  bool leads_listeners_ = false;
+  AckMatrix listener_acks_;
   /// Whether some stable() value may have moved since collect_stability()
   /// last ran.
   bool stability_moved_ = false;

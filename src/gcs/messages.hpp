@@ -89,8 +89,9 @@ struct HeartbeatShared {
 /// not on how many other nodes the member exchanges p2p messages with.
 struct HeartbeatSection {
   GroupId group;
-  /// The sender's p2p stream high-water mark towards the destination
-  /// (trailing-loss detection on that stream).
+  /// The sender's p2p stream high-water mark towards the destination while
+  /// it holds an unacked copy for it, else 0 (trailing-loss detection on
+  /// that stream; a section with a mark asks the destination to answer).
   std::uint64_t p2p_sent = 0;
   /// The highest p2p seq on the destination->sender stream that the sender
   /// has delivered (garbage-collects the destination's send buffer).

@@ -166,4 +166,13 @@ std::uint64_t AckMatrix::stable(net::NodeId sender) const {
   return stable == kNoRows ? 0 : stable;
 }
 
+AckMatrix::Row AckMatrix::stable_row() const {
+  Row row;
+  if (members_.empty() || missing_rows_ > 0) return row;
+  for (std::size_t j = 0; j < senders_.size(); ++j) {
+    if (min_[j] > 0) row.emplace_back(senders_[j], min_[j]);
+  }
+  return row;
+}
+
 }  // namespace aqueduct::gcs

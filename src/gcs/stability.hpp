@@ -7,10 +7,15 @@
 // sender -> highest contiguously delivered seq); this member's own row is
 // updated on every delivery.
 //
-// Which rows count and which senders are tracked are set per view: the rows
-// are the members whose heartbeats reach this member (all of them at a full
-// member; the full members plus itself at a listener), and the *columns*
-// are the view's senders, its full members (listeners never multicast).
+// Which rows count and which senders are tracked are set per view. The
+// *columns* are the view's senders, its full members (listeners never
+// multicast). The rows are the members whose acks reach this member along
+// the pairs that heartbeat: the full members and the leader at a full
+// member, and itself and the leader at a listener. The leader keeps two
+// matrices, one counting the full members and one counting itself and the
+// listeners, and announces each one's stable() values as its row to the
+// other side, so every row a member counts stands for the members behind
+// it (gcs/member.hpp).
 //
 // AckMatrix keeps the rows as NodeId-sorted flat vectors, and a copy of the
 // counted rows' cells of the tracked columns in one column-major array, so
@@ -59,6 +64,10 @@ class AckMatrix {
   /// missing from a row counts as 0. O(log n) for a tracked sender, O(n log
   /// n) for any other.
   std::uint64_t stable(net::NodeId sender) const;
+
+  /// stable() of every tracked sender where it is above 0, as a row sorted
+  /// by sender: what a member announces for the rows this matrix counts.
+  Row stable_row() const;
 
  private:
   static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);

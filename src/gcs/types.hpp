@@ -43,10 +43,10 @@ inline std::ostream& operator<<(std::ostream& os, GroupId id) {
 using ViewId = std::uint64_t;
 
 /// How a process takes part in a group, fixed when it joins. A full member
-/// multicasts, heartbeats to every other member and monitors all of them. A
-/// listener never multicasts; it heartbeats to and monitors the full members
-/// only, so two listeners never exchange heartbeats (member.hpp lists the
-/// two exceptions).
+/// multicasts, and heartbeats to and monitors the other full members. A
+/// listener never multicasts; it heartbeats to and monitors only the view's
+/// leader, which monitors everyone. Any other pair exchanges heartbeats only
+/// while a p2p copy between them is unacked (member.hpp).
 enum class Role : std::uint8_t { kMember = 0, kListener = 1 };
 
 /// A group view: the agreed membership at a point in the group's history.

@@ -473,6 +473,7 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
     AckMatrix acks;
     std::map<net::NodeId, std::map<net::NodeId, std::uint64_t>> rows;
     std::vector<net::NodeId> view;
+    std::vector<net::NodeId> tracked;  // sorted, like the view
     const auto all_stable = [&] {
       std::vector<std::uint64_t> out;
       for (std::uint32_t n = 1; n <= 9; ++n) out.push_back(acks.stable(net::NodeId{n}));
@@ -499,6 +500,7 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
           ++strict_subsets;
         }
         acks.set_view(view, senders, self);
+        tracked = senders;
       } else if (dice < 0.5) {
         const net::NodeId member = node();
         std::map<net::NodeId, std::uint64_t> row;
@@ -525,6 +527,13 @@ TEST(GcsAckMatrix, MatchesReferenceUnderRandomUpdates) {
                   reference_stable(rows, view, net::NodeId{n}))
             << "step " << step << " sender " << n;
       }
+      // The announced row lists every tracked sender stable above 0.
+      AckMatrix::Row announced;
+      for (const net::NodeId sender : tracked) {
+        const std::uint64_t ack = reference_stable(rows, view, sender);
+        if (ack > 0) announced.emplace_back(sender, ack);
+      }
+      ASSERT_EQ(acks.stable_row(), announced) << "step " << step;
     }
   }
   EXPECT_GT(strict_subsets, 0u);
@@ -600,13 +609,14 @@ TEST(GcsHeartbeat, SilentMemberHeartbeatsEmptyVectors) {
   EXPECT_EQ(f.member(2).stats().mcasts_sent, 0u);
 }
 
-// A section carries the sender's multicast acks and two p2p marks for its
+// A section carries a multicast ack row and two p2p marks for its
 // destination, so a full member's heartbeat to a listener is, by the field
 // list (group, p2p_sent, p2p_acked, shared{my_mcast_seq, mcast_acks}),
 //   frame header + 4 + 8 + 8 + 8 + (4 + 12 * senders)
-// where `senders` counts the full members whose multicasts it delivered:
+// where `senders` counts the full members whose multicasts are in the row:
 // it grows with m and not with the listeners, even when every listener has
-// a p2p stream with it.
+// a p2p stream with it. The leader sends one every tick; the other full
+// members only while they ask about an unacked reply.
 TEST(GcsHeartbeat, FullMemberToListenerSizeDependsOnFullMembersOnly) {
   for (const auto& [full, listeners] : {std::pair{2, 1}, std::pair{2, 4}, std::pair{3, 1},
                                         std::pair{3, 3}}) {
@@ -618,30 +628,33 @@ TEST(GcsHeartbeat, FullMemberToListenerSizeDependsOnFullMembersOnly) {
     f.join_all(roles);
     // Every full member multicasts; every listener exchanges p2p with each
     // full member.
-    for (int i = 0; i < full; ++i) f.member(static_cast<std::size_t>(i)).multicast(text("m"));
-    for (std::size_t l = static_cast<std::size_t>(full); l < n; ++l) {
-      for (int i = 0; i < full; ++i) {
-        const auto fm = static_cast<std::size_t>(i);
-        f.member(l).send_to(f.member(fm).self(), text("request"));
-        f.member(fm).send_to(f.member(l).self(), text("reply"));
+    const auto exchange = [&] {
+      for (std::size_t l = static_cast<std::size_t>(full); l < n; ++l) {
+        for (int i = 0; i < full; ++i) {
+          const auto fm = static_cast<std::size_t>(i);
+          f.member(l).send_to(f.member(fm).self(), text("request"));
+          f.member(fm).send_to(f.member(l).self(), text("reply"));
+        }
       }
-    }
+    };
+    for (int i = 0; i < full; ++i) f.member(static_cast<std::size_t>(i)).multicast(text("m"));
+    exchange();
     f.settle(milliseconds(600));
     f.tap().recording = true;
+    exchange();
     f.settle(milliseconds(500));
     const std::size_t expected =
         net::kFrameHeaderSize + 4 + 8 + 8 + 8 + 4 + 12 * static_cast<std::size_t>(full);
-    std::size_t checked = 0;
+    std::set<std::pair<net::NodeId, net::NodeId>> pairs;
     for (const auto& [from, to, hb] : f.tap().sent) {
       const View& view = f.member(0).view();
       if (view.is_listener(from) || !view.is_listener(to)) continue;
-      ++checked;
+      pairs.emplace(from, to);
       EXPECT_EQ(hb->shared->mcast_acks.size(), static_cast<std::size_t>(full));
-      EXPECT_GT(hb->p2p_sent, 0u);
       EXPECT_GT(hb->p2p_acked, 0u);
       EXPECT_EQ(hb->wire_size(), expected) << from << " -> " << to;
     }
-    EXPECT_GE(checked, static_cast<std::size_t>(full * listeners));
+    EXPECT_EQ(pairs.size(), static_cast<std::size_t>(full * listeners));
   }
 }
 
@@ -709,8 +722,9 @@ TEST(GcsListener, HeartbeatsFlowOnlyAlongPairsWithAFullMember) {
         << "listener " << from << " heartbeat listener " << to;
     pairs.emplace(from, to);
   }
-  // Every ordered pair with a full member in it heartbeats: 2 * 4 + 3 * 2.
-  EXPECT_EQ(pairs.size(), 14u);
+  // The two full members heartbeat each other, and the leader and each
+  // listener heartbeat each other: 2 + 2 * 3.
+  EXPECT_EQ(pairs.size(), 8u);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(f.member(i).view().id, settled)
         << "member " << i << ": a silent listener pair is not a failure";
@@ -834,6 +848,252 @@ TEST(GcsListener, ListenerMulticastFailsItsCheck) {
   f.join_all({kFull, kListen});
   EXPECT_THROW(f.member(1).multicast(text("no")), InvariantViolation);
   EXPECT_EQ(f.member(1).stats().mcasts_sent, 0u);
+}
+
+// --- Listeners heartbeat only the leader -------------------------------------
+
+/// The heartbeats recorded from `from` to `to`.
+std::vector<std::shared_ptr<const HeartbeatMsg>> sections(Fixture& f, net::NodeId from,
+                                                          net::NodeId to) {
+  std::vector<std::shared_ptr<const HeartbeatMsg>> out;
+  for (const auto& sent : f.tap().sent) {
+    if (sent.from == from && sent.to == to) out.push_back(sent.hb);
+  }
+  return out;
+}
+
+TEST(GcsListener, ListenerHeartbeatsOnlyTheLeader) {
+  Fixture f(5);
+  f.join_all({kFull, kFull, kListen, kListen, kListen});
+  const View view = f.member(0).view();
+  ASSERT_EQ(view.size(), 5u);
+  const net::NodeId leader = view.leader();
+  f.tap().recording = true;
+  f.settle(seconds(3));
+  std::set<net::NodeId> heard_by_leader;
+  for (const auto& [from, to, hb] : f.tap().sent) {
+    if (view.is_listener(from)) {
+      EXPECT_EQ(to, leader) << "listener " << from << " heartbeat " << to;
+      heard_by_leader.insert(from);
+    }
+    if (from != leader && !view.is_listener(from)) {
+      EXPECT_FALSE(view.is_listener(to)) << "full member " << from << " heartbeat listener " << to;
+    }
+  }
+  EXPECT_EQ(heard_by_leader.size(), 3u);
+  EXPECT_EQ(f.member(0).view().id, view.id) << "an unmonitored pair is not a failure";
+}
+
+TEST(GcsListener, ListenerAsksANonLeaderUntilItsCopyIsAcked) {
+  Fixture f(3);
+  f.join_all({kFull, kFull, kListen});
+  const net::NodeId replica = f.member(1).self(), listener = f.member(2).self();
+  const auto expect_silence = [&] {
+    f.tap().sent.clear();
+    f.settle(seconds(1));
+    EXPECT_TRUE(sections(f, listener, replica).empty());
+    EXPECT_TRUE(sections(f, replica, listener).empty());
+  };
+  expect_silence();
+
+  // Each ask announces the mark and each answer acks it; the answer asks
+  // nothing back, so the exchange ends once the copy is freed.
+  f.tap().sent.clear();
+  f.tap().recording = true;
+  f.member(2).send_to(replica, text("q0"));
+  f.settle(milliseconds(1500));
+  const auto asks = sections(f, listener, replica);
+  const auto answers = sections(f, replica, listener);
+  ASSERT_GE(asks.size(), 1u);
+  EXPECT_EQ(answers.size(), asks.size()) << "one answer per ask";
+  for (const auto& ask : asks) EXPECT_EQ(ask->p2p_sent, 1u);
+  for (const auto& answer : answers) {
+    EXPECT_EQ(answer->p2p_sent, 0u);
+    EXPECT_EQ(answer->p2p_acked, 1u);
+  }
+  EXPECT_EQ(f.member(2).buffer_sizes().p2p, 0u);
+  EXPECT_EQ(f.from_sender(1, listener), std::vector<std::string>{"q0"});
+  expect_silence();
+
+  // The first answer is lost: the copy stays unacked, so the listener asks
+  // again until an answer gets through.
+  f.network.set_link_loss(replica, listener, 1.0);
+  f.tap().sent.clear();
+  f.member(2).send_to(replica, text("q1"));
+  f.settle(milliseconds(510));  // past the replica's first answer
+  EXPECT_EQ(f.member(2).buffer_sizes().p2p, 1u);
+  f.network.clear_link_loss(replica, listener);
+  f.settle(milliseconds(1500));
+  EXPECT_GE(sections(f, listener, replica).size(), 3u);
+  EXPECT_EQ(f.member(2).buffer_sizes().p2p, 0u);
+  EXPECT_EQ(f.from_sender(1, listener), (std::vector<std::string>{"q0", "q1"}));
+  expect_silence();
+  EXPECT_EQ(f.member(0).view().size(), 3u);
+}
+
+TEST(GcsListener, TrailingReplyLossIsRepairedThroughTheAsksMark) {
+  Fixture f(3);
+  f.join_all({kFull, kFull, kListen});
+  const net::NodeId replica = f.member(1).self(), listener = f.member(2).self();
+  f.network.set_link_loss(replica, listener, 1.0);
+  f.member(1).send_to(listener, text("r0"));
+  f.member(1).send_to(listener, text("r1"));
+  f.settle(milliseconds(50));
+  f.network.clear_link_loss(replica, listener);
+  f.tap().recording = true;
+  // Only the replica's asks announce the lost tail.
+  f.settle(seconds(2));
+  EXPECT_EQ(f.from_sender(2, replica), (std::vector<std::string>{"r0", "r1"}));
+  EXPECT_GT(f.member(2).stats().nacks_sent, 0u);
+  const auto asks = sections(f, replica, listener);
+  ASSERT_FALSE(asks.empty());
+  EXPECT_EQ(asks.front()->p2p_sent, 2u);
+  EXPECT_EQ(f.member(1).buffer_sizes().p2p, 0u);
+  f.tap().sent.clear();
+  f.settle(seconds(1));
+  EXPECT_TRUE(sections(f, replica, listener).empty());
+  EXPECT_TRUE(sections(f, listener, replica).empty());
+}
+
+// A copy to a node outside the view is never asked about (no section goes
+// to that node) and is freed at the next install.
+TEST(GcsHeartbeat, CopyToANodeOutsideTheViewIsFreedAtTheNextInstall) {
+  Fixture f(4);
+  for (std::size_t i = 0; i < 2; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle();
+  const net::NodeId outsider = f.endpoints[2]->id();
+  f.tap().recording = true;
+  f.member(0).send_to(outsider, text("stray"));
+  f.settle(seconds(2));
+  EXPECT_EQ(f.member(0).buffer_sizes().p2p, 1u);
+  f.member(3).join();
+  f.settle(seconds(1));
+  ASSERT_EQ(f.member(0).view().size(), 3u);
+  EXPECT_EQ(f.member(0).buffer_sizes().p2p, 0u);
+  for (const auto& sent : f.tap().sent) EXPECT_NE(sent.to, outsider) << "from " << sent.from;
+}
+
+TEST(GcsListener, FullMembersHearListenerAcksOnlyThroughTheLeader) {
+  Fixture f(5);
+  f.join_all({kFull, kFull, kFull, kListen, kListen});
+  const View view = f.member(0).view();
+  f.tap().recording = true;
+  // Listener 4 keeps delivering, but its heartbeats (its acks) are lost for
+  // less than the suspect timeout: a non-leader's multicasts stay pinned.
+  f.network.set_outbound_loss(f.member(4).self(), 1.0);
+  for (int i = 0; i < 4; ++i) f.member(1).multicast(text("s" + std::to_string(i)));
+  f.settle(milliseconds(900));
+  EXPECT_EQ(f.from_sender(4, f.member(1).self()).size(), 4u);
+  EXPECT_EQ(f.member(1).buffer_sizes().sent, 4u);
+  EXPECT_EQ(f.member(2).buffer_sizes().retained, 4u);
+  EXPECT_EQ(f.member(0).buffer_sizes().retained, 4u);
+  EXPECT_EQ(f.member(3).buffer_sizes().retained, 0u) << "a listener waits for full members only";
+  f.network.set_outbound_loss(f.member(4).self(), 0.0);
+  f.settle(milliseconds(600));
+  expect_no_unstable_copies(f, 5);
+
+  // Listener 3 misses member 2's trailing multicasts; only the leader's
+  // announced row tells it they exist.
+  const net::NodeId sender = f.member(2).self(), lagging = f.member(3).self();
+  f.network.set_link_loss(sender, lagging, 1.0);
+  for (int i = 0; i < 3; ++i) f.member(2).multicast(text("t" + std::to_string(i)));
+  f.settle(milliseconds(50));
+  f.network.clear_link_loss(sender, lagging);
+  f.settle(seconds(2));
+  EXPECT_EQ(f.from_sender(3, sender), (std::vector<std::string>{"t0", "t1", "t2"}));
+  EXPECT_GT(f.member(3).stats().nacks_sent, 0u);
+  expect_no_unstable_copies(f, 5);
+
+  for (const auto& [from, to, hb] : f.tap().sent) {
+    const bool leader_pair = from == view.leader() || to == view.leader();
+    EXPECT_TRUE(leader_pair || view.is_listener(from) == view.is_listener(to))
+        << from << " -> " << to;
+  }
+  EXPECT_EQ(f.member(0).view().id, view.id) << "nobody may have been suspected";
+}
+
+TEST(GcsListener, LaggingListenerGetsTheMessageAfterTheLeaderCrashes) {
+  Fixture f(4);
+  f.join_all({kFull, kFull, kFull, kListen});
+  const net::NodeId sender = f.member(1).self(), lagging = f.member(3).self();
+  f.network.set_link_loss(sender, lagging, 1.0);
+  f.member(1).multicast(text("x"));
+  f.settle(milliseconds(5));
+  f.network.clear_link_loss(sender, lagging);
+  // The leader crashes before it can announce the lost message.
+  f.endpoints[0]->crash();
+  f.settle(seconds(1));
+  EXPECT_TRUE(f.from_sender(3, sender).empty()) << "only the leader announces it";
+  EXPECT_EQ(f.member(1).buffer_sizes().sent, 1u) << "the sender holds it";
+
+  f.settle(seconds(3));
+  for (std::size_t i = 1; i < 4; ++i) {
+    ASSERT_EQ(f.member(i).view().size(), 3u) << "member " << i;
+    EXPECT_EQ(f.member(i).view().leader(), sender) << "member " << i;
+    EXPECT_EQ(f.member(i).stats().flush_gaps, 0u) << "member " << i;
+  }
+  EXPECT_EQ(f.from_sender(3, sender), std::vector<std::string>{"x"});
+  f.settle(seconds(1));
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(f.member(i).buffer_sizes().retained, 0u) << "member " << i;
+    EXPECT_EQ(f.member(i).buffer_sizes().sent, 0u) << "member " << i;
+  }
+}
+
+// The acting coordinator does not monitor the listeners, so it learns that
+// one is gone from the propose it asks about unanswered.
+TEST(GcsListener, LeaderAndListenerCrashingTogetherLeaveNobodyBlocked) {
+  Fixture f(5);
+  f.join_all({kFull, kFull, kFull, kListen, kListen});
+  ASSERT_EQ(f.member(1).view().size(), 5u);
+  const net::NodeId listener = f.member(4).self();
+  f.endpoints[0]->crash();
+  f.endpoints[3]->crash();
+  f.settle(seconds(8));
+  for (const std::size_t i : {1u, 2u, 4u}) {
+    ASSERT_EQ(f.member(i).view().size(), 3u) << "member " << i;
+    EXPECT_EQ(f.member(i).view().leader(), f.member(1).self()) << "member " << i;
+    EXPECT_EQ(f.member(i).view().listeners, std::vector<net::NodeId>{listener});
+  }
+  // Nobody is left blocked: new sends go out and are delivered.
+  f.member(2).multicast(text("after"));
+  f.member(4).send_to(f.member(2).self(), text("hello"));
+  f.settle(seconds(1));
+  for (const std::size_t i : {1u, 2u, 4u}) {
+    EXPECT_EQ(f.from_sender(i, f.member(2).self()), std::vector<std::string>{"after"})
+        << "member " << i;
+  }
+  EXPECT_EQ(f.from_sender(2, listener), std::vector<std::string>{"hello"});
+  f.settle(seconds(1));
+  for (const std::size_t i : {1u, 2u, 4u}) {
+    EXPECT_EQ(f.member(i).buffer_sizes().p2p, 0u) << "member " << i;
+    EXPECT_EQ(f.member(i).buffer_sizes().sent, 0u) << "member " << i;
+  }
+}
+
+// A replica whose link to a client is broken is never answered, so it
+// suspects the client, and the view that removes the client frees its copies.
+TEST(GcsListener, UnansweredAsksEndInAViewChange) {
+  Fixture f(3);
+  f.join_all({kFull, kFull, kListen});
+  const net::NodeId replica = f.member(1).self(), listener = f.member(2).self();
+  const ViewId settled = f.member(0).view().id;
+  f.network.set_link_loss(replica, listener, 1.0);
+  for (int i = 0; i < 3; ++i) f.member(1).send_to(listener, text("r" + std::to_string(i)));
+  f.settle(seconds(1));
+  EXPECT_EQ(f.member(1).buffer_sizes().p2p, 3u);
+  EXPECT_EQ(f.member(0).view().id, settled) << "asked for less than the suspect timeout";
+
+  f.settle(seconds(3));
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(f.member(i).view().size(), 2u) << "member " << i;
+    EXPECT_FALSE(f.member(i).view().contains(listener)) << "member " << i;
+  }
+  EXPECT_EQ(f.member(1).buffer_sizes().p2p, 0u) << "the install frees the copies";
+  EXPECT_EQ(f.member(0).buffer_sizes().p2p, 0u);
 }
 
 TEST(GcsLeave, GracefulLeaveShrinksView) {
@@ -1004,7 +1264,8 @@ TEST(GcsBundle, OneHeartbeatPerOrderedPairCarriesEveryGroupsSection) {
   };
   const auto before = marks_of(f.one_tick());
   // Node 0 sends node 1 one, two and three more p2p messages in the three
-  // groups; it all arrives within the period.
+  // groups; it all arrives before the next tick, whose sections announce
+  // node 0's marks and carry node 1's acks. Both cross in flight.
   const net::NodeId a = f.endpoints[0]->id();
   const net::NodeId b = f.endpoints[1]->id();
   for (std::size_t k = 0; k < SharedGroups::kGroups.size(); ++k) {
@@ -1012,7 +1273,7 @@ TEST(GcsBundle, OneHeartbeatPerOrderedPairCarriesEveryGroupsSection) {
       f.member(0, SharedGroups::kGroups[k]).send_to(b, text("p"));
     }
   }
-  f.sim.run_for(Config{}.heartbeat_period);
+  const auto crossing = marks_of(f.one_tick());
 
   const auto sent = f.one_tick();
   const auto after = marks_of(sent);
@@ -1029,16 +1290,16 @@ TEST(GcsBundle, OneHeartbeatPerOrderedPairCarriesEveryGroupsSection) {
     const auto expect = [&](const HeartbeatSection& section) {
       shared_of[{from, section.group}].insert(section.shared.get());
       std::vector<HeartbeatRoute> routes;
-      const auto own = f.member(sender, section.group).heartbeat(routes);
-      ASSERT_TRUE(own);
-      EXPECT_EQ(*section.shared, *own) << section.group;
+      f.member(sender, section.group).heartbeat(routes);
       const auto route = std::find_if(routes.begin(), routes.end(),
                                       [&](const HeartbeatRoute& r) { return r.dest == to; });
       ASSERT_NE(route, routes.end()) << section.group;
+      EXPECT_EQ(*section.shared, *route->shared) << section.group;
       EXPECT_EQ(section.p2p_sent, route->p2p_sent) << section.group;
       EXPECT_EQ(section.p2p_acked, route->p2p_acked) << section.group;
-      // Nothing is in flight: what one end sent, the other end acks.
-      EXPECT_EQ(section.p2p_sent, after.at({to, from, section.group}).second) << section.group;
+      // Nothing is in flight and every copy is acked, so no section
+      // announces a mark.
+      EXPECT_EQ(section.p2p_sent, 0u) << section.group;
     };
     expect(*hb);
     for (const HeartbeatSection& rider : hb->riders) expect(rider);
@@ -1052,12 +1313,22 @@ TEST(GcsBundle, OneHeartbeatPerOrderedPairCarriesEveryGroupsSection) {
   for (const auto& [from, messages] : messages_from) EXPECT_EQ(messages.size(), 2u);
   EXPECT_EQ(shared_of.size(), 9u);
   for (const auto& [key, shared] : shared_of) EXPECT_EQ(shared.size(), 1u) << key.second;
-  // The marks count exactly the p2p messages sent and delivered.
+  // The marks count exactly the p2p messages sent and delivered: node 0
+  // announces its mark only while it holds the unacked copies, and node 1's
+  // ack matches it.
   for (std::size_t k = 0; k < SharedGroups::kGroups.size(); ++k) {
     const GroupId g = SharedGroups::kGroups[k];
-    EXPECT_EQ(after.at({a, b, g}).first, before.at({a, b, g}).first + k + 1) << g;
-    EXPECT_EQ(after.at({b, a, g}).second, before.at({b, a, g}).second + k + 1) << g;
-    EXPECT_EQ(after.at({b, a, g}).first, before.at({b, a, g}).first) << g;
+    EXPECT_EQ(before.at({a, b, g}).first, 0u) << g;
+    EXPECT_EQ(crossing.at({b, a, g}).second, before.at({b, a, g}).second + k + 1) << g;
+    EXPECT_EQ(crossing.at({a, b, g}).first, crossing.at({b, a, g}).second) << g;
+    EXPECT_EQ(after.at({a, b, g}).first, 0u) << g;
+    EXPECT_EQ(after.at({b, a, g}).second, crossing.at({b, a, g}).second) << g;
+    EXPECT_EQ(after.at({b, a, g}).first, 0u) << g;
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const GroupId g : SharedGroups::kGroups) {
+      EXPECT_EQ(f.member(i, g).buffer_sizes().p2p, 0u) << "member " << i << " of " << g;
+    }
   }
 }
 
