@@ -23,24 +23,6 @@ constexpr sim::Duration kRetryBackoffCap = std::chrono::seconds(15);
 constexpr double kRetryJitter = 0.1;
 }  // namespace
 
-ClientHandler::Instruments::Instruments(obs::MetricsRegistry& reg)
-    : reads_issued(reg.counter("client.reads_issued")),
-      reads_completed(reg.counter("client.reads_completed")),
-      reads_abandoned(reg.counter("client.reads_abandoned")),
-      updates_issued(reg.counter("client.updates_issued")),
-      updates_completed(reg.counter("client.updates_completed")),
-      timing_failures(reg.counter("client.timing_failures")),
-      deferred_replies(reg.counter("client.deferred_replies")),
-      retries(reg.counter("client.retries")),
-      transmit_attempts(reg.counter("client.transmit_attempts")),
-      retry_backoff_ms(reg.counter("client.retry_backoff_ms")),
-      staleness_violations(reg.counter("client.staleness_violations")),
-      replicas_selected_total(reg.counter("client.replicas_selected_total")),
-      selection_attempts(reg.counter("client.selection_attempts")),
-      read_response_ms(reg.histogram("client.read_response_ms")),
-      update_response_ms(reg.histogram("client.update_response_ms")),
-      gateway_ms(reg.histogram("client.gateway_ms")) {}
-
 ClientHandler::ClientHandler(runtime::Executor& exec, gcs::Endpoint& endpoint,
                              replication::ServiceGroups groups,
                              ClientConfig config)
@@ -51,7 +33,11 @@ ClientHandler::ClientHandler(runtime::Executor& exec, gcs::Endpoint& endpoint,
       rng_(exec.rng().split()),
       repository_(config_.window_size, kPmfResolution),
       obs_(endpoint.observability()),
-      metrics_(obs_.metrics) {
+      stats_(&obs_.metrics, "client."),
+      backoff_(&obs_.metrics, "client."),
+      read_response_ms_(obs_.metrics.histogram("client.read_response_ms")),
+      update_response_ms_(obs_.metrics.histogram("client.update_response_ms")),
+      gateway_ms_(obs_.metrics.histogram("client.gateway_ms")) {
   if (config_.selector == nullptr) {
     config_.selector = std::make_unique<core::ProbabilisticSelector>();
   }
@@ -90,8 +76,7 @@ void ClientHandler::read(net::MessagePtr op, const core::QoSSpec& qos,
   req.qos = qos;
   req.read_done = std::move(done);
   req.t0 = t0;
-  ++stats_.reads_issued;
-  metrics_.reads_issued.inc();
+  stats_.inc(&ClientStats::reads_issued);
   span(obs::SpanKind::kIssue, id, net::NodeId{},
        static_cast<std::uint64_t>(sim::to_ms(qos.deadline)));
   transmit_read(id, req);
@@ -112,8 +97,7 @@ void ClientHandler::update(net::MessagePtr op, UpdateCallback done) {
   req.op = std::move(op);
   req.update_done = std::move(done);
   req.t0 = t0;
-  ++stats_.updates_issued;
-  metrics_.updates_issued.inc();
+  stats_.inc(&ClientStats::updates_issued);
   span(obs::SpanKind::kIssue, id, net::NodeId{});
   transmit_update(id, req);
 }
@@ -162,10 +146,8 @@ void ClientHandler::transmit_read(const replication::RequestId& id,
   req.predicted_probability = selection.predicted_probability;
   // Every attempt runs a selection; retries count too, so the average
   // reported per attempt matches what the selector actually chose.
-  ++stats_.selection_attempts;
-  metrics_.selection_attempts.inc();
-  stats_.replicas_selected_total += selection.selected.size();
-  metrics_.replicas_selected_total.inc(selection.selected.size());
+  stats_.inc(&ClientStats::selection_attempts);
+  stats_.inc(&ClientStats::replicas_selected_total, selection.selected.size());
 
   auto request = std::make_shared<replication::ReadRequest>();
   request->id = id;
@@ -174,8 +156,7 @@ void ClientHandler::transmit_read(const replication::RequestId& id,
 
   req.tm = now;
   ++req.attempts;
-  ++stats_.transmit_attempts;
-  metrics_.transmit_attempts.inc();
+  stats_.inc(&ClientStats::transmit_attempts);
   span(obs::SpanKind::kSend, id, roles.sequencer, selection.selected.size());
   // The selected set K plus the sequencer (Algorithm 1 lines 13/16).
   qos_member_->send_to_set(selection.selected, request);
@@ -196,8 +177,7 @@ void ClientHandler::transmit_update(const replication::RequestId& id,
 
   req.tm = exec_.now();
   ++req.attempts;
-  ++stats_.transmit_attempts;
-  metrics_.transmit_attempts.inc();
+  stats_.inc(&ClientStats::transmit_attempts);
   span(obs::SpanKind::kSend, id, roles.sequencer, roles.primaries.size() + 1);
   // Updates go to every member of the primary group, sequencer included
   // (Section 4.1.1).
@@ -222,8 +202,9 @@ void ClientHandler::arm_retry(const replication::RequestId& id) {
   delay_ms = std::max(delay_ms, 1.0);
   const auto delay = std::chrono::duration_cast<sim::Duration>(
       std::chrono::duration<double, std::milli>(delay_ms));
-  stats_.total_retry_backoff += delay;
-  metrics_.retry_backoff_ms.inc(static_cast<std::uint64_t>(delay_ms));
+  stats_.add(&ClientStats::total_retry_backoff, delay);
+  backoff_.inc(&BackoffStats::retry_backoff_ms,
+               static_cast<std::uint64_t>(delay_ms));
   req.retry_timer = exec_.after(delay, [this, id] { on_retry(id); });
 }
 
@@ -238,8 +219,7 @@ void ClientHandler::on_retry(const replication::RequestId& id) {
     span(obs::SpanKind::kAbandon, id, net::NodeId{}, req.attempts,
          exec_.now() - req.t0);
     if (req.is_read) {
-      ++stats_.reads_abandoned;
-      metrics_.reads_abandoned.inc();
+      stats_.inc(&ClientStats::reads_abandoned);
       ReadOutcome outcome;
       outcome.response_time = exec_.now() - req.t0;
       outcome.timing_failure = true;
@@ -261,8 +241,7 @@ void ClientHandler::on_retry(const replication::RequestId& id) {
     outstanding_.erase(it);
     return;
   }
-  ++stats_.retries;
-  metrics_.retries.inc();
+  stats_.inc(&ClientStats::retries);
   span(obs::SpanKind::kRetry, id, net::NodeId{}, req.attempts);
   if (req.is_read) {
     transmit_read(id, req);
@@ -310,7 +289,7 @@ void ClientHandler::handle_reply(
   const sim::Duration tg =
       std::max(sim::Duration::zero(), (tp - req.tm) - reply->t1);
   repository_.record_reply(reply->replica, tg, tp);
-  metrics_.gateway_ms.observe(sim::to_ms(tg));
+  gateway_ms_.observe(sim::to_ms(tg));
   span(obs::SpanKind::kReceive, reply->id, reply->replica,
        req.completed ? 1 : 0, tp - req.tm);
 
@@ -322,10 +301,9 @@ void ClientHandler::handle_reply(
   if (req.is_read) {
     complete_read(reply->id, req, reply.get());
   } else {
-    ++stats_.updates_completed;
-    metrics_.updates_completed.inc();
-    stats_.total_update_response_time += tp - req.t0;
-    metrics_.update_response_ms.observe(sim::to_ms(tp - req.t0));
+    stats_.inc(&ClientStats::updates_completed);
+    stats_.add(&ClientStats::total_update_response_time, tp - req.t0);
+    update_response_ms_.observe(sim::to_ms(tp - req.t0));
     UpdateOutcome outcome;
     outcome.result = reply->result;
     outcome.response_time = tp - req.t0;
@@ -361,23 +339,19 @@ void ClientHandler::complete_read(const replication::RequestId& id,
   outcome.gateway = tr - outcome.client_overhead - reply->ts - reply->tq -
                     reply->tb;
 
-  ++stats_.reads_completed;
-  metrics_.reads_completed.inc();
-  stats_.total_response_time += tr;
-  metrics_.read_response_ms.observe(sim::to_ms(tr));
+  stats_.inc(&ClientStats::reads_completed);
+  stats_.add(&ClientStats::total_response_time, tr);
+  read_response_ms_.observe(sim::to_ms(tr));
   if (outcome.timing_failure) {
-    ++stats_.timing_failures;
-    metrics_.timing_failures.inc();
+    stats_.inc(&ClientStats::timing_failures);
   } else {
     ++timely_reads_;
   }
   if (outcome.deferred) {
-    ++stats_.deferred_replies;
-    metrics_.deferred_replies.inc();
+    stats_.inc(&ClientStats::deferred_replies);
   }
   if (outcome.staleness > req.qos.staleness_threshold) {
-    ++stats_.staleness_violations;
-    metrics_.staleness_violations.inc();
+    stats_.inc(&ClientStats::staleness_violations);
   }
   span(obs::SpanKind::kComplete, id, reply->replica,
        outcome.timing_failure ? 1 : 0, tr);
@@ -393,9 +367,9 @@ void ClientHandler::complete_read(const replication::RequestId& id,
 }
 
 void ClientHandler::check_alarm(const core::QoSSpec& qos) {
-  if (!alarm_ || stats_.reads_completed == 0) return;
+  if (!alarm_ || stats_.get().reads_completed == 0) return;
   const double timely_rate = static_cast<double>(timely_reads_) /
-                             static_cast<double>(stats_.reads_completed);
+                             static_cast<double>(stats_.get().reads_completed);
   if (timely_rate < qos.min_probability) {
     alarm_(1.0 - timely_rate);
   }

@@ -27,6 +27,7 @@
 #include "core/qos.hpp"
 #include "core/selection.hpp"
 #include "gcs/endpoint.hpp"
+#include "obs/mirrored_stats.hpp"
 #include "obs/observability.hpp"
 #include "replication/messages.hpp"
 #include "replication/service.hpp"
@@ -116,6 +117,25 @@ struct ClientStats {
   sim::Duration total_response_time = sim::Duration::zero();
   sim::Duration total_update_response_time = sim::Duration::zero();
 
+  template <typename V>
+  void fields(V& v) {
+    v("reads_issued", reads_issued);
+    v("reads_completed", reads_completed);
+    v("reads_abandoned", reads_abandoned);
+    v("updates_issued", updates_issued);
+    v("updates_completed", updates_completed);
+    v("timing_failures", timing_failures);
+    v("deferred_replies", deferred_replies);
+    v("retries", retries);
+    v("transmit_attempts", transmit_attempts);
+    v("total_retry_backoff", total_retry_backoff);
+    v("staleness_violations", staleness_violations);
+    v("replicas_selected_total", replicas_selected_total);
+    v("selection_attempts", selection_attempts);
+    v("total_response_time", total_response_time);
+    v("total_update_response_time", total_update_response_time);
+  }
+
   double timing_failure_probability() const {
     return reads_completed == 0
                ? 0.0
@@ -171,7 +191,7 @@ class ClientHandler {
 
   bool ready() const { return repository_.has_roles(); }
   net::NodeId id() const { return endpoint_.id(); }
-  const ClientStats& stats() const { return stats_; }
+  const ClientStats& stats() const { return stats_.get(); }
   const InfoRepository& repository() const { return repository_; }
   core::ReplicaSelector& selector() { return *config_.selector; }
 
@@ -241,30 +261,20 @@ class ClientHandler {
   std::deque<PendingApp> pending_;  // issued before the role map arrived
 
   std::uint64_t timely_reads_ = 0;
-  /// Per-client view (the `stats()` accessor); increments are mirrored
-  /// into the registry-wide "client.*" aggregates.
-  ClientStats stats_;
   obs::Observability& obs_;
-  struct Instruments {
-    explicit Instruments(obs::MetricsRegistry& reg);
-    obs::Counter& reads_issued;
-    obs::Counter& reads_completed;
-    obs::Counter& reads_abandoned;
-    obs::Counter& updates_issued;
-    obs::Counter& updates_completed;
-    obs::Counter& timing_failures;
-    obs::Counter& deferred_replies;
-    obs::Counter& retries;
-    obs::Counter& transmit_attempts;
-    obs::Counter& retry_backoff_ms;
-    obs::Counter& staleness_violations;
-    obs::Counter& replicas_selected_total;
-    obs::Counter& selection_attempts;
-    obs::Histogram& read_response_ms;
-    obs::Histogram& update_response_ms;
-    obs::Histogram& gateway_ms;
+  obs::MirroredStats<ClientStats> stats_;
+  /// Retry backoff in whole ms, each delay truncated (client.retry_backoff_ms).
+  struct BackoffStats {
+    std::uint64_t retry_backoff_ms = 0;
+    template <typename V>
+    void fields(V& v) {
+      v("retry_backoff_ms", retry_backoff_ms);
+    }
   };
-  Instruments metrics_;
+  obs::MirroredStats<BackoffStats> backoff_;
+  obs::Histogram& read_response_ms_;
+  obs::Histogram& update_response_ms_;
+  obs::Histogram& gateway_ms_;
 };
 
 }  // namespace aqueduct::client

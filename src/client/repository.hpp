@@ -143,11 +143,6 @@ class InfoRepository {
   /// Estimated update arrival rate λ_u (per second).
   double arrival_rate() const { return arrival_rate_.rate_per_second(); }
 
-  /// Estimated time since the last lazy update.
-  sim::Duration elapsed_since_lazy(sim::TimePoint now) const {
-    return lazy_tracker_.elapsed_since_lazy_update(now);
-  }
-
   /// Lazy-update period T_L learned from the publisher (zero if unknown).
   sim::Duration lazy_period() const { return lazy_tracker_.period(); }
 

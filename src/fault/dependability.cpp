@@ -14,9 +14,7 @@ DependabilityManager::DependabilityManager(runtime::Executor& exec,
       config_(config),
       hooks_(std::move(hooks)),
       restarts_budget_(config.max_restarts),
-      c_polls_(obs.metrics.counter("dm.polls")),
-      c_deficits_(obs.metrics.counter("dm.deficits_observed")),
-      c_restarts_(obs.metrics.counter("dm.restarts_issued")) {
+      stats_(&obs.metrics, "dm.") {
   AQUEDUCT_CHECK(static_cast<bool>(hooks_.num_replicas));
   AQUEDUCT_CHECK(static_cast<bool>(hooks_.alive));
   AQUEDUCT_CHECK(static_cast<bool>(hooks_.restart));
@@ -33,8 +31,7 @@ void DependabilityManager::stop() {
 }
 
 void DependabilityManager::tick() {
-  ++stats_.polls;
-  c_polls_.inc();
+  stats_.inc(&DependabilityStats::polls);
 
   const std::size_t slots = hooks_.num_replicas();
   const std::size_t target =
@@ -46,8 +43,7 @@ void DependabilityManager::tick() {
   }
   if (live + pending_.size() >= target) return;
 
-  ++stats_.deficits_observed;
-  c_deficits_.inc();
+  stats_.inc(&DependabilityStats::deficits_observed);
 
   // Schedule one bounded-latency restart per dead slot until the level
   // (counting restarts already in flight) reaches the target again.
@@ -63,8 +59,7 @@ void DependabilityManager::tick() {
                  if (token.expired()) return;
                  pending_.erase(i);
                  if (hooks_.alive(i)) return;  // raced with a manual restart
-                 ++stats_.restarts_issued;
-                 c_restarts_.inc();
+                 stats_.inc(&DependabilityStats::restarts_issued);
                  hooks_.restart(i);
                });
   }

@@ -16,6 +16,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "obs/mirrored_stats.hpp"
 #include "obs/observability.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/periodic_task.hpp"
@@ -40,6 +41,13 @@ struct DependabilityStats {
   /// Polls that observed fewer live replicas than the target.
   std::uint64_t deficits_observed = 0;
   std::uint64_t restarts_issued = 0;
+
+  template <typename V>
+  void fields(V& v) {
+    v("polls", polls);
+    v("deficits_observed", deficits_observed);
+    v("restarts_issued", restarts_issued);
+  }
 };
 
 class DependabilityManager {
@@ -62,7 +70,7 @@ class DependabilityManager {
   void start();
   void stop();
 
-  const DependabilityStats& stats() const { return stats_; }
+  const DependabilityStats& stats() const { return stats_.get(); }
 
  private:
   void tick();
@@ -74,10 +82,7 @@ class DependabilityManager {
   /// Slots with a restart scheduled but not yet fired.
   std::unordered_set<std::size_t> pending_;
   std::size_t restarts_budget_;
-  DependabilityStats stats_;
-  obs::Counter& c_polls_;
-  obs::Counter& c_deficits_;
-  obs::Counter& c_restarts_;
+  obs::MirroredStats<DependabilityStats> stats_;
   /// Weakly captured by the scheduled restart lambdas so a destroyed
   /// manager's in-flight restarts become no-ops.
   std::shared_ptr<const bool> alive_token_ = std::make_shared<bool>(true);

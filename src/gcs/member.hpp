@@ -85,6 +85,7 @@
 #include "gcs/types.hpp"
 #include "net/message.hpp"
 #include "net/node.hpp"
+#include "obs/mirrored_stats.hpp"
 #include "obs/observability.hpp"
 #include "runtime/executor.hpp"
 
@@ -99,7 +100,7 @@ struct HeartbeatRoute {
   std::shared_ptr<const HeartbeatShared> shared;
 };
 
-/// Protocol statistics used by tests and traces.
+/// Protocol statistics used by tests and traces, mirrored to "gcs.<name>".
 struct MemberStats {
   std::uint64_t mcasts_sent = 0;
   std::uint64_t p2p_sent = 0;
@@ -109,6 +110,18 @@ struct MemberStats {
   std::uint64_t retransmissions = 0;
   std::uint64_t view_changes = 0;
   std::uint64_t flush_gaps = 0;  // messages lost despite flush (crash loss)
+
+  template <typename V>
+  void fields(V& v) {
+    v("mcasts_sent", mcasts_sent);
+    v("p2p_sent", p2p_sent);
+    v("delivered", delivered);
+    v("duplicates_dropped", duplicates_dropped);
+    v("nacks_sent", nacks_sent);
+    v("retransmissions", retransmissions);
+    v("view_changes", view_changes);
+    v("flush_gaps", flush_gaps);
+  }
 };
 
 class Member {
@@ -199,7 +212,7 @@ class Member {
   net::NodeId self() const { return self_; }
   GroupId group() const { return group_; }
   bool is_leader() const { return joined_ && view_.leader() == self_; }
-  const MemberStats& stats() const { return stats_; }
+  const MemberStats& stats() const { return stats_.get(); }
   const Config& config() const { return config_; }
 
   /// Copies this member still holds: delivered multicasts retained for the
@@ -385,21 +398,7 @@ class Member {
   sim::EventHandle join_retry_;
   std::shared_ptr<const InstallMsg> last_install_;  // for lost-install repair
 
-  /// Per-member view (the `stats()` accessor); the same increments are
-  /// mirrored into the registry-wide "gcs.*" aggregates below.
-  MemberStats stats_;
-  struct Instruments {
-    explicit Instruments(obs::MetricsRegistry& reg);
-    obs::Counter& mcasts_sent;
-    obs::Counter& p2p_sent;
-    obs::Counter& delivered;
-    obs::Counter& duplicates_dropped;
-    obs::Counter& nacks_sent;
-    obs::Counter& retransmissions;
-    obs::Counter& view_changes;
-    obs::Counter& flush_gaps;
-  };
-  Instruments metrics_;
+  obs::MirroredStats<MemberStats> stats_;
 };
 
 }  // namespace aqueduct::gcs

@@ -1,13 +1,15 @@
 // Unified metrics registry for the whole stack.
 //
 // Every layer (sim, net, gcs, replication, client, harness) registers named
-// instruments here instead of growing private ad-hoc counter structs. The
-// registry owns the instrument storage; components hold references obtained
-// at construction time, so the hot-path cost of an increment is one relaxed
-// atomic add. Instruments are aggregated by name: two components asking
-// for the same counter share one cell, which is exactly what fleet-level
-// metrics want (per-instance views stay available through the components'
-// existing `stats()` accessors).
+// instruments here. The registry owns the instrument storage; components
+// hold references obtained at construction time, so the hot-path cost of
+// an increment is one relaxed atomic add. Instruments are aggregated by
+// name: two components asking for the same counter share one cell, which
+// is exactly what fleet-level metrics want. The protocol layers' event
+// counters also have a per-instance view, their components' `stats()`:
+// each stats struct lists its fields once, and obs::MirroredStats
+// (obs/mirrored_stats.hpp) binds every counter field to the registry
+// counter named after it, so one call bumps both.
 //
 // Concurrency contract (the registry is shared by the real-time event loop,
 // client threads, the sweep coordinator, and the telemetry snapshotter):

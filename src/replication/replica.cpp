@@ -30,24 +30,6 @@ constexpr sim::Duration kCommitStallCheck = std::chrono::seconds(1);
 
 }  // namespace
 
-ReplicaServer::Instruments::Instruments(obs::MetricsRegistry& reg)
-    : updates_committed(reg.counter("repl.updates_committed")),
-      reads_served(reg.counter("repl.reads_served")),
-      deferred_reads(reg.counter("repl.deferred_reads")),
-      gsn_assigned(reg.counter("repl.gsn_assigned")),
-      lazy_updates_published(reg.counter("repl.lazy_updates_published")),
-      lazy_updates_installed(reg.counter("repl.lazy_updates_installed")),
-      duplicate_requests(reg.counter("repl.duplicate_requests")),
-      gsn_conflicts(reg.counter("repl.gsn_conflicts")),
-      state_transfers_requested(reg.counter("repl.state_transfers_requested")),
-      state_snapshots_served(reg.counter("repl.state_snapshots_served")),
-      state_snapshots_installed(reg.counter("repl.state_snapshots_installed")),
-      recoveries_completed(reg.counter("repl.recoveries_completed")),
-      evictions(reg.counter("repl.evictions")),
-      service_ms(reg.histogram("repl.service_ms")),
-      queueing_ms(reg.histogram("repl.queueing_ms")),
-      lazy_wait_ms(reg.histogram("repl.lazy_wait_ms")) {}
-
 ReplicaServer::ReplicaServer(runtime::Executor& exec, gcs::Endpoint& endpoint,
                              ServiceGroups groups, bool is_primary,
                              std::unique_ptr<ReplicatedObject> object,
@@ -60,7 +42,10 @@ ReplicaServer::ReplicaServer(runtime::Executor& exec, gcs::Endpoint& endpoint,
       config_(std::move(config)),
       rng_(exec.rng().split()),
       obs_(endpoint.observability()),
-      metrics_(obs_.metrics) {
+      stats_(&obs_.metrics, "repl."),
+      service_ms_(obs_.metrics.histogram("repl.service_ms")),
+      queueing_ms_(obs_.metrics.histogram("repl.queueing_ms")),
+      lazy_wait_ms_(obs_.metrics.histogram("repl.lazy_wait_ms")) {
   AQUEDUCT_CHECK(object_ != nullptr);
   AQUEDUCT_CHECK_MSG(config_.service_time != nullptr,
                      "ReplicaConfig.service_time must be set");
@@ -123,8 +108,7 @@ void ReplicaServer::start() {
 
 void ReplicaServer::on_member_eviction() {
   if (crashed_) return;
-  ++stats_.evictions;
-  metrics_.evictions.inc();
+  stats_.inc(&ReplicaStats::evictions);
   crash();
   if (on_evicted_) on_evicted_();  // may destroy this server — return at once
 }
@@ -336,8 +320,7 @@ void ReplicaServer::handle_update_request(net::NodeId /*from*/,
   const bool duplicate = already_applied(id) || update_payload_.contains(id);
   span(obs::SpanKind::kDeliver, id, id.client, duplicate ? 1 : 0);
   if (duplicate) {
-    ++stats_.duplicate_requests;
-    metrics_.duplicate_requests.inc();
+    stats_.inc(&ReplicaStats::duplicate_requests);
     if (auto it = reply_cache_.find(id); it != reply_cache_.end()) {
       send_reply(it->second, id.client);
     }
@@ -372,8 +355,7 @@ void ReplicaServer::sequence_update(const UpdateRequest& request) {
       assigned_.erase(assigned_order_.front());
       assigned_order_.pop_front();
     }
-    ++stats_.gsn_assigned;
-    metrics_.gsn_assigned.inc();
+    stats_.inc(&ReplicaStats::gsn_assigned);
   }
   span(obs::SpanKind::kGsnAssign, request.id, request.id.client, assign->gsn);
   replication_member_->multicast(assign);
@@ -410,14 +392,12 @@ void ReplicaServer::handle_gsn_assign(const GsnAssign& assign) {
   // both; the counter lets tests assert it).
   if (auto it = update_gsn_.find(assign.gsn);
       it != update_gsn_.end() && it->second != assign.id) {
-    ++stats_.gsn_conflicts;
-    metrics_.gsn_conflicts.inc();
+    stats_.inc(&ReplicaStats::gsn_conflicts);
     return;
   }
   if (auto it = gsn_of_update_.find(assign.id);
       it != gsn_of_update_.end() && it->second != assign.gsn) {
-    ++stats_.gsn_conflicts;
-    metrics_.gsn_conflicts.inc();
+    stats_.inc(&ReplicaStats::gsn_conflicts);
     return;
   }
   if (assign.gsn <= next_enqueue_gsn_) return;  // already consumed (retry)
@@ -490,8 +470,7 @@ void ReplicaServer::handle_read_request(
   const RequestId id = request->id;
   span(obs::SpanKind::kDeliver, id, from);
   if (auto it = reply_cache_.find(id); it != reply_cache_.end()) {
-    ++stats_.duplicate_requests;
-    metrics_.duplicate_requests.inc();
+    stats_.inc(&ReplicaStats::duplicate_requests);
     send_reply(it->second, id.client);
     return;
   }
@@ -509,8 +488,7 @@ void ReplicaServer::handle_read_request(
   if (first_read_request_at_ == sim::kEpoch) first_read_request_at_ = exec_.now();
 
   if (pending_reads_.contains(id)) {
-    ++stats_.duplicate_requests;
-    metrics_.duplicate_requests.inc();
+    stats_.inc(&ReplicaStats::duplicate_requests);
     return;
   }
   PendingRead pending;
@@ -613,8 +591,7 @@ void ReplicaServer::propagate_lazy_update() {
   }
   updates_since_lazy_ = 0;
   last_lazy_update_ = exec_.now();
-  ++stats_.lazy_updates_published;
-  metrics_.lazy_updates_published.inc();
+  stats_.inc(&ReplicaStats::lazy_updates_published);
   if (obs_.trace.active()) {
     // Lazy propagations are not tied to any client request; they trace
     // under the invalid TraceId so timelines still show them per node.
@@ -639,8 +616,7 @@ void ReplicaServer::handle_lazy_update(const LazyUpdate& lazy) {
   if (lazy.csn <= my_csn_) return;
   object_->install_snapshot(lazy.snapshot);
   my_csn_ = lazy.csn;
-  ++stats_.lazy_updates_installed;
-  metrics_.lazy_updates_installed.inc();
+  stats_.inc(&ReplicaStats::lazy_updates_installed);
   recheck_waiting_reads();
 }
 
@@ -667,8 +643,7 @@ void ReplicaServer::send_state_request() {
                                [this] { send_state_request(); });
   const auto target = choose_transfer_target();
   if (!target) return;  // roles unknown yet; retry after the timer
-  ++stats_.state_transfers_requested;
-  metrics_.state_transfers_requested.inc();
+  stats_.inc(&ReplicaStats::state_transfers_requested);
   replication_member_->send_to(*target, std::make_shared<StateRequest>());
 }
 
@@ -701,8 +676,7 @@ void ReplicaServer::handle_state_request(net::NodeId from) {
   if (!is_primary_ || recovering_ || crashed_) return;
   if (replication_member_ == nullptr || !replication_member_->joined()) return;
   if (!replication_member_->view().contains(from)) return;
-  ++stats_.state_snapshots_served;
-  metrics_.state_snapshots_served.inc();
+  stats_.inc(&ReplicaStats::state_snapshots_served);
   replication_member_->send_to(from, state_snapshot());
 }
 
@@ -730,8 +704,7 @@ void ReplicaServer::handle_state_snapshot(const StateSnapshot& snap) {
   if (snap.csn > my_csn_) {
     object_->install_snapshot(snap.snapshot);
     my_csn_ = snap.csn;
-    ++stats_.state_snapshots_installed;
-    metrics_.state_snapshots_installed.inc();
+    stats_.inc(&ReplicaStats::state_snapshots_installed);
   }
   my_gsn_ = std::max(my_gsn_, snap.gsn);
   // Transfer barrier bookkeeping: everything at or below the snapshot CSN
@@ -776,11 +749,9 @@ void ReplicaServer::install_fifo_snapshot(const StateSnapshot& snap) {
   my_csn_ = snap.csn;
   horizons_ = std::move(horizons);
   if (is_primary_) {
-    ++stats_.state_snapshots_installed;
-    metrics_.state_snapshots_installed.inc();
+    stats_.inc(&ReplicaStats::state_snapshots_installed);
   } else {
-    ++stats_.lazy_updates_installed;
-    metrics_.lazy_updates_installed.inc();
+    stats_.inc(&ReplicaStats::lazy_updates_installed);
   }
   if (recovering_) {
     finish_recovery();  // applies the updates held behind the barrier
@@ -794,8 +765,7 @@ void ReplicaServer::finish_recovery() {
   recovering_ = false;
   recovered_at_ = exec_.now();
   exec_.cancel(recovery_retry_);
-  ++stats_.recoveries_completed;
-  metrics_.recoveries_completed.inc();
+  stats_.inc(&ReplicaStats::recoveries_completed);
   // Drop the barrier: run everything that accumulated behind it.
   maybe_activate_sequencer();
   try_enqueue_commits();
@@ -869,8 +839,7 @@ void ReplicaServer::complete_job(const Job& job, sim::Duration service_time,
     if (job.op != nullptr) {
       net::MessagePtr result = object_->apply_update(job.op);
       ++my_csn_;
-      ++stats_.updates_committed;
-      metrics_.updates_committed.inc();
+      stats_.inc(&ReplicaStats::updates_committed);
       if (fifo()) {
         auto& horizon = horizons_[job.id.client];
         horizon = std::max(horizon, job.id.seq);
@@ -880,8 +849,8 @@ void ReplicaServer::complete_job(const Job& job, sim::Duration service_time,
       update_payload_.erase(job.id);
       if (!is_sequencer_) {
         const sim::Duration tq = service_start - job.arrival;
-        metrics_.service_ms.observe(sim::to_ms(service_time));
-        metrics_.queueing_ms.observe(sim::to_ms(tq));
+        service_ms_.observe(sim::to_ms(service_time));
+        queueing_ms_.observe(sim::to_ms(tq));
         auto reply = std::make_shared<Reply>();
         reply->id = job.id;
         reply->is_update = true;
@@ -899,16 +868,14 @@ void ReplicaServer::complete_job(const Job& job, sim::Duration service_time,
     recheck_waiting_reads();
   } else {
     net::MessagePtr result = object_->apply_read(job.op);
-    ++stats_.reads_served;
-    metrics_.reads_served.inc();
+    stats_.inc(&ReplicaStats::reads_served);
     if (job.deferred) {
-      ++stats_.deferred_reads;
-      metrics_.deferred_reads.inc();
-      metrics_.lazy_wait_ms.observe(sim::to_ms(job.tb));
+      stats_.inc(&ReplicaStats::deferred_reads);
+      lazy_wait_ms_.observe(sim::to_ms(job.tb));
     }
     const sim::Duration tq = (service_start - job.arrival) - job.tb;
-    metrics_.service_ms.observe(sim::to_ms(service_time));
-    metrics_.queueing_ms.observe(sim::to_ms(tq));
+    service_ms_.observe(sim::to_ms(service_time));
+    queueing_ms_.observe(sim::to_ms(tq));
     auto reply = std::make_shared<Reply>();
     reply->id = job.id;
     reply->is_update = false;

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "sim/check.hpp"
 
 namespace aqueduct::shard {
@@ -17,18 +16,14 @@ ShardRouter::ShardRouter(
                      "one ServiceGroups per shard required");
   const std::size_t shards = groups.size();
   handlers_.reserve(shards);
-  route_stats_.resize(shards);
+  route_stats_.reserve(shards);
   for (std::size_t k = 0; k < shards; ++k) {
     handlers_.push_back(std::make_unique<client::ClientHandler>(
         exec, endpoint, groups[k], config(k)));
-  }
-  if (shards > 1) {
-    obs::MetricsRegistry& reg = endpoint.observability().metrics;
-    for (std::size_t k = 0; k < shards; ++k) {
-      const std::string prefix = "shard" + std::to_string(k) + ".";
-      reads_routed_.push_back(&reg.counter(prefix + "reads_routed"));
-      updates_routed_.push_back(&reg.counter(prefix + "updates_routed"));
-    }
+    // A single shard registers no shard<k> name.
+    route_stats_.emplace_back(
+        shards > 1 ? &endpoint.observability().metrics : nullptr,
+        "shard" + std::to_string(k) + ".");
   }
 }
 
@@ -42,39 +37,20 @@ void ShardRouter::read(std::string_view key, net::MessagePtr op,
                        const core::QoSSpec& qos,
                        client::ClientHandler::ReadCallback done) {
   const std::size_t shard = map_.shard_for(key);
-  ++route_stats_.at(shard).reads_routed;
-  if (!reads_routed_.empty()) reads_routed_[shard]->inc();
+  route_stats_.at(shard).inc(&ShardRouteStats::reads_routed);
   handlers_.at(shard)->read(std::move(op), qos, std::move(done));
 }
 
 void ShardRouter::update(std::string_view key, net::MessagePtr op,
                          client::ClientHandler::UpdateCallback done) {
   const std::size_t shard = map_.shard_for(key);
-  ++route_stats_.at(shard).updates_routed;
-  if (!updates_routed_.empty()) updates_routed_[shard]->inc();
+  route_stats_.at(shard).inc(&ShardRouteStats::updates_routed);
   handlers_.at(shard)->update(std::move(op), std::move(done));
 }
 
 client::ClientStats ShardRouter::stats() const {
   client::ClientStats total;
-  for (const auto& handler : handlers_) {
-    const client::ClientStats& s = handler->stats();
-    total.reads_issued += s.reads_issued;
-    total.reads_completed += s.reads_completed;
-    total.reads_abandoned += s.reads_abandoned;
-    total.updates_issued += s.updates_issued;
-    total.updates_completed += s.updates_completed;
-    total.timing_failures += s.timing_failures;
-    total.deferred_replies += s.deferred_replies;
-    total.retries += s.retries;
-    total.transmit_attempts += s.transmit_attempts;
-    total.total_retry_backoff += s.total_retry_backoff;
-    total.staleness_violations += s.staleness_violations;
-    total.replicas_selected_total += s.replicas_selected_total;
-    total.selection_attempts += s.selection_attempts;
-    total.total_response_time += s.total_response_time;
-    total.total_update_response_time += s.total_update_response_time;
-  }
+  for (const auto& handler : handlers_) obs::add_fields(total, handler->stats());
   return total;
 }
 

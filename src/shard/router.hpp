@@ -24,6 +24,7 @@
 
 #include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
+#include "obs/mirrored_stats.hpp"
 #include "replication/service.hpp"
 #include "runtime/executor.hpp"
 #include "shard/shard_map.hpp"
@@ -35,6 +36,12 @@ namespace aqueduct::shard {
 struct ShardRouteStats {
   std::uint64_t reads_routed = 0;
   std::uint64_t updates_routed = 0;
+
+  template <typename V>
+  void fields(V& v) {
+    v("reads_routed", reads_routed);
+    v("updates_routed", updates_routed);
+  }
 };
 
 class ShardRouter {
@@ -80,16 +87,13 @@ class ShardRouter {
   client::ClientStats stats() const;
 
   const ShardRouteStats& route_stats(std::size_t shard) const {
-    return route_stats_.at(shard);
+    return route_stats_.at(shard).get();
   }
 
  private:
   const ShardMap& map_;
   std::vector<std::unique_ptr<client::ClientHandler>> handlers_;
-  std::vector<ShardRouteStats> route_stats_;
-  // Registry mirrors; null in single-shard mode (no new metric names).
-  std::vector<obs::Counter*> reads_routed_;
-  std::vector<obs::Counter*> updates_routed_;
+  std::vector<obs::MirroredStats<ShardRouteStats>> route_stats_;
 };
 
 }  // namespace aqueduct::shard

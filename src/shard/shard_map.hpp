@@ -52,7 +52,6 @@ class ShardMap {
 
   std::uint64_t seed() const { return seed_; }
   std::size_t vnodes_per_shard() const { return vnodes_per_shard_; }
-  std::size_t ring_size() const { return ring_.size(); }
 
  private:
   struct Vnode {

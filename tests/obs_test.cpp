@@ -9,6 +9,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -16,6 +18,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/mirrored_stats.hpp"
 #include "obs/observability.hpp"
 #include "obs/trace.hpp"
 #include "replication/messages.hpp"
@@ -399,6 +402,25 @@ TEST(ObservabilityIntegration, EveryRequestLinksItsPipelineByTraceId) {
   }
 }
 
+/// Expects each counter field of `sum` to equal `reg`'s counter named
+/// `prefix` + field name; returns how many it checked.
+template <typename S>
+std::size_t expect_mirrored(obs::MetricsRegistry& reg,
+                            const std::string& prefix, S sum) {
+  std::size_t checked = 0;
+  auto check = [&](std::string_view name, const auto& field) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>,
+                                 std::uint64_t>) {
+      const std::string metric = prefix + std::string(name);
+      ASSERT_TRUE(reg.contains(metric)) << metric;
+      EXPECT_EQ(reg.counter(metric).value(), field) << metric;
+      ++checked;
+    }
+  };
+  sum.fields(check);
+  return checked;
+}
+
 TEST(ObservabilityIntegration, RegistryAggregatesAcrossInstances) {
   harness::ScenarioConfig config;
   config.seed = 5;
@@ -415,17 +437,21 @@ TEST(ObservabilityIntegration, RegistryAggregatesAcrossInstances) {
   auto results = scenario.run();
 
   obs::MetricsRegistry& reg = scenario.observability().metrics;
-  // Registry-wide counters equal the sum of the per-instance views.
-  std::uint64_t reads_served = 0;
-  std::uint64_t updates_committed = 0;
+  // Registry-wide counters equal the sum of the per-instance views, for
+  // every counter field a stats struct lists.
+  replication::ReplicaStats replicas;
   for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    reads_served += scenario.replica(i).stats().reads_served;
-    updates_committed += scenario.replica(i).stats().updates_committed;
+    obs::add_fields(replicas, scenario.replica(i).stats());
   }
-  EXPECT_EQ(reg.counter("repl.reads_served").value(), reads_served);
-  EXPECT_EQ(reg.counter("repl.updates_committed").value(), updates_committed);
-  EXPECT_EQ(reg.counter("client.reads_issued").value(),
-            results[0].stats.reads_issued);
+  client::ClientStats clients;
+  for (std::size_t w = 0; w < scenario.num_workloads(); ++w) {
+    obs::add_fields(clients, scenario.workload(w).handler().stats());
+  }
+  EXPECT_EQ(expect_mirrored(reg, "repl.", replicas), 13u);
+  EXPECT_EQ(expect_mirrored(reg, "client.", clients), 12u);
+  EXPECT_GT(replicas.reads_served, 0u);
+  EXPECT_GT(replicas.updates_committed, 0u);
+  EXPECT_EQ(clients.reads_issued, results[0].stats.reads_issued);
   EXPECT_GT(reg.counter("gcs.delivered").value(), 0u);
   EXPECT_GT(reg.counter("net.messages_sent").value(), 0u);
   EXPECT_GT(reg.histogram("repl.service_ms").count(), 0u);

@@ -20,10 +20,14 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "fault/schedule.hpp"
 #include "harness/scenario.hpp"
+#include "obs/snapshot.hpp"
 #include "replication/objects.hpp"
 #include "runner/plans.hpp"
 #include "runner/sweep.hpp"
@@ -125,6 +129,57 @@ TEST(ShardRouter, PartitionedRunRoutesAndAgreesPerShard) {
     const auto stats = router.stats();
     EXPECT_GE(routed, stats.reads_completed + stats.updates_completed);
     EXPECT_GT(routed, 0u);
+  }
+}
+
+/// Every ClientStats field by name, Duration totals in nanoseconds.
+std::map<std::string, std::int64_t> by_name(client::ClientStats stats) {
+  std::map<std::string, std::int64_t> out;
+  auto put = [&](std::string_view name, const auto& field) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>,
+                                 std::uint64_t>) {
+      out[std::string(name)] = static_cast<std::int64_t>(field);
+    } else {
+      out[std::string(name)] = field.count();
+    }
+  };
+  stats.fields(put);
+  return out;
+}
+
+TEST(ShardRouter, StatsSumEveryClientStatsFieldAcrossShards) {
+  harness::Scenario scenario(sharded_config(/*seed=*/5, /*shards=*/2));
+  scenario.run();
+  for (std::size_t w = 0; w < scenario.num_workloads(); ++w) {
+    const auto& router = scenario.workload(w).router();
+    std::map<std::string, std::int64_t> expected;
+    for (std::size_t s = 0; s < router.num_shards(); ++s) {
+      for (const auto& [name, value] : by_name(router.handler(s).stats())) {
+        expected[name] += value;
+      }
+    }
+    const auto total = by_name(router.stats());
+    EXPECT_EQ(total, expected) << "workload " << w;
+    EXPECT_EQ(total.size(), 15u);
+    EXPECT_GT(total.at("reads_completed"), 0);
+    EXPECT_GT(total.at("total_response_time"), 0);
+  }
+  // Each shard's routing tallies are mirrored under its own prefix.
+  const obs::MetricsRegistry& reg = scenario.observability().metrics;
+  EXPECT_TRUE(reg.contains("shard0.reads_routed"));
+  EXPECT_TRUE(reg.contains("shard1.updates_routed"));
+}
+
+TEST(ShardRouter, SingleShardRegistersNoShardMetric) {
+  harness::Scenario scenario(sharded_config(/*seed=*/5, /*shards=*/1));
+  scenario.run();
+  EXPECT_GT(scenario.workload(0).router().route_stats(0).reads_routed, 0u);
+  const obs::MetricsSnapshot snap = scenario.observability().metrics.snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_FALSE(name.starts_with("shard")) << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    EXPECT_FALSE(name.starts_with("shard")) << name;
   }
 }
 

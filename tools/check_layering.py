@@ -2,7 +2,8 @@
 """Layering lint: the protocol stack must not name concrete infrastructure.
 
 Three rules keep the protocol stack substitutable; a fourth keeps pool
-wiring in one place, and a fifth keeps each wire layout in one place:
+wiring in one place, a fifth keeps each wire layout in one place, and a
+sixth keeps each statistic in one place:
 
 1. Executors. Everything in src/{net,gcs,replication,client,fault} (and
    src/core, which is executor-free entirely) is written against
@@ -39,6 +40,13 @@ wiring in one place, and a fifth keeps each wire layout in one place:
    no protocol layer names net::Reader or net::Writer, so a new message
    type cannot bring back a hand-written encode/decode pair that the
    field list would have to mirror.
+
+6. Statistics. A protocol component counts an event in its stats struct,
+   whose field list (obs/mirrored_stats.hpp) binds each counter field to
+   the registry counter named after it. No file in src/{gcs,replication,
+   client,fault,shard} names obs::Counter, so no counter can come back as
+   a hand-registered reference that each event must bump beside its field.
+   src/net (the transport's own counters) and src/obs are exempt.
 
 Composition roots (src/runner, tests, benches, examples) are allowed to
 name all of these; that is where executors, exporters, and transports are
@@ -184,17 +192,40 @@ def scan_byte_codec():
     return violations
 
 
+# Rule 6: protocol layers whose counters go through a stats field list.
+STATS_FIELD_LIST_DIRS = ["src/gcs", "src/replication", "src/client",
+                         "src/fault", "src/shard"]
+COUNTER_RE = re.compile(r'\b(?:obs::)?Counter\b')
+
+
+def scan_counters():
+    violations = []
+    for layer in STATS_FIELD_LIST_DIRS:
+        for path in sorted((REPO / layer).rglob("*")):
+            if path.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
+                continue
+            for lineno, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), start=1):
+                if COUNTER_RE.search(line.split("//")[0]):
+                    violations.append(
+                        f"{path.relative_to(REPO)}:{lineno}: names "
+                        "obs::Counter (list the counter in its stats "
+                        "struct's fields(); see obs/mirrored_stats.hpp)")
+    return violations
+
+
 def main() -> int:
     violations = scan(PROTOCOL_DIRS, FORBIDDEN, "protocol layer")
     violations += scan(TRANSPORT_AGNOSTIC_DIRS, FORBIDDEN_TRANSPORTS,
                        "transport-agnostic layer")
     violations += scan_constructions()
     violations += scan_byte_codec()
+    violations += scan_counters()
     if violations:
         print("layering violations (protocol code must depend only on "
               "runtime/executor.hpp, net/transport.hpp, and the obs "
               "interfaces; pools are wired only by harness::Testbed; wire "
-              "layouts are field lists):",
+              "layouts and statistics are field lists):",
               file=sys.stderr)
         for v in violations:
             print(f"  {v}", file=sys.stderr)
@@ -204,7 +235,8 @@ def main() -> int:
           f"{len(TRANSPORT_AGNOSTIC_DIRS)} layers name only net::Transport; "
           f"{len(TESTBED_ONLY_DIRS)} directories build pools only through "
           "harness::Testbed; "
-          f"{len(FIELD_LIST_DIRS)} layers name no byte-level codec type")
+          f"{len(FIELD_LIST_DIRS)} layers name no byte-level codec type; "
+          f"{len(STATS_FIELD_LIST_DIRS)} layers name no obs::Counter")
     return 0
 
 
