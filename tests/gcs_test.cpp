@@ -269,6 +269,8 @@ TEST(GcsP2p, SendToSelfDelivers) {
   const auto msgs = f.from_sender(0, f.member(0).self());
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0], "me");
+  // A self-send cannot be lost, so no copy waits for an ack.
+  EXPECT_EQ(f.member(0).buffer_sizes().p2p, 0u);
 }
 
 TEST(GcsP2p, SendToSet) {
