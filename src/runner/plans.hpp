@@ -53,7 +53,8 @@ const Plan* find_plan(const std::string& name);
 ///                 (leaked_keys: an update crossed group boundaries).
 /// Shards are independent groups, so each is checked on its own with slot
 /// 0 as its sequencer. CSN and divergence skip crashed, recovering and
-/// non-primary replicas; GSN and placement hold on every slot.
+/// non-primary replicas, and a restarted one without its first replication
+/// view; GSN and placement hold on every slot.
 struct Invariants {
   std::uint64_t liveness_violations = 0;
   std::uint64_t staleness_violations = 0;

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "harness/scenario.hpp"
 #include "harness/stats.hpp"
 #include "obs/metrics.hpp"
 #include "runner/plans.hpp"
@@ -287,6 +289,37 @@ std::function<runner::SeedRecord(const runner::Unit&)> with_counter(
     }
     return rec;
   };
+}
+
+// A primary restarted as the clients finish has installed no replication
+// view yet: it is at CSN 0 but is not recovering(). It has not rejoined, so
+// it is no divergence; once it has its view it is checked again.
+TEST(Invariants, PrimaryRestartedAsClientsFinishIsNoDivergence) {
+  harness::ScenarioConfig config;
+  config.seed = 11;
+  config.num_primaries = 2;
+  config.num_secondaries = 1;
+  config.clients.push_back(harness::ClientSpec{
+      .qos = {.staleness_threshold = 2,
+              .deadline = std::chrono::milliseconds(250),
+              .min_probability = 0.5},
+      .request_delay = std::chrono::milliseconds(150),
+      .num_requests = 20,
+  });
+  harness::Scenario scenario(std::move(config));
+  const auto results = scenario.run();
+  scenario.restart_replica(1);
+
+  const auto& reborn = scenario.replica(1);
+  ASSERT_TRUE(reborn.is_primary());
+  ASSERT_FALSE(reborn.recovering());
+  ASSERT_EQ(reborn.csn(), 0u);
+  ASSERT_GT(scenario.replica(0).csn(), 2u);
+  EXPECT_EQ(runner::collect_invariants(scenario, results, 10).divergences, 0u);
+
+  scenario.executor().run_for(std::chrono::seconds(3));
+  EXPECT_EQ(reborn.csn(), scenario.replica(0).csn());
+  EXPECT_EQ(runner::collect_invariants(scenario, results, 10).divergences, 0u);
 }
 
 TEST(PlanChecks, HealthyResultPassesEveryPlan) {
