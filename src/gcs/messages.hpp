@@ -47,13 +47,12 @@ struct DataMsg final : net::Wire<DataMsg, kWireData, "gcs.data"> {
   GroupId group;
   bool is_mcast = true;
   net::NodeId sender;
-  net::NodeId dest;  // only meaningful for p2p
   std::uint64_t seq = 0;
   net::MessagePtr payload;
 
   template <typename V>
   void fields(V& v) {
-    v(group, is_mcast, sender, dest, seq, payload);
+    v(group, is_mcast, sender, seq, payload);
   }
 };
 
@@ -175,16 +174,16 @@ struct SuspectMsg final : net::Wire<SuspectMsg, kWireSuspect, "gcs.suspect"> {
   }
 };
 
-/// Phase 1 of the view change: the coordinator proposes a new membership.
-/// Receivers block new application sends and reply with FlushMsg.
+/// Phase 1 of the view change: the coordinator opens a flush round for a
+/// new membership, which only the install names. Receivers block new
+/// application sends and reply with FlushMsg.
 struct ProposeMsg final : net::Wire<ProposeMsg, kWirePropose, "gcs.propose"> {
   GroupId group;
   std::uint64_t proposal = 0;  // monotone per group; becomes the new ViewId
-  std::vector<net::NodeId> members;
 
   template <typename V>
   void fields(V& v) {
-    v(group, proposal, members);
+    v(group, proposal);
   }
 };
 

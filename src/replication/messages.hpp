@@ -142,11 +142,10 @@ struct Reply final : net::Wire<Reply, kWireReply, "repl.reply"> {
 struct LazyUpdate final : net::Wire<LazyUpdate, kWireLazyUpdate, "repl.lazy"> {
   core::Csn csn = 0;
   net::MessagePtr snapshot;
-  std::uint64_t lazy_seq = 0;  // ordinal of this propagation
 
   template <typename V>
   void fields(V& v) {
-    v(csn, snapshot, lazy_seq);
+    v(csn, snapshot);
   }
 };
 

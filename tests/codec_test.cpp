@@ -34,7 +34,6 @@ std::shared_ptr<const gcs::DataMsg> make_data_msg() {
   data->group = gcs::GroupId{17};
   data->is_mcast = false;
   data->sender = net::NodeId{3};
-  data->dest = net::NodeId{9};
   data->seq = 41;
   data->payload = make_kv_put();
   return data;
@@ -93,7 +92,6 @@ std::vector<net::MessagePtr> exemplars() {
     auto m = std::make_shared<gcs::ProposeMsg>();
     m->group = gcs::GroupId{17};
     m->proposal = 9;
-    m->members = {net::NodeId{1}, net::NodeId{2}, net::NodeId{3}};
     out.push_back(m);
   }
   {
@@ -164,7 +162,6 @@ std::vector<net::MessagePtr> exemplars() {
     snap->entries = {{"a", "1"}, {"b", "2"}};
     snap->version = 8;
     m->snapshot = snap;
-    m->lazy_seq = 3;
     out.push_back(m);
   }
   out.push_back(std::make_shared<replication::StateRequest>());
@@ -316,10 +313,13 @@ TEST_F(CodecTest, EncodeDecodeEncodeIsByteIdentical) {
 // The round trip above cannot see a layout change made the same way in
 // encode and decode. These frames pin the bytes of every exemplar, and
 // its wire_size(). Each is written at the wire version it was last
-// changed in: gcs.heartbeat at version 4, which gave a section per-
-// destination p2p marks, and every other type at version 3. A version-3
-// frame must encode today exactly as it did then, save the version byte of
-// each frame header in it (offset 4 of the frame, and of a nested frame).
+// changed in: gcs.data, gcs.propose and repl.lazy at version 5, which
+// dropped fields no receiver read (and gcs.flush and gcs.install, which
+// nest a gcs.data), gcs.heartbeat at version 4, which gave a section per-
+// destination p2p marks, and every other type at version 3. A frame of an
+// earlier version must encode today exactly as it did then, save the
+// version byte of each frame header in it (offset 4 of the frame, and of a
+// nested frame).
 struct GoldenFrame {
   const char* type_name;
   std::size_t wire_size;
@@ -328,10 +328,10 @@ struct GoldenFrame {
 };
 
 const GoldenFrame kGoldenFrames[] = {
-    {"gcs.data", 73, 3,
-      "4657514103110000003c00000011000000000300000009000000290000000000"
-      "00000146575141034100000019000000020000006b330f000000762d01022077"
-      "697468206279746573"},
+    {"gcs.data", 69, 5,
+      "4657514105110000003800000011000000000300000029000000000000000146"
+      "575141054100000019000000020000006b330f000000762d0102207769746820"
+      "6279746573"},
     {"gcs.heartbeat", 101, 4,
       "4657514104120000005800000012000000070000000000000003000000000000"
       "0064000000000000000100000001000000630000000000000014000000000000"
@@ -346,21 +346,19 @@ const GoldenFrame kGoldenFrames[] = {
       "4657514103150000000400000013000000"},
     {"gcs.suspect", 21, 3,
       "46575141031600000008000000110000000b000000"},
-    {"gcs.propose", 41, 3,
-      "4657514103170000001c00000011000000090000000000000003000000010000"
-      "000200000003000000"},
-    {"gcs.flush", 130, 3,
-      "4657514103180000007500000011000000090000000000000002000000010000"
-      "000c000000000000000200000000000000000000000100000046575141031100"
-      "00003c0000001100000000030000000900000029000000000000000146575141"
-      "034100000019000000020000006b330f000000762d0102207769746820627974"
-      "6573"},
-    {"gcs.install", 150, 3,
-      "46575141031900000089000000110000000a00000000000000110000000a0000"
+    {"gcs.propose", 25, 5,
+      "4657514105170000000c000000110000000900000000000000"},
+    {"gcs.flush", 126, 5,
+      "4657514105180000007100000011000000090000000000000002000000010000"
+      "000c000000000000000200000000000000000000000100000046575141051100"
+      "0000380000001100000000030000002900000000000000014657514105410000"
+      "0019000000020000006b330f000000762d01022077697468206279746573"},
+    {"gcs.install", 146, 5,
+      "46575141051900000085000000110000000a00000000000000110000000a0000"
       "0000000000020000000100000003000000010000000300000001000000010000"
-      "000c00000000000000010000004657514103110000003c000000110000000003"
-      "0000000900000029000000000000000146575141034100000019000000020000"
-      "006b330f000000762d01022077697468206279746573"},
+      "000c000000000000000100000046575141051100000038000000110000000003"
+      "00000029000000000000000146575141054100000019000000020000006b330f"
+      "000000762d01022077697468206279746573"},
     {"repl.update", 64, 3,
       "4657514103210000003300000015000000050000000000000001465751410341"
       "00000019000000020000006b330f000000762d01022077697468206279746573"},
@@ -375,10 +373,10 @@ const GoldenFrame kGoldenFrames[] = {
       "430000000e00000001010000007608000000000000000c00000040787d010000"
       "0000002d310100000000404b4c00000000000000000000000000010200000000"
       "000000"},
-    {"repl.lazy", 75, 3,
-      "4657514103250000003e00000008000000000000000146575141034400000020"
+    {"repl.lazy", 67, 5,
+      "4657514105250000003600000008000000000000000146575141054400000020"
       "0000000200000001000000610100000031010000006201000000320800000000"
-      "0000000300000000000000"},
+      "000000"},
     {"repl.state_req", 13, 3,
       "46575141032600000000000000"},
     {"repl.state_snap", 83, 3,
@@ -449,7 +447,7 @@ std::string with_version(std::string hex, std::uint8_t version) {
 }
 
 TEST_F(CodecTest, GoldenFramesPinEveryExemplar) {
-  ASSERT_EQ(net::kWireVersion, 4);
+  ASSERT_EQ(net::kWireVersion, 5);
   const auto all = exemplars();
   ASSERT_EQ(all.size(), std::size(kGoldenFrames));
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -481,7 +479,6 @@ TEST_F(CodecTest, DataAndHeartbeatFieldsSurviveTheRoundTrip) {
   EXPECT_EQ(got->group, data->group);
   EXPECT_EQ(got->is_mcast, data->is_mcast);
   EXPECT_EQ(got->sender, data->sender);
-  EXPECT_EQ(got->dest, data->dest);
   EXPECT_EQ(got->seq, data->seq);
   ASSERT_TRUE(got->payload);
   EXPECT_EQ(net::encode_frame(*got->payload), net::encode_frame(*data->payload));
@@ -648,7 +645,6 @@ TEST_F(CodecTest, WireSizeFallbacksSurviveTheMemo) {
   auto lazy = std::make_shared<replication::LazyUpdate>();
   lazy->csn = 4;
   lazy->snapshot = plain;
-  lazy->lazy_seq = 2;
   auto outer = std::make_shared<gcs::DataMsg>();
   outer->group = gcs::GroupId{3};
   outer->sender = net::NodeId{1};

@@ -272,7 +272,6 @@ TEST(UdpTransportTest, RoundTripThroughRealSocketsPreservesNestedPayloads) {
   auto data = std::make_shared<gcs::DataMsg>();
   data->group = gcs::GroupId{17};
   data->sender = rig.node_a();
-  data->dest = rig.node_b();
   data->seq = 3;
   data->payload = make_payload("k9", "nested");
   rig.a_side().send(rig.node_a(), rig.node_b(), data);
@@ -318,7 +317,6 @@ TEST(UdpTransportTest, ForeignFramesNeverReachAGcsMember) {
   auto data = std::make_shared<gcs::DataMsg>();
   data->is_mcast = false;
   data->sender = from;
-  data->dest = net::NodeId{2};
   data->seq = 1;
   data->payload = make_payload("k", "v");
   ta.send(from, net::NodeId{2}, data);
