@@ -288,7 +288,6 @@ class ReplicaServer {
   bool recovering_ = false;
   bool recovery_decided_ = false;  // first replication view classifies us
   sim::EventHandle recovery_retry_;
-  sim::TimePoint recovery_started_at_ = sim::kEpoch;
   sim::TimePoint recovered_at_ = sim::kEpoch;
   sim::TimePoint first_read_request_at_ = sim::kEpoch;
   std::unique_ptr<runtime::PeriodicTask> stall_task_;
@@ -307,7 +306,6 @@ class ReplicaServer {
   // Update commit pipeline.
   std::unordered_map<RequestId, std::shared_ptr<const UpdateRequest>>
       update_payload_;                              // awaiting GSN
-  std::unordered_map<RequestId, net::NodeId> update_client_;
   std::map<core::Gsn, RequestId> update_gsn_;       // assigned, awaiting payload
   std::unordered_map<RequestId, core::Gsn> gsn_of_update_;
   core::Gsn next_enqueue_gsn_ = 0;  // last update GSN handed to the queue
