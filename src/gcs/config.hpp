@@ -8,12 +8,14 @@ namespace aqueduct::gcs {
 struct Config {
   /// Period of the per-process heartbeat tick, which sends every group's
   /// heartbeat section. Sections carry cumulative acknowledgements (for
-  /// stability/garbage collection), the sender's current sequence numbers
-  /// (for trailing-loss detection), and feed each group's failure detector.
+  /// stability/garbage collection) and the sender's current sequence
+  /// numbers (for trailing-loss detection), and the tick runs the process's
+  /// failure detector.
   sim::Duration heartbeat_period = std::chrono::milliseconds(250);
 
-  /// A member is suspected crashed if nothing is heard from it for this
-  /// long. Must be a few multiples of heartbeat_period.
+  /// A node the tick sends sections to is suspected in every group once no
+  /// gcs message from it has arrived for this long, counted from the first
+  /// of those sections at the earliest. A few multiples of heartbeat_period.
   sim::Duration suspect_timeout = std::chrono::milliseconds(1500);
 };
 
