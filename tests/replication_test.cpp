@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "client/handler.hpp"
 #include "harness/testbed.hpp"
 #include "replication/objects.hpp"
+#include "replication/recent_log.hpp"
 
 namespace aqueduct::replication {
 namespace {
@@ -271,6 +274,43 @@ TEST(Dedup, ClientRetryDoesNotDoubleCommit) {
       EXPECT_EQ(reg.value(), 10u);
     }
   }
+}
+
+RequestId request(std::uint64_t seq) { return RequestId{net::NodeId{7}, seq}; }
+
+TEST(RecentLog, ForgetsTheOldestBeyondTheBound) {
+  RecentLog<int> log;
+  for (std::uint64_t seq = 1; seq <= kCacheLimit; ++seq) {
+    EXPECT_EQ(log.add(request(seq), 0), std::nullopt);
+  }
+  EXPECT_TRUE(log.contains(request(1)));
+  EXPECT_EQ(log.add(request(kCacheLimit + 1), 0), request(1));
+  EXPECT_FALSE(log.contains(request(1)));
+  EXPECT_EQ(log.find(request(1)), nullptr);
+  EXPECT_TRUE(log.contains(request(2)));
+  EXPECT_EQ(log.order().size(), kCacheLimit);
+}
+
+TEST(RecentLog, ReAddingAPresentIdChangesNothing) {
+  RecentLog<int> log;
+  log.add(request(1), 10);
+  log.add(request(2), 20);
+  EXPECT_EQ(log.add(request(1), 99), std::nullopt);
+  ASSERT_NE(log.find(request(1)), nullptr);
+  EXPECT_EQ(*log.find(request(1)), 10);
+  EXPECT_EQ(log.order(), (std::deque<RequestId>{request(1), request(2)}));
+  // Still the oldest: the bound drops it first.
+  for (std::uint64_t seq = 3; seq <= kCacheLimit; ++seq) log.add(request(seq), 0);
+  EXPECT_EQ(log.add(request(kCacheLimit + 1), 0), request(1));
+}
+
+TEST(RecentLog, OrderListsIdsOldestFirst) {
+  RecentLog<int> log;
+  log.add(request(5), 0);
+  log.add(request(2), 0);
+  log.add(request(9), 0);
+  EXPECT_EQ(log.order(),
+            (std::deque<RequestId>{request(5), request(2), request(9)}));
 }
 
 TEST(PerfPublication, ClientsLearnServiceTimes) {
