@@ -1185,6 +1185,26 @@ TEST(GcsControl, UnwrappedProposeIsDropped) {
   EXPECT_FALSE(f.member(2).joined());
 }
 
+// A raw install from a process outside the view would split the membership:
+// its receiver would move to a view the others never agreed to.
+TEST(GcsControl, UnwrappedInstallFromANonMemberIsDropped) {
+  Fixture f(3);
+  f.join_all();
+  const ViewId settled = f.member(0).view().id;
+  Endpoint outsider(f.sim, f.network, f.directory);
+  auto msg = std::make_shared<InstallMsg>();
+  msg->group = kGroup;
+  msg->view.group = kGroup;
+  msg->view.id = 1000;
+  msg->view.members = {f.member(0).self(), f.member(1).self()};
+  f.network.send(outsider.id(), f.member(0).self(), msg);
+  f.settle(seconds(3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(f.member(i).view().id, settled) << "member " << i;
+    EXPECT_EQ(f.member(i).view().size(), 3u) << "member " << i;
+  }
+}
+
 TEST(GcsViews, ViewIdsMonotonic) {
   Fixture f(4);
   f.join_all();
