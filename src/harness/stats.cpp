@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/sla.hpp"
-#include "sim/check.hpp"
 
 namespace aqueduct::harness {
 
@@ -42,14 +42,8 @@ Summary summarize(const std::vector<double>& values) {
 }
 
 double percentile(std::vector<double> values, double q) {
-  AQUEDUCT_CHECK(q >= 0.0 && q <= 1.0);
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double idx = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  // One percentile formula in the repo; the obs exporters use it too.
+  return obs::percentile(std::move(values), q);
 }
 
 }  // namespace aqueduct::harness

@@ -11,18 +11,6 @@ namespace aqueduct::obs {
 
 namespace {
 
-// Local copy of the interpolated percentile (obs sits below the harness in
-// the layering, so it cannot use harness::percentile).
-double percentile_of(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double idx = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 std::int64_t ns_since_epoch(sim::TimePoint t) {
   return sim::since_epoch(t).count();
 }
@@ -234,9 +222,9 @@ void LatencyBreakdownCollector::write_json(std::ostream& os) const {
     w.end_object();
     w.key("total_ms");
     w.begin_object();
-    w.field("p50", percentile_of(totals_ms, 0.50));
-    w.field("p95", percentile_of(totals_ms, 0.95));
-    w.field("p99", percentile_of(totals_ms, 0.99));
+    w.field("p50", percentile(totals_ms, 0.50));
+    w.field("p95", percentile(totals_ms, 0.95));
+    w.field("p99", percentile(totals_ms, 0.99));
     w.end_object();
     w.end_object();
   };

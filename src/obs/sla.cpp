@@ -26,6 +26,17 @@ WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
   return ci;
 }
 
+double percentile(std::vector<double> values, double q) {
+  AQUEDUCT_CHECK(q >= 0.0 && q <= 1.0);
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double idx = q * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(idx);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = idx - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
 SlaMonitor::SlaMonitor(MetricsRegistry& metrics, TraceHub& trace,
                        SlaConfig config)
     : metrics_(metrics), trace_(trace), config_(config) {

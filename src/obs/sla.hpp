@@ -52,6 +52,10 @@ struct WilsonInterval {
 WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z = 1.96);
 
+/// Interpolated percentile (0 <= q <= 1) of a copy-sorted sample; 0 for
+/// empty input. harness::percentile delegates here for the same reason.
+double percentile(std::vector<double> values, double q);
+
 /// The monitored contract. Mirrors core::QoSSpec field-for-field; obs
 /// cannot include core (layering), so the caller copies the three values.
 struct SlaSpec {
