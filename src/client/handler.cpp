@@ -287,7 +287,7 @@ void ClientHandler::handle_reply(
   // from an earlier attempt can make this negative after a retry; clamp.
   const sim::TimePoint tp = exec_.now();
   const sim::Duration tg =
-      std::max(sim::Duration::zero(), (tp - req.tm) - reply->t1);
+      std::max(sim::Duration::zero(), (tp - req.tm) - reply->t1());
   repository_.record_reply(reply->replica, tg, tp);
   gateway_ms_.observe(sim::to_ms(tg));
   span(obs::SpanKind::kReceive, reply->id, reply->replica,

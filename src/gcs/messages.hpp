@@ -210,8 +210,7 @@ struct FlushMsg final : net::Wire<FlushMsg, kWireFlush, "gcs.flush"> {
 /// sender), then switch to the new view and unblock sends.
 struct InstallMsg final : net::Wire<InstallMsg, kWireInstall, "gcs.install"> {
   GroupId group;
-  std::uint64_t proposal = 0;
-  View view;
+  View view;  // its id is the proposal that installed it
   /// Virtually synchronous cut: deliver the mcast stream of each sender up
   /// to this seq before installing.
   std::map<net::NodeId, std::uint64_t> deliver_up_to;
@@ -220,7 +219,7 @@ struct InstallMsg final : net::Wire<InstallMsg, kWireInstall, "gcs.install"> {
 
   template <typename V>
   void fields(V& v) {
-    v(group, proposal, view, deliver_up_to, resolution);
+    v(group, view, deliver_up_to, resolution);
   }
 };
 

@@ -108,18 +108,15 @@ struct GsnAssign final : net::Wire<GsnAssign, kWireGsnAssign, "repl.gsn"> {
   }
 };
 
-/// Reply from a replica to the issuing client. Carries the piggybacked
-/// server-side latency t1 = ts + tq + tb used by the client to compute the
-/// two-way gateway delay tg = tp - tm - t1 (Section 5.4).
+/// Reply from a replica to the issuing client. Carries the server-side
+/// latency t1 = ts + tq + tb, which the client uses to compute the two-way
+/// gateway delay tg = tp - tm - t1 (Section 5.4), as its three components,
+/// so the client gateway can also report the per-request latency breakdown
+/// of the paper's response-time model without a second round trip.
 struct Reply final : net::Wire<Reply, kWireReply, "repl.reply"> {
   RequestId id;
-  bool is_update = false;
   net::MessagePtr result;
   net::NodeId replica;
-  sim::Duration t1 = sim::Duration::zero();
-  /// Decomposition of t1 (t1 == ts + tq + tb), piggybacked so the client
-  /// gateway can report the per-request latency breakdown of the paper's
-  /// response-time model without a second round trip.
   sim::Duration ts = sim::Duration::zero();  // service time S
   sim::Duration tq = sim::Duration::zero();  // queueing delay W
   sim::Duration tb = sim::Duration::zero();  // lazy wait U (deferred reads)
@@ -133,8 +130,11 @@ struct Reply final : net::Wire<Reply, kWireReply, "repl.reply"> {
 
   template <typename V>
   void fields(V& v) {
-    v(id, is_update, result, replica, t1, ts, tq, tb, deferred, staleness);
+    v(id, result, replica, ts, tq, tb, deferred, staleness);
   }
+
+  /// The server-side latency t1.
+  sim::Duration t1() const { return ts + tq + tb; }
 };
 
 /// Lazy state propagation from the lazy publisher to the secondary group

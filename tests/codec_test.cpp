@@ -105,7 +105,6 @@ std::vector<net::MessagePtr> exemplars() {
   {
     auto m = std::make_shared<gcs::InstallMsg>();
     m->group = gcs::GroupId{17};
-    m->proposal = 10;
     m->view.group = gcs::GroupId{17};
     m->view.id = 10;
     m->view.members = {net::NodeId{1}, net::NodeId{3}};
@@ -141,13 +140,11 @@ std::vector<net::MessagePtr> exemplars() {
   {
     auto m = std::make_shared<replication::Reply>();
     m->id = {net::NodeId{21}, 6};
-    m->is_update = false;
     auto result = std::make_shared<replication::KvResult>();
     result->value = "v";
     result->version = 8;
     m->result = result;
     m->replica = net::NodeId{12};
-    m->t1 = std::chrono::milliseconds(25);
     m->ts = std::chrono::milliseconds(20);
     m->tq = std::chrono::milliseconds(5);
     m->tb = sim::Duration::zero();
@@ -313,10 +310,11 @@ TEST_F(CodecTest, EncodeDecodeEncodeIsByteIdentical) {
 // The round trip above cannot see a layout change made the same way in
 // encode and decode. These frames pin the bytes of every exemplar, and
 // its wire_size(). Each is written at the wire version it was last
-// changed in: gcs.data, gcs.propose and repl.lazy at version 5, which
-// dropped fields no receiver read (and gcs.flush and gcs.install, which
-// nest a gcs.data), gcs.heartbeat at version 4, which gave a section per-
-// destination p2p marks, and every other type at version 3. A frame of an
+// changed in: gcs.install and repl.reply at version 6, and gcs.data,
+// gcs.propose and repl.lazy at version 5 (and gcs.flush, which nests a
+// gcs.data), both of which dropped fields no receiver read; gcs.heartbeat
+// at version 4, which gave a section per-destination p2p marks, and every
+// other type at version 3. A frame of an
 // earlier version must encode today exactly as it did then, save the
 // version byte of each frame header in it (offset 4 of the frame, and of a
 // nested frame).
@@ -353,12 +351,12 @@ const GoldenFrame kGoldenFrames[] = {
       "000c000000000000000200000000000000000000000100000046575141051100"
       "0000380000001100000000030000002900000000000000014657514105410000"
       "0019000000020000006b330f000000762d01022077697468206279746573"},
-    {"gcs.install", 146, 5,
-      "46575141051900000085000000110000000a00000000000000110000000a0000"
-      "0000000000020000000100000003000000010000000300000001000000010000"
-      "000c000000000000000100000046575141051100000038000000110000000003"
-      "00000029000000000000000146575141054100000019000000020000006b330f"
-      "000000762d01022077697468206279746573"},
+    {"gcs.install", 138, 6,
+      "4657514106190000007d00000011000000110000000a00000000000000020000"
+      "000100000003000000010000000300000001000000010000000c000000000000"
+      "0001000000465751410611000000380000001100000000030000002900000000"
+      "0000000146575141064100000019000000020000006b330f000000762d010220"
+      "77697468206279746573"},
     {"repl.update", 64, 3,
       "4657514103210000003300000015000000050000000000000001465751410341"
       "00000019000000020000006b330f000000762d01022077697468206279746573"},
@@ -368,11 +366,10 @@ const GoldenFrame kGoldenFrames[] = {
     {"repl.gsn", 34, 3,
       "465751410323000000150000001500000005000000000000004d000000000000"
       "0001"},
-    {"repl.reply", 99, 3,
-      "4657514103240000005600000015000000060000000000000000014657514103"
-      "430000000e00000001010000007608000000000000000c00000040787d010000"
-      "0000002d310100000000404b4c00000000000000000000000000010200000000"
-      "000000"},
+    {"repl.reply", 90, 6,
+      "4657514106240000004d00000015000000060000000000000001465751410643"
+      "0000000e00000001010000007608000000000000000c000000002d3101000000"
+      "00404b4c00000000000000000000000000010200000000000000"},
     {"repl.lazy", 67, 5,
       "4657514105250000003600000008000000000000000146575141054400000020"
       "0000000200000001000000610100000031010000006201000000320800000000"
@@ -447,7 +444,7 @@ std::string with_version(std::string hex, std::uint8_t version) {
 }
 
 TEST_F(CodecTest, GoldenFramesPinEveryExemplar) {
-  ASSERT_EQ(net::kWireVersion, 5);
+  ASSERT_EQ(net::kWireVersion, 6);
   const auto all = exemplars();
   ASSERT_EQ(all.size(), std::size(kGoldenFrames));
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -588,7 +585,6 @@ TEST_F(CodecTest, JoinRoleAndViewListenersSurviveTheRoundTrip) {
 
   gcs::InstallMsg install;
   install.group = gcs::GroupId{17};
-  install.proposal = 4;
   install.view.group = gcs::GroupId{17};
   install.view.id = 4;
   install.view.members = {net::NodeId{5}, net::NodeId{2}, net::NodeId{9}};
