@@ -15,11 +15,14 @@ The sweep JSON holds doubles computed through libm (lgamma, exp, log),
 whose last bit may differ between C library versions, so the digests only
 compare between builds of one toolchain. The baseline records the
 compiler, C library and CPU architecture it was written with; a build on a
-different toolchain reports the digests as not comparable and passes.
+different toolchain reports the digests as not comparable and passes,
+unless --require-comparable is given.
 
 Usage:
-  oracle_digest.py [--build-dir build]
-      Check: exit 1 if any digest differs from the baseline.
+  oracle_digest.py [--build-dir build] [--require-comparable]
+      Check: exit 1 if any digest differs from the baseline. With
+      --require-comparable, also exit 1 when the build's toolchain is not
+      the baseline's, instead of skipping the check.
   oracle_digest.py --write [--build-dir build]
       Regenerate the baseline. Each plan runs twice; only plans whose
       JSON is byte-identical across both runs are recorded (the others
@@ -177,13 +180,15 @@ def write_baseline(sweep_cli, tools, workdir):
     return 0
 
 
-def check_baseline(sweep_cli, tools, workdir):
+def check_baseline(sweep_cli, tools, workdir, require_comparable):
     with open(BASELINE) as f:
         doc = json.load(f)
     if doc.get("toolchain") != tools:
-        print("toolchain differs, digests not comparable; skipped\n"
-              "  baseline   %s\n  this build %s" % (doc.get("toolchain"), tools))
-        return 0
+        print("toolchain differs, digests not comparable; %s\n"
+              "  baseline   %s\n  this build %s" %
+              ("failed (--require-comparable)" if require_comparable else "skipped",
+               doc.get("toolchain"), tools))
+        return 1 if require_comparable else 0
     if (doc["seed"], doc["seeds"]) != (SEED, SEEDS):
         print("baseline seeds %s/%s differ from the tool's %s/%s; regenerate "
               "it with --write" % (doc["seed"], doc["seeds"], SEED, SEEDS))
@@ -215,6 +220,9 @@ def main():
                       help="regenerate the baseline instead of checking it")
     mode.add_argument("--against", metavar="PARENT_BUILD_DIR",
                       help="compare with another build's sweep_cli instead")
+    parser.add_argument("--require-comparable", action="store_true",
+                        help="fail the check, instead of skipping it, when "
+                        "the build's toolchain is not the baseline's")
     args = parser.parse_args()
     clis = [os.path.join(os.path.abspath(d), "bench", "sweep_cli")
             for d in [args.build_dir] + ([args.against] if args.against else [])]
@@ -229,7 +237,8 @@ def main():
             return compare_builds(sweep_cli, clis[1], workdir)
         if args.write:
             return write_baseline(sweep_cli, toolchain(build_dir), workdir)
-        return check_baseline(sweep_cli, toolchain(build_dir), workdir)
+        return check_baseline(sweep_cli, toolchain(build_dir), workdir,
+                              args.require_comparable)
 
 
 if __name__ == "__main__":
