@@ -54,7 +54,7 @@ Member& Endpoint::member(GroupId group) {
   auto it = members_.find(group);
   if (it == members_.end()) {
     auto member = std::make_unique<Member>(
-        exec_, directory_, config_, group, id_,
+        exec_, directory_, group, id_,
         [this](net::NodeId to, net::MessagePtr msg) {
           if (!crashed_) transport_.send(id_, to, std::move(msg));
         },
@@ -66,15 +66,12 @@ Member& Endpoint::member(GroupId group) {
 }
 
 void Endpoint::heartbeat_tick() {
-  // One route per section: the member's group and where the section goes.
   routes_.clear();
   bool live = false;
   for (const auto& [group, member] : members_) {
     if (member->stopped()) continue;
     live = true;
-    marks_.clear();
-    member->heartbeat(marks_);
-    for (HeartbeatRoute& route : marks_) routes_.emplace_back(group, std::move(route));
+    member->heartbeat(routes_);
   }
   if (!live) {
     heartbeat_task_.stop();
@@ -86,26 +83,21 @@ void Endpoint::heartbeat_tick() {
   // run that lists its sections in GroupId order: one message per
   // destination, the first section at its head and the others as riders.
   std::sort(routes_.begin(), routes_.end(), [](const auto& a, const auto& b) {
-    return a.second.dest != b.second.dest ? a.second.dest < b.second.dest
-                                          : a.first < b.first;
+    return a.first != b.first ? a.first < b.first : a.second.group < b.second.group;
   });
-  const auto section = [](std::pair<GroupId, HeartbeatRoute>& route) {
-    HeartbeatRoute& r = route.second;
-    return HeartbeatSection{route.first, r.p2p_sent, r.p2p_acked, std::move(r.shared)};
-  };
   // One merge walk over the destinations and watched_, both in NodeId
   // order, keeps each clock that runs on and starts one per new node.
   const sim::TimePoint now = exec_.now();
   next_watched_.clear();
   auto old = watched_.cbegin();
   for (std::size_t begin = 0, end = 0; begin < routes_.size(); begin = end) {
-    const net::NodeId dest = routes_[begin].second.dest;
+    const net::NodeId dest = routes_[begin].first;
     end = begin + 1;
-    while (end < routes_.size() && routes_[end].second.dest == dest) ++end;
+    while (end < routes_.size() && routes_[end].first == dest) ++end;
     auto msg = std::make_shared<HeartbeatMsg>();
-    static_cast<HeartbeatSection&>(*msg) = section(routes_[begin]);
+    static_cast<HeartbeatSection&>(*msg) = std::move(routes_[begin].second);
     msg->riders.reserve(end - begin - 1);
-    for (std::size_t k = begin + 1; k < end; ++k) msg->riders.push_back(section(routes_[k]));
+    for (std::size_t k = begin + 1; k < end; ++k) msg->riders.push_back(std::move(routes_[k].second));
     transport_.send(id_, dest, std::move(msg));
 
     while (old != watched_.cend() && old->node < dest) ++old;
@@ -140,7 +132,6 @@ net::NodeId Endpoint::reincarnate() {
   members_.clear();
   id_ = transport_.attach(*this);
   crashed_ = false;
-  ++incarnation_;
   return id_;
 }
 

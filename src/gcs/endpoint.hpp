@@ -5,15 +5,15 @@
 // models fail-stop crashes.
 //
 // It also owns the process's one heartbeat timer. Every heartbeat_period it
-// collects each joined member's heartbeat routes, and sends one
-// HeartbeatMsg per destination node: the section of the lowest GroupId
-// that goes there, carrying the other groups' sections for that node as
-// riders. A section is the destination's two p2p marks plus a pointer to
-// a shared part its member built for the tick, so the per-tick work that
-// grows with the group (the ack vector) is done once or twice per member,
-// not once per destination. On receipt each section goes to its own member, so a
-// process in three groups with a peer sends it one heartbeat per period,
-// not three.
+// collects each joined member's heartbeat sections, each paired with its
+// destination, and sends one HeartbeatMsg per destination node: the section
+// of the lowest GroupId that goes there, carrying the other groups'
+// sections for that node as riders. A section is its group, the
+// destination's two p2p marks and a pointer to a shared part its member
+// built for the tick, so the per-tick work that grows with the group (the
+// ack vector) is done once or twice per member, not once per destination.
+// On receipt each section goes to its own member, so a process in three
+// groups with a peer sends it one heartbeat per period, not three.
 //
 // The tick is also the process's one failure detector, since a crash
 // belongs to a process, not to a group: a node it sends a section to must
@@ -63,8 +63,8 @@ class Endpoint final : public net::Endpoint {
   void crash();
 
   /// Rebirth after crash(): discards all group members of the dead
-  /// incarnation, re-attaches to the transport under a fresh NodeId, and
-  /// bumps the incarnation counter. The reborn process shares nothing with
+  /// incarnation and re-attaches to the transport under a fresh NodeId
+  /// (NodeIds are never reused, so the id tags the incarnation). The reborn process shares nothing with
   /// its predecessor but the Endpoint object itself — it must join its
   /// groups again, and the GCS garbage-collects the dead incarnation's
   /// heartbeat/suspect state once views merge. Returns the new id.
@@ -75,12 +75,6 @@ class Endpoint final : public net::Endpoint {
 
   bool crashed() const { return crashed_; }
   net::NodeId id() const { return id_; }
-  /// Starts at 0; incremented by each reincarnate(). Together with id()
-  /// this tags the incarnation (NodeIds are never reused, so id() alone is
-  /// already unique per incarnation — the counter is for observability).
-  std::uint32_t incarnation() const { return incarnation_; }
-  runtime::Executor& executor() { return exec_; }
-  net::Transport& transport() { return transport_; }
   /// The simulation-wide observability context (owned by the transport).
   obs::Observability& observability() { return transport_.observability(); }
 
@@ -106,14 +100,12 @@ class Endpoint final : public net::Endpoint {
   Config config_;
   net::NodeId id_;
   bool crashed_ = false;
-  std::uint32_t incarnation_ = 0;
   /// In GroupId order, which is the order of a bundle's sections.
   std::map<GroupId, std::unique_ptr<Member>> members_;
   runtime::PeriodicTask heartbeat_task_;
-  // Reused by every tick: one route per section, one member's routes, and
-  // the watched nodes (NodeId order) of the last tick and of this one.
-  std::vector<std::pair<GroupId, HeartbeatRoute>> routes_;
-  std::vector<HeartbeatRoute> marks_;
+  // Reused by every tick: every member's sections with their destinations,
+  // and the watched nodes (NodeId order) of the last tick and of this one.
+  std::vector<HeartbeatRoute> routes_;
   std::vector<Watched> watched_;
   std::vector<Watched> next_watched_;
 };
