@@ -1,13 +1,35 @@
-// Command-line options of the wall-clock benches (bench_obs_overhead).
-// Scenario experiments run through sweep_cli instead.
+// Command-line options of the wall-clock benches (bench_obs_overhead), and
+// the strict count parser that they, bench_selection_scale and sweep_cli
+// share. Scenario experiments run through sweep_cli.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 namespace aqueduct::bench {
+
+/// The value of `flag` as an unsigned decimal count. Anything else (a
+/// sign, trailing characters, no digits, a value past 2^64-1) prints
+/// usage and exits 2: std::stoull would abort on "abc", read "1x" as 1 and
+/// "-1" as 2^64-1.
+inline std::uint64_t parse_count(const char* prog, const char* flag, const char* text,
+                                 void (*usage)(const char*, std::ostream&)) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [rest, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || rest != end) {
+    std::cerr << prog << ": flag " << flag << " needs an unsigned integer, not '" << text
+              << "'\n";
+    usage(prog, std::cerr);
+    std::exit(2);
+  }
+  return value;
+}
 
 /// Parsing is strict: an unknown flag (or a flag missing its value) prints
 /// usage and exits 2, so CI cannot green-light a typo'd invocation that
@@ -42,16 +64,20 @@ struct Options {
       }
       return argv[++i];
     };
+    const auto count = [&](int& i) {
+      const char* flag = argv[i];
+      return parse_count(argv[0], flag, value(i), usage);
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--quick") {
         opt.requests = 200;
       } else if (arg == "--requests") {
-        opt.requests = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.requests = count(i);
       } else if (arg == "--seed") {
-        opt.seed = std::stoull(value(i));
+        opt.seed = count(i);
       } else if (arg == "--seeds") {
-        opt.seeds = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.seeds = count(i);
       } else if (arg == "--json-out") {
         opt.json_out = value(i);
       } else if (arg == "--no-json") {

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "client/repository.hpp"
 #include "core/pmf.hpp"
 #include "core/qos.hpp"
@@ -75,18 +76,21 @@ struct Options {
       }
       return argv[++i];
     };
+    const auto count = [&](int& i) {
+      const char* flag = argv[i];
+      return bench::parse_count(argv[0], flag, value(i), usage);
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--smoke") {
         opt.iterations = 200;
         opt.open_loop_iterations = 20000;
       } else if (arg == "--iterations") {
-        opt.iterations = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.iterations = count(i);
       } else if (arg == "--open-loop-iterations") {
-        opt.open_loop_iterations =
-            static_cast<std::size_t>(std::stoull(value(i)));
+        opt.open_loop_iterations = count(i);
       } else if (arg == "--seed") {
-        opt.seed = std::stoull(value(i));
+        opt.seed = count(i);
       } else if (arg == "--json-out") {
         opt.json_out = value(i);
       } else if (arg == "--no-json") {

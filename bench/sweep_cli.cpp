@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench_common.hpp"
 #include "harness/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -70,18 +71,22 @@ CliOptions parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  const auto count = [&](int& i) {
+    const char* flag = argv[i];
+    return bench::parse_count(argv[0], flag, value(i), usage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--plan") {
       opt.plan = value(i);
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value(i));
+      opt.seed = count(i);
     } else if (arg == "--seeds") {
-      opt.seeds = static_cast<std::size_t>(std::stoull(value(i)));
+      opt.seeds = count(i);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::stoull(value(i)));
+      opt.threads = count(i);
     } else if (arg == "--requests") {
-      opt.requests = static_cast<std::size_t>(std::stoull(value(i)));
+      opt.requests = count(i);
     } else if (arg == "--json-out") {
       opt.json_out = value(i);
     } else if (arg == "--no-json") {
