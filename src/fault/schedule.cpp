@@ -267,8 +267,7 @@ FaultSchedule& FaultSchedule::correlated_rack_failure(std::size_t rack_slot,
 
 FaultSchedule FaultSchedule::random(std::uint64_t seed,
                                     const RandomFaultParams& params) {
-  AQUEDUCT_CHECK_MSG(params.crash_candidates > params.first_candidate,
-                     "no eligible crash candidates");
+  AQUEDUCT_CHECK_MSG(params.crash_candidates > 0, "no eligible crash candidates");
   AQUEDUCT_CHECK(params.min_crashes <= params.max_crashes);
   sim::Rng rng(seed);
   FaultSchedule schedule;
@@ -276,22 +275,12 @@ FaultSchedule FaultSchedule::random(std::uint64_t seed,
   const std::size_t span = params.max_crashes - params.min_crashes + 1;
   const std::size_t crashes =
       params.min_crashes + static_cast<std::size_t>(rng.uniform_int(span));
-  const std::size_t pool = params.crash_candidates - params.first_candidate;
 
   sim::Duration cursor = params.earliest_crash;
-  std::vector<std::size_t> down;  // crashed and not yet restarted
   for (std::size_t i = 0; i < crashes; ++i) {
-    // Pick a victim that is currently up (a replica can crash repeatedly,
-    // but only after its restart has fired).
-    std::size_t victim = 0;
-    bool found = false;
-    for (std::size_t tries = 0; tries < 16 && !found; ++tries) {
-      victim = params.first_candidate +
-               static_cast<std::size_t>(rng.uniform_int(pool));
-      found = std::find(down.begin(), down.end(), victim) == down.end();
-    }
-    if (!found) break;  // everything eligible is already down
-
+    // Drawn independently: a replica may be drawn again, even before its
+    // restart fires.
+    const auto victim = static_cast<std::size_t>(rng.uniform_int(params.crash_candidates));
     const auto spacing_ms = static_cast<double>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             params.crash_spacing)
@@ -301,22 +290,14 @@ FaultSchedule FaultSchedule::random(std::uint64_t seed,
             rng.uniform(0.0, spacing_ms)));
     schedule.crash(victim, cursor);
 
-    if (params.restart) {
-      const auto min_ms = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              params.min_outage)
-              .count());
-      const auto max_ms = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              params.max_outage)
-              .count());
-      const sim::Duration outage = std::chrono::duration_cast<sim::Duration>(
-          std::chrono::duration<double, std::milli>(
-              rng.uniform(min_ms, std::max(min_ms, max_ms))));
-      schedule.restart(victim, cursor + outage);
-    } else {
-      down.push_back(victim);
-    }
+    const auto min_ms = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(params.min_outage).count());
+    const auto max_ms = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(params.max_outage).count());
+    const sim::Duration outage = std::chrono::duration_cast<sim::Duration>(
+        std::chrono::duration<double, std::milli>(
+            rng.uniform(min_ms, std::max(min_ms, max_ms))));
+    schedule.restart(victim, cursor + outage);
   }
 
   if (params.loss_probability > 0.0 &&

@@ -93,11 +93,8 @@ struct FaultEvent {
 /// sequences so chaos tests sweep many distinct-but-reproducible failure
 /// patterns without hand-writing each one.
 struct RandomFaultParams {
-  /// Replica indices [0, crash_candidates) are eligible to crash. Callers
-  /// typically exclude index 0 when they want the sequencer kept alive.
+  /// Replica indices [0, crash_candidates) are eligible to crash.
   std::size_t crash_candidates = 0;
-  /// Smallest eligible index (set to 1 to spare the sequencer).
-  std::size_t first_candidate = 0;
   std::size_t min_crashes = 1;
   std::size_t max_crashes = 2;
   /// No crash before this offset (lets the groups settle).
@@ -105,8 +102,7 @@ struct RandomFaultParams {
   /// Each successive crash lands uniformly within this window after the
   /// previous one.
   sim::Duration crash_spacing = std::chrono::seconds(20);
-  /// Whether crashed replicas are restarted after an outage.
-  bool restart = true;
+  /// Every crashed replica restarts after an outage drawn from this range.
   sim::Duration min_outage = std::chrono::seconds(5);
   sim::Duration max_outage = std::chrono::seconds(15);
   /// Optional network-wide loss episode (0 disables).
