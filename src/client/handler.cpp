@@ -64,125 +64,116 @@ void ClientHandler::read(net::MessagePtr op, const core::QoSSpec& qos,
                          ReadCallback done) {
   qos.validate();
   AQUEDUCT_CHECK(op != nullptr);
-  const sim::TimePoint t0 = exec_.now();
-  if (!ready()) {
-    pending_.push_back({true, std::move(op), qos, std::move(done), {}, t0});
-    return;
-  }
-  const replication::RequestId id{this->id(), ++next_seq_};
-  OutstandingRequest& req = outstanding_[id];
+  OutstandingRequest req;
   req.is_read = true;
   req.op = std::move(op);
   req.qos = qos;
   req.read_done = std::move(done);
-  req.t0 = t0;
-  stats_.inc(&ClientStats::reads_issued);
-  span(obs::SpanKind::kIssue, id, net::NodeId{},
-       static_cast<std::uint64_t>(sim::to_ms(qos.deadline)));
-  transmit_read(id, req);
-  req.deadline_timer = exec_.at(t0 + qos.deadline, [this, id] { on_deadline(id); });
+  issue(std::move(req));
 }
 
 void ClientHandler::update(net::MessagePtr op, UpdateCallback done) {
   AQUEDUCT_CHECK(op != nullptr);
-  const sim::TimePoint t0 = exec_.now();
+  OutstandingRequest req;
+  req.op = std::move(op);
+  req.update_done = std::move(done);
+  issue(std::move(req));
+}
+
+void ClientHandler::issue(OutstandingRequest request) {
   if (!ready()) {
-    pending_.push_back({false, std::move(op), {}, {}, std::move(done), t0});
+    pending_.push_back(std::move(request));
     return;
   }
   const replication::RequestId id{this->id(), ++next_seq_};
-  last_update_seq_ = id.seq;
-  OutstandingRequest& req = outstanding_[id];
-  req.is_read = false;
-  req.op = std::move(op);
-  req.update_done = std::move(done);
-  req.t0 = t0;
-  stats_.inc(&ClientStats::updates_issued);
-  span(obs::SpanKind::kIssue, id, net::NodeId{});
-  transmit_update(id, req);
+  if (!request.is_read) last_update_seq_ = id.seq;
+  OutstandingRequest& req = outstanding_[id] = std::move(request);
+  req.t0 = exec_.now();
+  stats_.inc(req.is_read ? &ClientStats::reads_issued
+                         : &ClientStats::updates_issued);
+  span(obs::SpanKind::kIssue, id, net::NodeId{},
+       req.is_read ? static_cast<std::uint64_t>(sim::to_ms(req.qos.deadline))
+                   : 0);
+  transmit(id, req);
+  if (req.is_read) {
+    req.deadline_timer =
+        exec_.at(req.t0 + req.qos.deadline, [this, id] { on_deadline(id); });
+  }
 }
 
 void ClientHandler::drain_pending() {
-  std::deque<PendingApp> pending;
+  std::vector<OutstandingRequest> pending;
   pending.swap(pending_);
-  for (PendingApp& p : pending) {
-    // Re-enter through the public API; t0 conservatively restarts now
-    // (start-up transient only).
-    if (p.is_read) {
-      read(std::move(p.op), p.qos, std::move(p.read_done));
-    } else {
-      update(std::move(p.op), std::move(p.update_done));
-    }
-  }
+  // t0 restarts at issue (a start-up transient only).
+  for (OutstandingRequest& req : pending) issue(std::move(req));
 }
 
 // ---------------------------------------------------------------------------
 // Transmission and retries
 // ---------------------------------------------------------------------------
 
-void ClientHandler::transmit_read(const replication::RequestId& id,
-                                  OutstandingRequest& req) {
+void ClientHandler::transmit(const replication::RequestId& id,
+                             OutstandingRequest& req) {
   const auto& roles = repository_.roles();
   const sim::TimePoint now = exec_.now();
+  // Updates go to every member of the primary group (Section 4.1.1); reads
+  // to the selected set K (Algorithm 1 lines 13/16). Either set is
+  // extended with the sequencer below.
+  const std::vector<net::NodeId>* dests = &roles.primaries;
+  std::uint64_t fanout = roles.primaries.size() + 1;
+  core::SelectionResult selection;
+  net::MessagePtr message;
+  if (req.is_read) {
+    // No sequencer in the role map: a FIFO service. There, threshold 0 asks
+    // for read-your-writes (this client's latest update seq) and any other
+    // threshold waives the session bound.
+    const bool fifo = !roles.sequencer.valid();
+    std::uint64_t bound = req.qos.staleness_threshold;
+    if (fifo) bound = req.qos.staleness_threshold == 0 ? last_update_seq_ : 0;
+    auto ctx = repository_.selection_context(req.qos, now, rng_);
+    if (fifo) {
+      // FIFO has no global version count. Without a session bound every
+      // secondary is fresh enough; with one, a secondary holds this client's
+      // latest write only after a lazy propagation, so it counts through its
+      // deferred-read distribution alone.
+      ctx.stale_factor = bound == 0 ? 1.0 : 0.0;
+    }
+    selection = config_.selector->select(ctx);
+    dests = &selection.selected;
+    fanout = selection.selected.size();
 
-  // No sequencer in the role map: a FIFO service. There, threshold 0 asks
-  // for read-your-writes (this client's latest update seq) and any other
-  // threshold waives the session bound.
-  const bool fifo = !roles.sequencer.valid();
-  std::uint64_t bound = req.qos.staleness_threshold;
-  if (fifo) bound = req.qos.staleness_threshold == 0 ? last_update_seq_ : 0;
-  auto ctx = repository_.selection_context(req.qos, now, rng_);
-  if (fifo) {
-    // FIFO has no global version count. Without a session bound every
-    // secondary is fresh enough; with one, a secondary holds this client's
-    // latest write only after a lazy propagation, so it counts through its
-    // deferred-read distribution alone.
-    ctx.stale_factor = bound == 0 ? 1.0 : 0.0;
+    req.replicas_selected = selection.selected.size();
+    req.selection_satisfied = selection.satisfied;
+    req.predicted_probability = selection.predicted_probability;
+    // Every attempt runs a selection; retries count too, so the average
+    // reported per attempt matches what the selector actually chose.
+    stats_.inc(&ClientStats::selection_attempts);
+    stats_.inc(&ClientStats::replicas_selected_total,
+               selection.selected.size());
+
+    auto request = std::make_shared<replication::ReadRequest>();
+    request->id = id;
+    request->op = req.op;
+    request->bound = bound;
+    message = std::move(request);
+  } else {
+    auto request = std::make_shared<replication::UpdateRequest>();
+    request->id = id;
+    request->op = req.op;
+    message = std::move(request);
   }
-  auto selection = config_.selector->select(ctx);
-
-  req.replicas_selected = selection.selected.size();
-  req.selection_satisfied = selection.satisfied;
-  req.predicted_probability = selection.predicted_probability;
-  // Every attempt runs a selection; retries count too, so the average
-  // reported per attempt matches what the selector actually chose.
-  stats_.inc(&ClientStats::selection_attempts);
-  stats_.inc(&ClientStats::replicas_selected_total, selection.selected.size());
-
-  auto request = std::make_shared<replication::ReadRequest>();
-  request->id = id;
-  request->op = req.op;
-  request->bound = bound;
 
   req.tm = now;
   ++req.attempts;
   stats_.inc(&ClientStats::transmit_attempts);
-  span(obs::SpanKind::kSend, id, roles.sequencer, selection.selected.size());
-  // The selected set K plus the sequencer (Algorithm 1 lines 13/16).
-  qos_member_->send_to_set(selection.selected, request);
+  span(obs::SpanKind::kSend, id, roles.sequencer, fanout);
+  qos_member_->send_to_set(*dests, message);
+  // A GroupInfo's primaries never list the sequencer; a selection might.
   if (roles.sequencer.valid() &&
-      std::find(selection.selected.begin(), selection.selected.end(),
-                roles.sequencer) == selection.selected.end()) {
-    qos_member_->send_to(roles.sequencer, request);
+      std::find(dests->begin(), dests->end(), roles.sequencer) ==
+          dests->end()) {
+    qos_member_->send_to(roles.sequencer, message);
   }
-  arm_retry(id);
-}
-
-void ClientHandler::transmit_update(const replication::RequestId& id,
-                                    OutstandingRequest& req) {
-  const auto& roles = repository_.roles();
-  auto request = std::make_shared<replication::UpdateRequest>();
-  request->id = id;
-  request->op = req.op;
-
-  req.tm = exec_.now();
-  ++req.attempts;
-  stats_.inc(&ClientStats::transmit_attempts);
-  span(obs::SpanKind::kSend, id, roles.sequencer, roles.primaries.size() + 1);
-  // Updates go to every member of the primary group, sequencer included
-  // (Section 4.1.1).
-  qos_member_->send_to_set(roles.primaries, request);
-  if (roles.sequencer.valid()) qos_member_->send_to(roles.sequencer, request);
   arm_retry(id);
 }
 
@@ -213,41 +204,12 @@ void ClientHandler::on_retry(const replication::RequestId& id) {
   if (it == outstanding_.end() || it->second.completed) return;
   OutstandingRequest& req = it->second;
   if (req.attempts > config_.max_retries) {
-    // Give up: report failure to the application.
-    req.completed = true;
-    exec_.cancel(req.deadline_timer);
-    span(obs::SpanKind::kAbandon, id, net::NodeId{}, req.attempts,
-         exec_.now() - req.t0);
-    if (req.is_read) {
-      stats_.inc(&ClientStats::reads_abandoned);
-      ReadOutcome outcome;
-      outcome.response_time = exec_.now() - req.t0;
-      outcome.timing_failure = true;
-      outcome.replicas_selected = req.replicas_selected;
-      outcome.selection_satisfied = req.selection_satisfied;
-      outcome.predicted_probability = req.predicted_probability;
-      obs_.sla.record_read(
-          this->id(),
-          obs::SlaSpec{req.qos.staleness_threshold, req.qos.deadline,
-                       req.qos.min_probability},
-          exec_.now(), /*timing_failure=*/true, /*staleness=*/0, req.attempts,
-          config_.shard);
-      if (req.read_done) req.read_done(outcome);
-    } else if (req.update_done) {
-      UpdateOutcome outcome;
-      outcome.response_time = exec_.now() - req.t0;
-      req.update_done(outcome);
-    }
-    outstanding_.erase(it);
+    finish(id, req, nullptr);  // give up: report failure to the application
     return;
   }
   stats_.inc(&ClientStats::retries);
   span(obs::SpanKind::kRetry, id, net::NodeId{}, req.attempts);
-  if (req.is_read) {
-    transmit_read(id, req);
-  } else {
-    transmit_update(id, req);
-  }
+  transmit(id, req);
 }
 
 void ClientHandler::on_deadline(const replication::RequestId& id) {
@@ -267,7 +229,7 @@ void ClientHandler::on_deadline(const replication::RequestId& id) {
 void ClientHandler::on_deliver(net::NodeId /*from*/, const net::MessagePtr& msg) {
   const sim::TimePoint now = exec_.now();
   if (auto reply = net::message_cast<replication::Reply>(msg)) {
-    handle_reply(reply);
+    handle_reply(*reply);
   } else if (auto perf = net::message_cast<replication::PerfPublication>(msg)) {
     repository_.record_publication(*perf, now);
   } else if (auto info = net::message_cast<replication::GroupInfo>(msg)) {
@@ -277,9 +239,8 @@ void ClientHandler::on_deliver(net::NodeId /*from*/, const net::MessagePtr& msg)
   }
 }
 
-void ClientHandler::handle_reply(
-    const std::shared_ptr<const replication::Reply>& reply) {
-  auto it = outstanding_.find(reply->id);
+void ClientHandler::handle_reply(const replication::Reply& reply) {
+  auto it = outstanding_.find(reply.id);
   if (it == outstanding_.end()) return;  // linger expired
   OutstandingRequest& req = it->second;
 
@@ -287,91 +248,95 @@ void ClientHandler::handle_reply(
   // from an earlier attempt can make this negative after a retry; clamp.
   const sim::TimePoint tp = exec_.now();
   const sim::Duration tg =
-      std::max(sim::Duration::zero(), (tp - req.tm) - reply->t1());
-  repository_.record_reply(reply->replica, tg, tp);
+      std::max(sim::Duration::zero(), (tp - req.tm) - reply.t1());
+  repository_.record_reply(reply.replica, tg, tp);
   gateway_ms_.observe(sim::to_ms(tg));
-  span(obs::SpanKind::kReceive, reply->id, reply->replica,
+  span(obs::SpanKind::kReceive, reply.id, reply.replica,
        req.completed ? 1 : 0, tp - req.tm);
 
   if (req.completed) return;  // later replies only feed the repository
+  finish(reply.id, req, &reply);
+}
+
+void ClientHandler::finish(const replication::RequestId& id,
+                           OutstandingRequest& req,
+                           const replication::Reply* reply) {
   req.completed = true;
   exec_.cancel(req.retry_timer);
   exec_.cancel(req.deadline_timer);
-
-  if (req.is_read) {
-    complete_read(reply->id, req, reply.get());
-  } else {
-    stats_.inc(&ClientStats::updates_completed);
-    stats_.add(&ClientStats::total_update_response_time, tp - req.t0);
-    update_response_ms_.observe(sim::to_ms(tp - req.t0));
-    UpdateOutcome outcome;
-    outcome.result = reply->result;
-    outcome.response_time = tp - req.t0;
-    span(obs::SpanKind::kComplete, reply->id, reply->replica, 0,
-         outcome.response_time);
-    emit_breakdown(reply->id, req, *reply, outcome.response_time, false);
-    if (req.update_done) req.update_done(outcome);
-  }
-  forget_later(reply->id);
-}
-
-void ClientHandler::complete_read(const replication::RequestId& id,
-                                  OutstandingRequest& req,
-                                  const replication::Reply* reply) {
   const sim::Duration tr = exec_.now() - req.t0;
+
+  // Reads and updates alike fill a ReadOutcome; an update's callback gets
+  // its result and response time.
   ReadOutcome outcome;
-  outcome.result = reply->result;
   outcome.response_time = tr;
-  outcome.timing_failure = req.timing_failure || tr > req.qos.deadline;
-  outcome.deferred = reply->deferred;
-  outcome.staleness = reply->staleness;
-  outcome.responder = reply->replica;
   outcome.replicas_selected = req.replicas_selected;
   outcome.selection_satisfied = req.selection_satisfied;
   outcome.predicted_probability = req.predicted_probability;
-  // Breakdown per Eq. 5/6: the server components are piggybacked on the
-  // reply; the gateway delay is the exact remainder so the parts always
-  // sum to response_time.
-  outcome.client_overhead = req.tm - req.t0;
-  outcome.service = reply->ts;
-  outcome.queueing = reply->tq;
-  outcome.lazy_wait = reply->tb;
-  outcome.gateway = tr - outcome.client_overhead - reply->ts - reply->tq -
-                    reply->tb;
-
-  stats_.inc(&ClientStats::reads_completed);
-  stats_.add(&ClientStats::total_response_time, tr);
-  read_response_ms_.observe(sim::to_ms(tr));
-  if (outcome.timing_failure) {
-    stats_.inc(&ClientStats::timing_failures);
+  outcome.timing_failure =
+      req.is_read &&
+      (reply == nullptr || req.timing_failure || tr > req.qos.deadline);
+  if (reply == nullptr) {
+    span(obs::SpanKind::kAbandon, id, net::NodeId{}, req.attempts, tr);
+    if (req.is_read) stats_.inc(&ClientStats::reads_abandoned);
   } else {
-    ++timely_reads_;
+    outcome.result = reply->result;
+    outcome.deferred = reply->deferred;
+    outcome.staleness = reply->staleness;
+    outcome.responder = reply->replica;
+    // Breakdown per Eq. 5/6: the server components are piggybacked on the
+    // reply; the gateway delay is the exact remainder so the parts always
+    // sum to response_time.
+    outcome.client_overhead = req.tm - req.t0;
+    outcome.service = reply->ts;
+    outcome.queueing = reply->tq;
+    outcome.lazy_wait = reply->tb;
+    outcome.gateway = tr - outcome.client_overhead - reply->ts - reply->tq -
+                      reply->tb;
+    if (req.is_read) {
+      stats_.inc(&ClientStats::reads_completed);
+      stats_.add(&ClientStats::total_response_time, tr);
+      read_response_ms_.observe(sim::to_ms(tr));
+      if (outcome.timing_failure) stats_.inc(&ClientStats::timing_failures);
+      if (outcome.deferred) stats_.inc(&ClientStats::deferred_replies);
+      if (outcome.staleness > req.qos.staleness_threshold) {
+        stats_.inc(&ClientStats::staleness_violations);
+      }
+    } else {
+      stats_.inc(&ClientStats::updates_completed);
+      stats_.add(&ClientStats::total_update_response_time, tr);
+      update_response_ms_.observe(sim::to_ms(tr));
+    }
+    span(obs::SpanKind::kComplete, id, reply->replica,
+         outcome.timing_failure ? 1 : 0, tr);
+    emit_breakdown(id, req, outcome);
   }
-  if (outcome.deferred) {
-    stats_.inc(&ClientStats::deferred_replies);
-  }
-  if (outcome.staleness > req.qos.staleness_threshold) {
-    stats_.inc(&ClientStats::staleness_violations);
-  }
-  span(obs::SpanKind::kComplete, id, reply->replica,
-       outcome.timing_failure ? 1 : 0, tr);
-  emit_breakdown(id, req, *reply, tr, outcome.timing_failure);
-  obs_.sla.record_read(
-      this->id(),
-      obs::SlaSpec{req.qos.staleness_threshold, req.qos.deadline,
-                   req.qos.min_probability},
-      exec_.now(), outcome.timing_failure, outcome.staleness, req.attempts,
-      config_.shard);
-  check_alarm(req.qos);
-  if (req.read_done) req.read_done(outcome);
-}
 
-void ClientHandler::check_alarm(const core::QoSSpec& qos) {
-  if (!alarm_ || stats_.get().reads_completed == 0) return;
-  const double timely_rate = static_cast<double>(timely_reads_) /
-                             static_cast<double>(stats_.get().reads_completed);
-  if (timely_rate < qos.min_probability) {
-    alarm_(1.0 - timely_rate);
+  if (req.is_read) {
+    obs_.sla.record_read(
+        this->id(),
+        obs::SlaSpec{req.qos.staleness_threshold, req.qos.deadline,
+                     req.qos.min_probability},
+        exec_.now(), outcome.timing_failure, outcome.staleness, req.attempts,
+        config_.shard);
+    // QoS alarm (Section 5.4) on the observed frequency of timely replies;
+    // an abandoned read is not a reply.
+    if (reply != nullptr && alarm_) {
+      const ClientStats& stats = stats_.get();
+      const double timely_rate =
+          static_cast<double>(stats.reads_completed - stats.timing_failures) /
+          static_cast<double>(stats.reads_completed);
+      if (timely_rate < req.qos.min_probability) alarm_(1.0 - timely_rate);
+    }
+    if (req.read_done) req.read_done(outcome);
+  } else if (req.update_done) {
+    req.update_done(UpdateOutcome{outcome.result, tr});
+  }
+
+  if (reply == nullptr) {
+    outstanding_.erase(id);
+  } else {
+    forget_later(id);
   }
 }
 
@@ -400,25 +365,22 @@ void ClientHandler::span(obs::SpanKind kind, const replication::RequestId& id,
 
 void ClientHandler::emit_breakdown(const replication::RequestId& id,
                                    const OutstandingRequest& req,
-                                   const replication::Reply& reply,
-                                   sim::Duration total, bool timing_failure) {
+                                   const ReadOutcome& outcome) {
   if (!obs_.trace.active()) return;
   obs::BreakdownEvent event;
   event.trace = replication::trace_of(id);
   event.at = exec_.now();
   event.client = this->id();
-  event.replica = reply.replica;
+  event.replica = outcome.responder;
   event.is_read = req.is_read;
-  event.deferred = reply.deferred;
-  event.timing_failure = timing_failure;
-  event.total = total;
-  event.client_overhead = req.tm - req.t0;
-  event.queueing = reply.tq;
-  event.service = reply.ts;
-  event.lazy_wait = reply.tb;
-  // Exact remainder — the breakdown always sums to `total`.
-  event.gateway = total - event.client_overhead - event.queueing -
-                  event.service - event.lazy_wait;
+  event.deferred = outcome.deferred;
+  event.timing_failure = outcome.timing_failure;
+  event.total = outcome.response_time;
+  event.client_overhead = outcome.client_overhead;
+  event.gateway = outcome.gateway;
+  event.queueing = outcome.queueing;
+  event.service = outcome.service;
+  event.lazy_wait = outcome.lazy_wait;
   obs_.trace.breakdown(event);
 }
 

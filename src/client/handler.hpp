@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "client/repository.hpp"
 #include "core/qos.hpp"
@@ -196,13 +196,15 @@ class ClientHandler {
   core::ReplicaSelector& selector() { return *config_.selector; }
 
  private:
+  /// One request from interception to outcome. A request issued before
+  /// the role map arrives waits in pending_ and is issued when it does.
   struct OutstandingRequest {
     bool is_read = false;
     net::MessagePtr op;
     core::QoSSpec qos;
     ReadCallback read_done;
     UpdateCallback update_done;
-    sim::TimePoint t0;  // interception time
+    sim::TimePoint t0;  // issue time
     sim::TimePoint tm;  // transmission time of the latest attempt
     std::uint32_t attempts = 0;
     bool completed = false;
@@ -214,17 +216,22 @@ class ClientHandler {
     sim::EventHandle retry_timer;
   };
 
-  void on_deliver(net::NodeId from, const net::MessagePtr& msg);
-  void handle_reply(const std::shared_ptr<const replication::Reply>& reply);
-  void transmit_read(const replication::RequestId& id, OutstandingRequest& req);
-  void transmit_update(const replication::RequestId& id, OutstandingRequest& req);
+  /// Parks `req` until the role map arrives, or gives it a RequestId and
+  /// transmits it.
+  void issue(OutstandingRequest req);
+  void drain_pending();
+  /// Sends an attempt: a read to its selected set, an update to the
+  /// primary group, either plus the sequencer.
+  void transmit(const replication::RequestId& id, OutstandingRequest& req);
   void arm_retry(const replication::RequestId& id);
   void on_retry(const replication::RequestId& id);
   void on_deadline(const replication::RequestId& id);
-  void complete_read(const replication::RequestId& id, OutstandingRequest& req,
-                     const replication::Reply* reply);
-  void check_alarm(const core::QoSSpec& qos);
-  void drain_pending();
+  void on_deliver(net::NodeId from, const net::MessagePtr& msg);
+  void handle_reply(const replication::Reply& reply);
+  /// The request's one outcome: the first reply, or abandonment after
+  /// max_retries when `reply` is null.
+  void finish(const replication::RequestId& id, OutstandingRequest& req,
+              const replication::Reply* reply);
   void forget_later(const replication::RequestId& id);
 
   // ---- observability ----
@@ -232,9 +239,7 @@ class ClientHandler {
             net::NodeId peer, std::uint64_t value = 0,
             sim::Duration duration = sim::Duration::zero());
   void emit_breakdown(const replication::RequestId& id,
-                      const OutstandingRequest& req,
-                      const replication::Reply& reply, sim::Duration total,
-                      bool timing_failure);
+                      const OutstandingRequest& req, const ReadOutcome& outcome);
 
   runtime::Executor& exec_;
   gcs::Endpoint& endpoint_;
@@ -250,17 +255,8 @@ class ClientHandler {
   /// a FIFO service.
   std::uint64_t last_update_seq_ = 0;
   std::unordered_map<replication::RequestId, OutstandingRequest> outstanding_;
-  struct PendingApp {
-    bool is_read;
-    net::MessagePtr op;
-    core::QoSSpec qos;
-    ReadCallback read_done;
-    UpdateCallback update_done;
-    sim::TimePoint t0;
-  };
-  std::deque<PendingApp> pending_;  // issued before the role map arrived
+  std::vector<OutstandingRequest> pending_;  // issued before the role map
 
-  std::uint64_t timely_reads_ = 0;
   obs::Observability& obs_;
   obs::MirroredStats<ClientStats> stats_;
   /// Retry backoff in whole ms, each delay truncated (client.retry_backoff_ms).

@@ -150,15 +150,11 @@ class InfoRepository {
   core::PerfHistory& history(net::NodeId replica);
   const core::PerfHistory* find_history(net::NodeId replica) const;
 
-  const core::ResponseTimeModel& model() const { return model_; }
-  std::size_t window_size() const { return window_size_; }
-
   /// Disabling the memo forces every candidates() call to build the pmfs
   /// from scratch through ResponseTimeModel (the pre-cache behaviour) — for
   /// A/B benches and coherence tests. Results must be bit-identical either
   /// way.
   void set_cache_enabled(bool enabled);
-  bool cache_enabled() const { return cache_enabled_; }
   const RepositoryCacheStats& cache_stats() const { return cache_stats_; }
   void reset_cache_stats() { cache_stats_ = {}; }
   const RepositoryChurnStats& churn_stats() const { return churn_stats_; }

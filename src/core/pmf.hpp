@@ -4,18 +4,18 @@
 // by forming the pmfs of the measured service time S and queueing delay W
 // from sliding windows, then computing the pmf of R = S + W + G as a
 // discrete convolution (plus the lazy-wait U for deferred reads).
+// core::ResponseState performs that convolution on integer counts; a Pmf
+// is its materialized result, which the uncached ResponseTimeModel (the
+// oracle the memoized CDFs are tested against) reads.
 //
 // Representation (see DESIGN.md "Selection at scale"): a pmf is a flat
 // contiguous array of probabilities over a fixed-resolution grid — mass_[i]
 // is the probability at value origin_ + i * resolution_ — plus a running
-// prefix-sum array, so cdf() is an O(1) index computation and quantile() a
-// binary search instead of the linear entry scans the sparse map
-// representation needed.
+// prefix-sum array, so cdf() is an O(1) index computation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,13 +29,6 @@ class Pmf {
   /// treat "no data" pessimistically.
   Pmf() = default;
 
-  /// Degenerate distribution: all mass at `value`.
-  static Pmf point_mass(sim::Duration value);
-
-  /// Relative-frequency pmf of the samples, bucketed at `resolution`.
-  static Pmf from_samples(std::span<const sim::Duration> samples,
-                          sim::Duration resolution);
-
   /// Dense-grid factory: mass[i] sits at `origin + i * resolution`. Leading
   /// and trailing zero buckets are trimmed; an all-zero vector yields an
   /// empty pmf. This is how ResponseState materializes Eq. 5/6 pmfs from
@@ -47,19 +40,6 @@ class Pmf {
 
   /// Number of grid buckets holding nonzero mass.
   std::size_t support_size() const { return nonzero_; }
-
-  /// Width of the stored grid in buckets (>= support_size(); the dense
-  /// array includes interior zero buckets).
-  std::size_t span() const { return mass_.size(); }
-
-  /// pmf of X + Y for independent X ~ *this, Y ~ other. The result is
-  /// re-bucketed at the coarser of the two resolutions. If either operand
-  /// is empty the result is empty.
-  Pmf convolve(const Pmf& other) const;
-
-  /// Shifts the distribution by a constant (convolution with a point mass,
-  /// done directly: the paper adds the latest gateway delay G this way).
-  Pmf shift(sim::Duration offset) const;
 
   /// P(X <= d). Returns 0 for an empty pmf. O(1): an index into the
   /// prefix-sum array.
@@ -73,14 +53,6 @@ class Pmf {
   /// Expected value. Requires !empty().
   sim::Duration mean() const;
 
-  /// Smallest x with P(X <= x) >= p. Requires !empty() and p in (0, 1].
-  /// O(log n): binary search over the prefix sums.
-  sim::Duration quantile(double p) const;
-
-  /// Sum of all probabilities (1.0 up to rounding for a non-empty,
-  /// untruncated pmf). O(1).
-  double total_mass() const { return prefix_.empty() ? 0.0 : prefix_.back(); }
-
   /// (value, probability) pairs for the nonzero buckets, sorted by value.
   /// Materialized on demand — a diagnostics/testing view, not a hot path.
   std::vector<std::pair<sim::Duration, double>> entries() const;
@@ -88,21 +60,18 @@ class Pmf {
   /// Value of the first (nonzero) grid bucket. Requires !empty().
   sim::Duration min_value() const { return origin_; }
 
-  sim::Duration resolution() const { return resolution_; }
-
-  /// Thread-local count of non-trivial convolutions performed (both
-  /// operands non-empty) on the calling thread. Full convolutions dominate
-  /// the uncached selection path, so benches and cache-effectiveness tests
-  /// meter them; ResponseState's integer convolutions count here too, its
-  /// O(window) incremental delta updates deliberately do not. Thread-local
-  /// (not process-wide) so concurrent sweep workers neither race nor
-  /// perturb each other's stats; a simulation runs entirely on one thread,
-  /// so per-run deltas stay exact.
+  /// Thread-local count of full convolutions performed on the calling
+  /// thread. Full convolutions dominate the uncached selection path, so
+  /// benches and cache-effectiveness tests meter them; ResponseState counts
+  /// each of its integer convolutions here, its O(window) incremental delta
+  /// updates deliberately not. Thread-local (not process-wide) so
+  /// concurrent sweep workers neither race nor perturb each other's stats;
+  /// a simulation runs entirely on one thread, so per-run deltas stay
+  /// exact.
   static std::uint64_t convolutions_performed();
   static void reset_convolution_counter();
 
-  /// Called by ResponseState when it performs a full integer convolution,
-  /// so cached-vs-uncached convolution accounting covers both pipelines.
+  /// Called by ResponseState when it performs a full integer convolution.
   static void count_convolution();
 
  private:

@@ -10,8 +10,9 @@ namespace aqueduct::core {
 
 namespace {
 
-/// Grid index at `resolution` — the same truncating rule as Pmf's
-/// bucketing, so the integer pipeline lands samples in the same buckets.
+/// Grid index at `resolution`: truncating division, so a bucket's value
+/// (index * resolution) is the sample floored to the grid. The model's one
+/// bucketing rule for S, W, U and the gateway offset.
 std::int64_t bucket_index(sim::Duration v, sim::Duration resolution) {
   const auto r = resolution.count();
   return r <= 1 ? v.count() : v.count() / r;
@@ -227,8 +228,7 @@ Pmf ResponseState::materialize(const std::vector<std::int64_t>& counts,
 Pmf ResponseState::immediate(const std::optional<sim::Duration>& gateway) const {
   if (!built_) return {};
   // The gateway delay shifts the grid by its exact value (paper Section
-  // 5.2 keeps only the latest G; the sparse pipeline never re-bucketed it
-  // for Eq. 5).
+  // 5.2 keeps only the latest G; Eq. 5 does not re-bucket it).
   return materialize(c_.c, c_.lo,
                      1.0 / static_cast<double>(immediate_total()),
                      gateway.value_or(sim::Duration::zero()));
@@ -250,8 +250,7 @@ Pmf ResponseState::deferred(const std::optional<sim::Duration>& gateway,
     }
     Pmf::count_convolution();
     // Convolving the G-shifted Eq. 5 pmf with U re-buckets the sum, which
-    // truncates the G phase to a whole bucket — reproduced here so the
-    // integer pipeline lands on the identical grid.
+    // truncates the G phase to a whole bucket.
     const std::int64_t goff =
         gateway ? bucket_index(*gateway, resolution_) : 0;
     return materialize(d, c_.lo + ulo,
