@@ -803,17 +803,21 @@ void ReplicaServer::complete_job(const Job& job, sim::Duration service_time,
         remember_committed(job.id);
       }
       update_payload_.erase(job.id);
+      const sim::Duration tq = service_start - job.arrival;
+      auto reply = std::make_shared<Reply>();
+      reply->id = job.id;
+      reply->result = std::move(result);
+      reply->replica = id();
+      reply->ts = service_time;
+      reply->tq = tq;
+      reply_cache_.add(job.id, reply);
+      // The other primaries answer an update. The sequencer caches its
+      // reply and sends it only to answer a retry: when it commits as the
+      // only live primary, the others learn the commit from a StateSnapshot,
+      // which carries no reply.
       if (!is_sequencer_) {
-        const sim::Duration tq = service_start - job.arrival;
         service_ms_.observe(sim::to_ms(service_time));
         queueing_ms_.observe(sim::to_ms(tq));
-        auto reply = std::make_shared<Reply>();
-        reply->id = job.id;
-        reply->result = std::move(result);
-        reply->replica = id();
-        reply->ts = service_time;
-        reply->tq = tq;
-        reply_cache_.add(job.id, reply);
         send_reply(reply, job.client);
       }
     } else {
