@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "client/handler.hpp"
 #include "core/staleness.hpp"
@@ -71,6 +72,50 @@ std::vector<double> to_ms(const std::vector<double>& seconds) {
 double ratio(std::uint64_t num, std::uint64_t den) {
   return den == 0 ? 0.0
                   : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// Completed reads, and their timing failures, pooled over every client
+/// and split by whether they completed inside the window [from, until).
+struct WindowedReads {
+  std::uint64_t inside_reads = 0, inside_failures = 0;
+  std::uint64_t outside_reads = 0, outside_failures = 0;
+  /// Seconds from `from` to the first timing failure inside the window;
+  /// -1 if there is none.
+  double first_inside_failure_s = -1.0;
+};
+
+WindowedReads tally_reads(const std::vector<harness::ClientResult>& clients,
+                          double from, double until) {
+  WindowedReads out;
+  for (const auto& client : clients) {
+    for (std::size_t i = 0; i < client.read_completed_at.size(); ++i) {
+      const double t = client.read_completed_at[i];
+      const bool inside = t >= from && t < until;
+      (inside ? out.inside_reads : out.outside_reads) += 1;
+      if (!client.read_timing_failures[i]) continue;
+      (inside ? out.inside_failures : out.outside_failures) += 1;
+      if (inside && (out.first_inside_failure_s < 0.0 ||
+                     t - from < out.first_inside_failure_s)) {
+        out.first_inside_failure_s = t - from;
+      }
+    }
+  }
+  return out;
+}
+
+/// The chaos decorator's injected-fault counters, by record name.
+constexpr std::pair<const char*, std::uint64_t net::TransportStats::*>
+    kInjectedFaults[] = {
+        {"messages_duplicated", &net::TransportStats::messages_duplicated},
+        {"messages_reordered", &net::TransportStats::messages_reordered},
+        {"messages_delayed", &net::TransportStats::messages_delayed},
+        {"messages_dropped_loss", &net::TransportStats::messages_dropped_loss},
+};
+
+void report_injected_faults(const harness::Scenario& scenario,
+                            SeedRecord& rec) {
+  const net::TransportStats ts = scenario.transport_stats();
+  for (const auto& [name, field] : kInjectedFaults) rec.counter(name, ts.*field);
 }
 
 /// The paper's standard two-client workload (Section 6.1 setup, Section 7
@@ -147,29 +192,19 @@ SeedRecord run_recovery(const Unit& unit, std::size_t requests) {
   const double outage_until =
       recovered_s < 0.0 ? sim::to_sec(scenario.executor().now() - sim::kEpoch)
                         : recovered_s;
+  const WindowedReads reads = tally_reads(run, outage_from, outage_until);
   client::ClientStats stats;
-  std::uint64_t outage_reads = 0, outage_failures = 0;
-  std::uint64_t steady_reads = 0, steady_failures = 0;
-  for (const auto& client : run) {
-    obs::add_fields(stats, client.stats);
-    for (std::size_t i = 0; i < client.read_completed_at.size(); ++i) {
-      const bool in_outage = client.read_completed_at[i] >= outage_from &&
-                             client.read_completed_at[i] < outage_until;
-      const bool failed = client.read_timing_failures[i];
-      (in_outage ? outage_reads : steady_reads) += 1;
-      if (failed) (in_outage ? outage_failures : steady_failures) += 1;
-    }
-  }
+  for (const auto& client : run) obs::add_fields(stats, client.stats);
   std::uint64_t conflicts = 0;
   for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
     conflicts += scenario.replica(i).stats().gsn_conflicts;
   }
   rec.counter("reads_completed", stats.reads_completed);
   rec.counter("reads_abandoned", stats.reads_abandoned);
-  rec.counter("outage_reads", outage_reads);
-  rec.counter("outage_failures", outage_failures);
-  rec.counter("steady_reads", steady_reads);
-  rec.counter("steady_failures", steady_failures);
+  rec.counter("outage_reads", reads.inside_reads);
+  rec.counter("outage_failures", reads.inside_failures);
+  rec.counter("steady_reads", reads.outside_reads);
+  rec.counter("steady_failures", reads.outside_failures);
   rec.counter("gsn_conflicts", conflicts);
   rec.counter("recovered", rejoin >= 0.0 ? 1 : 0);
   rec.counter("selected", first_selection >= 0.0 ? 1 : 0);
@@ -443,40 +478,23 @@ SeedRecord run_gray_failure(const Unit& unit, std::size_t requests) {
 
   auto results = scenario.run();
 
+  // The healthy point 0 has no degraded window.
   const double onset_s = sim::to_sec(sim::Duration(kGrayOnset));
-  const double heal_s = sim::to_sec(sim::Duration(kGrayHealAt));
-  std::uint64_t degraded_reads = 0, degraded_failures = 0;
-  std::uint64_t steady_reads = 0, steady_failures = 0;
-  double detect_s = -1.0;
-  for (const auto& client : results) {
-    for (std::size_t i = 0; i < client.read_completed_at.size(); ++i) {
-      const double t = client.read_completed_at[i];
-      const bool degraded = unit.point > 0 && t >= onset_s && t < heal_s;
-      const bool failed = client.read_timing_failures[i];
-      (degraded ? degraded_reads : steady_reads) += 1;
-      if (failed) {
-        (degraded ? degraded_failures : steady_failures) += 1;
-        if (degraded && (detect_s < 0.0 || t - onset_s < detect_s)) {
-          detect_s = t - onset_s;
-        }
-      }
-    }
-  }
+  const double heal_s =
+      unit.point > 0 ? sim::to_sec(sim::Duration(kGrayHealAt)) : onset_s;
+  const WindowedReads reads = tally_reads(results, onset_s, heal_s);
+  const double detect_s = reads.first_inside_failure_s;
 
   SeedRecord rec;
   rec.value("severity", static_cast<double>(unit.point));
-  rec.counter("degraded_reads", degraded_reads);
-  rec.counter("degraded_failures", degraded_failures);
-  rec.counter("steady_reads", steady_reads);
-  rec.counter("steady_failures", steady_failures);
+  rec.counter("degraded_reads", reads.inside_reads);
+  rec.counter("degraded_failures", reads.inside_failures);
+  rec.counter("steady_reads", reads.outside_reads);
+  rec.counter("steady_failures", reads.outside_failures);
   rec.counter("detected", detect_s >= 0.0 ? 1 : 0);
   if (detect_s >= 0.0) rec.sample("time_to_detect_s", {detect_s});
 
-  const net::TransportStats ts = scenario.transport_stats();
-  rec.counter("messages_duplicated", ts.messages_duplicated);
-  rec.counter("messages_reordered", ts.messages_reordered);
-  rec.counter("messages_delayed", ts.messages_delayed);
-  rec.counter("messages_dropped_loss", ts.messages_dropped_loss);
+  report_injected_faults(scenario, rec);
 
   collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
@@ -511,11 +529,7 @@ SeedRecord run_gray_chaos(const Unit& unit, std::size_t requests) {
   auto results = scenario.run();
 
   SeedRecord rec;
-  const net::TransportStats ts = scenario.transport_stats();
-  rec.counter("messages_duplicated", ts.messages_duplicated);
-  rec.counter("messages_reordered", ts.messages_reordered);
-  rec.counter("messages_delayed", ts.messages_delayed);
-  rec.counter("messages_dropped_loss", ts.messages_dropped_loss);
+  report_injected_faults(scenario, rec);
   collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
@@ -643,19 +657,11 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
   scenario.apply_faults(plan);
   auto results = scenario.run();
 
+  // The healthy point 0 has no degraded window.
   const double onset_s = sim::to_sec(sim::Duration(kShardFaultOnset));
-  const double heal_s = sim::to_sec(sim::Duration(kShardFaultHeal));
-  std::uint64_t degraded_reads = 0, degraded_failures = 0;
-  std::uint64_t steady_reads = 0, steady_failures = 0;
-  for (const auto& client : results) {
-    for (std::size_t i = 0; i < client.read_completed_at.size(); ++i) {
-      const double t = client.read_completed_at[i];
-      const bool degraded = unit.point > 0 && t >= onset_s && t < heal_s;
-      const bool failed = client.read_timing_failures[i];
-      (degraded ? degraded_reads : steady_reads) += 1;
-      if (failed) (degraded ? degraded_failures : steady_failures) += 1;
-    }
-  }
+  const double heal_s =
+      unit.point > 0 ? sim::to_sec(sim::Duration(kShardFaultHeal)) : onset_s;
+  const WindowedReads reads = tally_reads(results, onset_s, heal_s);
   std::uint64_t reborn = 0;
   for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
     reborn += scenario.incarnation(i);
@@ -670,10 +676,10 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
             total_routed == 0 ? 0.0
                               : static_cast<double>(routed[hot]) /
                                     static_cast<double>(total_routed));
-  rec.counter("degraded_reads", degraded_reads);
-  rec.counter("degraded_failures", degraded_failures);
-  rec.counter("steady_reads", steady_reads);
-  rec.counter("steady_failures", steady_failures);
+  rec.counter("degraded_reads", reads.inside_reads);
+  rec.counter("degraded_failures", reads.inside_failures);
+  rec.counter("steady_reads", reads.outside_reads);
+  rec.counter("steady_failures", reads.outside_failures);
   rec.counter("reborn", reborn);
   collect_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
@@ -1117,9 +1123,8 @@ std::string no_ryw_violations(const SweepSpec&, const SweepResult& result) {
 /// The chaos layer must actually have fired.
 std::string gray_failure_check(const SweepSpec&, const SweepResult& result) {
   std::uint64_t injected = 0;
-  for (const char* c : {"messages_duplicated", "messages_reordered",
-                        "messages_delayed", "messages_dropped_loss"}) {
-    injected += result.pooled_counter_or_zero(c);
+  for (const auto& [name, field] : kInjectedFaults) {
+    injected += result.pooled_counter_or_zero(name);
   }
   return injected > 0 ? "" : "no faults injected";
 }
