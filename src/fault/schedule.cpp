@@ -177,7 +177,7 @@ FaultSchedule& FaultSchedule::duplicate_storm(double probability,
 
 FaultSchedule& FaultSchedule::reorder(double probability, sim::Duration window,
                                       sim::Duration at, sim::Duration duration) {
-  AQUEDUCT_CHECK_MSG(probability == 0.0 || window > sim::Duration::zero(),
+  AQUEDUCT_CHECK_MSG(window > sim::Duration::zero(),
                      "reorder needs a positive window");
   FaultEvent e;
   e.kind = FaultKind::kReorder;
@@ -213,28 +213,6 @@ FaultSchedule& FaultSchedule::heal_gray(sim::Duration at) {
   e.kind = FaultKind::kHealGray;
   e.at = at;
   events_.push_back(std::move(e));
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::wan_topology(
-    const std::vector<std::size_t>& region_of,
-    const std::vector<std::vector<WanLink>>& matrix, sim::Duration at) {
-  for (const auto& row : matrix) {
-    AQUEDUCT_CHECK_MSG(row.size() == matrix.size(),
-                       "WAN latency matrix must be square");
-  }
-  for (std::size_t region : region_of) {
-    AQUEDUCT_CHECK_MSG(region < matrix.size(),
-                       "replica assigned to a region outside the matrix");
-  }
-  for (std::size_t i = 0; i < region_of.size(); ++i) {
-    for (std::size_t j = 0; j < region_of.size(); ++j) {
-      if (i == j) continue;
-      const WanLink& link = matrix[region_of[i]][region_of[j]];
-      if (link.mean <= sim::Duration::zero()) continue;
-      degrade_link(i, j, link.mean, link.jitter, /*loss=*/0.0, at);
-    }
-  }
   return *this;
 }
 
@@ -414,10 +392,7 @@ void apply(const FaultSchedule& schedule, runtime::Executor& exec,
           net->set_duplicate_probability(event.probability);
           break;
         case FaultKind::kReorder:
-          if (event.latency_mean > sim::Duration::zero()) {
-            net->set_reorder_window(event.latency_mean);
-          }
-          net->set_reorder_probability(event.probability);
+          net->set_reorder(event.probability, event.latency_mean);
           break;
         case FaultKind::kThrottleLink:
           net->set_link_throttle(node_of(event.replica),

@@ -26,8 +26,8 @@ namespace aqueduct::fault {
 enum class FaultKind {
   kCrash,         // fail-stop crash of `replica`
   kRestart,       // reincarnate + rejoin of `replica`
-  kPartition,     // split side_a | side_b until the next kHeal
-  kHeal,          // remove any active partition
+  kPartition,     // blackhole every side_a <-> side_b link until kHeal
+  kHeal,          // lift every blackholed link (all partitions)
   kLoss,          // set the network-wide loss probability
   kLatencySpike,  // extra Normal(latency_mean, latency_std) delay on top of
                   // the LAN latency on all of `replica`'s links for
@@ -39,8 +39,8 @@ enum class FaultKind {
                       // link — a slow-but-alive / lossy link
   kPartialPartition,  // blackhole (replica, peer) both directions, leaving
                       // every other link intact
-  kHealLink,          // restore (replica, peer): remove the partial
-                      // partition and all per-link gray overrides
+  kHealLink,          // restore (replica, peer): lift its blackhole
+                      // and all per-link gray overrides
   kDuplicateStorm,    // duplicate each message with `probability`
   kReorder,           // hold back messages with `probability` by a uniform
                       // extra delay in [0, latency_mean)
@@ -153,7 +153,8 @@ class FaultSchedule {
   FaultSchedule& duplicate_storm(double probability, sim::Duration at,
                                  sim::Duration duration = sim::Duration::zero());
   /// Holds back messages with `probability` by uniform extra delay in
-  /// [0, window), letting later sends overtake them.
+  /// [0, window), letting later sends overtake them. `window` must be
+  /// positive, also for probability 0.
   FaultSchedule& reorder(double probability, sim::Duration window,
                          sim::Duration at,
                          sim::Duration duration = sim::Duration::zero());
@@ -164,21 +165,6 @@ class FaultSchedule {
                                sim::Duration duration = sim::Duration::zero());
   /// Resets every gray-failure knob and all loss settings.
   FaultSchedule& heal_gray(sim::Duration at);
-
-  /// One entry of a WAN latency matrix: mean one-way extra delay and
-  /// jitter (Normal std) for messages from one region to another.
-  struct WanLink {
-    sim::Duration mean = sim::Duration::zero();
-    sim::Duration jitter = sim::Duration::zero();
-  };
-
-  /// Installs a WAN topology at `at`: `region_of[i]` places replica i in a
-  /// region, `matrix[r][s]` describes the r → s link (zero mean = LAN-local,
-  /// no override). Emits one degrade_link per ordered cross-region replica
-  /// pair, so asymmetric matrices yield asymmetric links.
-  FaultSchedule& wan_topology(const std::vector<std::size_t>& region_of,
-                              const std::vector<std::vector<WanLink>>& matrix,
-                              sim::Duration at);
 
   // --- Cross-shard builders -------------------------------------------
 

@@ -54,67 +54,19 @@ void ChaosTransport::set_link_loss(NodeId from, NodeId to, double p) {
   link_loss_[{from, to}] = p;
 }
 
-void ChaosTransport::clear_link_loss(NodeId from, NodeId to) {
-  link_loss_.erase({from, to});
-}
-
-void ChaosTransport::set_inbound_loss(NodeId node, double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  if (p == 0.0) {
-    inbound_loss_.erase(node);
-  } else {
-    inbound_loss_[node] = p;
-  }
-}
-
-void ChaosTransport::set_outbound_loss(NodeId node, double p) {
-  AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  if (p == 0.0) {
-    outbound_loss_.erase(node);
-  } else {
-    outbound_loss_[node] = p;
-  }
-}
-
 double ChaosTransport::loss_probability(NodeId from, NodeId to) const {
-  // A per-link override is authoritative (it can also *lower* loss below
-  // the node/global level); otherwise the pessimistic max of outbound,
-  // inbound, and global loss governs.
-  if (auto it = link_loss_.find({from, to}); it != link_loss_.end()) {
-    return it->second;
-  }
-  double p = loss_probability_;
-  if (auto it = outbound_loss_.find(from); it != outbound_loss_.end()) {
-    p = std::max(p, it->second);
-  }
-  if (auto it = inbound_loss_.find(to); it != inbound_loss_.end()) {
-    p = std::max(p, it->second);
-  }
-  return p;
+  const auto it = link_loss_.find({from, to});
+  return it != link_loss_.end() ? it->second : loss_probability_;
 }
 
 void ChaosTransport::partition(std::vector<NodeId> side_a,
                                std::vector<NodeId> side_b) {
-  partition_a_.clear();
-  partition_b_.clear();
-  partition_a_.insert(side_a.begin(), side_a.end());
-  partition_b_.insert(side_b.begin(), side_b.end());
+  for (const NodeId a : side_a) {
+    for (const NodeId b : side_b) partial_partition(a, b);
+  }
 }
 
-void ChaosTransport::heal() {
-  partition_a_.clear();
-  partition_b_.clear();
-  blackholes_.clear();
-}
-
-bool ChaosTransport::partitioned(NodeId a, NodeId b) const {
-  if (blackholes_.contains({a, b})) return true;
-  const bool a_in_a = partition_a_.contains(a);
-  const bool a_in_b = partition_b_.contains(a);
-  const bool b_in_a = partition_a_.contains(b);
-  const bool b_in_b = partition_b_.contains(b);
-  return (a_in_a && b_in_b) || (a_in_b && b_in_a);
-}
+void ChaosTransport::heal() { blackholes_.clear(); }
 
 // ---- gray-failure surface ------------------------------------------------
 
@@ -134,13 +86,10 @@ void ChaosTransport::set_duplicate_probability(double p) {
   duplicate_probability_ = p;
 }
 
-void ChaosTransport::set_reorder_probability(double p) {
+void ChaosTransport::set_reorder(double p, sim::Duration window) {
   AQUEDUCT_CHECK(p >= 0.0 && p <= 1.0);
-  reorder_probability_ = p;
-}
-
-void ChaosTransport::set_reorder_window(sim::Duration window) {
   AQUEDUCT_CHECK(window > sim::Duration::zero());
+  reorder_probability_ = p;
   reorder_window_ = window;
 }
 
@@ -173,10 +122,6 @@ void ChaosTransport::heal_link(NodeId a, NodeId b) {
 void ChaosTransport::heal_gray() {
   loss_probability_ = 0.0;
   link_loss_.clear();
-  inbound_loss_.clear();
-  outbound_loss_.clear();
-  partition_a_.clear();
-  partition_b_.clear();
   blackholes_.clear();
   default_delay_.reset();
   link_delay_.clear();
@@ -238,21 +183,12 @@ void ChaosTransport::drop(NodeId from, NodeId to, const MessagePtr& msg,
                           obs::Counter& reason_counter, const char* reason) {
   c_sent_.inc();
   reason_counter.inc();
-  obs::TraceHub& trace = inner_->tracing();
-  if (!trace.active()) return;
-  obs::MessageEvent event;
-  event.at = exec_.now();
-  event.from = from;
-  event.to = to;
-  event.type_name = msg->type_name();
-  event.wire_size = msg->wire_size();
-  event.dropped = reason;
-  trace.message(event);
+  trace_send(inner_->tracing(), exec_.now(), from, to, *msg, reason);
 }
 
 void ChaosTransport::send(NodeId from, NodeId to, MessagePtr msg) {
   AQUEDUCT_CHECK(msg != nullptr);
-  if (partitioned(from, to)) {
+  if (blackholes_.contains({from, to})) {
     drop(from, to, msg, c_dropped_partition_, "partition");
     return;
   }

@@ -6,8 +6,8 @@
 // every scripted network fault — crash-era loss and partitions as well as
 // gray failures — lives here. Each message runs the same pipeline:
 //
-//   partition / partial-partition check  → drop
-//   loss (per-link override, else max of outbound/inbound/global) → drop
+//   blackholed link (partition / partial partition) → drop
+//   loss (per-link override, else global)  → drop
 //   duplication                          → one extra copy
 //   extra delay (link dist → node dist → default dist)
 //   reordering (extra uniform holdback in [0, window))
@@ -70,9 +70,6 @@ class ChaosTransport final : public Transport, public FaultInjection {
   void clear_node_latency(NodeId node) override;
   void set_loss_probability(double p) override;
   void set_link_loss(NodeId from, NodeId to, double p) override;
-  void clear_link_loss(NodeId from, NodeId to) override;
-  void set_inbound_loss(NodeId node, double p) override;
-  void set_outbound_loss(NodeId node, double p) override;
   double loss_probability(NodeId from, NodeId to) const override;
   void partition(std::vector<NodeId> side_a, std::vector<NodeId> side_b) override;
   void heal() override;
@@ -83,8 +80,7 @@ class ChaosTransport final : public Transport, public FaultInjection {
   void set_link_delay(NodeId from, NodeId to,
                       std::shared_ptr<sim::DurationDistribution> extra) override;
   void set_duplicate_probability(double p) override;
-  void set_reorder_probability(double p) override;
-  void set_reorder_window(sim::Duration window) override;
+  void set_reorder(double p, sim::Duration window) override;
   void set_link_throttle(NodeId from, NodeId to, sim::Duration min_gap) override;
   void partial_partition(NodeId a, NodeId b) override;
   void heal_link(NodeId a, NodeId b) override;
@@ -99,7 +95,6 @@ class ChaosTransport final : public Transport, public FaultInjection {
     }
   };
 
-  bool partitioned(NodeId a, NodeId b) const;
   /// Extra injected delay for one copy (link → node → default precedence),
   /// zero when no delay knob matches.
   sim::Duration sample_extra_delay(NodeId from, NodeId to);
@@ -113,15 +108,11 @@ class ChaosTransport final : public Transport, public FaultInjection {
   runtime::Executor& exec_;
   sim::Rng rng_;
 
-  // Loss / partition state (per-link override authoritative, else max of
-  // outbound, inbound, and global loss).
+  // Loss / partition state: a per-link loss override, else the global
+  // probability; every partition is a set of blackholed directional links.
   double loss_probability_ = 0.0;
   std::unordered_map<Link, double, LinkHash> link_loss_;
-  std::unordered_map<NodeId, double> inbound_loss_;
-  std::unordered_map<NodeId, double> outbound_loss_;
-  std::unordered_set<NodeId> partition_a_;
-  std::unordered_set<NodeId> partition_b_;
-  std::unordered_set<Link, LinkHash> blackholes_;  // partial partitions
+  std::unordered_set<Link, LinkHash> blackholes_;
 
   // Extra-delay state.
   std::shared_ptr<sim::DurationDistribution> default_delay_;
@@ -133,7 +124,7 @@ class ChaosTransport final : public Transport, public FaultInjection {
   // Duplication / reordering / throttling state.
   double duplicate_probability_ = 0.0;
   double reorder_probability_ = 0.0;
-  sim::Duration reorder_window_ = std::chrono::milliseconds(50);
+  sim::Duration reorder_window_ = sim::Duration::zero();
   std::unordered_map<Link, sim::Duration, LinkHash> throttle_gap_;
   std::unordered_map<Link, sim::TimePoint, LinkHash> throttle_next_free_;
 

@@ -41,19 +41,6 @@ NodeId LoopbackTransport::attach(Endpoint& endpoint) {
 
 void LoopbackTransport::detach(NodeId id) { endpoints_.erase(id); }
 
-void LoopbackTransport::tap(NodeId from, NodeId to, const MessagePtr& msg,
-                  const char* dropped) {
-  if (!obs_.trace.active()) return;
-  obs::MessageEvent event;
-  event.at = exec_.now();
-  event.from = from;
-  event.to = to;
-  event.type_name = msg->type_name();
-  event.wire_size = msg->wire_size();
-  event.dropped = dropped;
-  obs_.trace.message(event);
-}
-
 void LoopbackTransport::send(NodeId from, NodeId to, MessagePtr msg) {
   AQUEDUCT_CHECK(msg != nullptr);
   AQUEDUCT_CHECK_MSG(from.valid() && to.valid(), "send with invalid node id");
@@ -62,10 +49,10 @@ void LoopbackTransport::send(NodeId from, NodeId to, MessagePtr msg) {
   if (!endpoints_.contains(from)) {
     // A detached (crashed) node cannot send.
     c_dropped_detached_.inc();
-    tap(from, to, msg, "detached");
+    trace_send(obs_.trace, exec_.now(), from, to, *msg, "detached");
     return;
   }
-  tap(from, to, msg, "");
+  trace_send(obs_.trace, exec_.now(), from, to, *msg, "");
   const sim::Duration latency = default_latency_->sample(rng_);
   h_delivery_latency_ms_.observe(sim::to_ms(latency));
   exec_.after(latency, [this, from, to, msg = std::move(msg)] {

@@ -40,8 +40,6 @@ class LoopbackTransport final : public Transport {
   runtime::Executor& executor() override { return exec_; }
 
  private:
-  void tap(NodeId from, NodeId to, const MessagePtr& msg, const char* dropped);
-
   runtime::Executor& exec_;
   sim::Rng rng_;
   std::unique_ptr<sim::DurationDistribution> default_latency_;

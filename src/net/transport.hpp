@@ -98,30 +98,22 @@ class FaultInjection {
   virtual void set_loss_probability(double p) = 0;
 
   /// Directional per-link loss: messages from `from` to `to` (and only in
-  /// that direction) are dropped with probability `p`. Overrides node and
-  /// global loss for that link.
+  /// that direction) are dropped with probability `p`, overriding the
+  /// global probability for that link. heal_link() or heal_gray() removes
+  /// the override.
   virtual void set_link_loss(NodeId from, NodeId to, double p) = 0;
 
-  /// Removes a directional per-link loss override.
-  virtual void clear_link_loss(NodeId from, NodeId to) = 0;
-
-  /// Loss applied to every message *received* by `node` (unless a per-link
-  /// override matches). Composes with outbound/global loss via max.
-  virtual void set_inbound_loss(NodeId node, double p) = 0;
-
-  /// Loss applied to every message *sent* by `node` (unless a per-link
-  /// override matches). Composes with inbound/global loss via max.
-  virtual void set_outbound_loss(NodeId node, double p) = 0;
-
-  /// Effective drop probability the send path would use for (from, to).
+  /// Effective drop probability the send path would use for (from, to):
+  /// the per-link override, else the global probability.
   virtual double loss_probability(NodeId from, NodeId to) const = 0;
 
-  /// Drops all traffic between the two sides until heal() is called.
-  /// Nodes in neither set communicate normally with everyone.
+  /// Blackholes every link between the two sides, both directions, until
+  /// heal() (or heal_link() on one pair). A later partition adds its links
+  /// to the ones already cut. Nodes in neither set are untouched.
   virtual void partition(std::vector<NodeId> side_a,
                          std::vector<NodeId> side_b) = 0;
 
-  /// Removes any active partition (including partial_partition() links).
+  /// Lifts every blackholed link (partition() and partial_partition()).
   virtual void heal() = 0;
 
   // --- Gray failures: slow-but-alive links, duplicated/reordered
@@ -143,12 +135,10 @@ class FaultInjection {
   /// independently, so duplicates also reorder), on every link.
   virtual void set_duplicate_probability(double p) = 0;
 
-  /// Probability in [0, 1] that a message is held back by an extra uniform
-  /// delay in [0, reorder window), letting later sends overtake it.
-  virtual void set_reorder_probability(double p) = 0;
-
-  /// Maximum holdback used by reordering (default 50 ms).
-  virtual void set_reorder_window(sim::Duration window) = 0;
+  /// Holds back each message with probability `p` in [0, 1] by an extra
+  /// uniform delay in [0, window), letting later sends overtake it.
+  /// `window` must be positive.
+  virtual void set_reorder(double p, sim::Duration window) = 0;
 
   /// Serializes the directional link `from` → `to` so consecutive messages
   /// enter the wrapped backend at least `min_gap` apart — a slow-but-alive
@@ -157,12 +147,12 @@ class FaultInjection {
                                  sim::Duration min_gap) = 0;
 
   /// Blackholes traffic between `a` and `b` (both directions) without
-  /// touching any other link — a partial partition. Undone by heal_link()
-  /// or heal().
+  /// touching any other link — a partial partition: partition({a}, {b}).
   virtual void partial_partition(NodeId a, NodeId b) = 0;
 
-  /// Restores the (a, b) pair: removes the partial partition and any
-  /// per-link delay/loss/duplication/throttle overrides, both directions.
+  /// Restores the (a, b) pair: lifts its blackhole (whether partition()
+  /// or partial_partition() cut it) and removes any per-link
+  /// delay/loss/throttle override, both directions.
   virtual void heal_link(NodeId a, NodeId b) = 0;
 
   /// Resets every knob: delays, duplication, reordering, throttles, all
@@ -221,6 +211,23 @@ class Transport {
   /// (only the chaos decorator injects faults).
   virtual FaultInjection* fault_injection() { return nullptr; }
 };
+
+/// Reports one send() to the trace hub's message sinks, if any: `dropped`
+/// is empty for a message handed on toward delivery, else the drop reason
+/// ("loss", "partition", "detached", "unroutable", "encode_error"). Every
+/// backend and the chaos decorator trace their sends through this.
+inline void trace_send(obs::TraceHub& trace, sim::TimePoint at, NodeId from,
+                       NodeId to, const Message& msg, const char* dropped) {
+  if (!trace.active()) return;
+  obs::MessageEvent event;
+  event.at = at;
+  event.from = from;
+  event.to = to;
+  event.type_name = msg.type_name();
+  event.wire_size = msg.wire_size();
+  event.dropped = dropped;
+  trace.message(event);
+}
 
 /// Builds the in-process loopback backend (a LoopbackTransport) without
 /// naming its header. `default_latency` is sampled independently per

@@ -108,19 +108,6 @@ void UdpTransport::detach(NodeId id) {
   if (id == config_.local_id) endpoint_ = nullptr;
 }
 
-void UdpTransport::tap(NodeId from, NodeId to, const MessagePtr& msg,
-                       const char* dropped) {
-  if (!obs_.trace.active()) return;
-  obs::MessageEvent event;
-  event.at = exec_.now();
-  event.from = from;
-  event.to = to;
-  event.type_name = msg->type_name();
-  event.wire_size = msg->wire_size();
-  event.dropped = dropped;
-  obs_.trace.message(event);
-}
-
 void UdpTransport::send(NodeId from, NodeId to, MessagePtr msg) {
   AQUEDUCT_CHECK(msg != nullptr);
   AQUEDUCT_CHECK_MSG(from.valid() && to.valid(), "send with invalid node id");
@@ -129,13 +116,13 @@ void UdpTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     // A detached (crashed) local endpoint cannot send; a foreign `from`
     // would forge another node's identity.
     c_dropped_detached_.inc();
-    tap(from, to, msg, "detached");
+    trace_send(obs_.trace, exec_.now(), from, to, *msg, "detached");
     return;
   }
   auto it = peer_addrs_.find(to);
   if (it == peer_addrs_.end()) {
     c_dropped_unroutable_.inc();
-    tap(from, to, msg, "unroutable");
+    trace_send(obs_.trace, exec_.now(), from, to, *msg, "unroutable");
     return;
   }
   Writer w;
@@ -148,11 +135,11 @@ void UdpTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     // boundary. Surface it like a decode error — dropped, counted, never
     // silently corrupted.
     c_decode_errors_.inc();
-    tap(from, to, msg, "encode_error");
+    trace_send(obs_.trace, exec_.now(), from, to, *msg, "encode_error");
     return;
   }
   c_bytes_sent_.inc(w.size());
-  tap(from, to, msg, "");
+  trace_send(obs_.trace, exec_.now(), from, to, *msg, "");
   const sockaddr_in addr = unpack_addr(it->second);
   // Best effort, exactly like the wire: a full socket buffer or an
   // oversized frame is message loss, and the gcs layer's NACK/heartbeat

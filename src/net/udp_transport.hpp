@@ -12,9 +12,10 @@
 //
 // Delivery guarantees match UDP: messages can be lost, reordered, and
 // duplicated; the gcs layer's reliable FIFO machinery recovers, exactly
-// as over the loopback's injected loss. There is no fault-injection
-// surface (fault_injection() is nullptr) — failure experiments are
-// DES-only, this backend is for real multi-process deployments.
+// as over the chaos decorator's injected loss. Like the loopback, the bare
+// socket injects no faults (fault_injection() is nullptr); live_cli's
+// --chaos-* flags wrap it in the chaos decorator (net/chaos.hpp) to inject
+// them over real sockets.
 //
 // The receiving process must register the wire codecs of every layer
 // whose messages it expects (gcs::register_wire_codecs(),
@@ -81,7 +82,6 @@ class UdpTransport final : public Transport {
  private:
   void schedule_poll();
   void drain_socket();
-  void tap(NodeId from, NodeId to, const MessagePtr& msg, const char* dropped);
 
   runtime::Executor& exec_;
   UdpConfig config_;

@@ -78,7 +78,7 @@ struct MessageEvent {
   net::NodeId to;
   std::string type_name;
   std::size_t wire_size = 0;
-  /// Empty if delivered; otherwise "loss", "partition", or "detached".
+  /// Empty if sent on; otherwise the drop reason (see net::trace_send).
   std::string dropped;
 };
 

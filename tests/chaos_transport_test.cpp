@@ -226,7 +226,7 @@ TEST_P(ChaosConformanceTest, HealGrayResetsEveryKnob) {
   fi.set_loss_probability(1.0);
   fi.set_link_loss(rig->node_a(), rig->node_b(), 1.0);
   fi.set_duplicate_probability(1.0);
-  fi.set_reorder_probability(1.0);
+  fi.set_reorder(1.0, milliseconds(50));
   fi.partial_partition(rig->node_a(), rig->node_b());
   fi.heal_gray();
 
@@ -234,6 +234,41 @@ TEST_P(ChaosConformanceTest, HealGrayResetsEveryKnob) {
   rig->pump();
   EXPECT_EQ(b.keys(), std::vector<std::string>{"clean"});
   EXPECT_EQ(b.received.size(), 1u) << "heal_gray must clear duplication";
+}
+
+TEST_P(ChaosConformanceTest, PartitionIsASetOfBlackholedLinks) {
+  Recorder a, b;
+  auto rig = make_rig(GetParam(), a, b);
+  net::FaultInjection& fi = rig->a_fault();
+  const net::NodeId na = rig->node_a(), nb = rig->node_b();
+  // Never attached: only the partition drop counter observes a -> c.
+  const net::NodeId nc{99};
+  const auto send = [&](net::NodeId to, const std::string& key) {
+    rig->a_side().send(na, to, make_payload(key));
+  };
+  const auto partition_drops = [&] {
+    return rig->a_side().stats().messages_dropped_partition;
+  };
+
+  fi.partition({na}, {nb});
+  fi.partition({na}, {nc});
+  send(nb, "b1");
+  send(nc, "c1");
+  rig->pump();
+  EXPECT_TRUE(b.received.empty()) << "a second partition adds to the first";
+  EXPECT_EQ(partition_drops(), 2u);
+
+  fi.heal_link(na, nb);
+  send(nb, "b2");
+  send(nc, "c2");
+  rig->pump();
+  EXPECT_EQ(b.keys(), std::vector<std::string>{"b2"});
+  EXPECT_EQ(partition_drops(), 3u) << "heal_link lifts only the a <-> b pair";
+
+  fi.heal();
+  send(nc, "c3");
+  rig->pump();
+  EXPECT_EQ(partition_drops(), 3u) << "heal lifts the rest";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ChaosConformanceTest,
@@ -279,8 +314,7 @@ TEST(ChaosLoopbackTest, LinkDelayOverridesDefault) {
 TEST(ChaosLoopbackTest, ReorderLetsLaterSendsOvertake) {
   Recorder a, b;
   ChaosLoopbackRig rig(a, b);
-  rig.a_fault().set_reorder_window(milliseconds(80));
-  rig.a_fault().set_reorder_probability(1.0);
+  rig.a_fault().set_reorder(1.0, milliseconds(80));
   for (int i = 0; i < 10; ++i) {
     rig.a_side().send(rig.node_a(), rig.node_b(),
                       make_payload("k" + std::to_string(i)));
@@ -318,7 +352,7 @@ TEST(ChaosLoopbackTest, SameSeedReplaysIdenticalDecisions) {
     ChaosLoopbackRig rig(a, b, seed);
     rig.a_fault().set_loss_probability(0.4);
     rig.a_fault().set_duplicate_probability(0.3);
-    rig.a_fault().set_reorder_probability(0.5);
+    rig.a_fault().set_reorder(0.5, milliseconds(50));
     for (int i = 0; i < 60; ++i) {
       rig.a_side().send(rig.node_a(), rig.node_b(),
                         make_payload("k" + std::to_string(i)));

@@ -103,28 +103,6 @@ TEST(FaultSchedule, GrayBuildersEmitPairedHeals) {
   }
 }
 
-TEST(FaultSchedule, WanTopologyDegradesOnlyCrossRegionLinks) {
-  FaultSchedule s;
-  // Replicas 0,1 in region 0; replicas 2,3 in region 1. Asymmetric matrix:
-  // region 0 → 1 is 30ms, region 1 → 0 is 50ms.
-  FaultSchedule::WanLink to1{milliseconds(30), milliseconds(5)};
-  FaultSchedule::WanLink to0{milliseconds(50), milliseconds(5)};
-  s.wan_topology({0, 0, 1, 1},
-                 {{{}, to1},
-                  {to0, {}}},
-                 seconds(1));
-
-  const auto events = s.events();
-  ASSERT_EQ(events.size(), 8u) << "2x2 cross-region ordered pairs";
-  for (const auto& e : events) {
-    EXPECT_EQ(e.kind, FaultKind::kDegradeLink);
-    const bool from_r0 = e.replica < 2;
-    const bool to_r0 = e.peer < 2;
-    EXPECT_NE(from_r0, to_r0) << "intra-region links must stay LAN-local";
-    EXPECT_EQ(e.latency_mean, from_r0 ? milliseconds(30) : milliseconds(50));
-  }
-}
-
 TEST(FaultApply, NetworkKindsNeedChaosTransportAndFailLoudly) {
   sim::Simulator sim(1);
   auto bare = net::make_loopback_transport(

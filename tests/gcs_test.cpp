@@ -110,6 +110,12 @@ struct Fixture {
 
   HeartbeatTap& tap() { return static_cast<HeartbeatTap&>(network.inner()); }
 
+  /// Drops a share `p` of everything `node` sends: link loss on every link
+  /// out of it.
+  void set_outbound_loss(net::NodeId node, double p) {
+    for (const auto& endpoint : endpoints) network.set_link_loss(node, endpoint->id(), p);
+  }
+
   /// Messages (as text) member i delivered from `from`, in order.
   std::vector<std::string> from_sender(std::size_t i, net::NodeId from) const {
     std::vector<std::string> out;
@@ -314,14 +320,14 @@ TEST(GcsStability, CopiesFreedOnlyAfterTheLastViewMemberAcks) {
   // Member 2 keeps delivering, but its heartbeats (its acks) are lost for
   // less than the suspect timeout.
   const net::NodeId lagging = f.member(2).self();
-  f.network.set_outbound_loss(lagging, 1.0);
+  f.set_outbound_loss(lagging, 1.0);
   for (int i = 0; i < 5; ++i) f.member(0).multicast(text("u" + std::to_string(i)));
   f.settle(milliseconds(900));
   EXPECT_EQ(f.from_sender(2, f.member(0).self()).size(), 5u);
   EXPECT_EQ(f.member(0).buffer_sizes().sent, 5u);
   EXPECT_EQ(f.member(1).buffer_sizes().retained, 5u);
 
-  f.network.set_outbound_loss(lagging, 0.0);
+  f.set_outbound_loss(lagging, 0.0);
   f.settle(milliseconds(600));
   EXPECT_EQ(f.member(0).view().size(), 3u) << "nobody may have been suspected";
   expect_no_unstable_copies(f, 3);
@@ -350,7 +356,7 @@ TEST(GcsStability, MemberWithoutAHeartbeatRowPinsStabilityAtZero) {
   EXPECT_EQ(f.member(1).buffer_sizes().retained, 6u);
   EXPECT_EQ(f.member(0).buffer_sizes().sent, 0u);
 
-  f.network.clear_link_loss(joiner, f.member(1).self());
+  f.network.heal_link(joiner, f.member(1).self());
   f.settle(milliseconds(600));
   EXPECT_EQ(f.member(1).view().size(), 4u) << "nobody may have been suspected";
   expect_no_unstable_copies(f, 4);
@@ -792,7 +798,7 @@ TEST(GcsListener, ListenerFreesCopiesOnceEveryFullMemberHasThem) {
   f.join_all({kFull, kFull, kListen, kListen});
   // Listener 3 keeps delivering, but its heartbeats (its acks) are lost for
   // less than the suspect timeout.
-  f.network.set_outbound_loss(f.member(3).self(), 1.0);
+  f.set_outbound_loss(f.member(3).self(), 1.0);
   for (int i = 0; i < 4; ++i) f.member(0).multicast(text("s" + std::to_string(i)));
   f.settle(milliseconds(900));
   EXPECT_EQ(f.from_sender(3, f.member(0).self()).size(), 4u);
@@ -800,7 +806,7 @@ TEST(GcsListener, ListenerFreesCopiesOnceEveryFullMemberHasThem) {
   EXPECT_EQ(f.member(1).buffer_sizes().retained, 4u);
   EXPECT_EQ(f.member(2).buffer_sizes().retained, 0u) << "a listener waits for full members only";
 
-  f.network.set_outbound_loss(f.member(3).self(), 0.0);
+  f.set_outbound_loss(f.member(3).self(), 0.0);
   f.settle(milliseconds(600));
   EXPECT_EQ(f.member(0).view().size(), 4u) << "nobody may have been suspected";
   expect_no_unstable_copies(f, 4);
@@ -864,7 +870,7 @@ TEST(GcsListener, P2pStreamBetweenListenersRecoversATrailingLoss) {
   f.network.set_link_loss(from, to, 1.0);
   for (int i = 0; i < 3; ++i) f.member(1).send_to(to, text("q" + std::to_string(i)));
   f.settle(milliseconds(50));
-  f.network.clear_link_loss(from, to);
+  f.network.heal_link(from, to);
   // Only a heartbeat from the sender announces the lost tail.
   f.settle(seconds(2));
   EXPECT_EQ(f.from_sender(2, from), (std::vector<std::string>{"q0", "q1", "q2"}));
@@ -951,7 +957,7 @@ TEST(GcsListener, ListenerAsksANonLeaderUntilItsCopyIsAcked) {
   f.member(2).send_to(replica, text("q1"));
   f.settle(milliseconds(510));  // past the replica's first answer
   EXPECT_EQ(f.member(2).buffer_sizes().p2p, 1u);
-  f.network.clear_link_loss(replica, listener);
+  f.network.heal_link(replica, listener);
   f.settle(milliseconds(1500));
   EXPECT_GE(sections(f, listener, replica).size(), 3u);
   EXPECT_EQ(f.member(2).buffer_sizes().p2p, 0u);
@@ -968,7 +974,7 @@ TEST(GcsListener, TrailingReplyLossIsRepairedThroughTheAsksMark) {
   f.member(1).send_to(listener, text("r0"));
   f.member(1).send_to(listener, text("r1"));
   f.settle(milliseconds(50));
-  f.network.clear_link_loss(replica, listener);
+  f.network.heal_link(replica, listener);
   f.tap().recording = true;
   // Only the replica's asks announce the lost tail.
   f.settle(seconds(2));
@@ -1012,7 +1018,7 @@ TEST(GcsListener, FullMembersHearListenerAcksOnlyThroughTheLeader) {
   f.tap().recording = true;
   // Listener 4 keeps delivering, but its heartbeats (its acks) are lost for
   // less than the suspect timeout: a non-leader's multicasts stay pinned.
-  f.network.set_outbound_loss(f.member(4).self(), 1.0);
+  f.set_outbound_loss(f.member(4).self(), 1.0);
   for (int i = 0; i < 4; ++i) f.member(1).multicast(text("s" + std::to_string(i)));
   f.settle(milliseconds(900));
   EXPECT_EQ(f.from_sender(4, f.member(1).self()).size(), 4u);
@@ -1020,7 +1026,7 @@ TEST(GcsListener, FullMembersHearListenerAcksOnlyThroughTheLeader) {
   EXPECT_EQ(f.member(2).buffer_sizes().retained, 4u);
   EXPECT_EQ(f.member(0).buffer_sizes().retained, 4u);
   EXPECT_EQ(f.member(3).buffer_sizes().retained, 0u) << "a listener waits for full members only";
-  f.network.set_outbound_loss(f.member(4).self(), 0.0);
+  f.set_outbound_loss(f.member(4).self(), 0.0);
   f.settle(milliseconds(600));
   expect_no_unstable_copies(f, 5);
 
@@ -1030,7 +1036,7 @@ TEST(GcsListener, FullMembersHearListenerAcksOnlyThroughTheLeader) {
   f.network.set_link_loss(sender, lagging, 1.0);
   for (int i = 0; i < 3; ++i) f.member(2).multicast(text("t" + std::to_string(i)));
   f.settle(milliseconds(50));
-  f.network.clear_link_loss(sender, lagging);
+  f.network.heal_link(sender, lagging);
   f.settle(seconds(2));
   EXPECT_EQ(f.from_sender(3, sender), (std::vector<std::string>{"t0", "t1", "t2"}));
   EXPECT_GT(f.member(3).stats().nacks_sent, 0u);
@@ -1051,7 +1057,7 @@ TEST(GcsListener, LaggingListenerGetsTheMessageAfterTheLeaderCrashes) {
   f.network.set_link_loss(sender, lagging, 1.0);
   f.member(1).multicast(text("x"));
   f.settle(milliseconds(5));
-  f.network.clear_link_loss(sender, lagging);
+  f.network.heal_link(sender, lagging);
   // The leader crashes before it can announce the lost message.
   f.endpoints[0]->crash();
   f.settle(seconds(1));

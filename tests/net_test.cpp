@@ -243,49 +243,25 @@ TEST(NetworkLoss, LinkLossIsDirectional) {
   f.sim.run();
   EXPECT_TRUE(b.received.empty());        // a -> b fully lossy
   EXPECT_EQ(a.received.size(), 20u);      // b -> a untouched
-  f.network.clear_link_loss(ida, idb);
+  f.network.heal_link(ida, idb);
   f.network.send(ida, idb, std::make_shared<TextMsg>("after"));
   f.sim.run();
   EXPECT_EQ(b.received.size(), 1u);
 }
 
-TEST(NetworkLoss, InboundAndOutboundLossApplyPerNode) {
-  ChaosFixture f;
-  Recorder a, b, c;
-  const NodeId ida = f.network.attach(a);
-  const NodeId idb = f.network.attach(b);
-  const NodeId idc = f.network.attach(c);
-  f.network.set_inbound_loss(idb, 1.0);
-  f.network.set_outbound_loss(idc, 1.0);
-  f.network.send(ida, idb, std::make_shared<TextMsg>("to-b"));   // dropped
-  f.network.send(idc, ida, std::make_shared<TextMsg>("from-c")); // dropped
-  f.network.send(ida, idc, std::make_shared<TextMsg>("to-c"));   // delivered
-  f.sim.run();
-  EXPECT_TRUE(b.received.empty());
-  EXPECT_TRUE(a.received.empty());
-  EXPECT_EQ(c.received.size(), 1u);
-  f.network.set_inbound_loss(idb, 0.0);
-  f.network.set_outbound_loss(idc, 0.0);
-  f.network.send(ida, idb, std::make_shared<TextMsg>("healed"));
-  f.sim.run();
-  EXPECT_EQ(b.received.size(), 1u);
-}
-
-TEST(NetworkLoss, PrecedenceLinkOverridesNodeAndGlobal) {
+TEST(NetworkLoss, LinkLossOverridesGlobal) {
   ChaosFixture f;
   Recorder a, b;
   const NodeId ida = f.network.attach(a);
   const NodeId idb = f.network.attach(b);
   f.network.set_loss_probability(0.25);
-  f.network.set_outbound_loss(ida, 0.5);
-  f.network.set_inbound_loss(idb, 0.75);
-  // Node/global compose via max.
-  EXPECT_DOUBLE_EQ(f.network.loss_probability(ida, idb), 0.75);
+  EXPECT_DOUBLE_EQ(f.network.loss_probability(ida, idb), 0.25);
   // A link override is authoritative — it may *lower* the effective loss.
   f.network.set_link_loss(ida, idb, 0.1);
   EXPECT_DOUBLE_EQ(f.network.loss_probability(ida, idb), 0.1);
-  f.network.clear_link_loss(ida, idb);
-  EXPECT_DOUBLE_EQ(f.network.loss_probability(ida, idb), 0.75);
+  EXPECT_DOUBLE_EQ(f.network.loss_probability(idb, ida), 0.25);
+  f.network.heal_link(ida, idb);
+  EXPECT_DOUBLE_EQ(f.network.loss_probability(ida, idb), 0.25);
 }
 
 TEST(NodeIdTest, FormatsAndHashes) {
