@@ -1,35 +1,16 @@
-// Command-line options of the wall-clock benches (bench_obs_overhead), and
-// the strict count parser that they, bench_selection_scale and sweep_cli
-// share. Scenario experiments run through sweep_cli.
+// Command-line options of the wall-clock benches (bench_obs_overhead).
+// Counts go through the strict parser every command-line program shares
+// (harness/cli.hpp). Scenario experiments run through sweep_cli.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <system_error>
+
+#include "harness/cli.hpp"
 
 namespace aqueduct::bench {
-
-/// The value of `flag` as an unsigned decimal count. Anything else (a
-/// sign, trailing characters, no digits, a value past 2^64-1) prints
-/// usage and exits 2: std::stoull would abort on "abc", read "1x" as 1 and
-/// "-1" as 2^64-1.
-inline std::uint64_t parse_count(const char* prog, const char* flag, const char* text,
-                                 void (*usage)(const char*, std::ostream&)) {
-  std::uint64_t value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [rest, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || rest != end) {
-    std::cerr << prog << ": flag " << flag << " needs an unsigned integer, not '" << text
-              << "'\n";
-    usage(prog, std::cerr);
-    std::exit(2);
-  }
-  return value;
-}
 
 /// Parsing is strict: an unknown flag (or a flag missing its value) prints
 /// usage and exits 2, so CI cannot green-light a typo'd invocation that
@@ -66,7 +47,7 @@ struct Options {
     };
     const auto count = [&](int& i) {
       const char* flag = argv[i];
-      return parse_count(argv[0], flag, value(i), usage);
+      return harness::parse_count(argv[0], flag, value(i), usage);
     };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];

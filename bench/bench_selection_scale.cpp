@@ -27,11 +27,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "client/repository.hpp"
 #include "core/pmf.hpp"
 #include "core/qos.hpp"
 #include "core/selection.hpp"
+#include "harness/cli.hpp"
 #include "obs/json.hpp"
 #include "replication/messages.hpp"
 #include "sim/random.hpp"
@@ -78,7 +78,7 @@ struct Options {
     };
     const auto count = [&](int& i) {
       const char* flag = argv[i];
-      return bench::parse_count(argv[0], flag, value(i), usage);
+      return harness::parse_count(argv[0], flag, value(i), usage);
     };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];

@@ -17,7 +17,7 @@
 #include <sstream>
 #include <string>
 
-#include "bench_common.hpp"
+#include "harness/cli.hpp"
 #include "harness/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -73,7 +73,7 @@ CliOptions parse(int argc, char** argv) {
   };
   const auto count = [&](int& i) {
     const char* flag = argv[i];
-    return bench::parse_count(argv[0], flag, value(i), usage);
+    return harness::parse_count(argv[0], flag, value(i), usage);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
