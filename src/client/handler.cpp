@@ -278,7 +278,8 @@ void ClientHandler::finish(const replication::RequestId& id,
       (reply == nullptr || req.timing_failure || tr > req.qos.deadline);
   if (reply == nullptr) {
     span(obs::SpanKind::kAbandon, id, net::NodeId{}, req.attempts, tr);
-    if (req.is_read) stats_.inc(&ClientStats::reads_abandoned);
+    stats_.inc(req.is_read ? &ClientStats::reads_abandoned
+                           : &ClientStats::updates_abandoned);
   } else {
     outcome.result = reply->result;
     outcome.deferred = reply->deferred;

@@ -100,6 +100,8 @@ struct ClientStats {
   std::uint64_t reads_abandoned = 0;
   std::uint64_t updates_issued = 0;
   std::uint64_t updates_completed = 0;
+  /// Updates given up after max_retries with no reply.
+  std::uint64_t updates_abandoned = 0;
   std::uint64_t timing_failures = 0;
   std::uint64_t deferred_replies = 0;
   std::uint64_t retries = 0;
@@ -124,6 +126,7 @@ struct ClientStats {
     v("reads_abandoned", reads_abandoned);
     v("updates_issued", updates_issued);
     v("updates_completed", updates_completed);
+    v("updates_abandoned", updates_abandoned);
     v("timing_failures", timing_failures);
     v("deferred_replies", deferred_replies);
     v("retries", retries);

@@ -246,6 +246,7 @@ TEST(ClientHandler, AbandonedUpdateReportsOnceWithoutCompleting) {
   const auto& stats = client.stats();
   EXPECT_EQ(stats.updates_issued, 1u);
   EXPECT_EQ(stats.updates_completed, 0u);
+  EXPECT_EQ(stats.updates_abandoned, 1u);
   EXPECT_EQ(stats.retries, 2u);
 }
 

@@ -448,7 +448,7 @@ TEST(ObservabilityIntegration, RegistryAggregatesAcrossInstances) {
     obs::add_fields(clients, scenario.workload(w).handler().stats());
   }
   EXPECT_EQ(expect_mirrored(reg, "repl.", replicas), 13u);
-  EXPECT_EQ(expect_mirrored(reg, "client.", clients), 12u);
+  EXPECT_EQ(expect_mirrored(reg, "client.", clients), 13u);
   EXPECT_GT(replicas.reads_served, 0u);
   EXPECT_GT(replicas.updates_committed, 0u);
   EXPECT_EQ(clients.reads_issued, results[0].stats.reads_issued);

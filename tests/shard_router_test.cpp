@@ -160,7 +160,7 @@ TEST(ShardRouter, StatsSumEveryClientStatsFieldAcrossShards) {
     }
     const auto total = by_name(router.stats());
     EXPECT_EQ(total, expected) << "workload " << w;
-    EXPECT_EQ(total.size(), 15u);
+    EXPECT_EQ(total.size(), 16u);
     EXPECT_GT(total.at("reads_completed"), 0);
     EXPECT_GT(total.at("total_response_time"), 0);
   }
