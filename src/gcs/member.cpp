@@ -170,6 +170,22 @@ void Member::send_to_set(const std::vector<net::NodeId>& dests,
   for (const net::NodeId dest : dests) send_to(dest, payload);
 }
 
+void Member::send_best_effort(const std::vector<net::NodeId>& dests,
+                              net::MessagePtr payload) {
+  AQUEDUCT_CHECK(payload != nullptr);
+  if (!joined_) return;
+  auto msg = std::make_shared<DataMsg>();
+  msg->group = group_;
+  msg->is_mcast = false;
+  msg->sender = self_;
+  msg->seq = 0;
+  msg->payload = std::move(payload);
+  const DataMsgPtr frozen = msg;
+  for (const net::NodeId dest : dests) {
+    if (dest != self_) send_(dest, frozen);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Receive path
 // ---------------------------------------------------------------------------
@@ -183,7 +199,15 @@ void Member::handle(net::NodeId from, const net::MessagePtr& msg) {
       // Every copy, a retransmission too, comes from its own sender, so one
       // that claims another sender's stream is forged.
       const auto data = std::static_pointer_cast<const DataMsg>(msg);
-      if (data->sender == from) accept(from, data);
+      if (data->sender != from) break;
+      if (data->seq > 0) {
+        accept(from, data);
+      } else if (joined_ && view_.contains(from) &&
+                 !is_gcs_wire(data->payload->wire_type())) {
+        // Best-effort (send_best_effort): no stream state to touch.
+        stats_.inc(&MemberStats::delivered);
+        if (on_deliver_) on_deliver_(from, data->payload);
+      }
       break;
     }
     case kWireNack:

@@ -7,6 +7,9 @@
 //     and stability-based garbage collection;
 //   * reliable FIFO point-to-point sends within the group (used for
 //     client->replica requests and replica->client replies);
+//   * best-effort point-to-point sends (a seq-0 DataMsg, outside every
+//     stream) for soft state that the next message supersedes (used for
+//     replica->client performance publications);
 //   * virtual synchrony: a coordinator-driven two-phase flush on every
 //     membership change agrees on a delivery cut, redistributes unstable
 //     messages, and installs the new view at all surviving members;
@@ -134,7 +137,8 @@ class Member {
   Member(const Member&) = delete;
   Member& operator=(const Member&) = delete;
 
-  /// Registers the application delivery callback (FIFO per sender).
+  /// Registers the application delivery callback (FIFO per sender, save
+  /// best-effort messages, which come as they arrive).
   void set_on_deliver(DeliverFn fn) { on_deliver_ = std::move(fn); }
 
   /// Registers the view-change callback. Fired on every installed view,
@@ -175,12 +179,20 @@ class Member {
   /// send_to() each destination.
   void send_to_set(const std::vector<net::NodeId>& dests, const net::MessagePtr& payload);
 
+  /// Best-effort send of `payload` to each destination but this member: one
+  /// p2p DataMsg with seq 0, outside every stream. No copy is kept, no
+  /// sequence number taken and nothing acked, so a lost, duplicated or
+  /// reordered copy stays so. It goes out during a flush as well, and is
+  /// dropped by a member that is not joined. For soft state only.
+  void send_best_effort(const std::vector<net::NodeId>& dests, net::MessagePtr payload);
+
   /// Dispatches a raw network message belonging to this group (called by
   /// the Endpoint demultiplexer): a data, NACK, join or install message.
   /// Any other type is dropped; the control messages count only when they
   /// arrive inside the reliable p2p stream. A data message whose sender is
-  /// not `from` is dropped too. Heartbeats come in through
-  /// handle_heartbeat() instead.
+  /// not `from` is dropped too. A seq-0 (best-effort) data message is
+  /// delivered at once if its sender is in the view and its payload is no
+  /// gcs message. Heartbeats come in through handle_heartbeat() instead.
   void handle(net::NodeId from, const net::MessagePtr& msg);
 
   /// This member's heartbeat for the current tick: appends one section per

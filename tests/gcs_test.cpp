@@ -1283,6 +1283,93 @@ TEST(GcsControl, DataClaimingAnotherSenderIsDropped) {
   }
 }
 
+// --- Best-effort sends: seq 0, outside every stream ----------------------------
+
+/// A best-effort DataMsg (seq 0) that claims `sender`.
+std::shared_ptr<DataMsg> best_effort(net::NodeId sender, net::MessagePtr payload) {
+  auto data = first_p2p(sender, std::move(payload));
+  data->seq = 0;
+  return data;
+}
+
+/// The counters a dropped message must leave alone.
+std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> receive_counts(const Member& m) {
+  return {m.stats().delivered, m.stats().duplicates_dropped, m.stats().nacks_sent};
+}
+
+TEST(GcsBestEffort, EveryCopyIsDeliveredOnceFromAViewMember) {
+  Fixture f(3);
+  f.join_all({kFull, kFull, kListen});
+  const net::NodeId sender = f.member(1).self();
+  f.member(1).send_best_effort({f.member(0).self(), f.member(2).self(), sender}, text("s0"));
+  f.member(1).send_best_effort({f.member(2).self()}, text("s1"));
+  // A duplicated copy is delivered again: nothing deduplicates seq 0.
+  f.network.send(sender, f.member(2).self(), best_effort(sender, text("s1")));
+  f.settle(milliseconds(100));
+  EXPECT_EQ(f.from_sender(0, sender), std::vector<std::string>{"s0"});
+  EXPECT_EQ(f.from_sender(2, sender), (std::vector<std::string>{"s0", "s1", "s1"}));
+  EXPECT_TRUE(f.from_sender(1, sender).empty()) << "never sent to itself";
+  EXPECT_EQ(f.member(2).stats().duplicates_dropped, 0u);
+
+  // A member that is not joined sends nothing.
+  Endpoint late(f.sim, f.network, f.directory);
+  late.member(kGroup).send_best_effort({f.member(0).self()}, text("early"));
+  f.settle(milliseconds(100));
+  EXPECT_TRUE(f.from_sender(0, late.id()).empty());
+}
+
+TEST(GcsBestEffort, ForgedNonMemberAndControlCopiesAreDropped) {
+  Fixture f(3);
+  f.join_all();
+  const ViewId settled = f.member(0).view().id;
+  const net::NodeId target = f.member(0).self(), victim = f.member(1).self();
+  const auto before = receive_counts(f.member(0));
+  // A copy whose sender is not its transport source.
+  f.network.send(f.member(2).self(), target, best_effort(victim, text("forged")));
+  // A copy from a node outside the view.
+  Endpoint outsider(f.sim, f.network, f.directory);
+  f.network.send(outsider.id(), target, best_effort(outsider.id(), text("outsider")));
+  // A gcs control message is never best-effort: a suspect notice from a
+  // member must not start a view change.
+  auto suspect = std::make_shared<SuspectMsg>();
+  suspect->group = kGroup;
+  suspect->suspect = f.member(2).self();
+  f.network.send(victim, target, best_effort(victim, suspect));
+  f.settle(seconds(3));
+  EXPECT_TRUE(f.from_sender(0, victim).empty());
+  EXPECT_TRUE(f.from_sender(0, outsider.id()).empty());
+  EXPECT_EQ(receive_counts(f.member(0)), before);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(f.member(i).view().id, settled) << "member " << i;
+    EXPECT_EQ(f.member(i).view().size(), 3u) << "member " << i;
+  }
+}
+
+// The sender keeps no copy, so nothing is asked about: a non-leader full
+// member and a listener exchange no heartbeat section at all.
+TEST(GcsBestEffort, SenderKeepsNoCopyAndNoSectionAsks) {
+  Fixture f(3);
+  f.join_all({kFull, kFull, kListen});
+  const net::NodeId replica = f.member(1).self(), listener = f.member(2).self();
+  const std::uint64_t p2p_before = f.member(1).stats().p2p_sent;
+  f.tap().recording = true;
+  for (int i = 0; i < 5; ++i) {
+    f.member(1).send_best_effort({listener}, text("s" + std::to_string(i)));
+    f.settle(milliseconds(300));
+  }
+  f.settle(seconds(1));
+  EXPECT_EQ(f.from_sender(2, replica).size(), 5u);
+  EXPECT_EQ(f.member(1).buffer_sizes().p2p, 0u);
+  EXPECT_EQ(f.member(1).buffer_sizes().sent, 0u);
+  EXPECT_EQ(f.member(2).buffer_sizes().retained, 0u);
+  EXPECT_EQ(f.member(1).stats().p2p_sent, p2p_before) << "no stream carried them";
+  EXPECT_TRUE(sections(f, replica, listener).empty());
+  EXPECT_TRUE(sections(f, listener, replica).empty());
+  for (const auto& [from, to, hb] : f.tap().sent) {
+    EXPECT_EQ(hb->p2p_sent, 0u) << from << " -> " << to;
+  }
+}
+
 TEST(GcsViews, ViewIdsMonotonic) {
   Fixture f(4);
   f.join_all();
