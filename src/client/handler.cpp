@@ -226,12 +226,13 @@ void ClientHandler::on_deadline(const replication::RequestId& id) {
 // Replies and publications
 // ---------------------------------------------------------------------------
 
-void ClientHandler::on_deliver(net::NodeId /*from*/, const net::MessagePtr& msg) {
+void ClientHandler::on_deliver(net::NodeId from, const net::MessagePtr& msg) {
   const sim::TimePoint now = exec_.now();
   if (auto reply = net::message_cast<replication::Reply>(msg)) {
     handle_reply(*reply);
   } else if (auto perf = net::message_cast<replication::PerfPublication>(msg)) {
-    repository_.record_publication(*perf, now);
+    // A replica publishes only its own samples.
+    if (perf->replica == from) repository_.record_publication(*perf, now);
   } else if (auto info = net::message_cast<replication::GroupInfo>(msg)) {
     const bool was_ready = ready();
     repository_.record_group_info(*info);

@@ -338,6 +338,30 @@ TEST(ClientHandler, GatewayDelayMeasuredPositiveAndSmall) {
   }
 }
 
+// A QoS member may publish only its own samples: one naming another
+// replica would skew the client's model of that replica.
+TEST(ClientHandler, PublicationUnderAnotherReplicasIdIsDropped) {
+  Fixture f;
+  auto& client = f.add_client();
+  gcs::Member& rogue = f.bed.add_client_endpoint().member(f.groups.qos);
+  rogue.join(gcs::Role::kMember);
+  f.settle();
+  const net::NodeId victim = f.bed.replica(3).id();
+  for (const net::NodeId named : {victim, rogue.self()}) {
+    auto perf = std::make_shared<replication::PerfPublication>();
+    perf->replica = named;
+    perf->has_sample = true;
+    perf->ts = milliseconds(400);
+    rogue.multicast(perf);
+  }
+  f.settle(seconds(1));
+  const auto* forged = client.repository().find_history(victim);
+  EXPECT_TRUE(forged == nullptr || forged->service.size() == 0);
+  const auto* own = client.repository().find_history(rogue.self());
+  ASSERT_NE(own, nullptr);
+  EXPECT_EQ(own->service.size(), 1u);
+}
+
 TEST(ClientHandler, SelectionMetadataReported) {
   Fixture f;
   auto& client = f.add_client();
