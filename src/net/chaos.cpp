@@ -23,8 +23,8 @@ ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner)
 ChaosTransport::~ChaosTransport() = default;
 
 TransportStats ChaosTransport::stats() const {
-  // The drop counters are shared with the backend, but only the loopback
-  // reports them; the gray-only tallies are never the backend's.
+  // No backend drops for loss or partition, so these counters and the
+  // gray-only tallies are the decorator's alone.
   TransportStats s = inner_->stats();
   s.messages_dropped_loss = c_dropped_loss_.value();
   s.messages_dropped_partition = c_dropped_partition_.value();

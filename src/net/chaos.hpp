@@ -16,9 +16,10 @@
 //
 // Every injected delay is *extra*: the backend still applies its own
 // delivery latency underneath, so a slow node is the LAN model plus its
-// spike. Drops are counted in the backend's own "net.messages_sent" and
-// "net.messages_dropped_{loss,partition}" counters and traced with the
-// "loss" / "partition" reason, as if the wire had lost them.
+// spike. Drops are counted in "net.messages_sent" and
+// "net.messages_dropped_{loss,partition}" in the backend's registry and
+// traced with the "loss" / "partition" reason, as if the wire had lost
+// them; no backend has the drop counters of its own.
 //
 // All randomness comes from one sim::Rng split off the executor's root
 // RNG, so under a SimExecutor the drop/delay/duplicate decisions are a

@@ -14,8 +14,6 @@ LoopbackTransport::LoopbackTransport(
       default_latency_(std::move(default_latency)),
       c_sent_(obs_.metrics.counter("net.messages_sent")),
       c_delivered_(obs_.metrics.counter("net.messages_delivered")),
-      c_dropped_loss_(obs_.metrics.counter("net.messages_dropped_loss")),
-      c_dropped_partition_(obs_.metrics.counter("net.messages_dropped_partition")),
       c_dropped_detached_(obs_.metrics.counter("net.messages_dropped_detached")),
       c_bytes_sent_(obs_.metrics.counter("net.bytes_sent")),
       h_delivery_latency_ms_(obs_.metrics.histogram("net.delivery_latency_ms")) {
@@ -26,8 +24,6 @@ TransportStats LoopbackTransport::stats() const {
   TransportStats s;
   s.messages_sent = c_sent_.value();
   s.messages_delivered = c_delivered_.value();
-  s.messages_dropped_loss = c_dropped_loss_.value();
-  s.messages_dropped_partition = c_dropped_partition_.value();
   s.messages_dropped_detached = c_dropped_detached_.value();
   s.bytes_sent = c_bytes_sent_.value();
   return s;

@@ -49,10 +49,6 @@ class LoopbackTransport final : public Transport {
   obs::Observability obs_;  // must precede the instrument references below
   obs::Counter& c_sent_;
   obs::Counter& c_delivered_;
-  // The drop counters are registered here, where TransportStats reads
-  // them, and incremented by a chaos decorator wrapping this backend.
-  obs::Counter& c_dropped_loss_;
-  obs::Counter& c_dropped_partition_;
   obs::Counter& c_dropped_detached_;
   obs::Counter& c_bytes_sent_;
   obs::Histogram& h_delivery_latency_ms_;

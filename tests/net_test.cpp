@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "net/chaos.hpp"
 #include "net/message.hpp"
+#include "obs/snapshot.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct::net {
@@ -92,6 +94,23 @@ TEST(LoopbackTransport, DetachedDestinationDropsSilently) {
   f.sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(f.network.stats().messages_dropped_detached, 1u);
+}
+
+// Only the chaos decorator drops for loss or partition, so only a registry
+// under it has those series.
+TEST(LoopbackTransport, FaultFreeRegistryHasNoLossOrPartitionSeries) {
+  const auto has = [](Transport& network, const std::string& name) {
+    const auto counters = network.metrics().snapshot().counters;
+    return std::any_of(counters.begin(), counters.end(),
+                       [&](const auto& counter) { return counter.first == name; });
+  };
+  Fixture bare;
+  ChaosFixture chaos;
+  EXPECT_TRUE(has(bare.network, "net.messages_sent"));
+  EXPECT_FALSE(has(bare.network, "net.messages_dropped_loss"));
+  EXPECT_FALSE(has(bare.network, "net.messages_dropped_partition"));
+  EXPECT_TRUE(has(chaos.network, "net.messages_dropped_loss"));
+  EXPECT_TRUE(has(chaos.network, "net.messages_dropped_partition"));
 }
 
 TEST(LoopbackTransport, DetachedSenderCannotSend) {
