@@ -52,7 +52,7 @@
 namespace aqueduct::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x41515746u;  // "AQWF"
-inline constexpr std::uint8_t kWireVersion = 6;
+inline constexpr std::uint8_t kWireVersion = 7;
 /// Frame header: magic + version + type id + payload length.
 inline constexpr std::size_t kFrameHeaderSize = 4 + 1 + 4 + 4;
 

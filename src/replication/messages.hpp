@@ -199,7 +199,8 @@ struct LazyInfo {
 
 /// Performance measurements published by a replica to all clients whenever
 /// it completes servicing a read (Section 5.4), and periodically by the
-/// lazy publisher to keep the staleness estimators fresh.
+/// lazy publisher to keep the staleness estimators fresh. Sent best-effort
+/// (gcs::Member::send_best_effort): a lost one costs the clients one sample.
 struct PerfPublication final : net::Wire<PerfPublication, kWirePerf, "repl.perf"> {
   net::NodeId replica;
   /// True when this publication carries a fresh (ts, tq, tb) sample.

@@ -281,7 +281,7 @@ void ReplicaServer::on_qos_deliver(net::NodeId from, const net::MessagePtr& msg)
     if (info->epoch >= group_info_epoch_) latest_roles_ = info;
     group_info_epoch_ = std::max(group_info_epoch_, info->epoch);
   }
-  // PerfPublication / Reply multicasts are for clients; ignore.
+  // Replies and performance publications go to clients only.
 }
 
 void ReplicaServer::on_replication_deliver(net::NodeId from,
@@ -874,7 +874,11 @@ void ReplicaServer::publish_perf(PerfPublication perf) {
     updates_since_publish_ = 0;
     last_perf_publish_ = exec_.now();
   }
-  qos_member_->multicast(std::make_shared<PerfPublication>(std::move(perf)));
+  // Soft state for the clients alone (Section 5.4): the next sample
+  // supersedes a lost one, so it goes best-effort, not down the group's
+  // reliable multicast stream.
+  qos_member_->send_best_effort(qos_member_->view().listeners,
+                                std::make_shared<PerfPublication>(std::move(perf)));
 }
 
 LazyInfo ReplicaServer::build_lazy_info() {

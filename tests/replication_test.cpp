@@ -331,6 +331,42 @@ TEST(PerfPublication, ClientsLearnServiceTimes) {
   EXPECT_GT(with_history, 0u);
 }
 
+// Publications are for the clients (Section 5.4): every client folds every
+// served read's sample, and no full QoS member, so no replica, delivers one.
+TEST(PerfPublication, EveryClientFoldsEachSampleAndNoFullMemberDeliversOne) {
+  Fixture f(2, 2);
+  f.settle();
+  gcs::Endpoint& observer = f.bed.add_client_endpoint();
+  gcs::Member& full = observer.member(f.groups.qos);
+  std::size_t seen_by_full_member = 0;
+  full.set_on_deliver([&](net::NodeId, const net::MessagePtr& msg) {
+    if (net::message_cast<PerfPublication>(msg)) ++seen_by_full_member;
+  });
+  full.join(gcs::Role::kMember);
+  auto& reader = f.add_client();
+  auto& bystander = f.add_client();
+  f.settle(seconds(1));
+  for (int i = 0; i < 6; ++i) {
+    reader.read(std::make_shared<RegisterRead>(), loose_qos(), {});
+  }
+  f.settle(seconds(3));
+  std::size_t served = 0;
+  for (std::size_t i = 0; i < f.bed.num_replicas(); ++i) {
+    served += f.bed.replica(i).stats().reads_served;
+  }
+  ASSERT_GE(served, 6u);
+  for (const client::ClientHandler* client : {&reader, &bystander}) {
+    std::size_t folded = 0;
+    for (std::size_t i = 0; i < f.bed.num_replicas(); ++i) {
+      const auto* h = client->repository().find_history(f.bed.replica(i).id());
+      if (h != nullptr) folded += h->service.size();
+    }
+    EXPECT_EQ(folded, served);
+  }
+  EXPECT_TRUE(full.joined());
+  EXPECT_EQ(seen_by_full_member, 0u);
+}
+
 TEST(PerfPublication, LazyInfoReachesStalenessEstimator) {
   Fixture f(1, 1, 1, /*lazy=*/milliseconds(500));
   f.settle();
