@@ -28,6 +28,7 @@
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "obs/export.hpp"
+#include "obs/sla.hpp"
 
 using namespace aqueduct;
 
@@ -182,8 +183,8 @@ int main(int argc, char** argv) {
                         "updates_abandoned"});
   for (std::size_t c = 0; c < results.size(); ++c) {
     const auto& stats = results[c].stats;
-    const auto ci = harness::binomial_ci_wilson(stats.timing_failures,
-                                                stats.reads_completed);
+    const auto ci = obs::wilson_interval(stats.timing_failures,
+                                         stats.reads_completed);
     table.add_row(
         {std::to_string(c), std::to_string(stats.reads_completed),
          harness::Table::num(ci.point, 3),

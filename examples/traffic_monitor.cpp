@@ -8,8 +8,8 @@
 #include <memory>
 
 #include "harness/scenario.hpp"
-#include "harness/stats.hpp"
 #include "harness/table.hpp"
+#include "obs/sla.hpp"
 
 using namespace aqueduct;
 using namespace std::chrono_literals;
@@ -55,8 +55,8 @@ int main() {
                         "staleness_violations"});
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& stats = results[i].stats;
-    const auto ci = harness::binomial_ci_wilson(stats.timing_failures,
-                                                stats.reads_completed);
+    const auto ci = obs::wilson_interval(stats.timing_failures,
+                                         stats.reads_completed);
     table.add_row({names[i], std::to_string(stats.reads_completed),
                    harness::Table::num(ci.point, 3),
                    "[" + harness::Table::num(ci.lower, 3) + "," +

@@ -12,10 +12,10 @@ double poisson_cdf(double mean, std::uint64_t a) {
   // Sum terms in log space to stay stable for large means.
   const double log_mean = std::log(mean);
   double acc = 0.0;
+  int sign = 0;  // lgamma_r, unlike std::lgamma, writes no global signgam
   for (std::uint64_t n = 0; n <= a; ++n) {
-    const double log_term =
-        -mean + static_cast<double>(n) * log_mean - std::lgamma(static_cast<double>(n) + 1.0);
-    acc += std::exp(log_term);
+    acc += std::exp(-mean + static_cast<double>(n) * log_mean -
+                    lgamma_r(static_cast<double>(n) + 1.0, &sign));
   }
   return acc > 1.0 ? 1.0 : acc;
 }

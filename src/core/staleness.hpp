@@ -25,7 +25,7 @@
 namespace aqueduct::core {
 
 /// P(N <= a) for N ~ Poisson(mean). Numerically stable for large means
-/// (log-space terms via lgamma).
+/// (log-space terms via the reentrant lgamma_r). Thread-safe.
 double poisson_cdf(double mean, std::uint64_t a);
 
 /// Estimates the update arrival rate λ_u from a sliding window of

@@ -8,18 +8,6 @@
 
 namespace aqueduct::harness {
 
-ConfidenceInterval binomial_ci_wilson(std::uint64_t successes,
-                                      std::uint64_t trials, double z) {
-  // One Wilson formula in the repo: the live SlaMonitor and the offline
-  // harness must agree bit-for-bit, so this delegates to the obs layer.
-  const obs::WilsonInterval w = obs::wilson_interval(successes, trials, z);
-  ConfidenceInterval ci;
-  ci.lower = w.lower;
-  ci.upper = w.upper;
-  ci.point = w.point;
-  return ci;
-}
-
 Summary summarize(const std::vector<double>& values) {
   Summary s;
   s.count = values.size();

@@ -40,10 +40,10 @@ class TraceHub;
 class Counter;
 class Gauge;
 
-/// 95% Wilson score interval for a binomial proportion. Numerically
-/// identical to harness::binomial_ci_wilson, which delegates here — obs
-/// cannot depend on harness, but the recovery bench gate pins the pooled
-/// bound, so there must be exactly one formula in the repo.
+/// 95% Wilson score interval for a binomial proportion: the one binomial
+/// interval in the repo (live monitor, sweep pooled bounds, examples).
+/// Unlike the normal approximation it stays honest for p near 0 or 1 and
+/// small n (0 failures in n trials is not [0, 0]).
 struct WilsonInterval {
   double lower = 0.0;
   double upper = 0.0;
@@ -53,7 +53,7 @@ WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z = 1.96);
 
 /// Interpolated percentile (0 <= q <= 1) of a copy-sorted sample; 0 for
-/// empty input. harness::percentile delegates here for the same reason.
+/// empty input. harness::percentile delegates here.
 double percentile(std::vector<double> values, double q);
 
 /// The monitored contract. Mirrors core::QoSSpec field-for-field; obs

@@ -49,7 +49,7 @@ void write_row(obs::JsonWriter& w, const Unit& unit, const SeedRecord& row,
     for (const double q : percentiles) {
       std::ostringstream key;
       key << "p" << static_cast<int>(q * 100.0 + 0.5);
-      w.field(key.str(), harness::percentile(samples, q));
+      w.field(key.str(), obs::percentile(samples, q));
     }
     w.end_object();
   }
@@ -73,7 +73,7 @@ void pool_rows(const SweepSpec& spec, SweepResult& result) {
       pooled.failures += row.counter_or_zero(b.failures);
       pooled.trials += row.counter_or_zero(b.trials);
     }
-    pooled.ci = harness::binomial_ci_wilson(pooled.failures, pooled.trials);
+    pooled.ci = obs::wilson_interval(pooled.failures, pooled.trials);
     result.binomials.push_back(std::move(pooled));
   }
   // Pooled percentiles: concatenate per-row samples in unit order; the
@@ -101,7 +101,7 @@ void pool_rows(const SweepSpec& spec, SweepResult& result) {
     for (const double s : all) sum += s;
     p.mean = all.empty() ? 0.0 : sum / static_cast<double>(all.size());
     for (const double q : spec.percentiles) {
-      p.quantiles.push_back(harness::percentile(all, q));
+      p.quantiles.push_back(obs::percentile(all, q));
     }
     result.samples.push_back(std::move(p));
   }

@@ -24,8 +24,8 @@
 #include <utility>
 #include <vector>
 
-#include "harness/stats.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sla.hpp"
 
 namespace aqueduct::runner {
 
@@ -95,7 +95,7 @@ struct PooledBinomial {
   std::string label;
   std::uint64_t failures = 0;
   std::uint64_t trials = 0;
-  harness::ConfidenceInterval ci;  // 95% Wilson, failure probability
+  obs::WilsonInterval ci;  // 95% Wilson, failure probability
 };
 
 struct PooledSamples {

@@ -8,52 +8,26 @@ namespace aqueduct::sim {
 
 EventHandle EventQueue::schedule(TimePoint at, Callback cb) {
   AQUEDUCT_CHECK(cb != nullptr);
-  auto cancelled = std::make_shared<bool>(false);
-  const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{at, seq, std::move(cb), cancelled});
-  ++live_;
-  return EventHandle(seq, cancelled);
+  const auto key = std::make_pair(at, next_seq_++);
+  events_.emplace(key, std::move(cb));
+  return EventHandle(key);
 }
 
 bool EventQueue::cancel(const EventHandle& handle) {
-  auto flag = handle.cancelled_.lock();
-  if (!flag || *flag) return false;
-  *flag = true;
-  AQUEDUCT_CHECK(live_ > 0);
-  --live_;
-  return true;
-}
-
-void EventQueue::skip_cancelled() const {
-  // heap_ is mutable: discarding cancelled entries does not change the
-  // observable live set.
-  while (!heap_.empty() && *heap_.top().cancelled) heap_.pop();
-}
-
-bool EventQueue::empty() const {
-  skip_cancelled();
-  return heap_.empty();
+  // extract() unlinks the node before it is destroyed, so a callback
+  // whose captures touch the queue as they die sees it consistent.
+  return !events_.extract(handle.key_).empty();
 }
 
 TimePoint EventQueue::next_time() const {
-  skip_cancelled();
-  AQUEDUCT_CHECK(!heap_.empty());
-  return heap_.top().at;
+  AQUEDUCT_CHECK(!events_.empty());
+  return events_.begin()->first.first;
 }
 
 std::pair<TimePoint, EventQueue::Callback> EventQueue::pop() {
-  skip_cancelled();
-  AQUEDUCT_CHECK(!heap_.empty());
-  // priority_queue::top() returns const&; move out via const_cast is the
-  // standard idiom but we copy the small parts and move the callback by
-  // re-wrapping: take a copy of the entry, then pop.
-  Entry top = heap_.top();
-  heap_.pop();
-  AQUEDUCT_CHECK(live_ > 0);
-  --live_;
-  // Mark fired so a handle held by the scheduler reports cancel() == false.
-  *top.cancelled = true;
-  return {top.at, std::move(top.cb)};
+  AQUEDUCT_CHECK(!events_.empty());
+  auto node = events_.extract(events_.begin());
+  return {node.key().first, std::move(node.mapped())};
 }
 
 }  // namespace aqueduct::sim

@@ -1,4 +1,4 @@
-// Priority event queue for the discrete-event simulator.
+// Ordered event queue for the discrete-event simulator.
 //
 // Events scheduled for the same time point fire in scheduling order
 // (FIFO tie-break by sequence number) so simulations are fully
@@ -7,30 +7,29 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <vector>
+#include <map>
+#include <utility>
 
 #include "sim/time.hpp"
 
 namespace aqueduct::sim {
 
-/// Opaque handle to a scheduled event, usable for cancellation.
+/// Handle to a scheduled event, usable for cancellation: the event's
+/// (time, scheduling sequence number) key, as plain data.
 class EventHandle {
  public:
   EventHandle() = default;
   /// True if this handle ever referred to an event (cancelled or not).
-  bool valid() const { return id_ != 0; }
+  bool valid() const { return key_.second != 0; }
 
  private:
   friend class EventQueue;
-  explicit EventHandle(std::uint64_t id, std::weak_ptr<bool> cancelled)
-      : id_(id), cancelled_(std::move(cancelled)) {}
-  std::uint64_t id_ = 0;
-  std::weak_ptr<bool> cancelled_;
+  explicit EventHandle(std::pair<TimePoint, std::uint64_t> key) : key_(key) {}
+  std::pair<TimePoint, std::uint64_t> key_{};
 };
 
-/// Min-heap of timed callbacks with O(1) cancellation (lazy removal).
+/// Timed callbacks in one map ordered by (time, sequence number). A fired
+/// or cancelled event leaves the map, so cancellation is exact.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -38,43 +37,27 @@ class EventQueue {
   /// Schedules `cb` to fire at time `at`.
   EventHandle schedule(TimePoint at, Callback cb);
 
-  /// Cancels the event behind `handle`. Returns false if the event already
-  /// fired, was already cancelled, or the handle is empty.
+  /// Cancels the event behind `handle` and destroys its callback. Returns
+  /// false if the event already fired, was already cancelled, or the
+  /// handle is empty.
   bool cancel(const EventHandle& handle);
 
-  /// True if no live (non-cancelled) events remain.
-  bool empty() const;
+  /// True if no events remain.
+  bool empty() const { return events_.empty(); }
 
-  /// Time of the earliest live event. Requires !empty().
+  /// Time of the earliest event. Requires !empty().
   TimePoint next_time() const;
 
-  /// Pops the earliest live event and returns its (time, callback).
+  /// Removes the earliest event and returns its (time, callback).
   /// Requires !empty().
   std::pair<TimePoint, Callback> pop();
 
-  /// Number of live events currently queued.
-  std::size_t size() const { return live_; }
+  /// Number of events currently queued.
+  std::size_t size() const { return events_.size(); }
 
  private:
-  struct Entry {
-    TimePoint at;
-    std::uint64_t seq;
-    Callback cb;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Discards cancelled entries at the head of the heap.
-  void skip_cancelled() const;
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::map<std::pair<TimePoint, std::uint64_t>, Callback> events_;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
 };
 
 }  // namespace aqueduct::sim

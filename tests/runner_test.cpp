@@ -161,7 +161,7 @@ TEST(SweepAggregation, PooledCountersBinomialsAndPercentiles) {
   EXPECT_EQ(result.pooled_counter_or_zero("trials"), trials);
 
   ASSERT_EQ(result.binomials.size(), 1u);
-  const auto expected = harness::binomial_ci_wilson(failures, trials);
+  const auto expected = obs::wilson_interval(failures, trials);
   EXPECT_DOUBLE_EQ(result.binomials[0].ci.lower, expected.lower);
   EXPECT_DOUBLE_EQ(result.binomials[0].ci.upper, expected.upper);
 
@@ -245,7 +245,7 @@ TEST(SweepAggregation, PointResultPoolsOnlyThatPointsRows) {
     EXPECT_EQ(pooled.pooled_counter_or_zero("failures"), failures);
     EXPECT_EQ(pooled.pooled_counter_or_zero("trials"), trials);
     ASSERT_EQ(pooled.binomials.size(), 1u);
-    const auto expected = harness::binomial_ci_wilson(failures, trials);
+    const auto expected = obs::wilson_interval(failures, trials);
     EXPECT_DOUBLE_EQ(pooled.binomials[0].ci.lower, expected.lower);
     EXPECT_DOUBLE_EQ(pooled.binomials[0].ci.upper, expected.upper);
     ASSERT_EQ(pooled.samples.size(), 1u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/check.hpp"
@@ -75,6 +76,50 @@ TEST(EventQueue, EmptyHandleCancelIsNoop) {
   EventHandle handle;
   EXPECT_FALSE(handle.valid());
   EXPECT_FALSE(sim.cancel(handle));
+}
+
+// Counts copies of itself; moves are free.
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  void operator()() const {}
+};
+
+TEST(EventQueue, PopMovesTheCallback) {
+  EventQueue queue;
+  int copies = 0;
+  queue.schedule(kEpoch + milliseconds(1), CopyCounter(&copies));
+  queue.schedule(kEpoch + milliseconds(2), CopyCounter(&copies));
+  copies = 0;  // only what the queue does from here on counts
+  while (!queue.empty()) queue.pop().second();
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(EventQueue, CancelReleasesCapturesAtOnce) {
+  EventQueue queue;
+  auto token = std::make_shared<int>(0);
+  const auto handle =
+      queue.schedule(kEpoch + milliseconds(5), [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(queue.cancel(handle));
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(EventQueue, FiredHandleNeverCancelsALaterEventAtTheSameTime) {
+  Simulator sim;
+  const TimePoint t = kEpoch + milliseconds(5);
+  const auto fired = sim.at(t, [] {});
+  sim.run();
+  bool later_fired = false;
+  sim.at(t, [&] { later_fired = true; });
+  EXPECT_FALSE(sim.cancel(fired));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_TRUE(later_fired);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {

@@ -3,9 +3,8 @@
 //
 // The pivotal property: a violation fires at exactly the read where the
 // Wilson lower bound of the windowed timing-failure rate first exceeds the
-// budget 1 - Pc(d) — computed independently here through
-// harness::binomial_ci_wilson, which shares the one Wilson formula in the
-// repo (obs::wilson_interval) by delegation.
+// budget 1 - Pc(d) — recomputed here from the window's counts through
+// obs::wilson_interval, the one Wilson formula in the repo.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/stats.hpp"
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sla.hpp"
@@ -61,21 +59,6 @@ struct Fixture {
 // wilson_interval
 // ---------------------------------------------------------------------------
 
-TEST(WilsonInterval, MatchesHarnessFormula) {
-  // harness::binomial_ci_wilson delegates to obs::wilson_interval; both
-  // ends must agree bit-for-bit for every (successes, trials) pair the
-  // recovery bench gate might see.
-  for (std::uint64_t trials : {1u, 7u, 50u, 1000u}) {
-    for (std::uint64_t s = 0; s <= trials; s += (trials > 10 ? 7 : 1)) {
-      const auto ours = obs::wilson_interval(s, trials);
-      const auto theirs = harness::binomial_ci_wilson(s, trials);
-      EXPECT_EQ(ours.lower, theirs.lower) << s << "/" << trials;
-      EXPECT_EQ(ours.upper, theirs.upper) << s << "/" << trials;
-      EXPECT_EQ(ours.point, theirs.point) << s << "/" << trials;
-    }
-  }
-}
-
 TEST(WilsonInterval, ZeroTrialsIsVacuous) {
   const auto ci = obs::wilson_interval(0, 0);
   EXPECT_DOUBLE_EQ(ci.lower, 0.0);
@@ -120,7 +103,7 @@ TEST(SlaMonitor, ViolationFiresExactlyAtTheWilsonCrossing) {
   for (std::size_t n = 1; n <= 100; ++n) {
     const bool fail = (n % 4 == 0);
     if (fail) ++failures;
-    const auto ci = harness::binomial_ci_wilson(failures, n, config.z);
+    const auto ci = obs::wilson_interval(failures, n, config.z);
     if (n >= config.min_samples && ci.lower > budget) {
       expected_crossing = n;
       break;

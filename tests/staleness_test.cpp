@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "sim/random.hpp"
 
@@ -45,6 +47,31 @@ TEST(PoissonCdf, DecreasingInMean) {
     EXPECT_LE(c, prev + 1e-12);
     prev = c;
   }
+}
+
+TEST(PoissonCdf, ConcurrentCallersAgree) {
+  // Sweep workers evaluate the staleness factor on several threads at
+  // once. The log-gamma terms must not share hidden state (std::lgamma
+  // writes the global signgam), so two threads computing the same table
+  // get the single-threaded values bit for bit; under ThreadSanitizer this
+  // test fails on any such write.
+  auto table = [] {
+    std::vector<double> out;
+    for (int m = 1; m <= 40; ++m) {
+      for (std::uint64_t a = 0; a <= 60; a += 3) {
+        out.push_back(poisson_cdf(0.5 * m, a));
+      }
+    }
+    return out;
+  };
+  const std::vector<double> expected = table();
+  std::vector<double> first, second;
+  std::thread t1([&] { first = table(); });
+  std::thread t2([&] { second = table(); });
+  t1.join();
+  t2.join();
+  EXPECT_EQ(first, expected);
+  EXPECT_EQ(second, expected);
 }
 
 TEST(PoissonCdf, StableForLargeMeans) {

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/sla.hpp"
+
 namespace aqueduct::harness {
 namespace {
 
 TEST(BinomialCiWilson, CoversPointEstimate) {
-  const auto ci = binomial_ci_wilson(3, 50);
+  const auto ci = obs::wilson_interval(3, 50);
   EXPECT_DOUBLE_EQ(ci.point, 0.06);
   EXPECT_LE(ci.lower, ci.point);
   EXPECT_GE(ci.upper, ci.point);
@@ -15,14 +17,14 @@ TEST(BinomialCiWilson, CoversPointEstimate) {
 TEST(BinomialCiWilson, NonDegenerateAtZeroSuccesses) {
   // Unlike the normal approximation, Wilson gives a non-zero upper bound
   // for 0 successes.
-  const auto ci = binomial_ci_wilson(0, 50);
+  const auto ci = obs::wilson_interval(0, 50);
   EXPECT_DOUBLE_EQ(ci.lower, 0.0);
   EXPECT_GT(ci.upper, 0.0);
 }
 
 TEST(BinomialCiWilson, ZeroSuccessesSmallN) {
   // Closed form at p̂=0: upper = (z²/n) / (1 + z²/n).
-  const auto ci = binomial_ci_wilson(0, 10);
+  const auto ci = obs::wilson_interval(0, 10);
   EXPECT_DOUBLE_EQ(ci.lower, 0.0);
   const double z2n = 1.96 * 1.96 / 10.0;
   EXPECT_NEAR(ci.upper, z2n / (1.0 + z2n), 1e-12);
@@ -31,7 +33,7 @@ TEST(BinomialCiWilson, ZeroSuccessesSmallN) {
 
 TEST(BinomialCiWilson, AllSuccessesSmallN) {
   // Closed form at p̂=1: lower = 1 / (1 + z²/n), upper = 1.
-  const auto ci = binomial_ci_wilson(10, 10);
+  const auto ci = obs::wilson_interval(10, 10);
   EXPECT_DOUBLE_EQ(ci.point, 1.0);
   const double z2n = 1.96 * 1.96 / 10.0;
   EXPECT_NEAR(ci.lower, 1.0 / (1.0 + z2n), 1e-12);
@@ -39,7 +41,7 @@ TEST(BinomialCiWilson, AllSuccessesSmallN) {
 }
 
 TEST(BinomialCiWilson, ZeroTrials) {
-  const auto ci = binomial_ci_wilson(0, 0);
+  const auto ci = obs::wilson_interval(0, 0);
   EXPECT_DOUBLE_EQ(ci.point, 0.0);
   EXPECT_DOUBLE_EQ(ci.lower, 0.0);
   EXPECT_DOUBLE_EQ(ci.upper, 0.0);
