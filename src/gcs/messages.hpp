@@ -89,9 +89,11 @@ struct HeartbeatShared {
 
 /// One group's share of a periodic heartbeat to one destination: the two
 /// marks of the p2p streams between the sender and that destination, and
-/// the member's shared part. A stream that carries nothing has 0 marks. So
-/// a section's size depends on the number of senders in mcast_acks alone,
-/// not on how many other nodes the member exchanges p2p messages with.
+/// the member's shared part. A stream that carries nothing has 0 marks (one
+/// byte each, as every integer is a varint). So a section's size depends on
+/// the number of senders in mcast_acks and on the magnitudes of the values
+/// it carries, not on how many other nodes the member exchanges p2p
+/// messages with.
 struct HeartbeatSection {
   GroupId group;
   /// The sender's p2p stream high-water mark towards the destination while

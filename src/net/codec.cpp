@@ -14,10 +14,10 @@ std::size_t Message::body_size() const {
 
 namespace {
 
-std::uint32_t frame_size(const Message& msg) {
+std::uint32_t sized_frame(const Message& msg) {
   if (msg.wire_type() == 0) return 64;  // nominal size for non-wire types
   try {
-    return static_cast<std::uint32_t>(kFrameHeaderSize + msg.body_size());
+    return static_cast<std::uint32_t>(frame_size(msg.wire_type(), msg.body_size()));
   } catch (const CodecError&) {
     // A codec-enabled envelope carrying a non-encodable payload, at any
     // depth (tests wrap ad-hoc local messages in gcs frames): fall back to
@@ -32,7 +32,7 @@ std::uint32_t frame_size(const Message& msg) {
 std::size_t Message::wire_size() const {
   std::uint32_t bytes = wire_size_memo_.bytes.load(std::memory_order_relaxed);
   if (bytes == 0) {
-    bytes = frame_size(*this);
+    bytes = sized_frame(*this);
     wire_size_memo_.bytes.store(bytes, std::memory_order_relaxed);
   }
   return bytes;
@@ -67,14 +67,16 @@ void encode_frame(const Message& msg, Writer& w) {
     throw CodecError("message type '" + msg.type_name() +
                      "' is not codec-enabled");
   }
-  w.u32(kWireMagic);
+  // Sized first, so the length goes in front and nothing is written for a
+  // message that cannot be encoded.
+  const std::size_t len = msg.body_size();
+  w.fixed32(kWireMagic);
   w.u8(kWireVersion);
   w.u32(id);
-  const std::size_t len_offset = w.size();
-  w.u32(0);  // payload length, patched below
+  w.u64(len);
   const std::size_t body_start = w.size();
   msg.encode(w);
-  w.patch_u32(len_offset, static_cast<std::uint32_t>(w.size() - body_start));
+  AQUEDUCT_CHECK_MSG(w.size() - body_start == len, "encode() and body_size() disagree");
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
@@ -84,13 +86,13 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
 }
 
 MessagePtr decode_frame(Reader& r, const CodecRegistry& registry) {
-  if (r.u32() != kWireMagic) throw CodecError("bad frame magic");
+  if (r.fixed32() != kWireMagic) throw CodecError("bad frame magic");
   const std::uint8_t version = r.u8();
   if (version != kWireVersion) {
     throw CodecError("unsupported wire version " + std::to_string(version));
   }
   const WireTypeId id = r.u32();
-  const std::uint32_t len = r.u32();
+  const std::uint64_t len = r.u64();
   if (len > r.remaining()) throw CodecError("frame length exceeds input");
   const CodecRegistry::DecodeFn decode = registry.find(id);
   if (decode == nullptr) {

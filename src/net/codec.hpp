@@ -1,12 +1,17 @@
 // Wire codec: byte-level serialization of net::Message frames.
 //
-// Everything on the wire is little-endian and length-prefixed. A frame is
+// Integers travel as canonical LEB128 varints: seven bits per byte, low
+// group first, the high bit set on every byte but the last, and no
+// trailing zero group (so every value has exactly one encoding, 1 to 10
+// bytes long). A frame is
 //
-//   u32  magic   0x41515746 ("AQWF")
-//   u8   version kWireVersion (bumped on any incompatible layout change)
-//   u32  type id (stable per concrete message type; see CodecRegistry)
-//   u32  payload length in bytes
-//   ...  payload (exactly `length` bytes, the message's fields)
+//   u32     magic   0x41515746 ("AQWF"), little-endian
+//   u8      version kWireVersion (bumped on any incompatible layout change)
+//   varint  type id (stable per concrete message type; see CodecRegistry)
+//   varint  payload length in bytes
+//   ...     payload (exactly `length` bytes, the message's fields)
+//
+// and a nested frame (a message carried inside another) is the same frame.
 //
 // A codec-enabled message derives from net::Wire<Self, id, "name">, which
 // states its type id and name once, and declares its layout once, as a
@@ -23,16 +28,19 @@
 // process-wide CodecRegistry, so a receiving composition root must first
 // call its layers' register_wire_codecs() functions, which register their
 // Wire types. Every decode failure (bad magic, unknown version or type,
-// truncation, trailing bytes, a failed check) throws CodecError;
-// transports catch it, count net.decode_errors, and drop the datagram —
-// malformed input can never reach protocol code.
+// truncation, a non-canonical varint or map order, trailing bytes, a
+// failed check) throws CodecError; transports catch it, count
+// net.decode_errors, and drop the datagram — malformed input can never
+// reach protocol code.
 //
-// Round-trip guarantee: for every registered type, encode(decode(bytes))
-// reproduces `bytes` exactly (tests/codec_test.cpp enforces it per type,
+// Round-trip guarantee: the decoder accepts canonical input only, so
+// encode(decode(bytes)) reproduces `bytes` exactly for every `bytes` it
+// accepts (tests/codec_test.cpp enforces it per type and under corruption,
 // and pins every exemplar's frame bytes).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -52,9 +60,7 @@
 namespace aqueduct::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x41515746u;  // "AQWF"
-inline constexpr std::uint8_t kWireVersion = 7;
-/// Frame header: magic + version + type id + payload length.
-inline constexpr std::size_t kFrameHeaderSize = 4 + 1 + 4 + 4;
+inline constexpr std::uint8_t kWireVersion = 8;
 
 /// Thrown on any malformed input; also thrown when asked to encode a
 /// message (or a nested payload) whose type is not codec-enabled.
@@ -63,13 +69,37 @@ class CodecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only little-endian byte sink.
+/// Length of `v` as an unsigned LEB128 varint: one byte per started group
+/// of seven significant bits, 1 to 10. (9 * bits + 64) / 64 equals
+/// ceil(bits / 7) for every bits in 1..64 and needs no division, which
+/// keeps sizing a message cheap.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return (9 * static_cast<std::size_t>(std::bit_width(v | 1)) + 64) / 64;
+}
+
+/// Zigzag mapping of a signed value to an unsigned one, so that values of
+/// small magnitude, negative or not, get short varints: 0, -1, 1, -2, ...
+/// map to 0, 1, 2, 3, ...
+constexpr std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+constexpr std::int64_t unzigzag(std::uint64_t v) {
+  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
+}
+
+/// Length of a whole frame of type `id` whose payload is `body` bytes.
+constexpr std::size_t frame_size(WireTypeId id, std::size_t body) {
+  return 4 + 1 + varint_size(id) + varint_size(body) + body;
+}
+
+/// Append-only byte sink: varint integers, little-endian f64.
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { le(v); }
-  void u64(std::uint64_t v) { le(v); }
-  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
+  void u32(std::uint32_t v) { varint(v); }
+  void u64(std::uint64_t v) { varint(v); }
+  /// Four bytes, little-endian (the frame magic).
+  void fixed32(std::uint32_t v) { le(v); }
   void f64(double v) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
@@ -78,25 +108,23 @@ class Writer {
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
+    varint(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
-  void node(NodeId id) { u32(id.value()); }
-  void duration(sim::Duration d) { i64(d.count()); }
+  void node(NodeId id) { varint(id.value()); }
+  void duration(sim::Duration d) { varint(zigzag(d.count())); }
   void raw(const std::uint8_t* data, std::size_t n) {
     buf_.insert(buf_.end(), data, data + n);
   }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
-  /// Patches a previously written u32 at `offset` (for length back-fill).
-  void patch_u32(std::size_t offset, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.at(offset + i) = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  }
 
  private:
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
   template <typename T>
   void le(T v) {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -107,8 +135,9 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Bounds-checked little-endian byte source over a borrowed buffer.
-/// Every accessor throws CodecError instead of reading past the end.
+/// Bounds-checked byte source over a borrowed buffer, the inverse of
+/// Writer. Every accessor throws CodecError instead of reading past the
+/// end, and on any varint that is not canonical or does not fit its field.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size)
@@ -117,9 +146,13 @@ class Reader {
       : Reader(buf.data(), buf.size()) {}
 
   std::uint8_t u8() { return take(1)[0]; }
-  std::uint32_t u32() { return le<std::uint32_t>(); }
-  std::uint64_t u64() { return le<std::uint64_t>(); }
-  std::int64_t i64() { return static_cast<std::int64_t>(le<std::uint64_t>()); }
+  std::uint32_t u32() {
+    const std::uint64_t v = varint();
+    if (v > UINT32_MAX) throw CodecError("varint exceeds 32 bits");
+    return static_cast<std::uint32_t>(v);
+  }
+  std::uint64_t u64() { return varint(); }
+  std::uint32_t fixed32() { return le<std::uint32_t>(); }
   double f64() {
     const std::uint64_t bits = le<std::uint64_t>();
     double v;
@@ -137,7 +170,7 @@ class Reader {
     return std::string(reinterpret_cast<const char*>(p), n);
   }
   NodeId node() { return NodeId{u32()}; }
-  sim::Duration duration() { return sim::Duration(i64()); }
+  sim::Duration duration() { return sim::Duration(unzigzag(varint())); }
 
   /// A sub-reader over the next `n` bytes (consumed from this reader).
   Reader sub(std::size_t n) {
@@ -154,6 +187,20 @@ class Reader {
     const std::uint8_t* p = data_ + pos_;
     pos_ += n;
     return p;
+  }
+  /// A canonical varint: at most 10 bytes, the 10th holding only bit 63,
+  /// and no trailing zero group.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t b = u8();
+      if (shift == 63 && b > 1) throw CodecError("varint exceeds 64 bits");
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if (b < 0x80) {
+        if (b == 0 && shift > 0) throw CodecError("overlong varint");
+        return v;
+      }
+    }
   }
   template <typename T>
   T le() {
@@ -218,7 +265,8 @@ inline MessagePtr decode_frame(Reader& r) {
 // ---------------------------------------------------------------------------
 
 /// NodeId-sorted (node, value) pairs, unique by node: the flat form of a
-/// std::map<NodeId, std::uint64_t>, with the same wire encoding.
+/// std::map<NodeId, std::uint64_t>, with the same wire encoding (and the
+/// same decoding: out-of-order or repeated nodes are malformed input).
 using NodeU64Pairs = std::vector<std::pair<NodeId, std::uint64_t>>;
 
 /// Value of `node` in sorted pairs, or nullptr.
@@ -245,15 +293,15 @@ Rest<T> rest(std::vector<T>& items) {
 class ByteCount {
  public:
   void u8(std::uint8_t) { bytes_ += 1; }
-  void u32(std::uint32_t) { bytes_ += 4; }
-  void u64(std::uint64_t) { bytes_ += 8; }
+  void u32(std::uint32_t v) { bytes_ += varint_size(v); }
+  void u64(std::uint64_t v) { bytes_ += varint_size(v); }
   void f64(double) { bytes_ += 8; }
   void boolean(bool) { bytes_ += 1; }
-  void str(const std::string& s) { bytes_ += 4 + s.size(); }
-  void node(NodeId) { bytes_ += 4; }
-  void duration(sim::Duration) { bytes_ += 8; }
+  void str(const std::string& s) { bytes_ += varint_size(s.size()) + s.size(); }
+  void node(NodeId id) { bytes_ += varint_size(id.value()); }
+  void duration(sim::Duration d) { bytes_ += varint_size(zigzag(d.count())); }
   /// A nested frame, sized by its own field list.
-  void frame(const Message& msg) { bytes_ += kFrameHeaderSize + msg.body_size(); }
+  void frame(const Message& msg) { bytes_ += frame_size(msg.wire_type(), msg.body_size()); }
 
   std::size_t size() const { return bytes_; }
 
@@ -283,12 +331,16 @@ inline void write_frame(ByteCount& c, const Message& msg) { c.frame(msg); }
 
 /// Walks a field list into `Sink`: a Writer (encoding) or a ByteCount
 /// (sizing). A field of type
-///   bool, std::uint8_t/32/64, double  is fixed-width, little-endian;
+///   bool, std::uint8_t                is one byte (a bool is 0 or 1);
+///   std::uint32_t, std::uint64_t      is an unsigned varint;
+///   double                            is 8 bytes, little-endian IEEE 754;
 ///   an enum                           is its underlying type;
-///   NodeId, sim::Duration             is a u32, an i64;
-///   std::string                       is a u32 length and the bytes;
+///   NodeId                            is an unsigned varint of its value;
+///   sim::Duration                     is a zigzag varint of its tick count;
+///   std::string                       is a varint length and the bytes;
 ///   std::optional<T>                  is a presence byte, then T;
-///   std::vector<T>, std::map<K, V>    is a u32 count, then each item;
+///   std::vector<T>, std::map<K, V>    is a varint count, then each item
+///                                     (a map's in ascending key order);
 ///   MessagePtr                        is a presence byte, then a nested frame;
 ///   shared_ptr<const M>, M a message  is a nested frame that must be an M;
 ///   shared_ptr<const S>, S a struct   is S;
@@ -402,7 +454,13 @@ class FieldDecoder {
       v.clear();
       v.reserve(std::min<std::size_t>(n, in_.remaining()));
       for (std::uint32_t i = 0; i < n; ++i) get(v.emplace_back());
-      if constexpr (std::is_same_v<T, NodeU64Pairs>) sort_unique(v);
+      if constexpr (std::is_same_v<T, NodeU64Pairs>) {
+        const bool ascending =
+            std::adjacent_find(v.begin(), v.end(), [](const auto& a, const auto& b) {
+              return !(a.first < b.first);
+            }) == v.end();
+        check(ascending, "node pairs not in strictly ascending node order");
+      }
     } else if constexpr (detail::kMap<T>) {
       const std::uint32_t n = in_.u32();
       v.clear();
@@ -411,7 +469,8 @@ class FieldDecoder {
         typename T::mapped_type value{};
         get(key);
         get(value);
-        v.insert_or_assign(std::move(key), std::move(value));
+        check(v.empty() || v.rbegin()->first < key, "map keys not in strictly ascending order");
+        v.emplace_hint(v.end(), std::move(key), std::move(value));
       }
     } else if constexpr (detail::kPair<T>) {
       get(v.first);
@@ -434,19 +493,6 @@ class FieldDecoder {
     } else {
       v.fields(*this);
     }
-  }
-
-  /// A well-formed encoder writes NodeU64Pairs sorted and unique; other
-  /// input is normalized exactly as decoding it into a std::map would be
-  /// (sorted by node, the last value winning).
-  static void sort_unique(NodeU64Pairs& v) {
-    const bool sorted = std::adjacent_find(v.begin(), v.end(), [](const auto& a, const auto& b) {
-                          return !(a.first < b.first);
-                        }) == v.end();
-    if (sorted) return;
-    std::map<NodeId, std::uint64_t> m;
-    for (const auto& [node, value] : v) m[node] = value;
-    v.assign(m.begin(), m.end());
   }
 
   Reader& in_;

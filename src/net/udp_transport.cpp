@@ -40,11 +40,6 @@ std::uint32_t resolve_ipv4(const std::string& host) {
   return ntohl(parsed.s_addr);
 }
 
-// Datagram envelope preceding the codec frame: sender and destination
-// node ids (the frame itself is address-agnostic and reusable as-is for
-// storage or replay).
-constexpr std::size_t kEnvelopeSize = 8;
-
 }  // namespace
 
 UdpTransport::UdpTransport(runtime::Executor& exec, UdpConfig config)
@@ -125,6 +120,8 @@ void UdpTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     trace_send(obs_.trace, exec_.now(), from, to, *msg, "unroutable");
     return;
   }
+  // The envelope: sender and destination ids ahead of the frame, which
+  // stays address-agnostic (reusable as-is for storage or replay).
   Writer w;
   w.node(from);
   w.node(to);

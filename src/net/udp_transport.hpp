@@ -4,11 +4,12 @@
 // Each process is one node. The local identity and the peer address book
 // are fixed configuration (live_cli assembles them from --listen/--peer):
 // send() frames the message with the wire codec (net/codec.hpp), prefixes
-// the (from, to) node ids, and writes one datagram to the peer's address;
-// a self-rescheduling poll task drains the socket every `poll_interval`
-// and delivers decoded messages to the attached endpoint. Datagrams that
-// fail to decode are dropped and counted in net.decode_errors — malformed
-// or mis-versioned input never reaches protocol code.
+// the (from, to) node ids as varints, and writes one datagram to the peer's
+// address; a self-rescheduling poll task drains the socket every
+// `poll_interval` and delivers decoded messages to the attached endpoint.
+// Datagrams that fail to decode are dropped and counted in
+// net.decode_errors — malformed or mis-versioned input never reaches
+// protocol code.
 //
 // Delivery guarantees match UDP: messages can be lost, reordered, and
 // duplicated; the gcs layer's reliable FIFO machinery recovers, exactly

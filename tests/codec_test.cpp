@@ -291,7 +291,7 @@ TEST_F(CodecTest, EncodeDecodeEncodeIsByteIdentical) {
   for (const auto& m : exemplars()) {
     SCOPED_TRACE(m->type_name());
     const std::vector<std::uint8_t> bytes = net::encode_frame(*m);
-    ASSERT_GE(bytes.size(), net::kFrameHeaderSize);
+    ASSERT_EQ(bytes.size(), net::frame_size(m->wire_type(), m->body_size()));
 
     net::Reader r(bytes);
     net::MessagePtr decoded;
@@ -310,15 +310,10 @@ TEST_F(CodecTest, EncodeDecodeEncodeIsByteIdentical) {
 // The round trip above cannot see a layout change made the same way in
 // encode and decode. These frames pin the bytes of every exemplar, and
 // its wire_size(). Each is written at the wire version it was last
-// changed in: gcs.install and repl.reply at version 6, and gcs.data,
-// gcs.propose and repl.lazy at version 5 (and gcs.flush, which nests a
-// gcs.data), both of which dropped fields no receiver read; gcs.heartbeat
-// at version 4, which gave a section per-destination p2p marks, and every
-// other type at version 3. Version 7 changed no layout: it made a gcs.data
-// with seq 0 a best-effort message. A frame of an
-// earlier version must encode today exactly as it did then, save the
-// version byte of each frame header in it (offset 4 of the frame, and of a
-// nested frame).
+// changed in: version 8 made every integer a varint, so today that is
+// every frame. A frame of an earlier version must encode today exactly as
+// it did then, save the version byte of each frame header in it (offset 4
+// of the frame, and of a nested frame).
 struct GoldenFrame {
   const char* type_name;
   std::size_t wire_size;
@@ -327,100 +322,77 @@ struct GoldenFrame {
 };
 
 const GoldenFrame kGoldenFrames[] = {
-    {"gcs.data", 69, 5,
-      "4657514105110000003800000011000000000300000029000000000000000146"
-      "575141054100000019000000020000006b330f000000762d0102207769746820"
-      "6279746573"},
-    {"gcs.heartbeat", 101, 4,
-      "4657514104120000005800000012000000070000000000000003000000000000"
-      "0064000000000000000100000001000000630000000000000014000000000000"
-      "0000000000000000000000000000000000000000000100000002000000080000"
-      "0000000000"},
-    {"gcs.nack", 34, 3,
-      "4657514103130000001500000012000000000a000000000000000f0000000000"
-      "0000"},
-    {"gcs.join", 18, 3,
-      "465751410314000000050000001300000001"},
-    {"gcs.leave", 17, 3,
-      "4657514103150000000400000013000000"},
-    {"gcs.suspect", 21, 3,
-      "46575141031600000008000000110000000b000000"},
-    {"gcs.propose", 25, 5,
-      "4657514105170000000c000000110000000900000000000000"},
-    {"gcs.flush", 126, 5,
-      "4657514105180000007100000011000000090000000000000002000000010000"
-      "000c000000000000000200000000000000000000000100000046575141051100"
-      "0000380000001100000000030000002900000000000000014657514105410000"
-      "0019000000020000006b330f000000762d01022077697468206279746573"},
-    {"gcs.install", 138, 6,
-      "4657514106190000007d00000011000000110000000a00000000000000020000"
-      "000100000003000000010000000300000001000000010000000c000000000000"
-      "0001000000465751410611000000380000001100000000030000002900000000"
-      "0000000146575141064100000019000000020000006b330f000000762d010220"
-      "77697468206279746573"},
-    {"repl.update", 64, 3,
-      "4657514103210000003300000015000000050000000000000001465751410341"
-      "00000019000000020000006b330f000000762d01022077697468206279746573"},
-    {"repl.read", 53, 3,
-      "4657514103220000002800000015000000060000000000000001465751410342"
-      "00000006000000020000006b330400000000000000"},
-    {"repl.gsn", 34, 3,
-      "465751410323000000150000001500000005000000000000004d000000000000"
-      "0001"},
-    {"repl.reply", 90, 6,
-      "4657514106240000004d00000015000000060000000000000001465751410643"
-      "0000000e00000001010000007608000000000000000c000000002d3101000000"
-      "00404b4c00000000000000000000000000010200000000000000"},
-    {"repl.lazy", 67, 5,
-      "4657514105250000003600000008000000000000000146575141054400000020"
-      "0000000200000001000000610100000031010000006201000000320800000000"
-      "000000"},
-    {"repl.state_req", 13, 3,
-      "46575141032600000000000000"},
-    {"repl.state_snap", 83, 3,
-      "4657514103270000004600000008000000000000000900000000000000014657"
-      "514103440000000c000000000000000800000000000000020000001500000005"
-      "00000000000000160000000100000000000000"},
-    {"repl.perf", 76, 3,
-      "4657514103280000003f0000000c00000001002d310100000000404b4c000000"
-      "000040420f00000000000101030000000065cd1d000000000200000000e9a435"
-      "000000000065cd1d00000000"},
-    {"repl.groupinfo", 53, 3,
-      "4657514103290000002800000004000000000000000100000002000000020000"
-      "0003000000020000000b0000000c00000003000000"},
-    {"kv.put", 38, 3,
-      "46575141034100000019000000020000006b330f000000762d01022077697468"
+    {"gcs.data", 38, 8,
+      "4657514108111f110003290146575141084113026b330f762d01022077697468"
       "206279746573"},
-    {"kv.get", 19, 3,
-      "46575141034200000006000000020000006b33"},
-    {"kv.result", 22, 3,
-      "46575141034300000009000000000900000000000000"},
-    {"kv.snapshot", 43, 3,
-      "4657514103440000001e00000002000000000000000100000079010000007800"
-      "0000000200000000000000"},
-    {"doc.append", 25, 3,
-      "4657514103450000000c000000080000006c696e65206f6e65"},
-    {"doc.read", 13, 3,
-      "46575141034600000000000000"},
-    {"doc.contents", 40, 3,
-      "4657514103470000001b00000003000000010000006101000000620100000063"
-      "0300000000000000"},
-    {"ticker.set", 29, 3,
-      "465751410348000000100000000400000041434d450000000000505940"},
-    {"ticker.get", 21, 3,
-      "465751410349000000080000000400000041434d45"},
-    {"ticker.quote", 38, 3,
-      "46575141034a000000190000000400000041434d450100000000005059400100"
-      "000000000000"},
-    {"ticker.snapshot", 56, 3,
-      "46575141034b0000002b000000020000000400000041434d4500000000005059"
-      "40030000005a5a5a000000000000e03f0200000000000000"},
-    {"reg.bump", 13, 3,
-      "46575141034c00000000000000"},
-    {"reg.read", 13, 3,
-      "46575141034d00000000000000"},
-    {"reg.value", 21, 3,
-      "46575141034e000000080000000500000000000000"},
+    {"gcs.heartbeat", 21, 8,
+      "4657514108120e1207036401016314000000010208"},
+    {"gcs.nack", 11, 8,
+      "4657514108130412000a0f"},
+    {"gcs.join", 9, 8,
+      "465751410814021301"},
+    {"gcs.leave", 8, 8,
+      "4657514108150113"},
+    {"gcs.suspect", 9, 8,
+      "46575141081602110b"},
+    {"gcs.propose", 9, 8,
+      "465751410817021109"},
+    {"gcs.flush", 53, 8,
+      "4657514108182e110902010c0200014657514108111f11000329014657514108"
+      "4113026b330f762d01022077697468206279746573"},
+    {"gcs.install", 57, 8,
+      "4657514108193211110a020103010301010c014657514108111f110003290146"
+      "575141084113026b330f762d01022077697468206279746573"},
+    {"repl.update", 36, 8,
+      "4657514108211d15050146575141084113026b330f762d010220776974682062"
+      "79746573"},
+    {"repl.read", 21, 8,
+      "4657514108220e15060146575141084203026b3304"},
+    {"repl.gsn", 11, 8,
+      "4657514108230415054d01"},
+    {"repl.reply", 33, 8,
+      "4657514108241a15060146575141084304010176080c80b4891380ade2040001"
+      "02"},
+    {"repl.lazy", 26, 8,
+      "4657514108251308014657514108440a02016101310162013208"},
+    {"repl.state_req", 7, 8,
+      "46575141082600"},
+    {"repl.state_snap", 24, 8,
+      "465751410827110809014657514108440200080215051601"},
+    {"repl.perf", 39, 8,
+      "465751410828200c0180b4891380ade20480897a0101038094ebdc030280a4a7"
+      "da068094ebdc03"},
+    {"repl.groupinfo", 16, 8,
+      "465751410829090401020203020b0c03"},
+    {"kv.put", 26, 8,
+      "46575141084113026b330f762d01022077697468206279746573"},
+    {"kv.get", 10, 8,
+      "46575141084203026b33"},
+    {"kv.result", 9, 8,
+      "465751410843020009"},
+    {"kv.snapshot", 15, 8,
+      "465751410844080200017901780002"},
+    {"doc.append", 16, 8,
+      "46575141084509086c696e65206f6e65"},
+    {"doc.read", 7, 8,
+      "46575141084600"},
+    {"doc.contents", 15, 8,
+      "465751410847080301610162016303"},
+    {"ticker.set", 20, 8,
+      "4657514108480d0441434d450000000000505940"},
+    {"ticker.get", 12, 8,
+      "465751410849050441434d45"},
+    {"ticker.quote", 22, 8,
+      "46575141084a0f0441434d4501000000000050594001"},
+    {"ticker.snapshot", 34, 8,
+      "46575141084b1b020441434d450000000000505940035a5a5a000000000000e0"
+      "3f02"},
+    {"reg.bump", 7, 8,
+      "46575141084c00"},
+    {"reg.read", 7, 8,
+      "46575141084d00"},
+    {"reg.value", 8, 8,
+      "46575141084e0105"},
 };
 
 std::string to_hex(const std::vector<std::uint8_t>& bytes) {
@@ -445,7 +417,7 @@ std::string with_version(std::string hex, std::uint8_t version) {
 }
 
 TEST_F(CodecTest, GoldenFramesPinEveryExemplar) {
-  ASSERT_EQ(net::kWireVersion, 7);
+  ASSERT_EQ(net::kWireVersion, 8);
   const auto all = exemplars();
   ASSERT_EQ(all.size(), std::size(kGoldenFrames));
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -498,11 +470,12 @@ TEST_F(CodecTest, DataAndHeartbeatFieldsSurviveTheRoundTrip) {
   EXPECT_EQ(back->shared->mcast_acks, hb.shared->mcast_acks);
 
   // A heartbeat with nothing to list is the group id, the two p2p marks,
-  // the mcast seq and an empty ack vector's count.
+  // the mcast seq and an empty ack vector's count: five one-byte varints.
   gcs::HeartbeatMsg empty;
   empty.group = gcs::GroupId{18};
   empty.shared = shared_part(0, {});
-  EXPECT_EQ(empty.wire_size(), net::kFrameHeaderSize + 4 + 8 + 8 + 8 + 4);
+  EXPECT_EQ(empty.wire_size(), net::frame_size(gcs::kWireHeartbeat, 1 + 1 + 1 + 1 + 1));
+  EXPECT_EQ(empty.wire_size(), 12u);
 }
 
 gcs::HeartbeatSection section(std::uint32_t group, std::uint64_t seq, std::uint32_t acks) {
@@ -511,23 +484,47 @@ gcs::HeartbeatSection section(std::uint32_t group, std::uint64_t seq, std::uint3
   return {gcs::GroupId{group}, seq + 1, seq + 2, shared_part(seq, std::move(mcast_acks))};
 }
 
-/// Encoded length of one section: a frame carrying only it, without the
-/// header. Measured by encoding, so it checks the sizer rather than using it.
+/// A frame of type `id` around `payload`, built by hand, so that it can
+/// carry a payload the type's own encoder would never write.
+std::vector<std::uint8_t> frame_of(net::WireTypeId id, const std::vector<std::uint8_t>& payload) {
+  net::Writer w;
+  w.fixed32(net::kWireMagic);
+  w.u8(net::kWireVersion);
+  w.u32(id);
+  w.u64(payload.size());
+  w.raw(payload.data(), payload.size());
+  return w.bytes();
+}
+
+/// The payload of an encoded frame, found through its header.
+std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& frame) {
+  net::Reader r(frame);
+  EXPECT_EQ(r.fixed32(), net::kWireMagic);
+  EXPECT_EQ(r.u8(), net::kWireVersion);
+  (void)r.u32();  // type id
+  const std::uint64_t len = r.u64();
+  EXPECT_EQ(len, r.remaining());
+  return {frame.end() - static_cast<std::ptrdiff_t>(r.remaining()), frame.end()};
+}
+
+/// Encoded length of one section: the payload of a frame carrying only it.
+/// Measured by encoding, so it checks the sizer rather than using it.
 std::size_t section_bytes(const gcs::HeartbeatSection& s) {
   gcs::HeartbeatMsg alone;
   static_cast<gcs::HeartbeatSection&>(alone) = s;
-  return net::encode_frame(alone).size() - net::kFrameHeaderSize;
+  return payload_of(net::encode_frame(alone)).size();
 }
 
 TEST_F(CodecTest, HeartbeatBundleRoundTripsEverySection) {
   gcs::HeartbeatMsg bundle;
   static_cast<gcs::HeartbeatSection&>(bundle) = section(3, 10, 1);
   const std::vector<gcs::HeartbeatSection> riders = {section(5, 20, 2), section(9, 0, 0)};
-  // The riders add their sections' bytes and nothing else.
-  std::size_t expected = net::kFrameHeaderSize + section_bytes(bundle);
+  // The riders add their sections' bytes to the payload and nothing else.
+  std::size_t payload = section_bytes(bundle);
   for (std::size_t n = 0; n <= riders.size(); ++n) {
     bundle.riders.assign(riders.begin(), riders.begin() + static_cast<std::ptrdiff_t>(n));
-    if (n > 0) expected += section_bytes(riders[n - 1]);
+    if (n > 0) payload += section_bytes(riders[n - 1]);
+    const std::size_t expected = net::frame_size(gcs::kWireHeartbeat, payload);
     // wire_size() is memoized per message; a copy is sized afresh.
     const gcs::HeartbeatMsg sized = bundle;
     EXPECT_EQ(sized.wire_size(), net::encode_frame(bundle).size()) << n << " riders";
@@ -551,14 +548,12 @@ TEST_F(CodecTest, TruncatedHeartbeatRiderThrows) {
   gcs::HeartbeatMsg bundle;
   static_cast<gcs::HeartbeatSection&>(bundle) = section(3, 10, 1);
   bundle.riders = {section(5, 20, 2)};
-  const std::vector<std::uint8_t> whole = net::encode_frame(bundle);
-  // Cut the rider short by `cut` bytes and fix the frame length, so the
-  // frame itself is well formed and only the rider is truncated.
+  const std::vector<std::uint8_t> whole = payload_of(net::encode_frame(bundle));
+  // Cut the rider short by `cut` bytes and frame what is left, so the frame
+  // itself is well formed and only the rider is truncated.
   for (std::size_t cut = 1; cut < section_bytes(bundle.riders[0]); ++cut) {
-    std::vector<std::uint8_t> bytes(whole.begin(), whole.end() - static_cast<std::ptrdiff_t>(cut));
-    net::Writer len;
-    len.u32(static_cast<std::uint32_t>(bytes.size() - net::kFrameHeaderSize));
-    std::copy(len.bytes().begin(), len.bytes().end(), bytes.begin() + 9);
+    const std::vector<std::uint8_t> bytes = frame_of(
+        gcs::kWireHeartbeat, {whole.begin(), whole.end() - static_cast<std::ptrdiff_t>(cut)});
     net::Reader r(bytes);
     EXPECT_THROW(net::decode_frame(r), net::CodecError) << "cut " << cut;
   }
@@ -661,27 +656,45 @@ TEST_F(CodecTest, CopiedMessageDoesNotInheritTheWireSizeMemo) {
   gcs::HeartbeatMsg copy = original;  // may be mutated before it is sent
   copy.shared = shared_part(0, {{net::NodeId{1}, 5}, {net::NodeId{2}, 6}});
   EXPECT_EQ(copy.wire_size(), net::encode_frame(copy).size());
-  EXPECT_EQ(copy.wire_size(), before + 2 * (4 + 8));
+  // Two entries of a one-byte node and a one-byte value each.
+  EXPECT_EQ(copy.wire_size(), before + 2 * (1 + 1));
   EXPECT_EQ(original.wire_size(), before);
 }
 
-TEST_F(CodecTest, FlatNodeValuePairsDecodeLikeTheMap) {
-  // Out-of-order and duplicate entries are normalized exactly as the map
-  // decoder does: sorted by node, the last value winning.
+/// `entries` written as a count and (node, value) pairs, in the given order.
+std::vector<std::uint8_t> node_pairs(
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& entries) {
   net::Writer w;
-  w.u32(4);
-  for (const auto& [node, value] :
-       {std::pair{5u, 50ull}, std::pair{2u, 20ull}, std::pair{5u, 51ull},
-        std::pair{3u, 30ull}}) {
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [node, value] : entries) {
     w.node(net::NodeId{node});
     w.u64(value);
   }
-  net::Reader as_map(w.bytes());
-  net::Reader as_pairs(w.bytes());
+  return w.bytes();
+}
+
+TEST_F(CodecTest, FlatNodeValuePairsDecodeLikeTheMap) {
+  // Both forms decode canonical input only: nodes strictly ascending.
+  // Out-of-order and repeated nodes have no canonical encoding, so either
+  // decoder throws on them rather than normalize (normalizing would make
+  // encode(decode(b)) differ from b).
+  for (const auto& bad : {node_pairs({{5, 50}, {2, 20}}), node_pairs({{2, 20}, {2, 21}})}) {
+    net::Reader as_map(bad);
+    net::Reader as_pairs(bad);
+    std::map<net::NodeId, std::uint64_t> map;
+    net::NodeU64Pairs pairs;
+    EXPECT_THROW(net::FieldDecoder{as_map}(map), net::CodecError);
+    EXPECT_THROW(net::FieldDecoder{as_pairs}(pairs), net::CodecError);
+  }
+  const std::vector<std::uint8_t> good = node_pairs({{2, 20}, {3, 30}, {5, 51}});
+  net::Reader as_map(good);
+  net::Reader as_pairs(good);
   std::map<net::NodeId, std::uint64_t> map;
   net::NodeU64Pairs pairs;
   net::FieldDecoder{as_map}(map);
   net::FieldDecoder{as_pairs}(pairs);
+  EXPECT_TRUE(as_map.done());
+  EXPECT_TRUE(as_pairs.done());
   EXPECT_EQ(pairs, net::NodeU64Pairs(map.begin(), map.end()));
   EXPECT_EQ(pairs, (net::NodeU64Pairs{{net::NodeId{2}, 20},
                                       {net::NodeId{3}, 30},
@@ -719,9 +732,8 @@ TEST_F(CodecTest, UnknownVersionThrows) {
 }
 
 TEST_F(CodecTest, UnknownTypeIdThrows) {
-  auto bytes = net::encode_frame(*make_kv_put());
-  // Type id is bytes 5..8 (little-endian); 0xffffffff is never registered.
-  bytes[5] = bytes[6] = bytes[7] = bytes[8] = 0xff;
+  // 0xffffffff is never registered.
+  const auto bytes = frame_of(0xffffffffu, payload_of(net::encode_frame(*make_kv_put())));
   net::Reader r(bytes);
   EXPECT_THROW(net::decode_frame(r), net::CodecError);
 }
@@ -729,32 +741,119 @@ TEST_F(CodecTest, UnknownTypeIdThrows) {
 TEST_F(CodecTest, RetiredFifoTypeIdsThrow) {
   // 0x31-0x35 were the former FIFO handler's own messages; the ids are
   // retired for good, so frames carrying them must not decode.
-  for (std::uint8_t id = 0x31; id <= 0x35; ++id) {
-    auto bytes = net::encode_frame(*make_kv_put());
-    bytes[5] = id;  // type id is bytes 5..8, little-endian
-    bytes[6] = bytes[7] = bytes[8] = 0;
+  const auto payload = payload_of(net::encode_frame(*make_kv_put()));
+  for (net::WireTypeId id = 0x31; id <= 0x35; ++id) {
+    const auto bytes = frame_of(id, payload);
     net::Reader r(bytes);
-    EXPECT_THROW(net::decode_frame(r), net::CodecError) << "type id " << int{id};
+    EXPECT_THROW(net::decode_frame(r), net::CodecError) << "type id " << id;
   }
 }
 
 TEST_F(CodecTest, TrailingPayloadBytesThrow) {
-  // Grow the declared payload length by one and append a stray byte: the
-  // decoder no longer consumes exactly the payload, which must be an error
-  // (anything else would let frames smuggle undetected junk).
-  auto bytes = net::encode_frame(*make_kv_put());
-  const std::uint32_t len = static_cast<std::uint32_t>(bytes[9]) |
-                            (static_cast<std::uint32_t>(bytes[10]) << 8) |
-                            (static_cast<std::uint32_t>(bytes[11]) << 16) |
-                            (static_cast<std::uint32_t>(bytes[12]) << 24);
-  const std::uint32_t grown = len + 1;
-  bytes[9] = static_cast<std::uint8_t>(grown);
-  bytes[10] = static_cast<std::uint8_t>(grown >> 8);
-  bytes[11] = static_cast<std::uint8_t>(grown >> 16);
-  bytes[12] = static_cast<std::uint8_t>(grown >> 24);
-  bytes.push_back(0);
+  // Frame the payload with one stray byte appended: the decoder no longer
+  // consumes exactly the payload, which must be an error (anything else
+  // would let frames smuggle undetected junk).
+  const auto put = make_kv_put();
+  auto payload = payload_of(net::encode_frame(*put));
+  payload.push_back(0);
+  const auto bytes = frame_of(put->wire_type(), payload);
   net::Reader r(bytes);
   EXPECT_THROW(net::decode_frame(r), net::CodecError);
+}
+
+/// Reads `bytes` with `read` and checks that it consumed them all.
+template <typename Read>
+auto read_all(const std::vector<std::uint8_t>& bytes, Read read) {
+  net::Reader r(bytes);
+  auto v = read(r);
+  EXPECT_TRUE(r.done());
+  return v;
+}
+
+TEST_F(CodecTest, VarintsRoundTripAtEveryLength) {
+  for (int bits = 0; bits <= 64; ++bits) {
+    for (const std::uint64_t v :
+         {bits == 64 ? ~0ull : (1ull << bits) - 1, bits == 64 ? ~0ull : 1ull << bits}) {
+      SCOPED_TRACE(v);
+      net::Writer w;
+      w.u64(v);
+      EXPECT_EQ(w.size(), net::varint_size(v));
+      EXPECT_EQ(read_all(w.bytes(), [](net::Reader& r) { return r.u64(); }), v);
+    }
+  }
+  EXPECT_EQ(net::varint_size(127), 1u);
+  EXPECT_EQ(net::varint_size(128), 2u);
+  EXPECT_EQ(net::varint_size(UINT32_MAX), 5u);
+  EXPECT_EQ(net::varint_size(UINT64_MAX), 10u);
+  // The longest canonical varint: nine full groups and a 10th byte of 1.
+  std::vector<std::uint8_t> max(9, 0xff);
+  max.push_back(0x01);
+  EXPECT_EQ(read_all(max, [](net::Reader& r) { return r.u64(); }), UINT64_MAX);
+}
+
+TEST_F(CodecTest, NonCanonicalVarintsThrow) {
+  const auto rejects = [](std::vector<std::uint8_t> bytes, const char* what) {
+    net::Reader r(bytes);
+    EXPECT_THROW(r.u64(), net::CodecError) << what;
+  };
+  // Overlong: a trailing zero group, at any length.
+  rejects({0x80, 0x00}, "zero in two bytes");
+  rejects({0x81, 0x80, 0x00}, "one in three bytes");
+  rejects({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00}, "ten bytes, last zero");
+  // More than ten bytes.
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x01);
+  rejects(eleven, "eleven bytes");
+  // A 10th byte above 0x01 sets bits past bit 63.
+  std::vector<std::uint8_t> wide(9, 0xff);
+  wide.push_back(0x02);
+  rejects(wide, "10th byte 0x02");
+  // Truncated: the input ends on a continuation byte.
+  rejects({}, "empty");
+  rejects({0x80}, "one continuation byte");
+  rejects({0xff, 0xff, 0xff}, "three continuation bytes");
+}
+
+TEST_F(CodecTest, ThirtyTwoBitFieldsRejectWiderVarints) {
+  net::Writer w;
+  w.u64(std::uint64_t{UINT32_MAX} + 1);
+  const std::vector<std::uint8_t> wide = w.bytes();
+  EXPECT_THROW(read_all(wide, [](net::Reader& r) { return r.u32(); }), net::CodecError);
+  EXPECT_THROW(read_all(wide, [](net::Reader& r) { return r.node(); }), net::CodecError);
+  enum class Wide : std::uint32_t {};
+  EXPECT_THROW(read_all(wide, [](net::Reader& r) {
+                 Wide v{};
+                 net::FieldDecoder{r}(v);
+                 return v;
+               }),
+               net::CodecError);
+  // One below still fits.
+  net::Writer edge;
+  edge.u32(UINT32_MAX);
+  EXPECT_EQ(edge.size(), 5u);
+  EXPECT_EQ(read_all(edge.bytes(), [](net::Reader& r) { return r.u32(); }), UINT32_MAX);
+}
+
+TEST_F(CodecTest, DurationsAreZigzagVarints) {
+  EXPECT_EQ(net::zigzag(0), 0u);
+  EXPECT_EQ(net::zigzag(-1), 1u);
+  EXPECT_EQ(net::zigzag(1), 2u);
+  EXPECT_EQ(net::zigzag(INT64_MIN), UINT64_MAX);
+  EXPECT_EQ(net::zigzag(INT64_MAX), UINT64_MAX - 1);
+  const std::pair<std::int64_t, std::size_t> cases[] = {
+      {0, 1}, {-1, 1}, {1, 1}, {-64, 1}, {64, 2}, {INT64_MIN, 10}, {INT64_MAX, 10}};
+  for (const auto& [ticks, size] : cases) {
+    SCOPED_TRACE(ticks);
+    const sim::Duration d(ticks);
+    EXPECT_EQ(net::unzigzag(net::zigzag(ticks)), ticks);
+    net::Writer w;
+    w.duration(d);
+    EXPECT_EQ(w.size(), size);
+    net::ByteCount count;
+    count.duration(d);
+    EXPECT_EQ(count.size(), size);
+    EXPECT_EQ(read_all(w.bytes(), [](net::Reader& r) { return r.duration(); }), d);
+  }
 }
 
 TEST_F(CodecTest, MessageWithoutCodecSupportIsRejected) {
@@ -802,14 +901,8 @@ TEST_F(CodecTest, FlushHeldEntryMustBeDataMsg) {
   payload.u32(1);                     // held: one entry
   net::encode_frame(*make_kv_put(), payload);
 
-  net::Writer frame;
-  frame.u32(net::kWireMagic);
-  frame.u8(net::kWireVersion);
-  frame.u32(gcs::kWireFlush);
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.raw(payload.bytes().data(), payload.size());
-
-  net::Reader r(frame.bytes());
+  const auto frame = frame_of(gcs::kWireFlush, payload.bytes());
+  net::Reader r(frame);
   EXPECT_THROW(net::decode_frame(r), net::CodecError);
 }
 
@@ -835,6 +928,8 @@ TEST_F(CodecTest, RandomBytesNeverCrashTheDecoder) {
 TEST_F(CodecTest, SingleByteCorruptionNeverCrashesTheDecoder) {
   // Flip each byte of each valid frame in turn: the decoder must either
   // throw CodecError or produce some message — never crash or misbehave.
+  // A corrupted frame that decodes is canonical input too, so it must
+  // re-encode to exactly its own bytes.
   for (const auto& m : exemplars()) {
     SCOPED_TRACE(m->type_name());
     const std::vector<std::uint8_t> original = net::encode_frame(*m);
@@ -842,12 +937,17 @@ TEST_F(CodecTest, SingleByteCorruptionNeverCrashesTheDecoder) {
       std::vector<std::uint8_t> bytes = original;
       bytes[i] ^= 0x2a;
       net::Reader r(bytes);
+      net::MessagePtr decoded;
       try {
-        const net::MessagePtr decoded = net::decode_frame(r);
-        ASSERT_TRUE(decoded);
+        decoded = net::decode_frame(r);
       } catch (const net::CodecError&) {
-        // fine: corruption detected
+        continue;  // fine: corruption detected
       }
+      ASSERT_TRUE(decoded);
+      const std::size_t used = bytes.size() - r.remaining();
+      const std::vector<std::uint8_t> consumed(
+          bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(used));
+      EXPECT_EQ(net::encode_frame(*decoded), consumed) << "byte " << i << " flipped";
     }
   }
 }

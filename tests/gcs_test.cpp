@@ -620,8 +620,10 @@ TEST(GcsHeartbeat, SilentMemberHeartbeatsEmptyVectors) {
 
 // A section carries a multicast ack row and two p2p marks for its
 // destination, so a full member's heartbeat to a listener is, by the field
-// list (group, p2p_sent, p2p_acked, shared{my_mcast_seq, mcast_acks}),
-//   frame header + 4 + 8 + 8 + 8 + (4 + 12 * senders)
+// list (group, p2p_sent, p2p_acked, shared{my_mcast_seq, mcast_acks}), a
+// frame whose payload is five varints and a (node, seq) pair per sender:
+// every id and seq in these short runs is below 128, so
+//   frame header + 5 + 2 * senders
 // where `senders` counts the full members whose multicasts are in the row:
 // it grows with m and not with the listeners, even when every listener has
 // a p2p stream with it. The leader sends one every tick; the other full
@@ -653,7 +655,7 @@ TEST(GcsHeartbeat, FullMemberToListenerSizeDependsOnFullMembersOnly) {
     exchange();
     f.settle(milliseconds(500));
     const std::size_t expected =
-        net::kFrameHeaderSize + 4 + 8 + 8 + 8 + 4 + 12 * static_cast<std::size_t>(full);
+        net::frame_size(kWireHeartbeat, 5 + 2 * static_cast<std::size_t>(full));
     std::set<std::pair<net::NodeId, net::NodeId>> pairs;
     for (const auto& [from, to, hb] : f.tap().sent) {
       const View& view = f.member(0).view();
